@@ -242,7 +242,7 @@ func (c *Counter) NextInstrumented(input int, afterNode func()) (int64, error) {
 	if afterNode == nil {
 		return c.net.Traverse(input), nil
 	}
-	return c.net.TraverseHook(input, func(topo.NodeID) { afterNode() }), nil
+	return c.net.TraverseObs(input, 0, 0, func(topo.NodeID) { afterNode() }), nil
 }
 
 // InWidth returns the number of network inputs accepted by NextAt.

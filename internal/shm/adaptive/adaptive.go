@@ -241,11 +241,11 @@ type Counter struct {
 	inflight [stripes]pad64        //countnet:gatecensus
 
 	direct pad64 // the ModeDirect backend's cumulative sequence
-	// turn is the ModeLinear release counter: the next raw backend value
-	// allowed to return. Reseeded from the epoch's backend start at every
-	// switch into a linear epoch, which happens at a drained boundary, so
-	// token-side loads never race the reseed.
-	turn   pad64
+	// turn is the ModeLinear release gate over raw backend values.
+	// Reseeded from the epoch's backend start at every switch into a
+	// linear epoch, which happens at a drained boundary, so no Release
+	// ever races the reseed.
+	turn   shm.Turn
 	net    *shm.Network
 	funnel *combine.Funnel
 	opts   Options
@@ -442,33 +442,18 @@ func (c *Counter) dispatch(ep *epoch, input int, proc, tok int32, afterNode func
 			return ep.net.TraverseBatch(input, demand, proc, tok, afterNode)
 		})[0]
 	case ModeLinear:
-		v := ep.net.TraverseObs(input, proc, tok, afterNode)
-		c.waitTurn(v)
-		return v
+		// The turn wait runs inside dispatch — before Next's census
+		// decrement — so a waiting token still counts as in-flight and a
+		// concurrent drain waits for it. The drain always terminates: with
+		// the gate closed the in-flight set is fixed, each of its tokens
+		// obtains a distinct value from the contiguous backend sequence,
+		// and the holder of the smallest unreleased value is never blocked
+		// — so the chain releases in value order until the census reaches
+		// zero.
+		return c.turn.Release(ep.net.TraverseObs(input, proc, tok, afterNode))
 	default:
 		return ep.net.TraverseObs(input, proc, tok, afterNode)
 	}
-}
-
-// waitTurn holds a ModeLinear response until every smaller raw value in
-// the epoch has been released, then releases v itself. The wait runs
-// inside dispatch — before Next's census decrement — so a waiting token
-// still counts as in-flight and a concurrent drain waits for it. The
-// drain always terminates: with the gate closed the in-flight set is
-// fixed, each of its tokens obtains a distinct value from the contiguous
-// backend sequence, and the holder of the smallest unreleased value is
-// never blocked — so the chain releases in value order until the census
-// reaches zero.
-//
-//countnet:hotpath
-func (c *Counter) waitTurn(v int64) {
-	if c.turn.v.Load() != v {
-		var bo backoff.Backoff
-		for c.turn.v.Load() != v {
-			bo.Wait()
-		}
-	}
-	c.turn.v.Store(v + 1)
 }
 
 // sample folds one timed token into the controller's accumulators: the
@@ -626,11 +611,10 @@ func (c *Counter) switchLocked(m Mode) {
 		next.strt = c.direct.v.Load()
 	}
 	if m == ModeLinear {
-		// Seed the per-epoch turn counter: the first raw value the new
-		// epoch's backend will issue is also the first allowed to return.
-		// The gate is closed and the census drained, so no token-side
-		// waitTurn can race this store.
-		c.turn.v.Store(next.strt)
+		// Seed the per-epoch turn: the first raw value the new epoch's
+		// backend will issue is also the first allowed to return. The gate
+		// is closed and the census drained, so no Release can race this.
+		c.turn.Reseed(next.strt)
 	}
 	c.cur.Store(next)
 	if old.mode != m {

@@ -1,20 +1,13 @@
 package shm
 
-import (
-	"countnet/internal/obs"
-	"countnet/internal/topo"
-)
+import "countnet/internal/topo"
 
-// BatchBalancer is a Balancer that can route several tokens in one
-// critical section: TraverseBatch advances the toggle demand times,
-// adding one to counts[p] for every token routed to output p. counts
-// must have at least fanOut entries and is not cleared. The routing is
-// exactly the routing of demand back-to-back Traverse calls, so batch
-// traversal preserves the step property verbatim.
-type BatchBalancer interface {
-	Balancer
-	TraverseBatch(demand int, counts []int)
-}
+// Each toggle kind routes several tokens in one critical section:
+// TraverseBatch advances the toggle demand times, adding one to counts[p]
+// for every token routed to output p. counts must have at least fanOut
+// entries and is not cleared. The routing is exactly the routing of
+// demand back-to-back Traverse calls, so batch traversal preserves the
+// step property verbatim.
 
 func (b *atomicBalancer) TraverseBatch(demand int, counts []int) {
 	base := b.c.Add(int64(demand)) - int64(demand)
@@ -45,129 +38,38 @@ func (b *mcsBalancer) TraverseBatch(demand int, counts []int) {
 }
 
 // batchRoute routes demand tokens through b into counts: one critical
-// section for batch-capable balancers, sequential Traverse calls
+// section for the batch-capable toggle kinds, sequential Traverse calls
 // otherwise (diffracting balancers, whose prism pairing is per-token).
+// The switch names the concrete kinds rather than asserting an interface
+// so that counts, the walk's stack-held tally, never passes through an
+// interface call and so never escapes to the heap.
 func batchRoute(b Balancer, demand int, counts []int) {
-	if bb, ok := b.(BatchBalancer); ok {
+	switch bb := b.(type) {
+	case *atomicBalancer:
 		bb.TraverseBatch(demand, counts)
-		return
+	case *mutexBalancer:
+		bb.TraverseBatch(demand, counts)
+	case *mcsBalancer:
+		bb.TraverseBatch(demand, counts)
+	default:
+		for i := 0; i < demand; i++ {
+			counts[b.Traverse()]++
+		}
 	}
-	for i := 0; i < demand; i++ {
-		counts[b.Traverse()]++
-	}
-}
-
-// batchFrame is one group of tokens travelling together on a wire.
-type batchFrame struct {
-	p      topo.PortRef
-	demand int
 }
 
 // TraverseBatch routes demand tokens from the given input as one
 // combined trip and returns their counter values (in exit order, not
-// sorted). The walk is operationally identical to demand sequential
-// tokens: every balancer on the way advances its toggle once per token
-// (in a single critical section where the balancer supports it), the
-// group splits exactly where the toggles route it, and every counter
-// fetch-and-adds once per arriving token — so quiescent counting and
-// the step property are preserved for any interleaving with concurrent
-// traffic. afterNode is invoked once per visited node, as in
-// TraverseHook; proc and tok identify the representative in trace
-// events when observability is enabled (they are ignored otherwise).
+// sorted); see walk for why this is operationally identical to demand
+// sequential tokens. afterNode is invoked once per node the group (or a
+// part of it) leaves, as in TraverseObs; proc and tok identify the
+// representative in trace events when observability is enabled. A
+// non-positive demand returns nil.
 //
 //countnet:hotpath
 func (n *Network) TraverseBatch(input, demand int, proc, tok int32, afterNode func(id topo.NodeID)) []int64 {
-	if demand < 1 {
-		return nil
+	if t := (trip{proc: proc, tok: tok, afterNode: afterNode}); demand > 0 {
+		return n.walk(n.g.Input(input), demand, &t, make([]int64, 0, demand))
 	}
-	if demand == 1 {
-		// A one-token batch is a plain traversal; the tight single-token
-		// walk skips the worklist and tally machinery, which keeps the
-		// combining funnel's idle fast path within a few percent of the
-		// uncombined engine.
-		return []int64{n.TraverseObs(input, proc, tok, afterNode)}
-	}
-	o := n.obs
-	out := make([]int64, 0, demand)
-	var counts [8]int
-	// The group only ever splits at balancers, so the worklist is at
-	// most demand entries deep.
-	stack := make([]batchFrame, 1, 4)
-	stack[0] = batchFrame{n.g.Input(input), demand}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		id := f.p.Node
-		if b := n.balancers[id]; b != nil {
-			fo := n.g.FanOut(id)
-			cs := counts[:]
-			if fo > len(cs) {
-				cs = make([]int, fo)
-			}
-			for p := 0; p < fo; p++ {
-				cs[p] = 0
-			}
-			var t0 int64
-			if o != nil {
-				t0 = o.clock()
-				if o.depth != nil {
-					o.depth[id].Add(1)
-				}
-			}
-			batchRoute(b, f.demand, cs)
-			if o != nil {
-				t1 := o.clock()
-				if o.depth != nil {
-					o.depth[id].Add(-1)
-				}
-				if o.tog != nil {
-					o.tog.Observe(t1 - t0)
-					o.ratio.Observe(t1 - t0)
-				}
-				if o.tr != nil {
-					o.tr.Record(obs.Event{T: t1, Dur: t1 - t0, Kind: obs.KindBalancer,
-						P: proc, Tok: tok, Node: int32(id), Value: -1})
-				}
-			}
-			if afterNode != nil {
-				afterNode(id)
-			}
-			for p := fo - 1; p >= 0; p-- {
-				if cs[p] > 0 {
-					stack = append(stack, batchFrame{n.g.OutDest(id, p), cs[p]})
-				}
-			}
-			continue
-		}
-		idx := n.g.CounterIndex(id)
-		var t0 int64
-		if o != nil {
-			t0 = o.clock()
-		}
-		a := n.counters[idx].v.Add(int64(f.demand)) - int64(f.demand)
-		for i := int64(0); i < int64(f.demand); i++ {
-			out = append(out, int64(idx)+n.w*(a+i))
-		}
-		if o != nil {
-			t1 := o.clock()
-			if o.fai != nil {
-				o.fai.Add(int64(f.demand))
-			}
-			if o.tr != nil {
-				o.tr.Record(obs.Event{T: t1, Dur: t1 - t0, Kind: obs.KindCounter,
-					P: proc, Tok: tok, Node: int32(id), Value: out[len(out)-f.demand]})
-			}
-		}
-		if afterNode != nil {
-			afterNode(id)
-		}
-	}
-	return out
+	return nil
 }
-
-// Interface compliance: every toggle kind supports batched routing.
-var (
-	_ BatchBalancer = (*atomicBalancer)(nil)
-	_ BatchBalancer = (*mutexBalancer)(nil)
-	_ BatchBalancer = (*mcsBalancer)(nil)
-)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"countnet/internal/bitonic"
+	"countnet/internal/obs"
 	"countnet/internal/topo"
 )
 
@@ -25,7 +26,9 @@ func TestBatchBalancerMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bb, ok := batched.(BatchBalancer)
+			bb, ok := batched.(interface {
+				TraverseBatch(demand int, counts []int)
+			})
 			if !ok {
 				t.Fatalf("%s balancer does not support batching", kind)
 			}
@@ -110,6 +113,86 @@ func TestTraverseBatchVisitsEachNodeOnce(t *testing.T) {
 	for id, c := range visits {
 		if c != 1 {
 			t.Fatalf("node %d visited %d times by a single token", id, c)
+		}
+	}
+}
+
+// TestTraverseBatchSpans checks a combined group's journey is causally
+// stamped like a single token's: every balancer and counter event of a
+// batch carries a span and chains onto an event of the trace, or is the
+// group's one root, so the trace closes with no orphans.
+func TestTraverseBatchSpans(t *testing.T) {
+	g, err := bitonic.New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := compile(t, g, Options{Kind: KindMCS})
+	ring := obs.NewRing(1, 1<<12)
+	n.EnableObs(ring, nil, nil, 0)
+	demands := []int{4, 8, 13}
+	for i, demand := range demands {
+		if vals := n.TraverseBatch(i%g.InWidth(), demand, 0, int32(i), nil); len(vals) != demand {
+			t.Fatalf("demand %d returned %d values", demand, len(vals))
+		}
+	}
+	events := ring.Events()
+	spans := map[uint64]bool{}
+	for _, ev := range events {
+		spans[ev.Span] = true
+	}
+	roots := map[int32]int{}
+	for _, ev := range events {
+		if ev.Kind != obs.KindBalancer && ev.Kind != obs.KindCounter {
+			t.Fatalf("unexpected event kind in a batch trace: %+v", ev)
+		}
+		if ev.Span == 0 {
+			t.Fatalf("unstamped batch event: %+v", ev)
+		}
+		if ev.Parent == 0 {
+			roots[ev.Tok]++
+		} else if !spans[ev.Parent] {
+			t.Fatalf("batch event chains onto span %d, which is not in the trace: %+v", ev.Parent, ev)
+		}
+	}
+	for i := range demands {
+		if roots[int32(i)] != 1 {
+			t.Fatalf("batch %d has %d root events, want 1 (the first balancer)", i, roots[int32(i)])
+		}
+	}
+	if _, orphans := obs.CausalClosure(events); orphans != 0 {
+		t.Fatalf("batch trace not causally closed: %d orphans", orphans)
+	}
+}
+
+// TestWalkAllocs pins the allocation count of every walk entry on
+// bitonic[8]: a single token walks allocation-free, traced or not, and a
+// batch allocates only its values slice (the per-balancer tally stays on
+// the stack). Atomic toggles keep the MCS node pool, whose misses the
+// race detector provokes on purpose, out of the count.
+func TestWalkAllocs(t *testing.T) {
+	g, err := bitonic.New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := compile(t, g, Options{Kind: KindAtomic})
+	traced := compile(t, g, Options{Kind: KindAtomic})
+	traced.EnableObs(obs.NewRing(1, 64), nil, nil, 0)
+	hook := func(topo.NodeID) {}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		call func()
+	}{
+		{"Traverse", 0, func() { n.Traverse(1) }},
+		{"TraverseObs", 0, func() { n.TraverseObs(1, 0, 0, hook) }},
+		{"TraverseObs/traced", 0, func() { traced.TraverseObs(1, 0, 0, hook) }},
+		{"TraverseBatch/1", 1, func() { n.TraverseBatch(1, 1, 0, 0, nil) }},
+		{"TraverseBatch/2", 2, func() { n.TraverseBatch(1, 2, 0, 0, nil) }},
+		{"TraverseBatch/4", 2, func() { n.TraverseBatch(1, 4, 0, 0, nil) }},
+		{"TraverseBatch/8", 2, func() { n.TraverseBatch(1, 8, 0, 0, hook) }},
+	} {
+		if got := testing.AllocsPerRun(200, tc.call); got > tc.max {
+			t.Errorf("%s: %v allocs per call, want at most %v", tc.name, got, tc.max)
 		}
 	}
 }

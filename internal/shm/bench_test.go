@@ -38,7 +38,7 @@ func BenchmarkDTree32(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, diffract := range []bool{false, true} {
-		n, err := Compile(g, Options{Kind: kindFor(diffract), Diffract: diffract, PrismWindow: 2 * time.Microsecond})
+		n, err := Compile(g, Options{Kind: KindMCS, Diffract: diffract, PrismWindow: 2 * time.Microsecond})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,8 +49,6 @@ func BenchmarkDTree32(b *testing.B) {
 		b.Run(name, func(b *testing.B) { benchNetwork(b, n) })
 	}
 }
-
-func kindFor(bool) Kind { return KindMCS }
 
 // benchStressCell runs one full stress workload per iteration in the
 // locked comparison cell for the combining funnel: 256 workers on a

@@ -374,9 +374,13 @@ func (f *Funnel) represent(ps []*waiter, demand int, traverse Traverse) []int64 
 	vals := f.run(traverse, total)
 	off := demand
 	for _, w := range ps {
+		// Read the demand before delivering: once its values arrive the
+		// partner may put w back in the pool, where another token rewrites
+		// it.
+		d := w.demand
 		//countnet:allow hotvet -- partner channels are buffered (capacity 1), so delivery never blocks the representative
-		w.res <- vals[off : off+w.demand : off+w.demand]
-		off += w.demand
+		w.res <- vals[off : off+d : off+d]
+		off += d
 	}
 	f.pairs.Inc()
 	f.partners.Add(int64(len(ps)))

@@ -93,6 +93,86 @@ func TestRepresentDelivery(t *testing.T) {
 	}
 }
 
+// TestRepresentBeforeReuse pins the delivery order against waiter reuse:
+// a partner may recycle its waiter, and so rewrite its demand, the moment
+// its share arrives. The representative must have read the demand
+// before that, or it advances past the wrong share (and, under -race,
+// the read is a reported data race).
+func TestRepresentBeforeReuse(t *testing.T) {
+	const partners, demand = 8, 3
+	f := New(Options{Width: 4})
+	var next atomic.Int64
+	ps := make([]*waiter, partners)
+	got := make([][]int64, partners)
+	var wg sync.WaitGroup
+	for i := range ps {
+		w := &waiter{demand: demand, res: make(chan []int64, 1)}
+		ps[i] = w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = <-w.res
+			w.demand = 1 // what the next token to draw w from the pool does
+		}()
+	}
+	own := f.represent(ps, 2, counterTraverse(&next))
+	wg.Wait()
+	if len(own) != 2 || own[0] != 0 || own[1] != 1 {
+		t.Fatalf("representative share %v, want [0 1]", own)
+	}
+	for i, vals := range got {
+		base := int64(2 + demand*i)
+		if len(vals) != demand || vals[0] != base || vals[demand-1] != base+demand-1 {
+			t.Fatalf("partner %d share %v, want %d..%d", i, vals, base, base+demand-1)
+		}
+	}
+}
+
+// TestConcurrentMultiDemand drives many partners with demand > 1 through
+// one funnel over a fast counter, so waiters cycle through the pool while
+// representatives are still delivering. Run under -race it checks the
+// delivery path shares no unsynchronized waiter state; every run checks
+// the values form an exact permutation.
+func TestConcurrentMultiDemand(t *testing.T) {
+	const goroutines, perG = 16, 300
+	f := New(Options{Width: 8, Window: 100 * time.Microsecond})
+	var next atomic.Int64
+	trav := counterTraverse(&next)
+	results := make([][]int64, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < perG; k++ {
+				demand := 2 + (g+k)%3
+				vals := f.Do(demand, trav)
+				if len(vals) != demand {
+					t.Errorf("goroutine %d op %d: %d values for demand %d", g, k, len(vals), demand)
+					return
+				}
+				results[g] = append(results[g], vals...)
+			}
+		}(g)
+	}
+	wg.Wait()
+	total := next.Load()
+	seen := make([]bool, total)
+	n := 0
+	for _, vs := range results {
+		for _, v := range vs {
+			if v < 0 || v >= total || seen[v] {
+				t.Fatalf("value %d duplicated or out of range [0,%d)", v, total)
+			}
+			seen[v] = true
+			n++
+		}
+	}
+	if int64(n) != total {
+		t.Fatalf("delivered %d values, counter issued %d", n, total)
+	}
+}
+
 // TestSlotProtocol exercises the camp/claim/withdraw CAS triangle on a
 // single slot.
 func TestSlotProtocol(t *testing.T) {

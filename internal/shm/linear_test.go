@@ -64,11 +64,34 @@ func TestFilterIsLinearizable(t *testing.T) {
 	}
 }
 
+// TestTurnReseed checks the gate releases in value order from its seed:
+// after Reseed(5), a Release of 6 waits until 5 has been released.
+func TestTurnReseed(t *testing.T) {
+	var turn Turn
+	turn.Reseed(5)
+	done := make(chan int64)
+	go func() { done <- turn.Release(6) }()
+	select {
+	case v := <-done:
+		t.Fatalf("Release(6) returned %d before 5 was released", v)
+	case <-time.After(time.Millisecond):
+	}
+	if v := turn.Release(5); v != 5 {
+		t.Fatalf("Release(5) = %d", v)
+	}
+	if v := <-done; v != 6 {
+		t.Fatalf("Release(6) = %d", v)
+	}
+	if turn.Next() != 7 {
+		t.Fatalf("Next = %d after releasing 5 and 6", turn.Next())
+	}
+}
+
 // slowTraverse is Traverse with a stall after every node, used to inject
 // the paper's W anomaly inside the network. The wait-then-release step is
 // the filter's own, so the test path cannot drift from the real one.
 func (f *Filter) slowTraverse(input int, stall time.Duration) int64 {
-	return f.release(f.net.TraverseHook(input, func(topo.NodeID) {
+	return f.turn.Release(f.net.TraverseObs(input, 0, 0, func(topo.NodeID) {
 		deadline := time.Now().Add(stall)
 		for time.Now().Before(deadline) {
 		}

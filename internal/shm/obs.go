@@ -88,9 +88,9 @@ func (n *Network) SpanClock() *obs.Clock {
 }
 
 // TraverseObs routes one token like Traverse while recording per-node
-// trace events and metrics under the identity (proc, tok). It falls back
-// to the untraced path when EnableObs was not called. afterNode mirrors
-// TraverseHook's delay-injection callback.
+// trace events and metrics under the identity (proc, tok) when EnableObs
+// was called, and invokes afterNode (if non-nil) after every node the token
+// leaves: each balancer and the final counter.
 func (n *Network) TraverseObs(input int, proc, tok int32, afterNode func(id topo.NodeID)) int64 {
 	v, _ := n.TraverseSpan(input, proc, tok, 0, afterNode)
 	return v
@@ -99,67 +99,61 @@ func (n *Network) TraverseObs(input int, proc, tok int32, afterNode func(id topo
 // TraverseSpan is TraverseObs with causal stamping: every recorded hop
 // gets a span id from the network's Clock, chained parent → child along
 // the token's path starting from parent (0 for a root). It returns the
-// counter value and the last span id (0 when tracing is off), which the
-// caller chains its exit event — or the token's next traversal — onto.
+// counter value and the last span id (parent itself when tracing is off),
+// which the caller chains its exit event — or the token's next traversal —
+// onto.
 func (n *Network) TraverseSpan(input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64) {
-	o := n.obs
-	if o == nil {
-		return n.TraverseHook(input, afterNode), 0
+	t := trip{proc: proc, tok: tok, span: parent, afterNode: afterNode}
+	var v [1]int64
+	vals := n.walk(n.g.Input(input), 1, &t, v[:0])
+	return vals[0], t.span
+}
+
+// arrive opens a timed balancer hop: it stamps the arrival and counts the
+// token onto the balancer's depth gauge.
+func (o *netObs) arrive(id topo.NodeID) int64 {
+	t0 := o.clock()
+	if o.depth != nil {
+		o.depth[id].Add(1)
 	}
-	span := uint64(0)
-	if o.tr != nil {
-		span = parent
+	return t0
+}
+
+// toggled closes a balancer hop opened at t0: the depth gauge, the toggle
+// wait histogram and (Tog+W)/Tog ratio, and the trace event.
+func (o *netObs) toggled(id topo.NodeID, t0 int64, t *trip) {
+	t1 := o.clock()
+	if o.depth != nil {
+		o.depth[id].Add(-1)
 	}
-	p := n.g.Input(input)
-	for {
-		id := p.Node
-		if b := n.balancers[id]; b != nil {
-			t0 := o.clock()
-			if o.depth != nil {
-				o.depth[id].Add(1)
-			}
-			out := b.Traverse()
-			t1 := o.clock()
-			if o.depth != nil {
-				o.depth[id].Add(-1)
-			}
-			if o.tog != nil {
-				o.tog.Observe(t1 - t0)
-				o.ratio.Observe(t1 - t0)
-			}
-			if o.tr != nil {
-				sp := o.spans.Tick()
-				o.tr.Record(obs.Event{T: t1, Dur: t1 - t0, Kind: obs.KindBalancer,
-					P: proc, Tok: tok, Node: int32(id), Value: -1,
-					Span: sp, Parent: span})
-				span = sp
-			}
-			if afterNode != nil {
-				afterNode(id)
-			}
-			p = n.g.OutDest(id, out)
-			continue
-		}
-		idx := n.g.CounterIndex(id)
-		t0 := o.clock()
-		a := n.counters[idx].v.Add(1) - 1
-		t1 := o.clock()
-		v := int64(idx) + n.w*a
-		if o.fai != nil {
-			o.fai.Inc()
-		}
-		if o.tr != nil {
-			sp := o.spans.Tick()
-			o.tr.Record(obs.Event{T: t1, Dur: t1 - t0, Kind: obs.KindCounter,
-				P: proc, Tok: tok, Node: int32(id), Value: v,
-				Span: sp, Parent: span})
-			span = sp
-		}
-		if afterNode != nil {
-			afterNode(id)
-		}
-		return v, span
+	if o.tog != nil && o.ratio != nil {
+		o.tog.Observe(t1 - t0)
+		o.ratio.Observe(t1 - t0)
 	}
+	o.record(obs.KindBalancer, id, t0, t1, -1, t)
+}
+
+// counted closes an output-counter hop opened at t0 that handed out demand
+// values, the smallest of them first.
+func (o *netObs) counted(id topo.NodeID, t0 int64, demand int, first int64, t *trip) {
+	t1 := o.clock()
+	if o.fai != nil {
+		o.fai.Add(int64(demand))
+	}
+	o.record(obs.KindCounter, id, t0, t1, first, t)
+}
+
+// record traces one hop under the trip's identity, chained onto the trip's
+// last span, and makes the hop the trip's last span.
+func (o *netObs) record(kind obs.Kind, id topo.NodeID, t0, t1, value int64, t *trip) {
+	if o.tr == nil || o.spans == nil {
+		return
+	}
+	sp := o.spans.Tick()
+	o.tr.Record(obs.Event{T: t1, Dur: t1 - t0, Kind: kind,
+		P: t.proc, Tok: t.tok, Node: int32(id), Value: value,
+		Span: sp, Parent: t.span})
+	t.span = sp
 }
 
 // Retries returns how many prism CAS races this balancer has lost.

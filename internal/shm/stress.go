@@ -70,7 +70,7 @@ type StressConfig struct {
 
 // Front is a pluggable counting front-end for the stress driver: Next
 // draws one value for the token (proc, tok) entering at the given input
-// wire, invoking afterNode per visited node exactly like TraverseHook,
+// wire, invoking afterNode per visited node exactly like TraverseObs,
 // and the values handed out across a run must form the same gapless
 // sequence a direct traversal would produce. Defined here — not in the
 // front-end's own package — so shm never imports its front-ends.
@@ -136,10 +136,7 @@ func Stress(cfg StressConfig) (*StressResult, error) {
 	remaining.Store(int64(cfg.Ops))
 	base := time.Now()
 	clock := func() int64 { return int64(time.Since(base)) }
-	observed := cfg.Tracer != nil || cfg.Metrics != nil
-	if observed {
-		cfg.Net.EnableObs(cfg.Tracer, cfg.Metrics, clock, cfg.EffWait())
-	}
+	cfg.Net.EnableObs(cfg.Tracer, cfg.Metrics, clock, cfg.EffWait())
 	spanClock := cfg.Net.SpanClock() // non-nil exactly when tracing is on
 	var funnel *combine.Funnel
 	if cfg.Combine {
@@ -181,7 +178,7 @@ func Stress(cfg StressConfig) (*StressResult, error) {
 				tok = int32(int64(cfg.Ops) - 1 - rem)
 				start := clock()
 				var parent uint64
-				if observed && cfg.Tracer != nil {
+				if cfg.Tracer != nil {
 					if spanClock != nil {
 						parent = spanClock.Tick()
 					}
@@ -191,20 +188,18 @@ func Stress(cfg StressConfig) (*StressResult, error) {
 				var v int64
 				// last is the exit event's causal parent: the counter hop
 				// when this worker traversed itself, the enter event when a
-				// funnel combiner traversed on its behalf.
+				// front-end or funnel combiner traversed on its behalf.
 				last := parent
 				switch {
 				case cfg.Front != nil:
 					v = cfg.Front.Next(input, int32(wkr), tok, hook)
 				case funnel != nil:
 					v = funnel.Do(1, trav)[0]
-				case observed:
-					v, last = cfg.Net.TraverseSpan(input, int32(wkr), tok, parent, hook)
 				default:
-					v = cfg.Net.TraverseHook(input, hook)
+					v, last = cfg.Net.TraverseSpan(input, int32(wkr), tok, parent, hook)
 				}
 				end := clock()
-				if observed && cfg.Tracer != nil {
+				if cfg.Tracer != nil {
 					ev := obs.Event{T: end, Dur: end - start, Kind: obs.KindExit,
 						P: int32(wkr), Tok: tok, Node: -1, Value: v}
 					if spanClock != nil {
