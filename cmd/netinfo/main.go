@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"countnet/internal/core"
@@ -27,6 +26,7 @@ import (
 	"countnet/internal/obs"
 	"countnet/internal/shm"
 	"countnet/internal/shm/adaptive"
+	"countnet/internal/shm/combine"
 	"countnet/internal/topo"
 	"countnet/internal/workload"
 )
@@ -157,14 +157,15 @@ func measureEngines(w io.Writer, net workload.NetKind, width int) error {
 	if err != nil {
 		return err
 	}
-	combCfg.Combine = true
 	combCfg.Metrics = obs.NewRegistry()
+	funnel := combine.New(combine.Options{Metrics: combCfg.Metrics})
+	combCfg.Front = combine.Front{Funnel: funnel, Net: combCfg.Net}
 	combRes, err := shm.Stress(combCfg)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "%-8s %-7s %14.1f %14.0f %14.3f   combine hit rate %.2f\n",
-		"shm+cmb", "ns", combRes.Tog, combCfg.EffWait(), combRes.AvgRatio, combRes.Combine.HitRate())
+		"shm+cmb", "ns", combRes.Tog, combCfg.EffWait(), combRes.AvgRatio, funnel.Stats().HitRate())
 
 	adNet, err := shm.Compile(g, shm.Options{Diffract: net == workload.DTree})
 	if err != nil {
@@ -234,25 +235,8 @@ func measureEngines(w io.Writer, net workload.NetKind, width int) error {
 		return err
 	}
 	defer mn.Close()
-	var wg sync.WaitGroup
-	errs := make([]error, procs)
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < ops/procs; i++ {
-				if _, err := mn.Traverse(p % g.InWidth()); err != nil {
-					errs[p] = err
-					return
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if _, err := shm.Drive(time.Now(), procs, ops, mn.Next); err != nil {
+		return err
 	}
 	var tog, val float64
 	if r := mn.Ratio(); r != nil {

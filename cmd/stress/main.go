@@ -158,7 +158,6 @@ func run(args []string, w io.Writer) error {
 	cfg := shm.StressConfig{
 		Net: n, Workers: *workers, Ops: *ops,
 		DelayedFrac: *frac, Delay: *delay, RandomDelay: *random, BurnDelay: *burn, Seed: *seed,
-		Combine: *combine, CombineWidth: *combW, CombineWindow: *combWin,
 	}
 	var ring *obs.Ring
 	if *trace != "" {
@@ -167,6 +166,11 @@ func run(args []string, w io.Writer) error {
 	}
 	if *trace != "" || *metrics != "" || *pprofA != "" {
 		cfg.Metrics = obs.NewRegistry()
+	}
+	var fun *funnel.Funnel
+	if *combine {
+		fun = funnel.New(funnel.Options{Width: *combW, Window: *combWin, Metrics: cfg.Metrics})
+		cfg.Front = funnel.Front{Funnel: fun, Net: n}
 	}
 	var front *adaptive.Counter
 	if *engine == "adaptive" {
@@ -198,17 +202,12 @@ func run(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%s[%d] %s balancers, %d workers, %d ops, F=%.0f%%, W=%v\n",
 		*net, *width, *kind, *workers, *ops, 100**frac, *delay)
-	fmt.Fprintf(w, "elapsed %v, %.0f ops/s\n", res.Elapsed.Round(time.Millisecond), res.Throughput)
-	lat := make([]int64, len(res.Ops))
-	for i, op := range res.Ops {
-		lat[i] = op.End - op.Start
-	}
-	fmt.Fprintf(w, "latency (ns): %s\n", stats.Summarize(lat))
-	fmt.Fprintf(w, "linearizability: %s\n", res.Report)
+	summarize(w, res.Ops, res.Elapsed, res.Report)
 	if cfg.Metrics != nil {
 		fmt.Fprintf(w, "measured Tog %.0fns, (Tog+W)/Tog = %.3f\n", res.Tog, res.AvgRatio)
 	}
-	if c := res.Combine; c != nil {
+	if fun != nil {
+		c := fun.Stats()
 		deg := 0.0
 		if c.Pairs > 0 {
 			deg = 1 + float64(c.Partners)/float64(c.Pairs)
@@ -231,32 +230,7 @@ func run(args []string, w io.Writer) error {
 			fmt.Fprintf(w, " %s×%d(live)\n", st.Mode, st.PerMode[st.Mode]-liveAdjust(eps, st.Mode))
 		}
 	}
-	if ring != nil {
-		if dropped := ring.Overwritten(); dropped > 0 {
-			fmt.Fprintf(w, "trace ring overwrote %d events (oldest dropped)\n", dropped)
-		}
-		meta := obs.Meta{Engine: "shm", Unit: "ns", Net: *net, Width: *width}
-		if err := exportTrace(*trace, meta, ring.Events()); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "trace written to %s\n", *trace)
-	}
-	if *metrics != "" {
-		dest := w
-		if *metrics != "-" {
-			f, err := os.Create(*metrics)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			dest = f
-		}
-		cfg.Metrics.WriteText(dest)
-		if *metrics != "-" {
-			fmt.Fprintf(w, "metrics written to %s\n", *metrics)
-		}
-	}
-	return nil
+	return writeOutputs(w, ring, *trace, obs.Meta{Engine: "shm", Unit: "ns", Net: *net, Width: *width}, cfg.Metrics, *metrics)
 }
 
 // msgnetStressConfig carries the msgnet-engine knobs from the flag set.
@@ -309,62 +283,15 @@ func runMsgnetStress(w io.Writer, cfg msgnetStressConfig) error {
 		return err
 	}
 	defer n.Close()
-	traced := ring != nil || flight != nil
-	rec := lincheck.NewRecorder(cfg.ops)
 	base := time.Now()
-	errs := make(chan error, cfg.workers)
-	per := cfg.ops / cfg.workers
-	extra := cfg.ops % cfg.workers
-	for p := 0; p < cfg.workers; p++ {
-		ops := per
-		if p < extra {
-			ops++
-		}
-		// Worker p owns a contiguous token-id block, so traced identities
-		// are unique without coordination.
-		tokBase := p * per
-		if p < extra {
-			tokBase += p
-		} else {
-			tokBase += extra
-		}
-		go func(p, ops, tokBase int) {
-			input := p % g.InWidth()
-			for i := 0; i < ops; i++ {
-				start := time.Since(base)
-				var v int64
-				var err error
-				if traced {
-					v, err = n.TraverseObs(input, int32(p), int32(tokBase+i))
-				} else {
-					v, err = n.Traverse(input)
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				rec.Record(int64(start), int64(time.Since(base)), v)
-			}
-			errs <- nil
-		}(p, ops, tokBase)
-	}
-	for p := 0; p < cfg.workers; p++ {
-		if err := <-errs; err != nil {
-			return err
-		}
+	ops, err := shm.Drive(base, cfg.workers, cfg.ops, n.Next)
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(base)
-	ops := rec.Ops()
 	fmt.Fprintf(w, "%s[%d] msgnet, %d workers, %d ops, faults=%.3g (seed %d), W=%v\n",
 		cfg.net, cfg.width, cfg.workers, cfg.ops, cfg.intensity, cfg.faultSeed, cfg.delay)
-	fmt.Fprintf(w, "elapsed %v, %.0f ops/s\n",
-		elapsed.Round(time.Millisecond), float64(len(ops))/elapsed.Seconds())
-	lat := make([]int64, len(ops))
-	for i, op := range ops {
-		lat[i] = op.End - op.Start
-	}
-	fmt.Fprintf(w, "latency (ns): %s\n", stats.Summarize(lat))
-	fmt.Fprintf(w, "linearizability: %s\n", lincheck.Analyze(ops))
+	summarize(w, ops, elapsed, lincheck.Analyze(ops))
 	if r := n.Ratio(); r != nil {
 		fmt.Fprintf(w, "measured Tog %.0fns, (Tog+W)/Tog = %.3f\n", r.Tog(), r.Value())
 	}
@@ -374,15 +301,6 @@ func runMsgnetStress(w io.Writer, cfg msgnetStressConfig) error {
 			st.Drops, st.Dups, st.Reorders, st.Delays, st.PartitionDrops, st.CrashDrops, st.Stalled, st.Forced)
 		fmt.Fprintf(w, "recovery: %d retries, %d duplicates suppressed\n", n.Retries(), n.Dedups())
 	}
-	if ring != nil {
-		if dropped := ring.Overwritten(); dropped > 0 {
-			fmt.Fprintf(w, "trace ring overwrote %d events (oldest dropped)\n", dropped)
-		}
-		if err := exportTrace(cfg.trace, meta, ring.Events()); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "trace written to %s\n", cfg.trace)
-	}
 	if flight != nil {
 		if reason := flight.Tripped(); reason != "" {
 			fmt.Fprintf(w, "flight recorder tripped (%s): dump at %s\n", reason, cfg.flight)
@@ -390,21 +308,49 @@ func runMsgnetStress(w io.Writer, cfg msgnetStressConfig) error {
 			fmt.Fprintf(w, "flight recorder armed, never tripped (no dump written)\n")
 		}
 	}
-	if cfg.metrics != "" {
-		dest := w
-		if cfg.metrics != "-" {
-			f, err := os.Create(cfg.metrics)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			dest = f
-		}
-		reg.WriteText(dest)
-		if cfg.metrics != "-" {
-			fmt.Fprintf(w, "metrics written to %s\n", cfg.metrics)
-		}
+	return writeOutputs(w, ring, cfg.trace, meta, reg, cfg.metrics)
+}
+
+// summarize prints the report lines every engine shares: throughput, the
+// latency distribution and the linearizability verdict.
+func summarize(w io.Writer, ops []lincheck.Op, elapsed time.Duration, rep lincheck.Report) {
+	fmt.Fprintf(w, "elapsed %v, %.0f ops/s\n", elapsed.Round(time.Millisecond), float64(len(ops))/elapsed.Seconds())
+	lat := make([]int64, len(ops))
+	for i, op := range ops {
+		lat[i] = op.End - op.Start
 	}
+	fmt.Fprintf(w, "latency (ns): %s\n", stats.Summarize(lat))
+	fmt.Fprintf(w, "linearizability: %s\n", rep)
+}
+
+// writeOutputs exports the trace ring (when tracing) to tracePath and
+// dumps reg as plain text to metricsPath ("-" for w; "" for none).
+func writeOutputs(w io.Writer, ring *obs.Ring, tracePath string, meta obs.Meta, reg *obs.Registry, metricsPath string) error {
+	if ring != nil {
+		if dropped := ring.Overwritten(); dropped > 0 {
+			fmt.Fprintf(w, "trace ring overwrote %d events (oldest dropped)\n", dropped)
+		}
+		if err := exportTrace(tracePath, meta, ring.Events()); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "trace written to %s\n", tracePath)
+	}
+	if metricsPath == "" {
+		return nil
+	}
+	if metricsPath == "-" {
+		reg.WriteText(w)
+		return nil
+	}
+	f, err := os.Create(metricsPath)
+	if err != nil {
+		return err
+	}
+	reg.WriteText(f)
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "metrics written to %s\n", metricsPath)
 	return nil
 }
 

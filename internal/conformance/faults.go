@@ -14,9 +14,9 @@ import (
 	"time"
 
 	"countnet/internal/faults"
-	"countnet/internal/lincheck"
 	"countnet/internal/msgnet"
 	"countnet/internal/obs"
+	"countnet/internal/shm"
 	"countnet/internal/workload"
 )
 
@@ -74,9 +74,9 @@ func RunMsgnetPlanTraced(spec workload.Spec, plan *faults.Plan, tr obs.Tracer, f
 	return runMsgnet(spec, plan, engine, tr, flight)
 }
 
-// runMsgnet is the shared msgnet worker harness: spec.Procs goroutines
-// issue spec.Ops traversals in total, each timestamped with the monotonic
-// clock.
+// runMsgnet is the shared msgnet run: spec.Procs workers issue spec.Ops
+// traversals in total on shm.Drive, the driver every real-goroutine
+// engine shares.
 func runMsgnet(spec workload.Spec, plan *faults.Plan, engine string, tr obs.Tracer, flight *obs.Flight) (*Execution, error) {
 	g, err := spec.Net.Build(spec.Width)
 	if err != nil {
@@ -87,51 +87,11 @@ func runMsgnet(spec workload.Spec, plan *faults.Plan, engine string, tr obs.Trac
 		return nil, err
 	}
 	defer n.Close()
-	traced := tr != nil || flight != nil
-	rec := lincheck.NewRecorder(spec.Ops)
-	base := time.Now()
-	errs := make(chan error, spec.Procs)
-	per := spec.Ops / spec.Procs
-	extra := spec.Ops % spec.Procs
-	for p := 0; p < spec.Procs; p++ {
-		ops := per
-		if p < extra {
-			ops++
-		}
-		// Token ids partition [0, spec.Ops): worker p owns a contiguous
-		// block, so traced identities are unique without coordination.
-		tokBase := p * per
-		if p < extra {
-			tokBase += p
-		} else {
-			tokBase += extra
-		}
-		go func(p, ops, tokBase int) {
-			input := p % g.InWidth()
-			for i := 0; i < ops; i++ {
-				start := time.Since(base)
-				var v int64
-				var err error
-				if traced {
-					v, err = n.TraverseObs(input, int32(p), int32(tokBase+i))
-				} else {
-					v, err = n.Traverse(input)
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				rec.Record(int64(start), int64(time.Since(base)), v)
-			}
-			errs <- nil
-		}(p, ops, tokBase)
+	ops, err := shm.Drive(time.Now(), spec.Procs, spec.Ops, n.Next)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", engine, err)
 	}
-	for p := 0; p < spec.Procs; p++ {
-		if err := <-errs; err != nil {
-			return nil, fmt.Errorf("%s: %w", engine, err)
-		}
-	}
-	return &Execution{Engine: engine, Ops: rec.Ops()}, nil
+	return &Execution{Engine: engine, Ops: ops}, nil
 }
 
 // ChaosConfig configures a chaos soak: random fault plans against fixed

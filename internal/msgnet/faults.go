@@ -144,8 +144,16 @@ func (n *Network) forward(link int, dest chan token, t token) bool {
 
 // deliverAsync delivers a copy of t from its own goroutine after an
 // optional hold. The goroutine is tracked by n.done so Close still waits
-// for every in-flight delivery attempt, and it aborts on n.stop.
+// for every in-flight delivery attempt, and it aborts on n.stop. Once
+// Close has begun no courier starts.
 func (n *Network) deliverAsync(dest chan token, t token, hold time.Duration) {
+	n.stopMu.RLock()
+	defer n.stopMu.RUnlock()
+	select {
+	case <-n.stop:
+		return
+	default:
+	}
 	n.done.Add(1)
 	go func() {
 		defer n.done.Done()

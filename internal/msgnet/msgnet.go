@@ -84,6 +84,10 @@ type Network struct {
 	stop   chan struct{}
 	done   sync.WaitGroup
 	closed sync.Once
+	// stopMu orders every courier's done.Add before Close's done.Wait:
+	// couriers are also spawned from Traverse callers, which no node
+	// goroutine's count covers.
+	stopMu sync.RWMutex
 	obs    *netObs     // nil when neither tracer nor metrics configured
 	flight *obs.Flight // nil unless Options.Flight was set
 
@@ -339,6 +343,13 @@ func (n *Network) TraverseObs(input int, proc, tok int32) (int64, error) {
 	}
 }
 
+// Next is the network as shm.Drive's counter seam: token tok of worker
+// proc enters at input proc mod the input width, carrying (proc, tok) as
+// its tracing identity.
+func (n *Network) Next(proc, tok int32) (int64, error) {
+	return n.TraverseObs(int(proc)%n.g.InWidth(), proc, tok)
+}
+
 // Ratio returns the live (Tog+W)/Tog estimator, or nil when the network
 // was started without metrics.
 func (n *Network) Ratio() *obs.Ratio {
@@ -351,6 +362,10 @@ func (n *Network) Ratio() *obs.Ratio {
 // Close stops every node goroutine and waits for them to exit. Tokens in
 // flight are dropped; their Traverse calls return an error.
 func (n *Network) Close() {
-	n.closed.Do(func() { close(n.stop) })
+	n.closed.Do(func() {
+		n.stopMu.Lock()
+		close(n.stop)
+		n.stopMu.Unlock()
+	})
 	n.done.Wait()
 }

@@ -5,10 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// ringShard is one processor's private event buffer. Only the owning
-// processor writes buf and n; the count is published atomically so Len can
-// be sampled live, but slot contents are only safe to read once the run has
-// quiesced (e.g. after the workers' WaitGroup).
+// ringShard is one processor's event buffer. A writer reserves its slot
+// with one atomic increment of n, so the count can be sampled live and a
+// stray second writer (a duplicated message token recording under its
+// original's processor id) gets a slot of its own; slot contents are only
+// safe to read once the run has quiesced (e.g. after the workers'
+// WaitGroup).
 type ringShard struct {
 	buf []Event
 	n   atomic.Int64 // total events recorded (monotone; may exceed len(buf))
@@ -16,11 +18,11 @@ type ringShard struct {
 }
 
 // Ring is a lock-free per-processor ring-buffer recorder: each processor id
-// maps to its own shard, so Record is a single bounds check, a slot write,
-// and an atomic publish — no locks, no allocation, no sharing between
-// processors. When a shard fills, the oldest events of that shard are
-// overwritten (the newest window survives, which is the part a violation
-// witness needs).
+// maps to its own shard, so Record is a single bounds check, an atomic
+// slot reservation and a slot write — no locks, no allocation, no sharing
+// between processors. When a shard fills, the oldest events of that shard
+// are overwritten (the newest window survives, which is the part a
+// violation witness needs).
 type Ring struct {
 	shards []ringShard
 }
@@ -42,17 +44,15 @@ func NewRing(procs, perProc int) *Ring {
 }
 
 // Record implements Tracer. Events with out-of-range P are folded onto a
-// shard by modulus; correctness then relies on the caller's single-writer-
-// per-processor contract.
+// shard by modulus.
 func (r *Ring) Record(ev Event) {
 	p := int(ev.P)
 	if p < 0 {
 		p = -p
 	}
 	s := &r.shards[p%len(r.shards)]
-	n := s.n.Load()
+	n := s.n.Add(1) - 1
 	s.buf[n%int64(len(s.buf))] = ev
-	s.n.Store(n + 1)
 }
 
 // Len returns the number of events currently retained across all shards.

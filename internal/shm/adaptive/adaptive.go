@@ -438,9 +438,7 @@ func (c *Counter) dispatch(ep *epoch, input int, proc, tok int32, afterNode func
 		}
 		return v
 	case ModeCombine:
-		return c.funnel.Do(1, func(demand int) []int64 {
-			return ep.net.TraverseBatch(input, demand, proc, tok, afterNode)
-		})[0]
+		return combine.Front{Funnel: c.funnel, Net: ep.net}.Next(input, proc, tok, afterNode)
 	case ModeLinear:
 		// The turn wait runs inside dispatch — before Next's census
 		// decrement — so a waiting token still counts as in-flight and a

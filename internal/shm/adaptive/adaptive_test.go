@@ -721,21 +721,3 @@ func TestLinearZeroViolations(t *testing.T) {
 		t.Error("W-anomaly injection produced no bare-network violations to contrast against")
 	}
 }
-
-// TestFrontCombineExclusive checks the driver-level guard: the Front
-// seam and the inline funnel cannot both be configured.
-func TestFrontCombineExclusive(t *testing.T) {
-	n, err := shm.Compile(buildGraph(t, 2), shm.Options{Kind: shm.KindMCS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front, err := adaptive.New(n, adaptive.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := shm.Stress(shm.StressConfig{
-		Net: n, Workers: 1, Ops: 10, Front: front, Combine: true,
-	}); err == nil {
-		t.Fatal("Front+Combine accepted")
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"countnet/internal/bitonic"
 	"countnet/internal/shm"
 	"countnet/internal/shm/adaptive"
+	"countnet/internal/shm/combine"
 	"countnet/internal/topo"
 )
 
@@ -30,15 +31,6 @@ func (d *directFront) Next(input int, proc, tok int32, afterNode func(id topo.No
 	return v
 }
 
-// BenchmarkAdaptive is the crossover sweep behind BENCH_adaptive.json
-// (EXPERIMENTS.md E25): the same fixed workload — 4096 tokens through a
-// width-8 bitonic network — driven by worker counts from 1 to 256
-// through each static backend (direct fetch-add, combining funnel, full
-// network) and through the adaptive front-end, all via the identical
-// shm.Stress driver. The acceptance bar is that at every worker count
-// the adaptive row lands within 10% of the best static row: it should
-// pay only its sampling/gate overhead at 1 worker and track whichever
-// backend wins as contention grows.
 // BenchmarkAdaptiveLinear quantifies the serialization cliff of the
 // guaranteed-linearizable waiting regime (EXPERIMENTS.md E27): the same
 // 4096-token width-8 workload with the front-end pinned to ModeLinear
@@ -87,6 +79,15 @@ func BenchmarkAdaptiveLinear(b *testing.B) {
 	}
 }
 
+// BenchmarkAdaptive is the crossover sweep behind BENCH_adaptive.json
+// (EXPERIMENTS.md E25): the same fixed workload — 4096 tokens through a
+// width-8 bitonic network — driven by worker counts from 1 to 256
+// through each static backend (direct fetch-add, combining funnel, full
+// network) and through the adaptive front-end, all via the identical
+// shm.Stress driver. The acceptance bar is that at every worker count
+// the adaptive row lands within 10% of the best static row: it should
+// pay only its sampling/gate overhead at 1 worker and track whichever
+// backend wins as contention grows.
 func BenchmarkAdaptive(b *testing.B) {
 	g, err := bitonic.New(8)
 	if err != nil {
@@ -108,9 +109,9 @@ func BenchmarkAdaptive(b *testing.B) {
 					case "direct":
 						cfg.Front = &directFront{}
 					case "combine":
-						cfg.Combine = true
-						cfg.CombineWidth = 32
-						cfg.CombineWindow = 20 * time.Microsecond
+						cfg.Front = combine.Front{Funnel: combine.New(combine.Options{
+							Width: 32, Window: 20 * time.Microsecond,
+						}), Net: n}
 					case "adaptive":
 						front, err := adaptive.New(n, adaptive.Options{
 							CombineWindow: 20 * time.Microsecond,

@@ -18,8 +18,9 @@
 // idle.
 //
 // The funnel is generic over the downstream counter: Do takes the
-// traversal as a closure, so the package depends only on the
-// observability layer and the shared backoff helper.
+// traversal as a closure. Front binds it to a compiled shm network, which
+// makes the funnel one more shm.Front for the stress driver and the
+// adaptive engine's combine regime.
 package combine
 
 import (
@@ -30,7 +31,9 @@ import (
 	"time"
 
 	"countnet/internal/obs"
+	"countnet/internal/shm"
 	"countnet/internal/shm/backoff"
+	"countnet/internal/topo"
 )
 
 // Defaults for Options.
@@ -252,6 +255,24 @@ func (f *Funnel) Do(demand int, traverse Traverse) []int64 {
 	vals := f.exchange(demand, traverse)
 	f.inflight.Add(-1)
 	return vals
+}
+
+// Front is the funnel in front of a compiled network, as an shm.Front:
+// every token enters the funnel with demand 1 and one representative
+// walks Net for its whole group (shm.Network.TraverseBatch).
+type Front struct {
+	*Funnel
+	Net *shm.Network
+}
+
+// Next draws one value for the token (proc, tok) entering Net at input,
+// invoking afterNode per node the token's walk visits.
+//
+//countnet:hotpath
+func (f Front) Next(input int, proc, tok int32, afterNode func(id topo.NodeID)) int64 {
+	return f.Do(1, func(demand int) []int64 {
+		return f.Net.TraverseBatch(input, demand, proc, tok, afterNode)
+	})[0]
 }
 
 // badDemand panics on an impossible demand. It lives outside Do so the

@@ -1,7 +1,6 @@
 package shm
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -37,29 +36,18 @@ func TestFilterIsLinearizable(t *testing.T) {
 	}
 	n := compile(t, g, Options{Kind: KindMCS})
 	f := NewFilter(n)
-	rec := lincheck.NewRecorder(1600)
-	base := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				start := time.Since(base)
-				var v int64
-				if w == 0 {
-					// One chronically slow worker: pause mid-operation by
-					// traversing with a stall hook.
-					v = f.slowTraverse(0, 5*time.Microsecond)
-				} else {
-					v = f.Traverse(0)
-				}
-				rec.Record(int64(start), int64(time.Since(base)), v)
-			}
-		}(w)
+	ops, err := Drive(time.Now(), 8, 1600, func(proc, _ int32) (int64, error) {
+		if proc == 0 {
+			// One chronically slow worker: pause mid-operation by
+			// traversing with a stall hook.
+			return f.slowTraverse(0, 5*time.Microsecond), nil
+		}
+		return f.Traverse(0), nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if rep := rec.Analyze(); !rep.Linearizable() {
+	if rep := lincheck.Analyze(ops); !rep.Linearizable() {
 		t.Errorf("filtered counter produced violations: %v", rep)
 	}
 }

@@ -211,65 +211,3 @@ func TestStressCausalSpans(t *testing.T) {
 		}
 	}
 }
-
-// TestStressCombineSpans pins the funnel path's causal story: a combined
-// worker's exit chains straight onto its enter (the traversal ran on the
-// combiner's identity), every balancer and counter hop of a combined walk
-// is stamped and chains onto the trace, and the trace closes with zero
-// orphans.
-func TestStressCombineSpans(t *testing.T) {
-	g, err := bitonic.New(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := Compile(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := obs.NewRing(8, 1<<13)
-	const ops = 200
-	if _, err := Stress(StressConfig{
-		Net: n, Workers: 8, Ops: ops, Seed: 7, Tracer: ring,
-		Combine: true, CombineWidth: 8, CombineWindow: 20 * time.Microsecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	events := ring.Events()
-	if ring.Overwritten() > 0 {
-		t.Fatalf("ring overwrote %d events; size it up", ring.Overwritten())
-	}
-	if _, orphans := obs.CausalClosure(events); orphans != 0 {
-		t.Fatalf("combine trace not causally closed: %d orphans", orphans)
-	}
-	enterSpan := map[int64]uint64{} // (wkr, tok) key → enter span
-	spans := map[uint64]bool{}
-	key := func(ev obs.Event) int64 { return int64(ev.P)<<32 | int64(ev.Tok) }
-	for _, ev := range events {
-		spans[ev.Span] = true
-		if ev.Kind == obs.KindEnter {
-			enterSpan[key(ev)] = ev.Span
-		}
-	}
-	for _, ev := range events {
-		if ev.Kind != obs.KindBalancer && ev.Kind != obs.KindCounter {
-			continue
-		}
-		if ev.Span == 0 {
-			t.Fatalf("unstamped hop in a combined run: %+v", ev)
-		}
-		if ev.Parent != 0 && !spans[ev.Parent] {
-			t.Fatalf("hop chains onto span %d, which is not in the trace: %+v", ev.Parent, ev)
-		}
-	}
-	for _, ev := range events {
-		if ev.Kind != obs.KindExit {
-			continue
-		}
-		if ev.Parent == 0 {
-			t.Fatalf("exit without causal parent: %+v", ev)
-		}
-		if ev.Parent == enterSpan[key(ev)] {
-			continue // combined away: exit chains onto its own enter
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package shm
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -220,6 +221,41 @@ func TestStressBasic(t *testing.T) {
 			t.Fatalf("bad value %d", op.Value)
 		}
 		seen[op.Value] = true
+	}
+}
+
+// TestDrive checks the shared driver's contract: every token in [0, ops)
+// is issued exactly once, its operation lands in the slot the token
+// indexes with start <= end, and an error from next stops the run and
+// is returned in place of the log.
+func TestDrive(t *testing.T) {
+	const workers, ops = 8, 1000
+	log, err := Drive(time.Now(), workers, ops, func(proc, tok int32) (int64, error) {
+		if proc < 0 || proc >= workers {
+			t.Errorf("proc %d outside [0,%d)", proc, workers)
+		}
+		return 10 * int64(tok), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != ops {
+		t.Fatalf("logged %d ops, want %d", len(log), ops)
+	}
+	for tok, op := range log {
+		if op.Value != 10*int64(tok) || op.Start > op.End {
+			t.Fatalf("slot %d holds %+v", tok, op)
+		}
+	}
+	boom := errors.New("boom")
+	log, err = Drive(time.Now(), workers, ops, func(_, tok int32) (int64, error) {
+		if tok == 100 {
+			return 0, boom
+		}
+		return int64(tok), nil
+	})
+	if !errors.Is(err, boom) || log != nil {
+		t.Fatalf("Drive = %d ops, %v; want no log and the error", len(log), err)
 	}
 }
 

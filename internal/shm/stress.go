@@ -11,14 +11,13 @@ import (
 	"countnet/internal/lincheck"
 	"countnet/internal/obs"
 	"countnet/internal/shm/backoff"
-	"countnet/internal/shm/combine"
 	"countnet/internal/topo"
 )
 
 // StressConfig drives a real-goroutine run of the Section 5 benchmark: a
-// pool of workers traverses the network until Ops operations complete; a
-// fraction of the workers pauses Delay after every node, and every
-// operation is timestamped for linearizability analysis.
+// pool of workers draws values until Ops operations complete; a fraction
+// of the workers pauses Delay after every node, and every operation is
+// timestamped for linearizability analysis.
 type StressConfig struct {
 	Net     *Network
 	Workers int
@@ -38,26 +37,13 @@ type StressConfig struct {
 	// amortizes burned delays across a combined walk exactly as it
 	// amortizes real contention.
 	BurnDelay bool
-	// Seed drives random delays and worker input choice.
+	// Seed drives random delays.
 	Seed int64
-	// Combine enables the elimination/combining funnel in front of the
-	// network: concurrent workers rendezvous in an exchanger array and a
-	// paired pair sends one representative through the balancers with
-	// demand 2, halving concurrent traversals under contention while
-	// preserving exact counting (see internal/shm/combine).
-	Combine bool
-	// CombineWidth is the funnel's exchanger slot count (default
-	// combine.DefaultWidth).
-	CombineWidth int
-	// CombineWindow is how long a token camps for a partner before
-	// traversing alone (default combine.DefaultWindow).
-	CombineWindow time.Duration
-	// Front, when non-nil, is a pluggable counting front-end the workers
-	// route every operation through instead of traversing Net directly
-	// (the contention-adaptive engine in internal/shm/adaptive is one).
-	// Net stays required: it is the front-end's backend and still
-	// supplies input width and observability. Mutually exclusive with
-	// Combine, which is a specific front-end wired inline.
+	// Front, when non-nil, is the counting front-end the workers route
+	// every operation through instead of traversing Net directly: the
+	// combining funnel (combine.Front) and the contention-adaptive engine
+	// (adaptive.Counter) are the two in this repo. Net stays required: it
+	// supplies input width and observability.
 	Front Front
 	// Tracer, when non-nil, receives per-token enter/balancer/counter/exit
 	// events on the run's monotonic timeline.
@@ -105,13 +91,10 @@ type StressResult struct {
 	// the paper's (Tog+W)/Tog; both zero unless Metrics was set.
 	Tog      float64
 	AvgRatio float64
-	// Combine is the funnel's counter snapshot, nil unless the run was
-	// configured with Combine.
-	Combine *combine.Stats
 }
 
-// Stress runs the benchmark. Operation timestamps come from the monotonic
-// clock, so "completely precedes" has its real-time meaning.
+// Stress runs the benchmark on Drive. Operation timestamps come from the
+// monotonic clock, so "completely precedes" has its real-time meaning.
 func Stress(cfg StressConfig) (*StressResult, error) {
 	if cfg.Net == nil {
 		return nil, fmt.Errorf("shm: nil network")
@@ -128,109 +111,106 @@ func Stress(cfg StressConfig) (*StressResult, error) {
 	if cfg.Delay < 0 {
 		return nil, fmt.Errorf("shm: negative delay")
 	}
-	if cfg.Front != nil && cfg.Combine {
-		return nil, fmt.Errorf("shm: Front and Combine are mutually exclusive")
-	}
-	rec := lincheck.NewRecorder(cfg.Ops)
-	var remaining atomic.Int64
-	remaining.Store(int64(cfg.Ops))
 	base := time.Now()
 	clock := func() int64 { return int64(time.Since(base)) }
 	cfg.Net.EnableObs(cfg.Tracer, cfg.Metrics, clock, cfg.EffWait())
-	spanClock := cfg.Net.SpanClock() // non-nil exactly when tracing is on
-	var funnel *combine.Funnel
-	if cfg.Combine {
-		funnel = combine.New(combine.Options{
-			Width:   cfg.CombineWidth,
-			Window:  cfg.CombineWindow,
-			Metrics: cfg.Metrics,
-		})
+	tr, spans := cfg.Tracer, cfg.Net.SpanClock() // both nil, or both set
+	wait := pause
+	if cfg.BurnDelay {
+		wait = backoff.Burn
 	}
 	nd := int(cfg.DelayedFrac * float64(cfg.Workers))
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < cfg.Workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
+	hooks := make([]func(topo.NodeID), cfg.Workers)
+	for wkr := range hooks {
+		switch {
+		case cfg.RandomDelay && cfg.Delay > 0:
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(wkr)*0x9e3779b9))
-			input := wkr % cfg.Net.InWidth()
-			delayed := wkr < nd
-			wait := pause
-			if cfg.BurnDelay {
-				wait = backoff.Burn
-			}
-			var hook func(topo.NodeID)
-			switch {
-			case cfg.RandomDelay && cfg.Delay > 0:
-				hook = func(topo.NodeID) { wait(time.Duration(rng.Int63n(int64(cfg.Delay) + 1))) }
-			case delayed && cfg.Delay > 0:
-				hook = func(topo.NodeID) { wait(cfg.Delay) }
-			}
-			var tok int32
-			trav := func(demand int) []int64 {
-				return cfg.Net.TraverseBatch(input, demand, int32(wkr), tok, hook)
-			}
-			for {
-				rem := remaining.Add(-1)
-				if rem < 0 {
-					return
-				}
-				tok = int32(int64(cfg.Ops) - 1 - rem)
-				start := clock()
-				var parent uint64
-				if cfg.Tracer != nil {
-					if spanClock != nil {
-						parent = spanClock.Tick()
-					}
-					cfg.Tracer.Record(obs.Event{T: start, Kind: obs.KindEnter,
-						P: int32(wkr), Tok: tok, Node: -1, Value: -1, Span: parent})
-				}
-				var v int64
-				// last is the exit event's causal parent: the counter hop
-				// when this worker traversed itself, the enter event when a
-				// front-end or funnel combiner traversed on its behalf.
-				last := parent
-				switch {
-				case cfg.Front != nil:
-					v = cfg.Front.Next(input, int32(wkr), tok, hook)
-				case funnel != nil:
-					v = funnel.Do(1, trav)[0]
-				default:
-					v, last = cfg.Net.TraverseSpan(input, int32(wkr), tok, parent, hook)
-				}
-				end := clock()
-				if cfg.Tracer != nil {
-					ev := obs.Event{T: end, Dur: end - start, Kind: obs.KindExit,
-						P: int32(wkr), Tok: tok, Node: -1, Value: v}
-					if spanClock != nil {
-						ev.Span = spanClock.Tick()
-						ev.Parent = last
-					}
-					cfg.Tracer.Record(ev)
-				}
-				rec.Record(start, end, v)
-			}
-		}(wkr)
+			hooks[wkr] = func(topo.NodeID) { wait(time.Duration(rng.Int63n(int64(cfg.Delay) + 1))) }
+		case wkr < nd && cfg.Delay > 0:
+			hooks[wkr] = func(topo.NodeID) { wait(cfg.Delay) }
+		}
 	}
-	wg.Wait()
+	next := func(proc, tok int32) (int64, error) {
+		input, hook := int(proc)%cfg.Net.InWidth(), hooks[proc]
+		var start int64
+		var parent uint64
+		if tr != nil && spans != nil {
+			start, parent = clock(), spans.Tick()
+			tr.Record(obs.Event{T: start, Kind: obs.KindEnter,
+				P: proc, Tok: tok, Node: -1, Value: -1, Span: parent})
+		}
+		// last is the exit event's causal parent: the counter hop when this
+		// worker walked the network itself, the enter event when a front-end
+		// drew the value on its behalf.
+		v, last := int64(0), parent
+		if cfg.Front != nil {
+			v = cfg.Front.Next(input, proc, tok, hook)
+		} else {
+			v, last = cfg.Net.TraverseSpan(input, proc, tok, parent, hook)
+		}
+		if tr != nil && spans != nil {
+			end := clock()
+			tr.Record(obs.Event{T: end, Dur: end - start, Kind: obs.KindExit,
+				P: proc, Tok: tok, Node: -1, Value: v, Span: spans.Tick(), Parent: last})
+		}
+		return v, nil
+	}
+	ops, err := Drive(base, cfg.Workers, cfg.Ops, next)
+	if err != nil {
+		return nil, err
+	}
 	elapsed := time.Since(base)
 	res := &StressResult{
-		Ops:     rec.Ops(),
-		Report:  rec.Analyze(),
+		Ops:     ops,
+		Report:  lincheck.Analyze(ops),
 		Elapsed: elapsed,
 	}
 	if elapsed > 0 {
-		res.Throughput = float64(len(res.Ops)) / elapsed.Seconds()
+		res.Throughput = float64(len(ops)) / elapsed.Seconds()
 	}
 	if r := cfg.Net.Ratio(); r != nil {
 		res.Tog = r.Tog()
 		res.AvgRatio = core.AvgRatio(res.Tog, cfg.EffWait())
 	}
-	if funnel != nil {
-		st := funnel.Stats()
-		res.Combine = &st
-	}
 	return res, nil
+}
+
+// Drive is the timed-worker driver every real-goroutine run shares (shm
+// and msgnet engines, conformance, the CLIs): workers goroutines claim
+// operation tokens 0..ops-1 from one shared cursor and call next(proc,
+// tok) for each, stamping the call's start and end in nanoseconds since
+// base on the monotonic clock. Each operation lands in the slot its token
+// indexes, so recording takes no lock and the log comes back in token
+// order. The first error next returns stops the run and is returned in
+// place of the log.
+func Drive(base time.Time, workers, ops int, next func(proc, tok int32) (int64, error)) ([]lincheck.Op, error) {
+	log := make([]lincheck.Op, ops)
+	errs := make([]error, workers)
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for p := range errs {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for tok := cursor.Add(1) - 1; tok < int64(ops); tok = cursor.Add(1) - 1 {
+				start := time.Since(base)
+				v, err := next(int32(p), int32(tok))
+				if err != nil {
+					errs[p] = err
+					cursor.Store(int64(ops)) // no token below ops is left to claim
+					return
+				}
+				log[tok] = lincheck.Op{Start: int64(start), End: int64(time.Since(base)), Value: v}
+			}
+		}(p)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return log, nil
 }
 
 // pause delays the calling goroutine for d: short pauses poll (keeping

@@ -6,6 +6,7 @@ import (
 
 	"countnet/internal/shm"
 	"countnet/internal/shm/adaptive"
+	"countnet/internal/shm/combine"
 )
 
 // RealSpec is the wall-clock, real-goroutine analogue of Spec: the same
@@ -82,22 +83,24 @@ func (s RealSpec) Run() (*shm.StressResult, error) {
 		return nil, err
 	}
 	cfg := shm.StressConfig{
-		Net:           n,
-		Workers:       s.Workers,
-		Ops:           s.Ops,
-		DelayedFrac:   s.Frac,
-		Delay:         s.Delay,
-		RandomDelay:   s.RandomDelay,
-		BurnDelay:     s.BurnDelay,
-		Seed:          s.Seed,
-		Combine:       s.Combine,
-		CombineWidth:  s.CombineWidth,
-		CombineWindow: s.CombineWindow,
+		Net:         n,
+		Workers:     s.Workers,
+		Ops:         s.Ops,
+		DelayedFrac: s.Frac,
+		Delay:       s.Delay,
+		RandomDelay: s.RandomDelay,
+		BurnDelay:   s.BurnDelay,
+		Seed:        s.Seed,
 	}
-	if s.Adaptive {
-		if s.Combine {
-			return nil, fmt.Errorf("workload: Adaptive and Combine are mutually exclusive")
-		}
+	switch {
+	case s.Adaptive && s.Combine:
+		return nil, fmt.Errorf("workload: Adaptive and Combine are mutually exclusive")
+	case s.Combine:
+		cfg.Front = combine.Front{Funnel: combine.New(combine.Options{
+			Width:  s.CombineWidth,
+			Window: s.CombineWindow,
+		}), Net: n}
+	case s.Adaptive:
 		front, err := adaptive.New(n, adaptive.Options{
 			Linearizable:  s.AdaptiveLinearizable,
 			LinearBelow:   s.AdaptiveLinearBelow,
