@@ -6,12 +6,12 @@
 //	netinfo -net bitonic -width 8 -measure
 //
 // -measure runs a small instrumented workload through each engine — cycle
-// simulator, shared-memory goroutines plain, behind the combining funnel,
-// behind the contention-adaptive front-end (free-running, and pinned to
-// its guaranteed-linearizable waiting regime), message-passing channels —
-// and prints the measured Tog, W, and (Tog+W)/Tog timing ratio per engine
-// (the paper's Section 5 measure, live rather than offline), plus the
-// funnel's combine hit rate and the adaptive engine's regime tallies.
+// simulator, shared-memory goroutines behind each shm front-end (shm,
+// shm-combine, shm-adaptive, shm-adaptive-linear; rows are labelled by
+// front-end name), message-passing channels — and prints the measured
+// Tog, W, and (Tog+W)/Tog timing ratio per engine (the paper's Section 5
+// measure, live rather than offline), plus the funnel's combine hit rate
+// and the adaptive engine's regime tallies.
 package main
 
 import (
@@ -120,114 +120,62 @@ func run(args []string, w io.Writer) error {
 // measureEngines runs the same modest workload (8 processors, 2000
 // operations, F=25% delayed) through the engines with live metrics and
 // prints one measured-ratio row per engine. The sim row injects W=1000
-// cycles, the shm rows (plain and combining-funnel) W=20µs; msgnet has no
-// delay-injection hook, so its W is 0 and the ratio degenerates to 1 —
-// its Tog column is still the real measured hop wait.
+// cycles, the shm rows (one per workload.Fronts front-end) W=20µs;
+// msgnet has no delay-injection hook, so its W is 0 and the ratio
+// degenerates to 1 — its Tog column is still the real measured hop wait.
 func measureEngines(w io.Writer, net workload.NetKind, width int) error {
 	const procs, ops, frac = 8, 2000, 0.25
+	const row = "%-19s %-7s %14.1f %14.0f %14.3f"
 	fmt.Fprintf(w, "measured timing ratio, Section 5's (Tog+W)/Tog (%d procs, %d ops, F=%.0f%%)\n",
 		procs, ops, 100.0*frac)
-	fmt.Fprintf(w, "%-8s %-7s %14s %14s %14s\n", "engine", "unit", "Tog", "W", "(Tog+W)/Tog")
+	fmt.Fprintf(w, "%-19s %-7s %14s %14s %14s\n", "engine", "unit", "Tog", "W", "(Tog+W)/Tog")
 
 	simRes, err := workload.Spec{Net: net, Width: width, Procs: procs, Ops: ops,
 		Frac: frac, Wait: 1000, Seed: 1}.Run()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%-8s %-7s %14.1f %14.0f %14.3f\n", "sim", "cycles", simRes.Tog, 1000.0, simRes.AvgRatio)
+	fmt.Fprintf(w, row+"\n", "sim", "cycles", simRes.Tog, 1000.0, simRes.AvgRatio)
 
 	g, err := net.Build(width)
 	if err != nil {
 		return err
 	}
-	n, err := shm.Compile(g, shm.Options{Diffract: net == workload.DTree})
-	if err != nil {
-		return err
+	for _, kind := range workload.Fronts {
+		n, err := shm.Compile(g, shm.Options{Diffract: net == workload.DTree})
+		if err != nil {
+			return err
+		}
+		cfg := shm.StressConfig{Net: n, Workers: procs, Ops: ops, DelayedFrac: frac,
+			Delay: 20 * time.Microsecond, Seed: 1, Metrics: obs.NewRegistry()}
+		if cfg.Front, err = kind.Build(n, cfg.EffWait(), cfg.Metrics); err != nil {
+			return err
+		}
+		res, err := shm.Stress(cfg)
+		if err != nil {
+			return err
+		}
+		switch f := cfg.Front.(type) {
+		case combine.Front:
+			fmt.Fprintf(w, row+"   combine hit rate %.2f\n",
+				kind, "ns", res.Tog, cfg.EffWait(), res.AvgRatio, f.Funnel.Stats().HitRate())
+		case *adaptive.Counter:
+			// The front-end's own estimator is the adaptive rows' ratio: it
+			// is what drives the regime (and Corollary 3.12 padding)
+			// decisions, and unlike the network-side gauge it also samples
+			// direct-mode tokens.
+			st, tog := f.Stats(), 0.0
+			if r := f.Ratio(); r != nil {
+				tog = r.Tog()
+			}
+			fmt.Fprintf(w, row+"   modes d/c/n/l %d/%d/%d/%d, %d switches\n",
+				kind, "ns", tog, cfg.EffWait(), st.Ratio,
+				st.PerMode[adaptive.ModeDirect], st.PerMode[adaptive.ModeCombine],
+				st.PerMode[adaptive.ModeNetwork], st.PerMode[adaptive.ModeLinear], st.Switches)
+		default:
+			fmt.Fprintf(w, row+"\n", kind, "ns", res.Tog, cfg.EffWait(), res.AvgRatio)
+		}
 	}
-	shmCfg := shm.StressConfig{Net: n, Workers: procs, Ops: ops, DelayedFrac: frac,
-		Delay: 20 * time.Microsecond, Seed: 1, Metrics: obs.NewRegistry()}
-	shmRes, err := shm.Stress(shmCfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-8s %-7s %14.1f %14.0f %14.3f\n", "shm", "ns", shmRes.Tog, shmCfg.EffWait(), shmRes.AvgRatio)
-
-	combCfg := shmCfg
-	combCfg.Net, err = shm.Compile(g, shm.Options{Diffract: net == workload.DTree})
-	if err != nil {
-		return err
-	}
-	combCfg.Metrics = obs.NewRegistry()
-	funnel := combine.New(combine.Options{Metrics: combCfg.Metrics})
-	combCfg.Front = combine.Front{Funnel: funnel, Net: combCfg.Net}
-	combRes, err := shm.Stress(combCfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-8s %-7s %14.1f %14.0f %14.3f   combine hit rate %.2f\n",
-		"shm+cmb", "ns", combRes.Tog, combCfg.EffWait(), combRes.AvgRatio, funnel.Stats().HitRate())
-
-	adNet, err := shm.Compile(g, shm.Options{Diffract: net == workload.DTree})
-	if err != nil {
-		return err
-	}
-	adCfg := shmCfg
-	adCfg.Net = adNet
-	adCfg.Metrics = obs.NewRegistry()
-	front, err := adaptive.New(adNet, adaptive.Options{
-		EffWait: adCfg.EffWait(), Metrics: adCfg.Metrics,
-	})
-	if err != nil {
-		return err
-	}
-	adCfg.Front = front
-	if _, err := shm.Stress(adCfg); err != nil {
-		return err
-	}
-	ast := front.Stats()
-	// The front-end's own estimator is the adaptive row's ratio: it is
-	// what drives the regime (and Corollary 3.12 padding) decisions, and
-	// unlike the network-side gauge it also samples direct-mode tokens.
-	adTog := 0.0
-	if r := front.Ratio(); r != nil {
-		adTog = r.Tog()
-	}
-	fmt.Fprintf(w, "%-8s %-7s %14.1f %14.0f %14.3f   modes d/c/n/l %d/%d/%d/%d, %d switches\n",
-		"adaptive", "ns", adTog, adCfg.EffWait(), ast.Ratio,
-		ast.PerMode[adaptive.ModeDirect], ast.PerMode[adaptive.ModeCombine],
-		ast.PerMode[adaptive.ModeNetwork], ast.PerMode[adaptive.ModeLinear], ast.Switches)
-
-	// The adaptive+wait row pins the front-end to the guaranteed-
-	// linearizable waiting regime (ModeLinear) via a LinearBelow band no
-	// occupancy can exceed — the measured cost of holding every response
-	// until all smaller values have been returned.
-	linNet, err := shm.Compile(g, shm.Options{Diffract: net == workload.DTree})
-	if err != nil {
-		return err
-	}
-	linCfg := shmCfg
-	linCfg.Net = linNet
-	linCfg.Metrics = obs.NewRegistry()
-	linFront, err := adaptive.New(linNet, adaptive.Options{
-		LinearBelow: 1 << 20,
-		EffWait:     linCfg.EffWait(), Metrics: linCfg.Metrics,
-	})
-	if err != nil {
-		return err
-	}
-	linCfg.Front = linFront
-	if _, err := shm.Stress(linCfg); err != nil {
-		return err
-	}
-	lst := linFront.Stats()
-	linTog := 0.0
-	if r := linFront.Ratio(); r != nil {
-		linTog = r.Tog()
-	}
-	fmt.Fprintf(w, "%-8s %-7s %14.1f %14.0f %14.3f   modes d/c/n/l %d/%d/%d/%d, %d switches\n",
-		"adp+wait", "ns", linTog, linCfg.EffWait(), lst.Ratio,
-		lst.PerMode[adaptive.ModeDirect], lst.PerMode[adaptive.ModeCombine],
-		lst.PerMode[adaptive.ModeNetwork], lst.PerMode[adaptive.ModeLinear], lst.Switches)
 
 	reg := obs.NewRegistry()
 	mn, err := msgnet.StartOpts(g, msgnet.Options{Buffer: 1, Metrics: reg})
@@ -242,6 +190,6 @@ func measureEngines(w io.Writer, net workload.NetKind, width int) error {
 	if r := mn.Ratio(); r != nil {
 		tog, val = r.Tog(), r.Value()
 	}
-	fmt.Fprintf(w, "%-8s %-7s %14.1f %14.0f %14.3f\n", "msgnet", "ns", tog, 0.0, val)
+	fmt.Fprintf(w, row+"\n", "msgnet", "ns", tog, 0.0, val)
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"countnet/internal/topo"
+	"countnet/internal/workload"
 )
 
 func TestRunLinearizableBound(t *testing.T) {
@@ -79,5 +80,27 @@ func TestRunRejectsBadArgs(t *testing.T) {
 	}
 	if err := run([]string{"-c1", "0"}, &sb); err == nil {
 		t.Error("c1=0 accepted")
+	}
+}
+
+func TestRunMeasure(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-net", "bitonic", "-width", "4", "-measure"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			rows[f[0]] = true
+		}
+	}
+	want := []string{"sim", "msgnet"}
+	for _, f := range workload.Fronts {
+		want = append(want, string(f))
+	}
+	for _, name := range want {
+		if !rows[name] {
+			t.Errorf("no %q row:\n%s", name, sb.String())
+		}
 	}
 }

@@ -7,36 +7,41 @@
 //	stress -net dtree -width 32 -workers 64 -ops 100000 -frac 0.25 -delay 200us
 //	stress -compare -workers 64 -ops 200000
 //	stress -trace run.json -metrics - -pprof :6060
-//	stress -combine -workers 256 -width 8 -frac 1 -delay 20us -burn
-//	stress -engine adaptive -workers 256 -width 8 -linearizable
+//	stress -engine shm-combine -workers 256 -width 8 -frac 1 -delay 20us -burn
+//	stress -engine shm-adaptive -workers 256 -width 8
+//	stress -engine shm-adaptive-linear -workers 64 -width 8
 //	stress -engine msgnet -faults 0.05 -fault-seed 7 -delay 10us
 //
+// -engine names the engine by its conformance-corpus name, so a failing
+// conformance engine can be rerun on its own. The four shm engines differ
+// only in the front-end that hands each token its value
+// (workload.FrontKind):
+//
+//   - shm: every token walks the network itself.
+//   - shm-combine: tokens rendezvous in an elimination/combining funnel in
+//     front of the network and a representative walks once for a whole
+//     group (internal/shm/combine); the report adds the funnel's hit rate
+//     and combining degree, and the same counters appear in /metrics.
+//   - shm-adaptive: the contention-adaptive front-end
+//     (internal/shm/adaptive) routes tokens through a direct counter, the
+//     combining funnel, or the full network as the measured load changes,
+//     always with Corollary 3.12 prefix padding enabled whenever the
+//     measured ratio implies k > 2; the report adds the regime history
+//     (per-mode token tallies, switch count, live (Tog+W)/Tog estimate).
+//   - shm-adaptive-linear: the same front-end pinned to its
+//     guaranteed-linearizable waiting regime (ModeLinear: traverse the
+//     network, then hold the response until every smaller value has been
+//     returned).
+//
 // With -engine msgnet the workload runs on the message-passing runtime
-// instead of the shared-memory one, and -faults turns on deterministic
-// chaos (internal/faults): drop rate = the given intensity, duplication
-// and reordering at half of it, all seeded by -fault-seed so two runs
-// inject the identical fault sequence. -delay then becomes the plan's
-// per-hop link latency (the paper's W on the wire) and the run report
-// gains the fault/retry tallies next to the usual (Tog+W)/Tog measure.
-//
-// With -combine, tokens rendezvous in an elimination/combining funnel in
-// front of the network and a representative walks once for a whole group
-// (internal/shm/combine); the run report then includes the funnel's hit
-// rate and combining degree, and the same counters appear in /metrics.
-//
-// With -engine adaptive the workload runs behind the contention-adaptive
-// front-end (internal/shm/adaptive): tokens route through a direct
-// counter, the combining funnel, or the full network as the measured
-// load changes, and the report gains the regime history (per-mode token
-// tallies, switch count, live (Tog+W)/Tog estimate). -linearizable turns
-// on the Corollary 3.12 prefix padding whenever the measured ratio
-// implies k > 2. -linear-below sets the occupancy band under which the
-// front-end runs the guaranteed-linearizable waiting regime (ModeLinear:
-// traverse the network, then hold the response until every smaller value
-// has been returned); the counter starts in that regime, so a large band
-// pins the whole run to it:
-//
-//	stress -engine adaptive -linear-below 1048576 -workers 64 -width 8
+// instead, and -faults turns on deterministic chaos (internal/faults):
+// drop rate = the given intensity, duplication and reordering at half of
+// it, all seeded by -fault-seed so two runs inject the identical fault
+// sequence. -delay then becomes the plan's per-hop link latency (the
+// paper's W on the wire) and the run report gains the fault/retry tallies
+// next to the usual (Tog+W)/Tog measure. A flag that does not apply to
+// the chosen engine (-frac on msgnet, -faults on shm, ...) is rejected
+// rather than ignored.
 //
 // With -trace the run's token events (enter, per-balancer traversal with
 // wait duration, counter, exit) are exported as JSONL (.jsonl) or Chrome
@@ -51,6 +56,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,7 +67,7 @@ import (
 	"countnet/internal/obs"
 	"countnet/internal/shm"
 	"countnet/internal/shm/adaptive"
-	funnel "countnet/internal/shm/combine"
+	"countnet/internal/shm/combine"
 	"countnet/internal/stats"
 	"countnet/internal/workload"
 )
@@ -71,6 +77,32 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stress:", err)
 		os.Exit(1)
 	}
+}
+
+// engineOnly maps each flag that applies to one engine family alone to
+// that family; every other flag applies to all engines.
+var engineOnly = map[string]string{
+	"frac": "shm", "random": "shm", "burn": "shm", "balancer": "shm", "seed": "shm", "pprof": "shm",
+	"faults": "msgnet", "fault-seed": "msgnet", "flight": "msgnet",
+}
+
+// checkEngineFlags rejects an unknown engine name and any flag set on
+// the command line that does not apply to the engine's family.
+func checkEngineFlags(fs *flag.FlagSet, engine string) error {
+	family := "msgnet"
+	if engine != "msgnet" {
+		if !slices.Contains(workload.Fronts, workload.FrontKind(engine)) {
+			return fmt.Errorf("unknown engine %q", engine)
+		}
+		family = "shm"
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if want, ok := engineOnly[f.Name]; ok && want != family && err == nil {
+			err = fmt.Errorf("-%s does not apply to -engine %s", f.Name, engine)
+		}
+	})
+	return err
 }
 
 func run(args []string, w io.Writer) error {
@@ -85,14 +117,9 @@ func run(args []string, w io.Writer) error {
 		random  = fs.Bool("random", false, "all workers pause uniform [0,delay] per node")
 		burn    = fs.Bool("burn", false, "burn delays as busy work occupying the processor (models coherence stalls) instead of a cooperative pause")
 		kind    = fs.String("balancer", "mcs", "toggle implementation: mcs, mutex, atomic")
-		combine = fs.Bool("combine", false, "route tokens through the elimination/combining funnel in front of the network")
-		combW   = fs.Int("combine-width", 0, fmt.Sprintf("combining funnel exchanger slots (0 = default, %d)", funnel.DefaultWidth))
-		combWin = fs.Duration("combine-window", 0, fmt.Sprintf("how long a token camps for partners before traversing alone (0 = default, %v)", funnel.DefaultWindow))
 		compare = fs.Bool("compare", false, "compare network throughput against single-point counters")
 		grid    = fs.Bool("grid", false, "run the wall-clock analogue of the paper's Figure 5/6 grid")
-		engine  = fs.String("engine", "shm", "execution engine: shm, adaptive, or msgnet")
-		linear  = fs.Bool("linearizable", false, "adaptive engine: insert Corollary 3.12 prefix padding when the measured ratio implies k > 2")
-		linBand = fs.Int("linear-below", 0, "adaptive engine: occupancy band below which the guaranteed-linearizable waiting regime (ModeLinear) is used; 0 disables")
+		engine  = fs.String("engine", "shm", "execution engine: shm, shm-combine, shm-adaptive, shm-adaptive-linear, or msgnet")
 		faultsF = fs.Float64("faults", 0, "msgnet fault intensity in [0,1]: drop rate, with dup/reorder at half (msgnet engine only)")
 		faultSd = fs.Int64("fault-seed", 1, "seed for the deterministic fault plan")
 		seed    = fs.Int64("seed", 1, "workload seed")
@@ -110,35 +137,19 @@ func run(args []string, w io.Writer) error {
 	if *grid {
 		return realGrid(w, *frac, *ops, *seed)
 	}
-	g, err := workload.NetKind(*net).Build(*width)
-	if err != nil {
+	if err := checkEngineFlags(fs, *engine); err != nil {
 		return err
 	}
-	switch *engine {
-	case "msgnet":
+	if *engine == "msgnet" {
 		return runMsgnetStress(w, msgnetStressConfig{
 			net: *net, width: *width, workers: *workers, ops: *ops,
 			delay: *delay, intensity: *faultsF, faultSeed: *faultSd,
 			trace: *trace, flight: *flight, metrics: *metrics,
 		})
-	case "shm", "adaptive":
-		if *faultsF != 0 {
-			return fmt.Errorf("-faults requires -engine msgnet")
-		}
-		if *flight != "" {
-			return fmt.Errorf("-flight requires -engine msgnet")
-		}
-		if *engine == "adaptive" && *combine {
-			return fmt.Errorf("-combine conflicts with -engine adaptive (the adaptive engine owns its own funnel)")
-		}
-	default:
-		return fmt.Errorf("unknown engine %q", *engine)
 	}
-	if *linear && *engine != "adaptive" {
-		return fmt.Errorf("-linearizable requires -engine adaptive")
-	}
-	if *linBand != 0 && *engine != "adaptive" {
-		return fmt.Errorf("-linear-below requires -engine adaptive")
+	g, err := workload.NetKind(*net).Build(*width)
+	if err != nil {
+		return err
 	}
 	var k shm.Kind
 	switch *kind {
@@ -167,26 +178,8 @@ func run(args []string, w io.Writer) error {
 	if *trace != "" || *metrics != "" || *pprofA != "" {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	var fun *funnel.Funnel
-	if *combine {
-		fun = funnel.New(funnel.Options{Width: *combW, Window: *combWin, Metrics: cfg.Metrics})
-		cfg.Front = funnel.Front{Funnel: fun, Net: n}
-	}
-	var front *adaptive.Counter
-	if *engine == "adaptive" {
-		front, err = adaptive.New(n, adaptive.Options{
-			Kind:          k,
-			Linearizable:  *linear,
-			LinearBelow:   *linBand,
-			CombineWidth:  *combW,
-			CombineWindow: *combWin,
-			EffWait:       cfg.EffWait(),
-			Metrics:       cfg.Metrics,
-		})
-		if err != nil {
-			return err
-		}
-		cfg.Front = front
+	if cfg.Front, err = workload.FrontKind(*engine).Build(n, cfg.EffWait(), cfg.Metrics); err != nil {
+		return err
 	}
 	if *pprofA != "" {
 		addr, stop, err := obs.Serve(*pprofA, cfg.Metrics)
@@ -200,29 +193,29 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%s[%d] %s balancers, %d workers, %d ops, F=%.0f%%, W=%v\n",
-		*net, *width, *kind, *workers, *ops, 100**frac, *delay)
+	fmt.Fprintf(w, "%s[%d] %s %s balancers, %d workers, %d ops, F=%.0f%%, W=%v\n",
+		*net, *width, *engine, *kind, *workers, *ops, 100**frac, *delay)
 	summarize(w, res.Ops, res.Elapsed, res.Report)
 	if cfg.Metrics != nil {
 		fmt.Fprintf(w, "measured Tog %.0fns, (Tog+W)/Tog = %.3f\n", res.Tog, res.AvgRatio)
 	}
-	if fun != nil {
-		c := fun.Stats()
+	switch f := cfg.Front.(type) {
+	case combine.Front:
+		c := f.Funnel.Stats()
 		deg := 0.0
 		if c.Pairs > 0 {
 			deg = 1 + float64(c.Partners)/float64(c.Pairs)
 		}
 		fmt.Fprintf(w, "combine: hit rate %.2f, %d combined walks (avg degree %.1f), %d partners, %d timeouts, %d idle, %d races\n",
 			c.HitRate(), c.Pairs, deg, c.Partners, c.Timeouts, c.Idle, c.Races)
-	}
-	if front != nil {
-		st := front.Stats()
+	case *adaptive.Counter:
+		st := f.Stats()
 		fmt.Fprintf(w, "adaptive: ended in %s after %d switches, tokens direct/combine/network/linear = %d/%d/%d/%d, (Tog+W)/Tog est %.3f\n",
 			st.Mode, st.Switches, st.PerMode[adaptive.ModeDirect], st.PerMode[adaptive.ModeCombine], st.PerMode[adaptive.ModeNetwork], st.PerMode[adaptive.ModeLinear], st.Ratio)
 		if st.PadK > 1 {
 			fmt.Fprintf(w, "adaptive: running Corollary 3.12 padded network, k=%d\n", st.PadK)
 		}
-		if eps := front.Epochs(); len(eps) > 0 {
+		if eps := f.Epochs(); len(eps) > 0 {
 			fmt.Fprintf(w, "adaptive: regime history:")
 			for _, e := range eps {
 				fmt.Fprintf(w, " %s×%d", e.Mode, e.Tokens)
@@ -230,7 +223,7 @@ func run(args []string, w io.Writer) error {
 			fmt.Fprintf(w, " %s×%d(live)\n", st.Mode, st.PerMode[st.Mode]-liveAdjust(eps, st.Mode))
 		}
 	}
-	return writeOutputs(w, ring, *trace, obs.Meta{Engine: "shm", Unit: "ns", Net: *net, Width: *width}, cfg.Metrics, *metrics)
+	return writeOutputs(w, ring, *trace, obs.Meta{Engine: *engine, Unit: "ns", Net: *net, Width: *width}, cfg.Metrics, *metrics)
 }
 
 // msgnetStressConfig carries the msgnet-engine knobs from the flag set.
@@ -435,58 +428,34 @@ func compareCounters(w io.Writer, width, workers, ops int) error {
 	if err := runNet(fmt.Sprintf("dtree[%d]+prism", width), workload.DTree, true); err != nil {
 		return err
 	}
-	results = append(results,
-		result{"mutex counter", pointCounter(workers, ops, func(c *int64, mu *sync.Mutex) {
+	// The single-point counters run on the same driver as the network
+	// rows, so all four pay the same harness.
+	var mu sync.Mutex
+	var locked int64
+	var faa atomic.Int64
+	points := []struct {
+		name string
+		next func(proc, tok int32) (int64, error)
+	}{
+		{"mutex counter", func(int32, int32) (int64, error) {
 			mu.Lock()
-			*c++
+			v := locked
+			locked++
 			mu.Unlock()
-		})},
-		result{"atomic counter", pointCounterAtomic(workers, ops)},
-	)
+			return v, nil
+		}},
+		{"atomic counter", func(int32, int32) (int64, error) { return faa.Add(1) - 1, nil }},
+	}
+	for _, p := range points {
+		base := time.Now()
+		if _, err := shm.Drive(base, workers, ops, p.next); err != nil {
+			return err
+		}
+		results = append(results, result{p.name, float64(ops) / time.Since(base).Seconds()})
+	}
 	fmt.Fprintf(w, "shared-counter throughput, %d workers, %d ops\n", workers, ops)
 	for _, r := range results {
 		fmt.Fprintf(w, "  %-22s %12.0f ops/s\n", r.name, r.tput)
 	}
 	return nil
-}
-
-// pointCounter measures a critical-section counter.
-func pointCounter(workers, ops int, inc func(*int64, *sync.Mutex)) float64 {
-	var c int64
-	var mu sync.Mutex
-	var remaining atomic.Int64
-	remaining.Store(int64(ops))
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for remaining.Add(-1) >= 0 {
-				inc(&c, &mu)
-			}
-		}()
-	}
-	wg.Wait()
-	return float64(ops) / time.Since(start).Seconds()
-}
-
-// pointCounterAtomic measures a bare fetch-and-add.
-func pointCounterAtomic(workers, ops int) float64 {
-	var c atomic.Int64
-	var remaining atomic.Int64
-	remaining.Store(int64(ops))
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for remaining.Add(-1) >= 0 {
-				c.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	return float64(ops) / time.Since(start).Seconds()
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"countnet/internal/workload"
 )
 
 func TestRunStressSmall(t *testing.T) {
@@ -79,5 +81,52 @@ func TestRunRejectsFaultsOnSHMEngine(t *testing.T) {
 	}
 	if err := run([]string{"-engine", "bogus", "-ops", "10", "-workers", "1"}, &sb); err == nil {
 		t.Error("bogus engine accepted")
+	}
+}
+
+func TestRunEveryShmEngine(t *testing.T) {
+	stats := map[workload.FrontKind]string{
+		workload.FrontCombine:        "combine: hit rate",
+		workload.FrontAdaptive:       "adaptive: ended in",
+		workload.FrontAdaptiveLinear: "adaptive: ended in linear",
+	}
+	for _, f := range workload.Fronts {
+		t.Run(string(f), func(t *testing.T) {
+			var sb strings.Builder
+			args := []string{"-engine", string(f), "-width", "4", "-workers", "4", "-ops", "500", "-frac", "0.25", "-delay", "5us"}
+			if err := run(args, &sb); err != nil {
+				t.Fatal(err)
+			}
+			out := sb.String()
+			for _, want := range []string{"bitonic[4] " + string(f) + " mcs", "linearizability:", stats[f]} {
+				if !strings.Contains(out, want) {
+					t.Errorf("missing %q:\n%s", want, out)
+				}
+			}
+		})
+	}
+}
+
+func TestRunRejectsFlagsForOtherEngine(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-engine", "msgnet", "-frac", "0.5"}, "-frac does not apply to -engine msgnet"},
+		{[]string{"-engine", "msgnet", "-random"}, "-random does not apply to -engine msgnet"},
+		{[]string{"-engine", "msgnet", "-burn"}, "-burn does not apply to -engine msgnet"},
+		{[]string{"-engine", "msgnet", "-balancer", "atomic"}, "-balancer does not apply to -engine msgnet"},
+		{[]string{"-engine", "msgnet", "-seed", "3"}, "-seed does not apply to -engine msgnet"},
+		{[]string{"-engine", "msgnet", "-pprof", "localhost:0"}, "-pprof does not apply to -engine msgnet"},
+		{[]string{"-faults", "0.1"}, "-faults does not apply to -engine shm"},
+		{[]string{"-engine", "shm-combine", "-fault-seed", "7"}, "-fault-seed does not apply to -engine shm-combine"},
+		{[]string{"-engine", "shm-adaptive", "-flight", "flight.jsonl"}, "-flight does not apply to -engine shm-adaptive"},
+		{[]string{"-engine", "adaptive"}, `unknown engine "adaptive"`},
+	} {
+		var sb strings.Builder
+		err := run(append(tc.args, "-ops", "10", "-workers", "1"), &sb)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want %q", tc.args, err, tc.want)
+		}
 	}
 }

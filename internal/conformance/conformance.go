@@ -239,9 +239,16 @@ func RunSim(spec workload.Spec) (*Execution, error) {
 	return &Execution{Engine: "sim", Ops: res.Ops}, nil
 }
 
-// RunSHM executes the spec on the real-goroutine shared-memory runtime,
-// mapping W cycles to nanoseconds of wall-clock delay.
-func RunSHM(spec workload.Spec) (*Execution, error) {
+// RunSHM executes the spec on the real-goroutine shared-memory runtime
+// behind the given front-end, mapping W cycles to nanoseconds of
+// wall-clock delay; the execution is named after the front-end. Running
+// the combining funnel and the adaptive engine as differential engines
+// asserts that combined walks and drain-then-switch epochs are invisible
+// in every quiescent invariant. The shm-adaptive engine has Corollary
+// 3.12 padding on, so the padded path runs whenever the measured ratio
+// implies k > 2; shm-adaptive-linear is pinned to the waiting regime and
+// promises full linearizability, which CrossCheck asserts.
+func RunSHM(spec workload.Spec, front workload.FrontKind) (*Execution, error) {
 	real := workload.RealSpec{
 		Net:         spec.Net,
 		Width:       spec.Width,
@@ -251,92 +258,13 @@ func RunSHM(spec workload.Spec) (*Execution, error) {
 		Delay:       time.Duration(spec.Wait) * time.Nanosecond,
 		RandomDelay: spec.RandomWait,
 		Seed:        spec.Seed,
+		Front:       front,
 	}
 	res, err := real.Run()
 	if err != nil {
-		return nil, fmt.Errorf("shm: %w", err)
+		return nil, fmt.Errorf("%s: %w", front, err)
 	}
-	return &Execution{Engine: "shm", Ops: res.Ops}, nil
-}
-
-// RunSHMCombined executes the spec on the shared-memory runtime with the
-// elimination/combining funnel enabled: tokens rendezvous in front of
-// the network and combined walks carry several tokens at once. The
-// funnel must be invisible in every quiescent invariant — identical
-// value multiset, tallies, and analyzer agreement — which is exactly
-// what running it as a differential engine asserts.
-func RunSHMCombined(spec workload.Spec) (*Execution, error) {
-	real := workload.RealSpec{
-		Net:         spec.Net,
-		Width:       spec.Width,
-		Workers:     spec.Procs,
-		Ops:         spec.Ops,
-		Frac:        spec.Frac,
-		Delay:       time.Duration(spec.Wait) * time.Nanosecond,
-		RandomDelay: spec.RandomWait,
-		Seed:        spec.Seed,
-		Combine:     true,
-	}
-	res, err := real.Run()
-	if err != nil {
-		return nil, fmt.Errorf("shm-combine: %w", err)
-	}
-	return &Execution{Engine: "shm-combine", Ops: res.Ops}, nil
-}
-
-// RunSHMAdaptive executes the spec on the shared-memory runtime behind
-// the contention-adaptive front-end (internal/shm/adaptive), with the
-// Linearizable option on so the Corollary 3.12 padding path is exercised
-// whenever the measured ratio implies k > 2. Tokens cross direct-counter,
-// funnel, and network regimes mid-run; the drain-then-switch epochs must
-// make every transition invisible in the quiescent invariants, which is
-// what running it as a differential engine asserts.
-func RunSHMAdaptive(spec workload.Spec) (*Execution, error) {
-	real := workload.RealSpec{
-		Net:                  spec.Net,
-		Width:                spec.Width,
-		Workers:              spec.Procs,
-		Ops:                  spec.Ops,
-		Frac:                 spec.Frac,
-		Delay:                time.Duration(spec.Wait) * time.Nanosecond,
-		RandomDelay:          spec.RandomWait,
-		Seed:                 spec.Seed,
-		Adaptive:             true,
-		AdaptiveLinearizable: true,
-	}
-	res, err := real.Run()
-	if err != nil {
-		return nil, fmt.Errorf("shm-adaptive: %w", err)
-	}
-	return &Execution{Engine: "shm-adaptive", Ops: res.Ops}, nil
-}
-
-// RunSHMAdaptiveLinear executes the spec on the shared-memory runtime
-// behind the adaptive front-end pinned to the guaranteed-linearizable
-// waiting regime: LinearBelow is set far above any reachable occupancy,
-// so every token either takes the direct counter or traverses the
-// network and then waits its turn (ModeLinear). Unlike shm-adaptive,
-// whose unpadded network epochs may legitimately misorder under
-// injected W, this engine promises full linearizability — CrossCheck
-// asserts lincheck finds zero violations on its history.
-func RunSHMAdaptiveLinear(spec workload.Spec) (*Execution, error) {
-	real := workload.RealSpec{
-		Net:                 spec.Net,
-		Width:               spec.Width,
-		Workers:             spec.Procs,
-		Ops:                 spec.Ops,
-		Frac:                spec.Frac,
-		Delay:               time.Duration(spec.Wait) * time.Nanosecond,
-		RandomDelay:         spec.RandomWait,
-		Seed:                spec.Seed,
-		Adaptive:            true,
-		AdaptiveLinearBelow: 1 << 20,
-	}
-	res, err := real.Run()
-	if err != nil {
-		return nil, fmt.Errorf("shm-adaptive-linear: %w", err)
-	}
-	return &Execution{Engine: "shm-adaptive-linear", Ops: res.Ops}, nil
+	return &Execution{Engine: string(front), Ops: res.Ops}, nil
 }
 
 // RunMsgnet executes the spec on the message-passing runtime: spec.Procs
@@ -427,15 +355,15 @@ func CheckPadded(g *topo.Graph, c *schedule.Concrete) error {
 }
 
 // CrossCheck runs the spec through all eight execution engines —
-// quiescent topo, sim, shm, shm with the combining funnel, shm behind the
-// contention-adaptive front-end, the same front-end pinned to its
-// guaranteed-linearizable waiting regime, msgnet, and msgnet under the
-// spec-derived fault plan — and verifies the universal invariants on
-// each; any breach is an engine disagreement. The shm-adaptive-linear
-// engine additionally promises a linearizable history, so its ops are
-// run through lincheck and any violation fails the check. The returned
-// error carries the spec's JSON so the failing cell can be replayed
-// exactly.
+// quiescent topo, sim, shm behind each of workload.Fronts (the plain
+// network, the combining funnel, the contention-adaptive front-end, and
+// the same front-end pinned to its guaranteed-linearizable waiting
+// regime), msgnet, and msgnet under the spec-derived fault plan — and
+// verifies the universal invariants on each; any breach is an engine
+// disagreement. The shm-adaptive-linear engine additionally promises a
+// linearizable history, so its ops are run through lincheck and any
+// violation fails the check. The returned error carries the spec's JSON
+// so the failing cell can be replayed exactly.
 func CrossCheck(spec workload.Spec) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -454,7 +382,11 @@ func CrossCheck(spec workload.Spec) error {
 	if err != nil {
 		return replayable(spec, err)
 	}
-	for _, run := range []func(workload.Spec) (*Execution, error){RunSim, RunSHM, RunSHMCombined, RunSHMAdaptive, RunSHMAdaptiveLinear, RunMsgnet, RunMsgnetFaulty} {
+	runs := []func(workload.Spec) (*Execution, error){RunSim}
+	for _, front := range workload.Fronts {
+		runs = append(runs, func(s workload.Spec) (*Execution, error) { return RunSHM(s, front) })
+	}
+	for _, run := range append(runs, RunMsgnet, RunMsgnetFaulty) {
 		exec, err := run(spec)
 		if err != nil {
 			return replayable(spec, err)
@@ -465,7 +397,7 @@ func CrossCheck(spec workload.Spec) error {
 		if err := exec.CheckUniversal(g.OutWidth()); err != nil {
 			return replayable(spec, err)
 		}
-		if exec.Engine == "shm-adaptive-linear" {
+		if exec.Engine == string(workload.FrontAdaptiveLinear) {
 			if rep := lincheck.Analyze(exec.Ops); rep.NonLinearizable > 0 {
 				w, _ := lincheck.FirstWitness(exec.Ops)
 				return replayable(spec, fmt.Errorf("%s: waiting regime misordered: %v (%s)", exec.Engine, rep, w))

@@ -134,9 +134,6 @@ const stripes = 32
 
 // Options configures a Counter.
 type Options struct {
-	// Kind is the toggle implementation used when compiling padded
-	// networks (default shm.KindMCS, matching the main network).
-	Kind shm.Kind
 	// Window is the controller window in tokens (default DefaultWindow).
 	Window int
 	// Hold is the hysteresis depth in windows (default DefaultHold).
@@ -282,9 +279,6 @@ type Counter struct {
 func New(n *shm.Network, opts Options) (*Counter, error) {
 	if n == nil {
 		return nil, fmt.Errorf("adaptive: nil network")
-	}
-	if opts.Kind == 0 {
-		opts.Kind = shm.KindMCS
 	}
 	if opts.Window <= 0 {
 		opts.Window = DefaultWindow
@@ -634,7 +628,8 @@ type paddedNet struct {
 }
 
 // compilePadded is the padded-network compile seam; the padK-fallback
-// regression test stubs it to force a deterministic failure.
+// regression test stubs it to force a deterministic failure, and the
+// toggle-kind test to see the options a padded network compiles with.
 var compilePadded = func(g *topo.Graph, opts shm.Options) (*shm.Network, error) {
 	return shm.Compile(g, opts)
 }
@@ -643,7 +638,8 @@ var compilePadded = func(g *topo.Graph, opts shm.Options) (*shm.Network, error) 
 // factor that network really has: the plain one, or — for a ModeNetwork
 // epoch under the Linearizable option when the measured ratio implies
 // k > 2 — the Corollary 3.12 padded variant for the smallest k covering
-// the estimate, compiled once and cached. Combine and linear epochs
+// the estimate, compiled once and cached with the plain network's own
+// toggle kind. Combine and linear epochs
 // always get the plain network: padding applies to network-mode traffic
 // only (matching the Options.Linearizable contract and control()'s repad
 // check, which re-rolls only ModeNetwork epochs when the estimate
@@ -667,7 +663,7 @@ func (c *Counter) pickNet(m Mode) (*shm.Network, int) {
 		c.padded[k] = paddedNet{net: c.net, padK: 1}
 		return c.net, 1
 	}
-	n, err := compilePadded(padded, shm.Options{Kind: c.opts.Kind})
+	n, err := compilePadded(padded, shm.Options{Kind: c.net.Kind()})
 	if err != nil {
 		c.padded[k] = paddedNet{net: c.net, padK: 1}
 		return c.net, 1

@@ -73,3 +73,42 @@ func TestPickNetFallbackPadK(t *testing.T) {
 		}
 	}
 }
+
+// TestPaddedNetworkKeepsToggleKind checks that a Corollary 3.12 padded
+// network compiles with the plain network's toggle kind: a forced padded
+// epoch over a KindAtomic network must not fall back to MCS toggles.
+func TestPaddedNetworkKeepsToggleKind(t *testing.T) {
+	g, err := bitonic.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := shm.Compile(g, shm.Options{Kind: shm.KindAtomic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(n, Options{Linearizable: true, EffWait: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Ratio().Observe(1000) // (1000+3000)/1000 = 4: the estimate calls for k = 4
+
+	orig := compilePadded
+	defer func() { compilePadded = orig }()
+	var kinds []shm.Kind
+	compilePadded = func(g *topo.Graph, opts shm.Options) (*shm.Network, error) {
+		kinds = append(kinds, opts.Kind)
+		return shm.Compile(g, opts)
+	}
+	if err := c.SwitchTo(ModeNetwork); err != nil {
+		t.Fatal(err)
+	}
+	if ep := c.cur.Load(); ep.padK != 4 {
+		t.Fatalf("forced padded epoch runs padK = %d, want 4", ep.padK)
+	}
+	if len(kinds) != 1 || kinds[0] != shm.KindAtomic {
+		t.Fatalf("padded network compiled with kinds %v, want [%v]", kinds, shm.KindAtomic)
+	}
+	if got := c.cur.Load().net.Kind(); got != shm.KindAtomic {
+		t.Fatalf("padded network reports kind %v, want %v", got, shm.KindAtomic)
+	}
+}

@@ -1,0 +1,60 @@
+package workload
+
+import (
+	"fmt"
+
+	"countnet/internal/obs"
+	"countnet/internal/shm"
+	"countnet/internal/shm/adaptive"
+	"countnet/internal/shm/combine"
+)
+
+// FrontKind names a shared-memory front-end: the object that hands a
+// token its value. The names are the shm engine names of the conformance
+// corpus and of `stress -engine`.
+type FrontKind string
+
+// The shm front-ends. The zero value is FrontPlain.
+const (
+	// FrontPlain is the bare counting network: every token walks it.
+	FrontPlain FrontKind = "shm"
+	// FrontCombine puts the elimination/combining funnel in front of the
+	// network.
+	FrontCombine FrontKind = "shm-combine"
+	// FrontAdaptive is the contention-adaptive engine with its Corollary
+	// 3.12 padding enabled.
+	FrontAdaptive FrontKind = "shm-adaptive"
+	// FrontAdaptiveLinear is the adaptive engine pinned to its
+	// guaranteed-linearizable waiting regime (ModeLinear): the occupancy
+	// band is set far above any reachable occupancy.
+	FrontAdaptiveLinear FrontKind = "shm-adaptive-linear"
+)
+
+// Fronts lists every front-end, plain network first.
+var Fronts = []FrontKind{FrontPlain, FrontCombine, FrontAdaptive, FrontAdaptiveLinear}
+
+// Build returns the front-end of this kind over the compiled network n,
+// or nil for the plain network. effWait is the injected per-node delay
+// in nanoseconds (the W of the adaptive engine's (Tog+W)/Tog estimate);
+// reg, when non-nil, receives the front-end's metric family.
+func (k FrontKind) Build(n *shm.Network, effWait float64, reg *obs.Registry) (shm.Front, error) {
+	var opts adaptive.Options
+	switch k {
+	case "", FrontPlain:
+		return nil, nil
+	case FrontCombine:
+		return combine.Front{Funnel: combine.New(combine.Options{Metrics: reg}), Net: n}, nil
+	case FrontAdaptive:
+		opts.Linearizable = true
+	case FrontAdaptiveLinear:
+		opts.LinearBelow = 1 << 20
+	default:
+		return nil, fmt.Errorf("workload: unknown front-end %q", k)
+	}
+	opts.EffWait, opts.Metrics = effWait, reg
+	c, err := adaptive.New(n, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}

@@ -1,0 +1,59 @@
+package workload
+
+import (
+	"sort"
+	"strings"
+	"testing"
+
+	"countnet/internal/shm"
+)
+
+func TestFronts(t *testing.T) {
+	for _, f := range Fronts {
+		t.Run(string(f), func(t *testing.T) {
+			g, err := Bitonic.Build(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := shm.Compile(g, shm.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			front, err := f.Build(n, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (front == nil) != (f == FrontPlain) {
+				t.Fatalf("Build returned %T; want nil exactly for %s", front, FrontPlain)
+			}
+
+			spec := RealSpec{Net: Bitonic, Width: 4, Workers: 4, Ops: 300, Seed: 1, Front: f}
+			if s := spec.String(); !strings.HasSuffix(s, "/"+string(f)) {
+				t.Errorf("String = %q, want the front-end name", s)
+			}
+			res, err := spec.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Ops) != spec.Ops {
+				t.Fatalf("%d of %d operations completed", len(res.Ops), spec.Ops)
+			}
+			values := make([]int64, len(res.Ops))
+			for i, op := range res.Ops {
+				values[i] = op.Value
+			}
+			sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
+			for i, v := range values {
+				if v != int64(i) {
+					t.Fatalf("values are not a gapless permutation of 0..%d: position %d holds %d", spec.Ops-1, i, v)
+				}
+			}
+		})
+	}
+	if _, err := FrontKind("nonsense").Build(nil, 0, nil); err == nil {
+		t.Error("unknown front-end accepted")
+	}
+	if _, err := (RealSpec{Net: Bitonic, Width: 4, Workers: 1, Ops: 1, Front: "nonsense"}).Run(); err == nil {
+		t.Error("RealSpec ran an unknown front-end")
+	}
+}

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"countnet/internal/shm"
-	"countnet/internal/shm/adaptive"
-	"countnet/internal/shm/combine"
 )
 
 // RealSpec is the wall-clock, real-goroutine analogue of Spec: the same
@@ -24,27 +22,13 @@ type RealSpec struct {
 	// BurnDelay burns W as busy work occupying the simulated processor
 	// (the model for coherence stalls) instead of a cooperative pause.
 	BurnDelay bool
-	// Combine routes tokens through the elimination/combining funnel in
-	// front of the network (internal/shm/combine); CombineWidth and
-	// CombineWindow configure it, zero values meaning the funnel
-	// defaults.
-	Combine       bool
-	CombineWidth  int
-	CombineWindow time.Duration
-	// Adaptive routes tokens through the contention-adaptive front-end
-	// (internal/shm/adaptive), which switches between a direct counter,
-	// the combining funnel, and the full network as load changes.
-	// Mutually exclusive with Combine (the adaptive engine owns its own
-	// funnel). AdaptiveLinearizable enables its Corollary 3.12 padding.
-	// AdaptiveLinearBelow forwards adaptive.Options.LinearBelow: when
-	// positive, the front-end starts in — and below that occupancy stays
-	// in — the guaranteed-linearizable ModeLinear waiting regime.
-	Adaptive             bool
-	AdaptiveLinearizable bool
-	AdaptiveLinearBelow  int
+	// Front names the front-end that hands each token its value; the
+	// zero value is the plain network.
+	Front FrontKind
 }
 
-// String names the spec compactly.
+// String names the spec compactly, ending in the front-end's name when
+// one is set.
 func (s RealSpec) String() string {
 	tail := ""
 	if s.RandomDelay {
@@ -53,23 +37,14 @@ func (s RealSpec) String() string {
 	if s.BurnDelay {
 		tail += "/burn"
 	}
-	if s.Combine {
-		tail += "/combine"
-	}
-	if s.Adaptive {
-		tail += "/adaptive"
-		if s.AdaptiveLinearizable {
-			tail += "+lin"
-		}
-		if s.AdaptiveLinearBelow > 0 {
-			tail += "+wait"
-		}
+	if s.Front != "" {
+		tail += "/" + string(s.Front)
 	}
 	return fmt.Sprintf("%s%d/g=%d/W=%v/F=%.0f%%%s", s.Net, s.Width, s.Workers, s.Delay, 100*s.Frac, tail)
 }
 
 // Run compiles the network (diffracting prisms for the tree, as in the
-// paper) and executes the stress benchmark.
+// paper) and executes the stress benchmark behind the spec's front-end.
 func (s RealSpec) Run() (*shm.StressResult, error) {
 	g, err := s.Net.Build(s.Width)
 	if err != nil {
@@ -92,26 +67,8 @@ func (s RealSpec) Run() (*shm.StressResult, error) {
 		BurnDelay:   s.BurnDelay,
 		Seed:        s.Seed,
 	}
-	switch {
-	case s.Adaptive && s.Combine:
-		return nil, fmt.Errorf("workload: Adaptive and Combine are mutually exclusive")
-	case s.Combine:
-		cfg.Front = combine.Front{Funnel: combine.New(combine.Options{
-			Width:  s.CombineWidth,
-			Window: s.CombineWindow,
-		}), Net: n}
-	case s.Adaptive:
-		front, err := adaptive.New(n, adaptive.Options{
-			Linearizable:  s.AdaptiveLinearizable,
-			LinearBelow:   s.AdaptiveLinearBelow,
-			CombineWidth:  s.CombineWidth,
-			CombineWindow: s.CombineWindow,
-			EffWait:       cfg.EffWait(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		cfg.Front = front
+	if cfg.Front, err = s.Front.Build(n, cfg.EffWait(), nil); err != nil {
+		return nil, err
 	}
 	return shm.Stress(cfg)
 }
