@@ -46,7 +46,6 @@ package adaptive
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,26 +100,8 @@ func (m Mode) String() string {
 	}
 }
 
-// Defaults for Options.
-const (
-	// DefaultWindow is the default controller window in tokens.
-	DefaultWindow = 512
-	// DefaultHold is how many consecutive windows must agree on a regime
-	// change before the switch happens (the hysteresis depth).
-	DefaultHold = 2
-	// DefaultDirectMax is the mean occupancy above which the direct
-	// counter escalates to the combining funnel.
-	DefaultDirectMax = 6
-	// DefaultCombineMax is the mean occupancy above which the funnel
-	// escalates to the full network.
-	DefaultCombineMax = 48
-	// DefaultRaceMax is the funnel CAS-failure-per-token rate above which
-	// combine escalates to the network regardless of occupancy.
-	DefaultRaceMax = 2.0
-	// DefaultMaxPadK caps the Corollary 3.12 padding factor so a wildly
-	// noisy ratio estimate cannot compile an unboundedly deep prefix.
-	DefaultMaxPadK = 6
-)
+// DefaultWindow is the default controller window in tokens.
+const DefaultWindow = 512
 
 // sampleShift sets the ratio/occupancy sampling rate: one token in
 // 1<<sampleShift is timed. Sampling keeps the hot path free of clock
@@ -132,23 +113,12 @@ const sampleShift = 6
 // the only place all stripes meet.
 const stripes = 32
 
-// Options configures a Counter.
+// Options configures a Counter. The controller's regime thresholds are
+// fixed constants (control.go); the funnel runs the combine package
+// defaults.
 type Options struct {
 	// Window is the controller window in tokens (default DefaultWindow).
 	Window int
-	// Hold is the hysteresis depth in windows (default DefaultHold).
-	Hold int
-	// DirectMax and CombineMax are the escalation occupancy thresholds
-	// (defaults DefaultDirectMax, DefaultCombineMax); de-escalation uses
-	// half of each, so the two directions never share an edge. An
-	// explicitly set CombineMax must exceed the (possibly defaulted)
-	// DirectMax or New rejects the pair; only the zero value takes the
-	// silent default.
-	DirectMax  int
-	CombineMax int
-	// RaceMax is the combine-mode CAS-failure-per-token escalation
-	// threshold (default DefaultRaceMax).
-	RaceMax float64
 	// Linearizable routes network-mode traffic through the Corollary 3.12
 	// padded network whenever the measured (Tog+W)/Tog ratio implies
 	// k > 2, instead of silently degrading.
@@ -158,17 +128,13 @@ type Options struct {
 	// and the mean occupancy sits below this band, the controller enters
 	// ModeLinear instead — the network plus the waiting filter, whose
 	// serialization cost is affordable exactly when few tokens overlap.
-	// Above the band the engine reverts to the practically-linearizable
-	// plain network; direct-counter epochs are untouched (a fetch-and-add
-	// is already linearizable). A counter built with LinearBelow > 0
-	// starts in ModeLinear, so the guarantee holds from the first token.
+	// A direct or linear counter stays in that guaranteed family until
+	// the occupancy exceeds the band; a combine or network counter
+	// re-enters it below half the band. Direct-counter epochs are
+	// untouched (a fetch-and-add is already linearizable). A counter
+	// built with LinearBelow > 0 starts in ModeLinear, so the guarantee
+	// holds from the first token.
 	LinearBelow int
-	// MaxPadK caps the padding factor k (default DefaultMaxPadK).
-	MaxPadK int
-	// CombineWidth and CombineWindow configure the funnel (zero values
-	// mean the combine package defaults).
-	CombineWidth  int
-	CombineWindow time.Duration
 	// EffWait is the effective injected per-node delay in nanoseconds —
 	// the W of the (Tog+W)/Tog estimate (0 when the workload injects no
 	// delays).
@@ -255,8 +221,8 @@ type Counter struct {
 
 	// Controller state, all under ctlMu.
 	ctlMu     sync.Mutex
-	want      Mode // regime the last disagreeing window voted for
-	agree     int  // consecutive windows voting for want
+	pol       policy
+	hyst      hysteresis
 	lastRaces int64
 	lastToks  int64
 
@@ -280,44 +246,18 @@ func New(n *shm.Network, opts Options) (*Counter, error) {
 	if n == nil {
 		return nil, fmt.Errorf("adaptive: nil network")
 	}
-	if opts.Window <= 0 {
-		opts.Window = DefaultWindow
-	}
-	if opts.Hold <= 0 {
-		opts.Hold = DefaultHold
-	}
-	if opts.DirectMax <= 0 {
-		opts.DirectMax = DefaultDirectMax
-	}
-	if opts.CombineMax == 0 {
-		opts.CombineMax = DefaultCombineMax
-		if opts.CombineMax <= opts.DirectMax {
-			opts.CombineMax = 2 * opts.DirectMax
-		}
-	} else if opts.CombineMax <= opts.DirectMax {
-		// An explicit threshold pair that cannot order the ladder is a
-		// configuration bug; rewriting it silently would hide the mistake.
-		return nil, fmt.Errorf("adaptive: CombineMax (%d) must exceed DirectMax (%d)",
-			opts.CombineMax, opts.DirectMax)
-	}
-	if opts.RaceMax <= 0 {
-		opts.RaceMax = DefaultRaceMax
-	}
-	if opts.MaxPadK < 2 {
-		opts.MaxPadK = DefaultMaxPadK
-	}
 	if opts.LinearBelow < 0 {
 		return nil, fmt.Errorf("adaptive: negative LinearBelow (%d)", opts.LinearBelow)
+	}
+	if opts.Window <= 0 {
+		opts.Window = DefaultWindow
 	}
 	c := &Counter{
 		net:    n,
 		opts:   opts,
+		pol:    newPolicy(opts),
 		padded: map[int]paddedNet{1: {net: n, padK: 1}},
-		funnel: combine.New(combine.Options{
-			Width:   opts.CombineWidth,
-			Window:  opts.CombineWindow,
-			Metrics: opts.Metrics,
-		}),
+		funnel: combine.New(combine.Options{Metrics: opts.Metrics}),
 	}
 	if reg := opts.Metrics; reg != nil {
 		c.ratio = reg.Ratio("shm_adaptive_c2c1", opts.EffWait)
@@ -461,7 +401,7 @@ func (c *Counter) dispatch(ep *epoch, input int, proc, tok int32, afterNode func
 // so the subtraction is exact in expectation across samples; the 1ns
 // floor keeps an undelayed sample from going negative (and keeps a
 // measured near-zero Tog distinct from "no observations yet", which
-// padK treats as no data). The floor can only raise the ratio, i.e. pad
+// padFor treats as no data). The floor can only raise the ratio, i.e. pad
 // earlier than strictly necessary, never later.
 //
 // Combine-mode latencies are dominated by the funnel rendezvous window,
@@ -566,17 +506,22 @@ func (c *Counter) SwitchTo(m Mode) error {
 	if m < ModeDirect || m > ModeLinear {
 		return fmt.Errorf("adaptive: unknown mode %d", int32(m))
 	}
+	k := 1
+	if m == ModeNetwork {
+		k = c.pol.padFor(c.ratio.Value())
+	}
 	c.switchMu.Lock()
 	defer c.switchMu.Unlock()
-	c.switchLocked(m)
+	c.switchLocked(m, k)
 	return nil
 }
 
-// switchLocked executes the drain-then-switch protocol. Caller holds
+// switchLocked executes the drain-then-switch protocol into mode m with
+// Corollary 3.12 factor k (1 outside ModeNetwork). Caller holds
 // switchMu.
 //
 //countnet:gateheld
-func (c *Counter) switchLocked(m Mode) {
+func (c *Counter) switchLocked(m Mode, k int) {
 	old := c.cur.Load()
 	c.gate.Add(1) // even -> odd: close the gate
 	var bo backoff.Backoff
@@ -597,7 +542,7 @@ func (c *Counter) switchLocked(m Mode) {
 		padK: 1,
 	}
 	if m != ModeDirect {
-		next.net, next.padK = c.pickNet(m)
+		next.net, next.padK = c.pickNet(k)
 		next.strt = netTotal(next.net)
 	} else {
 		next.strt = c.direct.v.Load()
@@ -634,26 +579,19 @@ var compilePadded = func(g *topo.Graph, opts shm.Options) (*shm.Network, error) 
 	return shm.Compile(g, opts)
 }
 
-// pickNet selects the network the next epoch traverses and the padding
-// factor that network really has: the plain one, or — for a ModeNetwork
-// epoch under the Linearizable option when the measured ratio implies
-// k > 2 — the Corollary 3.12 padded variant for the smallest k covering
-// the estimate, compiled once and cached with the plain network's own
-// toggle kind. Combine and linear epochs
-// always get the plain network: padding applies to network-mode traffic
-// only (matching the Options.Linearizable contract and control()'s repad
-// check, which re-rolls only ModeNetwork epochs when the estimate
-// moves), and a linear epoch's waiting already guarantees what padding
-// buys. Compile failures fall back to the plain network (padding is an
-// optimization of the guarantee, never of correctness) — cached under
-// the requested key but carrying its true factor 1, so the epoch log
-// never claims padding that does not exist and the repad check keeps
-// seeing the epoch as unpadded.
-func (c *Counter) pickNet(m Mode) (*shm.Network, int) {
-	k := 1
-	if m == ModeNetwork {
-		k = c.padK()
-	}
+// pickNet returns the network an epoch with Corollary 3.12 factor k
+// traverses and the factor that network really has: the plain one for
+// k = 1, otherwise the padded variant with h*(k-2) prefix pass-through
+// balancers per input, compiled once and cached with the plain network's
+// own toggle kind. The controller asks for k > 1 only for ModeNetwork
+// epochs under the Linearizable option: combine and linear epochs always
+// get the plain network, and a linear epoch's waiting already guarantees
+// what padding buys. Compile failures fall back to the plain network
+// (padding is an optimization of the guarantee, never of correctness) —
+// cached under the requested key but carrying its true factor 1, so the
+// epoch log never claims padding that does not exist and the controller
+// keeps seeing the epoch as unpadded.
+func (c *Counter) pickNet(k int) (*shm.Network, int) {
 	if p, ok := c.padded[k]; ok {
 		return p.net, p.padK
 	}
@@ -670,26 +608,4 @@ func (c *Counter) pickNet(m Mode) (*shm.Network, int) {
 	}
 	c.padded[k] = paddedNet{net: n, padK: k}
 	return n, k
-}
-
-// padK returns the Corollary 3.12 factor implied by the live ratio
-// estimate: the smallest integer k with ratio <= k, clamped to
-// [1, MaxPadK]; 1 (no padding) unless the Linearizable option is set and
-// the estimate implies k > 2.
-func (c *Counter) padK() int {
-	if !c.opts.Linearizable {
-		return 1
-	}
-	r := c.ratio.Value()
-	if math.IsInf(r, 1) || math.IsNaN(r) || r <= 2 {
-		return 1
-	}
-	k := int(math.Ceil(r))
-	if k > c.opts.MaxPadK {
-		k = c.opts.MaxPadK
-	}
-	if k <= 2 {
-		return 1
-	}
-	return k
 }

@@ -132,22 +132,6 @@ func TestNewValidation(t *testing.T) {
 	if c.Mode() != adaptive.ModeDirect {
 		t.Errorf("fresh counter in mode %v, want direct", c.Mode())
 	}
-	n, err := shm.Compile(buildGraph(t, 2), shm.Options{Kind: shm.KindMCS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An explicitly set CombineMax that cannot order the escalation
-	// ladder is rejected, not silently rewritten.
-	if _, err := adaptive.New(n, adaptive.Options{DirectMax: 8, CombineMax: 8}); err == nil {
-		t.Error("CombineMax == DirectMax accepted")
-	}
-	if _, err := adaptive.New(n, adaptive.Options{DirectMax: 8, CombineMax: 4}); err == nil {
-		t.Error("CombineMax < DirectMax accepted")
-	}
-	// Defaulted CombineMax still must exceed the explicit DirectMax.
-	if _, err := adaptive.New(n, adaptive.Options{DirectMax: 100}); err != nil {
-		t.Errorf("zero CombineMax with large DirectMax rejected: %v", err)
-	}
 }
 
 // TestQuiescentSwitchMatrix walks every width through a full rotation of
@@ -197,9 +181,7 @@ func TestConcurrentSwitchMatrix(t *testing.T) {
 	}
 	for _, width := range matrixWidths {
 		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
-			c := newCounter(t, width, adaptive.Options{
-				CombineWindow: 50 * time.Microsecond,
-			})
+			c := newCounter(t, width, adaptive.Options{})
 			const workers = 8
 			const per = 64
 			vals := make([]int64, workers*per)
@@ -239,9 +221,7 @@ func TestConcurrentSwitchMatrix(t *testing.T) {
 // gate: every entry races a closing or reopening gate.
 func TestSwitchStorm(t *testing.T) {
 	const width = 4
-	c := newCounter(t, width, adaptive.Options{
-		CombineWindow: 20 * time.Microsecond,
-	})
+	c := newCounter(t, width, adaptive.Options{})
 	const workers = 4
 	const per = 128
 	vals := make([]int64, workers*per)
@@ -282,7 +262,7 @@ storm:
 
 // TestLinearizablePadding drives the ratio estimator to a known value
 // and checks the Corollary 3.12 decision: k = ceil(ratio) prefix padding
-// above 2, clamped at MaxPadK, none at or below 2 — and that counting
+// above 2, clamped at 6, none at or below 2 — and that counting
 // across padded and unpadded epochs stays exact.
 func TestLinearizablePadding(t *testing.T) {
 	t.Run("k4", func(t *testing.T) {
@@ -309,12 +289,12 @@ func TestLinearizablePadding(t *testing.T) {
 	})
 	t.Run("clamped", func(t *testing.T) {
 		c := newCounter(t, 2, adaptive.Options{Linearizable: true, EffWait: 1e9})
-		c.Ratio().Observe(1) // ratio ~1e9: must clamp at MaxPadK
+		c.Ratio().Observe(1) // ratio ~1e9: must clamp at the cap, 6
 		if err := c.SwitchTo(adaptive.ModeNetwork); err != nil {
 			t.Fatal(err)
 		}
-		if st := c.Stats(); st.PadK != adaptive.DefaultMaxPadK {
-			t.Fatalf("huge ratio gave k=%d, want clamp %d", st.PadK, adaptive.DefaultMaxPadK)
+		if st := c.Stats(); st.PadK != 6 {
+			t.Fatalf("huge ratio gave k=%d, want clamp 6", st.PadK)
 		}
 	})
 	t.Run("under-threshold", func(t *testing.T) {
@@ -389,18 +369,15 @@ func TestMeasuredRatioEngagesPadding(t *testing.T) {
 	checkConservation(t, c, int64(len(vals)))
 }
 
-// TestControllerEscalates runs enough concurrent load over tiny
-// thresholds that the hysteretic controller should escalate away from
-// the direct counter on its own. Scheduling noise can in principle keep
-// the sampled occupancy low, so the assertion is strict only under
-// COUNTNET_STRICT_TIMING (the PR-5 convention); the permutation checks
-// are unconditional.
+// TestControllerEscalates runs concurrent load over tiny thresholds so
+// the free-running controller can escalate away from the direct counter
+// on its own, and checks that counting stays exact whichever regimes it
+// visits. Whether it escalates is scheduling-dependent; the escalation
+// policy itself is pinned by the deterministic TestDecide.
 func TestControllerEscalates(t *testing.T) {
 	const width = 4
-	c := newCounter(t, width, adaptive.Options{
-		Window: 64, Hold: 1, DirectMax: 2, CombineMax: 6,
-		CombineWindow: 20 * time.Microsecond,
-	})
+	c := newCounter(t, width, adaptive.Options{Window: 64})
+	adaptive.SetThresholds(c, 1, 2, 6)
 	const workers = 16
 	const per = 256
 	vals := make([]int64, workers*per)
@@ -422,13 +399,6 @@ func TestControllerEscalates(t *testing.T) {
 	st := c.Stats()
 	t.Logf("controller: %d switches, per-mode tokens %v, ratio %.2f",
 		st.Switches, st.PerMode, st.Ratio)
-	if st.Switches == 0 {
-		if os.Getenv("COUNTNET_STRICT_TIMING") == "" {
-			t.Log("controller never escalated (scheduling-dependent); set COUNTNET_STRICT_TIMING=1 to enforce")
-			return
-		}
-		t.Error("16 workers over DirectMax=2 never escalated")
-	}
 }
 
 // TestStatsPartition checks the per-mode tally partition: every issued
@@ -474,13 +444,11 @@ func TestAdaptiveStressMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				front, err := adaptive.New(n, adaptive.Options{
-					Window: 128, Hold: 1,
-					CombineWindow: 50 * time.Microsecond,
-				})
+				front, err := adaptive.New(n, adaptive.Options{Window: 128})
 				if err != nil {
 					t.Fatal(err)
 				}
+				adaptive.SetThresholds(front, 1, 6, 48)
 				ops := 4 * procs
 				if ops < 256 {
 					ops = 256
@@ -618,19 +586,16 @@ func TestLinearBelowStartsLinear(t *testing.T) {
 }
 
 // TestLinearBelowNeverVotesUnguaranteed pins the controller's
-// guaranteed-ordering override: with LinearBelow far above any reachable
-// occupancy, a free-running controller may move between direct and
-// linear but must never serve a token from the unguaranteed combine or
-// network regimes. Escalation itself is scheduling-dependent on a small
-// host, so reaching ModeLinear is asserted only under
-// COUNTNET_STRICT_TIMING; the exclusion and the permutation are
-// unconditional.
+// guaranteed-ordering override under live load: with LinearBelow far
+// above any reachable occupancy, a free-running controller may move
+// between direct and linear but must never serve a token from the
+// unguaranteed combine or network regimes, and counting stays exact.
+// Which of direct and linear it visits is scheduling-dependent; that
+// policy is pinned by the deterministic TestDecide.
 func TestLinearBelowNeverVotesUnguaranteed(t *testing.T) {
 	const width = 4
-	c := newCounter(t, width, adaptive.Options{
-		Window: 64, Hold: 1, DirectMax: 2, CombineMax: 6,
-		LinearBelow: 1 << 20,
-	})
+	c := newCounter(t, width, adaptive.Options{Window: 64, LinearBelow: 1 << 20})
+	adaptive.SetThresholds(c, 1, 2, 6)
 	const workers = 16
 	const per = 256
 	vals := make([]int64, workers*per)
@@ -653,9 +618,6 @@ func TestLinearBelowNeverVotesUnguaranteed(t *testing.T) {
 	t.Logf("controller: %d switches, per-mode tokens %v", st.Switches, st.PerMode)
 	if n := st.PerMode[adaptive.ModeCombine] + st.PerMode[adaptive.ModeNetwork]; n != 0 {
 		t.Errorf("guaranteed-ordering run served %d tokens from unguaranteed regimes: %v", n, st.PerMode)
-	}
-	if st.PerMode[adaptive.ModeLinear] == 0 && os.Getenv("COUNTNET_STRICT_TIMING") != "" {
-		t.Error("no token ever served in ModeLinear under 16-worker load")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"countnet/internal/bitonic"
 	"countnet/internal/shm"
@@ -109,14 +108,9 @@ func BenchmarkAdaptive(b *testing.B) {
 					case "direct":
 						cfg.Front = &directFront{}
 					case "combine":
-						cfg.Front = combine.Front{Funnel: combine.New(combine.Options{
-							Width: 32, Window: 20 * time.Microsecond,
-						}), Net: n}
+						cfg.Front = combine.Front{Funnel: combine.New(combine.Options{}), Net: n}
 					case "adaptive":
-						front, err := adaptive.New(n, adaptive.Options{
-							CombineWindow: 20 * time.Microsecond,
-							EffWait:       cfg.EffWait(),
-						})
+						front, err := adaptive.New(n, adaptive.Options{EffWait: cfg.EffWait()})
 						if err != nil {
 							b.Fatal(err)
 						}

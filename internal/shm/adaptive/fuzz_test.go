@@ -3,7 +3,6 @@ package adaptive_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"countnet/internal/bitonic"
 	"countnet/internal/shm"
@@ -46,13 +45,11 @@ func FuzzAdaptiveSwitch(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := adaptive.New(n, adaptive.Options{
-			Window: 32, Hold: 1,
-			CombineWindow: 20 * time.Microsecond,
-		})
+		c, err := adaptive.New(n, adaptive.Options{Window: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
+		adaptive.SetThresholds(c, 1, 6, 48)
 		var vals []int64
 		for _, b := range data {
 			if b >= 0x80 {

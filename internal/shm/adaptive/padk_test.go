@@ -13,11 +13,11 @@ import (
 // bug in pickNet's compile-failure fallback: the plain network used to
 // be cached under the padded key k, so every later cache hit returned it
 // claiming padK = k — the epoch log reported Corollary 3.12 padding that
-// did not exist and control()'s repad check believed the epoch already
-// padded. The fallback must report padK = 1 on the first failure, on
-// every cache hit after it, and in every epoch record — and the repad
-// check must keep re-firing, because the padding the estimate calls for
-// is genuinely not in place.
+// did not exist and the controller's repad check believed the epoch
+// already padded. The fallback must report padK = 1 on the first
+// failure, on every cache hit after it, and in every epoch record — and
+// the controller must keep voting to repad, because the padding the
+// estimate calls for is genuinely not in place.
 func TestPickNetFallbackPadK(t *testing.T) {
 	g, err := bitonic.New(4)
 	if err != nil {
@@ -54,8 +54,9 @@ func TestPickNetFallbackPadK(t *testing.T) {
 		if st := c.Stats(); st.PadK != 1 {
 			t.Fatalf("round %d: Stats.PadK = %d, want 1", round, st.PadK)
 		}
-		if got := c.padK(); got != 4 || got == ep.padK {
-			t.Fatalf("round %d: repad check dead: padK() = %d vs epoch padK = %d", round, got, ep.padK)
+		w := window{occ: combineMax, ratio: c.Ratio().Value()}
+		if _, m, k, _ := decide(c.pol, hysteresis{}, ep.mode, ep.padK, w); m != ModeNetwork || k != 4 {
+			t.Fatalf("round %d: repad check dead: controller votes %v/k=%d over epoch padK = %d", round, m, k, ep.padK)
 		}
 		for tok := int32(0); tok < 8; tok++ {
 			c.Next(int(tok)%4, 0, tok+int32(round)*8, nil)
