@@ -177,10 +177,16 @@ type Stats struct {
 	PadK int
 }
 
-// pad64 is an atomic counter on its own cache line.
+// cacheLine is the coherence unit the Counter's hot words are laid out
+// against.
+const cacheLine = 64
+
+// pad64 is an atomic counter that fills a whole cache line. It owns that
+// line only when it also starts on a line boundary; Counter's layout
+// guarantees that for every pad64 it holds.
 type pad64 struct {
 	v atomic.Int64
-	_ [56]byte
+	_ [cacheLine - 8]byte
 }
 
 // epoch is the immutable state tokens read through the gate: the regime,
@@ -197,11 +203,20 @@ type epoch struct {
 
 // Counter is the adaptive front-end. Safe for concurrent use by any
 // number of goroutines.
+//
+// Layout: every token reads gate and cur, and only a switch writes them,
+// so the two share a line that no per-token write touches. Each census
+// stripe, the direct counter and the turn counter start on line
+// boundaries and fill their lines, so a token's RMWs invalidate no line
+// another token reads. The allocator may start a Counter a few words past
+// a line boundary (Go's malloc header), which shifts every word alike and
+// keeps each hot word on a line of its own. TestCounterLayout pins this.
 type Counter struct {
 	// gate is a seqlock: even = open, odd = switching.
 	gate     atomic.Int64          //countnet:gate
 	cur      atomic.Pointer[epoch] //countnet:gated
-	inflight [stripes]pad64        //countnet:gatecensus
+	_        [cacheLine - 16]byte
+	inflight [stripes]pad64 //countnet:gatecensus
 
 	direct pad64 // the ModeDirect backend's cumulative sequence
 	// turn is the ModeLinear release gate over raw backend values.
@@ -332,11 +347,18 @@ func (c *Counter) Next(input int, proc, tok int32, afterNode func(id topo.NodeID
 // switch has closed the gate, newly arriving tokens never touch the
 // census — only the bounded set already past their first gate check can
 // blip a stripe, which keeps the switcher's drain scan from being held
-// nonzero forever by sustained arrivals. The common open-gate path is
-// two loads and one RMW. With sequentially consistent atomics, either
-// the switcher's drain scan sees the increment (and waits for the
-// token), or the re-check after the increment sees the odd gate (and
-// the token backs out). Either way no token runs in a retired epoch.
+// nonzero forever by sustained arrivals. With sequentially consistent
+// atomics, either the switcher's drain scan sees the increment (and waits
+// for the token), or the re-check after the increment sees the odd gate
+// (and the token backs out). Either way no token runs in a retired epoch.
+//
+// The common open-gate path is two gate loads, one cur load and one RMW,
+// and it costs only that because of Counter's layout: gate and cur share
+// a line that no token writes, so while the gate stays open the loads
+// hit in every reader's cache, and the RMW lands on the caller's own
+// stripe line. With a stripe (or any other per-token word) on the gate's
+// line, every call by one client would miss on the other client's
+// writes.
 //
 //countnet:hotpath
 func (c *Counter) enter(proc int32) (int, *epoch) {
@@ -404,18 +426,17 @@ func (c *Counter) dispatch(ep *epoch, input int, proc, tok int32, afterNode func
 // padFor treats as no data). The floor can only raise the ratio, i.e. pad
 // earlier than strictly necessary, never later.
 //
-// Combine-mode latencies are dominated by the funnel rendezvous window,
-// not balancer waits — a waiting token never visits a balancer at all —
-// so they are excluded: folding them in would inflate Tog, deflate the
-// ratio, and delay padding the measurement does not justify. Linear-mode
-// latencies are excluded for the same reason: they are dominated by the
-// turn wait, which is serialization cost, not toggle wait.
+// Only ModeNetwork latencies feed the estimator, because the only
+// consumer of the ratio is the padding factor of a later ModeNetwork
+// epoch. A direct token's latency is one fetch-and-add, not a link time.
+// Combine-mode latencies are dominated by the funnel rendezvous window —
+// a waiting token never visits a balancer at all — and linear-mode
+// latencies by the turn wait, which is serialization cost, not toggle
+// wait. Folding any of them in would make a network epoch's k partly a
+// mean of times no network link took.
 func (c *Counter) sample(ep *epoch, d time.Duration) {
-	if ep.mode != ModeCombine && ep.mode != ModeLinear {
-		nodes := int64(1)
-		if ep.mode != ModeDirect {
-			nodes = int64(ep.net.Graph().Depth()) + 1
-		}
+	if ep.mode == ModeNetwork {
+		nodes := int64(ep.net.Graph().Depth()) + 1
 		per := d.Nanoseconds()/nodes - int64(c.opts.EffWait)
 		if per < 1 {
 			per = 1

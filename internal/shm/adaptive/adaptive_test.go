@@ -2,8 +2,10 @@ package adaptive_test
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -218,46 +220,90 @@ func TestConcurrentSwitchMatrix(t *testing.T) {
 // TestSwitchStorm oscillates the regime as fast as the drain protocol
 // allows — back-to-back forced switches with zero settle time — under
 // concurrent load. The storm is the adversarial schedule for the epoch
-// gate: every entry races a closing or reopening gate.
+// gate: every entry races a closing or reopening gate. The oversubscribed
+// case bounds drain liveness: 256 goroutines on GOMAXPROCS(2), so the
+// in-flight census is large and its members compete for two CPUs. Every
+// drain-then-switch — linear epochs included, where the in-flight set
+// releases in value order — must return within drainBound. The bound is
+// generous: a drain waits for at most 256 tokens of a few microseconds
+// each, so only a drain that stalls on descheduled goroutines nears it.
 func TestSwitchStorm(t *testing.T) {
-	const width = 4
-	c := newCounter(t, width, adaptive.Options{})
-	const workers = 4
-	const per = 128
-	vals := make([]int64, workers*per)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				tok := int32(w*per + i)
-				vals[tok] = c.Next(w%width, int32(w), tok, nil)
+	const (
+		width      = 4
+		drainBound = 2 * time.Second
+	)
+	for _, tc := range []struct {
+		name         string
+		workers, per int
+		maxprocs     int // 0 leaves GOMAXPROCS alone
+	}{
+		{"4-workers", 4, 128, 0},
+		{"256-workers-2-procs", 256, 64, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.maxprocs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.maxprocs))
 			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	storms := 0
-storm:
-	for {
-		for _, m := range []adaptive.Mode{
-			adaptive.ModeNetwork, adaptive.ModeLinear, adaptive.ModeDirect, adaptive.ModeCombine,
-		} {
-			select {
-			case <-done:
-				break storm
-			default:
-				if err := c.SwitchTo(m); err != nil {
-					t.Error(err)
+			c := newCounter(t, width, adaptive.Options{})
+			vals := make([]int64, tc.workers*tc.per)
+			start := make(chan struct{}) // closed once the storm is under way
+			var wg sync.WaitGroup
+			for w := 0; w < tc.workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					<-start
+					for i := 0; i < tc.per; i++ {
+						tok := int32(w*tc.per + i)
+						vals[tok] = c.Next(w%width, int32(w), tok, nil)
+					}
+				}(w)
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			var (
+				storms  int
+				slowest time.Duration
+			)
+			stormed := make(chan error)
+			go func() {
+				modes := []adaptive.Mode{
+					adaptive.ModeNetwork, adaptive.ModeLinear, adaptive.ModeDirect, adaptive.ModeCombine,
 				}
-				storms++
+				for i := 0; ; i++ {
+					select {
+					case <-done:
+						close(stormed)
+						return
+					default:
+					}
+					t0 := time.Now()
+					if err := c.SwitchTo(modes[i%len(modes)]); err != nil {
+						stormed <- err
+						return
+					}
+					slowest = max(slowest, time.Since(t0))
+					if storms++; storms == 1 {
+						close(start)
+					}
+				}
+			}()
+			select {
+			case err, ok := <-stormed:
+				if ok {
+					t.Fatal(err)
+				}
+			case <-time.After(60 * time.Second):
+				t.Fatalf("switch storm hung in mode %v", c.Mode())
 			}
-		}
+			t.Logf("survived %d forced switches; slowest %v", storms, slowest)
+			if slowest > drainBound {
+				t.Fatalf("a SwitchTo took %v, bound %v", slowest, drainBound)
+			}
+			checkValues(t, vals, width)
+			checkConservation(t, c, int64(tc.workers*tc.per))
+		})
 	}
-	checkValues(t, vals, width)
-	checkConservation(t, c, workers*per)
-	t.Logf("survived %d forced switches", storms)
 }
 
 // TestLinearizablePadding drives the ratio estimator to a known value
@@ -340,7 +386,8 @@ func TestLinearizablePadding(t *testing.T) {
 // construction and the Linearizable option could never pad from a real
 // measurement. W is chosen large against scheduling noise so the
 // residual after subtraction stays well under W and the ratio lands
-// far above the k = 2 threshold.
+// far above the k = 2 threshold. The measuring epoch is an unpadded
+// ModeNetwork one, the only mode whose latencies feed the estimator.
 func TestMeasuredRatioEngagesPadding(t *testing.T) {
 	const wait = 8 * time.Millisecond
 	c := newCounter(t, 2, adaptive.Options{
@@ -348,6 +395,12 @@ func TestMeasuredRatioEngagesPadding(t *testing.T) {
 		EffWait:      float64(wait.Nanoseconds()),
 		Window:       1 << 20, // keep the controller out of the way
 	})
+	if err := c.SwitchTo(adaptive.ModeNetwork); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.PadK != 1 {
+		t.Fatalf("network epoch padded to k=%d before any measurement", st.PadK)
+	}
 	inject := func(topo.NodeID) { time.Sleep(wait) }
 	var vals []int64
 	for tok := int32(0); tok < 65; tok++ { // spans two sampled tokens
@@ -364,6 +417,32 @@ func TestMeasuredRatioEngagesPadding(t *testing.T) {
 	}
 	for tok := int32(65); tok < 129; tok++ {
 		vals = append(vals, c.Next(int(tok)%2, 0, tok, nil))
+	}
+	checkValues(t, vals, 2)
+	checkConservation(t, c, int64(len(vals)))
+}
+
+// TestDirectSamplesLeaveRatioUnset checks that ModeDirect latencies never
+// reach the (Tog+W)/Tog estimator: a fetch-and-add time is not a link
+// time, so a run that never leaves the direct counter has no estimate,
+// and a later network epoch's k cannot be a mean of non-link times.
+func TestDirectSamplesLeaveRatioUnset(t *testing.T) {
+	c := newCounter(t, 2, adaptive.Options{
+		Linearizable: true,
+		Window:       1 << 20, // keep the controller out of the way
+	})
+	vals := drawAll(t, c, 2, 0, 1024) // 16 sampled tokens
+	if m := c.Mode(); m != adaptive.ModeDirect {
+		t.Fatalf("counter left direct mode (now %v) with the controller idle", m)
+	}
+	if r := c.Ratio().Value(); !math.IsInf(r, 1) {
+		t.Fatalf("direct-only run left ratio %.3f, want +Inf (no network samples)", r)
+	}
+	if err := c.SwitchTo(adaptive.ModeNetwork); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.PadK != 1 || !math.IsInf(st.Ratio, 1) {
+		t.Fatalf("network epoch after a direct-only run: ratio %.3f, k=%d; want +Inf, 1", st.Ratio, st.PadK)
 	}
 	checkValues(t, vals, 2)
 	checkConservation(t, c, int64(len(vals)))

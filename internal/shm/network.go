@@ -143,7 +143,7 @@ func (n *Network) walk(p topo.PortRef, demand int, t *trip, out []int64) []int64
 		}
 		var t0 int64
 		if o != nil {
-			t0 = o.arrive(id)
+			t0 = o.clock()
 		}
 		// A single token continues on its own branch instead of sharing the
 		// group's: with the tally and split state merged into one hop, every

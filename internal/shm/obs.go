@@ -1,7 +1,6 @@
 package shm
 
 import (
-	"fmt"
 	"time"
 
 	"countnet/internal/obs"
@@ -10,15 +9,14 @@ import (
 
 // netObs is the observability state attached to a compiled Network by
 // EnableObs: tracer, clock, and the live metric family (the (Tog+W)/Tog
-// estimator, toggle-wait histogram, per-balancer queue-depth gauges, and
-// the prism CAS-retry counter).
+// estimator, toggle-wait histogram, output fetch-and-add count, and the
+// prism CAS-retry counter).
 type netObs struct {
 	tr    obs.Tracer   // nil when tracing disabled
 	clock func() int64 // nanoseconds on the run's monotonic timeline
 	spans *obs.Clock   // causal span ids; non-nil exactly when tr is
 	tog   *obs.Histogram
 	ratio *obs.Ratio
-	depth []*obs.Gauge // per-balancer concurrent-traverser count; nil entries for counters
 	fai   *obs.Counter // output-counter fetch-and-adds
 }
 
@@ -53,15 +51,13 @@ func (n *Network) EnableObs(tr obs.Tracer, reg *obs.Registry, clock func() int64
 		o.tog = reg.Histogram("shm_tog_wait_ns")
 		o.ratio = reg.Ratio("shm_avg_c2c1", effW)
 		o.fai = reg.Counter("shm_counter_fai_total")
-		o.depth = make([]*obs.Gauge, len(n.balancers))
-		var prisms int64
-		for _, id := range n.g.Balancers() {
-			o.depth[id] = reg.Gauge(fmt.Sprintf("shm_bal%03d_depth", id))
-			if _, ok := n.balancers[id].(*Diffracting); ok {
-				prisms++
+		prisms := false
+		for _, b := range n.balancers {
+			if _, ok := b.(*Diffracting); ok {
+				prisms = true
 			}
 		}
-		if prisms > 0 {
+		if prisms {
 			reg.GaugeFunc("shm_prism_cas_retries_total", func() float64 {
 				var total int64
 				for _, b := range n.balancers {
@@ -109,23 +105,10 @@ func (n *Network) TraverseSpan(input int, proc, tok int32, parent uint64, afterN
 	return vals[0], t.span
 }
 
-// arrive opens a timed balancer hop: it stamps the arrival and counts the
-// token onto the balancer's depth gauge.
-func (o *netObs) arrive(id topo.NodeID) int64 {
-	t0 := o.clock()
-	if o.depth != nil {
-		o.depth[id].Add(1)
-	}
-	return t0
-}
-
-// toggled closes a balancer hop opened at t0: the depth gauge, the toggle
-// wait histogram and (Tog+W)/Tog ratio, and the trace event.
+// toggled closes a balancer hop opened at t0: the toggle wait histogram
+// and (Tog+W)/Tog ratio, and the trace event.
 func (o *netObs) toggled(id topo.NodeID, t0 int64, t *trip) {
 	t1 := o.clock()
-	if o.depth != nil {
-		o.depth[id].Add(-1)
-	}
 	if o.tog != nil && o.ratio != nil {
 		o.tog.Observe(t1 - t0)
 		o.ratio.Observe(t1 - t0)

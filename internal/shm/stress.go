@@ -49,7 +49,7 @@ type StressConfig struct {
 	// events on the run's monotonic timeline.
 	Tracer obs.Tracer
 	// Metrics, when non-nil, receives the live shm metric family (toggle
-	// wait histogram, (Tog+W)/Tog ratio, per-balancer depth gauges, prism
+	// wait histogram, (Tog+W)/Tog ratio, output fetch-and-add count, prism
 	// CAS retries).
 	Metrics *obs.Registry
 }
