@@ -148,7 +148,7 @@ func measureEngines(w io.Writer, net workload.NetKind, width int) error {
 		}
 		cfg := shm.StressConfig{Net: n, Workers: procs, Ops: ops, DelayedFrac: frac,
 			Delay: 20 * time.Microsecond, Seed: 1, Metrics: obs.NewRegistry()}
-		if cfg.Front, err = kind.Build(n, cfg.EffWait(), cfg.Metrics); err != nil {
+		if cfg.Front, err = kind.Build(n, cfg.Metrics); err != nil {
 			return err
 		}
 		res, err := shm.Stress(cfg)
@@ -160,16 +160,9 @@ func measureEngines(w io.Writer, net workload.NetKind, width int) error {
 			fmt.Fprintf(w, row+"   combine hit rate %.2f\n",
 				kind, "ns", res.Tog, cfg.EffWait(), res.AvgRatio, f.Funnel.Stats().HitRate())
 		case *adaptive.Counter:
-			// The front-end's own estimator is the adaptive rows' ratio: it
-			// is what drives the regime (and Corollary 3.12 padding)
-			// decisions, and unlike the network-side gauge it also samples
-			// direct-mode tokens.
-			st, tog := f.Stats(), 0.0
-			if r := f.Ratio(); r != nil {
-				tog = r.Tog()
-			}
+			st := f.Stats()
 			fmt.Fprintf(w, row+"   modes d/c/n/l %d/%d/%d/%d, %d switches\n",
-				kind, "ns", tog, cfg.EffWait(), st.Ratio,
+				kind, "ns", res.Tog, cfg.EffWait(), res.AvgRatio,
 				st.PerMode[adaptive.ModeDirect], st.PerMode[adaptive.ModeCombine],
 				st.PerMode[adaptive.ModeNetwork], st.PerMode[adaptive.ModeLinear], st.Switches)
 		default:

@@ -24,14 +24,13 @@
 //     and combining degree, and the same counters appear in /metrics.
 //   - shm-adaptive: the contention-adaptive front-end
 //     (internal/shm/adaptive) routes tokens through a direct counter, the
-//     combining funnel, or the full network as the measured load changes,
-//     always with Corollary 3.12 prefix padding enabled whenever the
-//     measured ratio implies k > 2; the report adds the regime history
-//     (per-mode token tallies, switch count, live (Tog+W)/Tog estimate).
+//     combining funnel, or the full network as the measured load changes;
+//     the report adds the regime history (per-mode token tallies, switch
+//     count).
 //   - shm-adaptive-linear: the same front-end pinned to its
 //     guaranteed-linearizable waiting regime (ModeLinear: traverse the
 //     network, then hold the response until every smaller value has been
-//     returned).
+//     returned); it reports "ended in linear after 0 switches".
 //
 // With -engine msgnet the workload runs on the message-passing runtime
 // instead, and -faults turns on deterministic chaos (internal/faults):
@@ -178,7 +177,7 @@ func run(args []string, w io.Writer) error {
 	if *trace != "" || *metrics != "" || *pprofA != "" {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	if cfg.Front, err = workload.FrontKind(*engine).Build(n, cfg.EffWait(), cfg.Metrics); err != nil {
+	if cfg.Front, err = workload.FrontKind(*engine).Build(n, cfg.Metrics); err != nil {
 		return err
 	}
 	if *pprofA != "" {
@@ -210,17 +209,16 @@ func run(args []string, w io.Writer) error {
 			c.HitRate(), c.Pairs, deg, c.Partners, c.Timeouts, c.Idle, c.Races)
 	case *adaptive.Counter:
 		st := f.Stats()
-		fmt.Fprintf(w, "adaptive: ended in %s after %d switches, tokens direct/combine/network/linear = %d/%d/%d/%d, (Tog+W)/Tog est %.3f\n",
-			st.Mode, st.Switches, st.PerMode[adaptive.ModeDirect], st.PerMode[adaptive.ModeCombine], st.PerMode[adaptive.ModeNetwork], st.PerMode[adaptive.ModeLinear], st.Ratio)
-		if st.PadK > 1 {
-			fmt.Fprintf(w, "adaptive: running Corollary 3.12 padded network, k=%d\n", st.PadK)
-		}
+		fmt.Fprintf(w, "adaptive: ended in %s after %d switches, tokens direct/combine/network/linear = %d/%d/%d/%d\n",
+			st.Mode, st.Switches, st.PerMode[adaptive.ModeDirect], st.PerMode[adaptive.ModeCombine], st.PerMode[adaptive.ModeNetwork], st.PerMode[adaptive.ModeLinear])
 		if eps := f.Epochs(); len(eps) > 0 {
 			fmt.Fprintf(w, "adaptive: regime history:")
+			live := st.Tokens
 			for _, e := range eps {
 				fmt.Fprintf(w, " %s×%d", e.Mode, e.Tokens)
+				live -= e.Tokens
 			}
-			fmt.Fprintf(w, " %s×%d(live)\n", st.Mode, st.PerMode[st.Mode]-liveAdjust(eps, st.Mode))
+			fmt.Fprintf(w, " %s×%d(live)\n", st.Mode, live)
 		}
 	}
 	return writeOutputs(w, ring, *trace, obs.Meta{Engine: *engine, Unit: "ns", Net: *net, Width: *width}, cfg.Metrics, *metrics)
@@ -345,19 +343,6 @@ func writeOutputs(w io.Writer, ring *obs.Ring, tracePath string, meta obs.Meta, 
 	}
 	fmt.Fprintf(w, "metrics written to %s\n", metricsPath)
 	return nil
-}
-
-// liveAdjust returns the closed-epoch token total for the given mode, so
-// the live epoch's share can be split out of the cumulative per-mode
-// tally in the regime-history line.
-func liveAdjust(eps []adaptive.EpochStat, m adaptive.Mode) int64 {
-	var n int64
-	for _, e := range eps {
-		if e.Mode == m {
-			n += e.Tokens
-		}
-	}
-	return n
 }
 
 // exportTrace writes events to path in the format implied by its extension.

@@ -244,10 +244,10 @@ func RunSim(spec workload.Spec) (*Execution, error) {
 // wall-clock delay; the execution is named after the front-end. Running
 // the combining funnel and the adaptive engine as differential engines
 // asserts that combined walks and drain-then-switch epochs are invisible
-// in every quiescent invariant. The shm-adaptive engine has Corollary
-// 3.12 padding on, so the padded path runs whenever the measured ratio
-// implies k > 2; shm-adaptive-linear is pinned to the waiting regime and
-// promises full linearizability, which CrossCheck asserts.
+// in every quiescent invariant. The shm-adaptive engine runs its
+// controller with the defaults; shm-adaptive-linear is pinned to the
+// waiting regime for the whole run and promises full linearizability,
+// which CrossCheck asserts.
 func RunSHM(spec workload.Spec, front workload.FrontKind) (*Execution, error) {
 	real := workload.RealSpec{
 		Net:         spec.Net,

@@ -6,9 +6,8 @@
 // (internal/shm/combine) in front of the counting network; at high
 // contention they traverse the full-width balancing network, whose whole
 // point is that no single memory word is hot. The regime choice is driven
-// by a lightweight online estimate of the paper's Section 5 measure
-// (Tog+W)/Tog — the empirical c2/c1 — together with occupancy and
-// CAS-failure signals, with hysteresis so the mode does not flap.
+// by sampled occupancy and the funnel's CAS-failure rate, with hysteresis
+// so the mode does not flap.
 //
 // Mode switches preserve exact counting. Every token enters through a
 // seqlock-style epoch gate: a switch closes the gate (odd value), waits
@@ -33,24 +32,16 @@
 // from the controller: whenever the ladder picks a network-family regime
 // at occupancy below the band, the engine serializes responses instead
 // of running outside the guarantee; above the band it reverts to the
-// practically-linearizable plain network.
-//
-// The Linearizable option implements the honest version of the paper's
-// Corollary 3.12 trade: when the measured (Tog+W)/Tog ratio implies
-// c2 > 2*c1 (k > 2), network-mode traffic is routed through a padded
-// network with h*(k-2) prefix pass-through balancers per input instead of
-// silently running a regime in which linearizability is no longer
-// guaranteed. The padding costs depth, exactly as the paper says
-// guaranteed linearizability must.
+// practically-linearizable plain network. ModeLinear is the engine's only
+// linearizability guarantee: it holds in every execution, with no bound
+// on c2/c1 assumed.
 package adaptive
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"countnet/internal/core"
 	"countnet/internal/obs"
 	"countnet/internal/shm"
 	"countnet/internal/shm/backoff"
@@ -103,9 +94,8 @@ func (m Mode) String() string {
 // DefaultWindow is the default controller window in tokens.
 const DefaultWindow = 512
 
-// sampleShift sets the ratio/occupancy sampling rate: one token in
-// 1<<sampleShift is timed. Sampling keeps the hot path free of clock
-// reads.
+// sampleShift sets the occupancy sampling rate: one token in
+// 1<<sampleShift adds the census to the controller's window.
 const sampleShift = 6
 
 // stripes is the width of the striped in-flight census. Tokens add to the
@@ -119,10 +109,6 @@ const stripes = 32
 type Options struct {
 	// Window is the controller window in tokens (default DefaultWindow).
 	Window int
-	// Linearizable routes network-mode traffic through the Corollary 3.12
-	// padded network whenever the measured (Tog+W)/Tog ratio implies
-	// k > 2, instead of silently degrading.
-	Linearizable bool
 	// LinearBelow, when positive, asks for guaranteed ordering: whenever
 	// the ladder would pick a network-family regime (combine or network)
 	// and the mean occupancy sits below this band, the controller enters
@@ -135,14 +121,9 @@ type Options struct {
 	// built with LinearBelow > 0 starts in ModeLinear, so the guarantee
 	// holds from the first token.
 	LinearBelow int
-	// EffWait is the effective injected per-node delay in nanoseconds —
-	// the W of the (Tog+W)/Tog estimate (0 when the workload injects no
-	// delays).
-	EffWait float64
 	// Metrics, when non-nil, registers the adaptive metric family:
 	// shm_adaptive_mode / _epoch gauges, shm_adaptive_switches_total,
-	// the shm_adaptive_c2c1 ratio estimator, and the live occupancy
-	// gauge.
+	// and the live occupancy gauge.
 	Metrics *obs.Registry
 }
 
@@ -154,9 +135,6 @@ type EpochStat struct {
 	Mode Mode
 	// Tokens is how many values the epoch handed out.
 	Tokens int64
-	// PadK is the Corollary 3.12 padding factor in effect (1 when the
-	// epoch ran unpadded).
-	PadK int
 }
 
 // Stats is a live snapshot of the counter.
@@ -171,10 +149,6 @@ type Stats struct {
 	// PerMode tallies tokens by the mode that served them (closed epochs
 	// plus the live one).
 	PerMode [4]int64
-	// Ratio is the live (Tog+W)/Tog estimate (+Inf before any sample).
-	Ratio float64
-	// PadK is the padding factor the live epoch runs under (1 = none).
-	PadK int
 }
 
 // cacheLine is the coherence unit the Counter's hot words are laid out
@@ -195,10 +169,9 @@ type pad64 struct {
 type epoch struct {
 	id   uint64
 	mode Mode
-	base int64 // values handed out before this epoch
-	strt int64 // backend cumulative issue count at epoch start
-	net  *shm.Network
-	padK int // Corollary 3.12 factor of net (1 = unpadded)
+	base int64        // values handed out before this epoch
+	strt int64        // backend cumulative issue count at epoch start
+	net  *shm.Network // nil in ModeDirect
 }
 
 // Counter is the adaptive front-end. Safe for concurrent use by any
@@ -232,7 +205,6 @@ type Counter struct {
 	// window under ctlMu.
 	occSum atomic.Int64
 	occN   atomic.Int64
-	ratio  *obs.Ratio //countnet:allow obsvet -- never nil; New substitutes an unregistered estimator
 
 	// Controller state, all under ctlMu.
 	ctlMu     sync.Mutex
@@ -241,10 +213,8 @@ type Counter struct {
 	lastRaces int64
 	lastToks  int64
 
-	// Switch state under switchMu: padded-network cache and the epoch
-	// log.
+	// Switch state under switchMu: the epoch log.
 	switchMu sync.Mutex //countnet:gatelock
-	padded   map[int]paddedNet
 	epochs   []EpochStat
 	switches atomic.Int64
 
@@ -254,9 +224,10 @@ type Counter struct {
 }
 
 // New returns an adaptive counter over the compiled network. The network
-// is the high-contention backend and the funnel's downstream; the direct
-// counter and any Corollary 3.12 padded variants are created internally.
-// The counter starts in ModeDirect (an empty counter has no contention).
+// backs every regime but ModeDirect and is the funnel's downstream; the
+// direct counter is created internally. The counter starts in ModeDirect
+// (an empty counter has no contention), or in ModeLinear when
+// LinearBelow is set.
 func New(n *shm.Network, opts Options) (*Counter, error) {
 	if n == nil {
 		return nil, fmt.Errorf("adaptive: nil network")
@@ -271,11 +242,9 @@ func New(n *shm.Network, opts Options) (*Counter, error) {
 		net:    n,
 		opts:   opts,
 		pol:    newPolicy(opts),
-		padded: map[int]paddedNet{1: {net: n, padK: 1}},
 		funnel: combine.New(combine.Options{Metrics: opts.Metrics}),
 	}
 	if reg := opts.Metrics; reg != nil {
-		c.ratio = reg.Ratio("shm_adaptive_c2c1", opts.EffWait)
 		c.modeGauge = reg.Gauge("shm_adaptive_mode")
 		c.epochGauge = reg.Gauge("shm_adaptive_epoch")
 		reg.GaugeFunc("shm_adaptive_switches_total", func() float64 {
@@ -285,17 +254,16 @@ func New(n *shm.Network, opts Options) (*Counter, error) {
 			return float64(c.census())
 		})
 	} else {
-		c.ratio = obs.NewRatio(opts.EffWait)
 		c.modeGauge = &obs.Gauge{}
 		c.epochGauge = &obs.Gauge{}
 	}
-	first := &epoch{mode: ModeDirect, padK: 1}
+	first := &epoch{mode: ModeDirect}
 	if opts.LinearBelow > 0 {
 		// The user asked for guaranteed ordering: start in ModeLinear so
 		// the guarantee holds from the first token (an empty counter is
 		// trivially below the band). The backend starts at zero, so the
 		// turn counter's zero value is already correctly seeded.
-		first = &epoch{mode: ModeLinear, net: n, padK: 1}
+		first = &epoch{mode: ModeLinear, net: n}
 	}
 	//countnet:allow gatevet -- the constructor publishes the first epoch before any reader exists, so no gate is needed
 	c.cur.Store(first)
@@ -312,9 +280,6 @@ func (c *Counter) Mode() Mode { return c.cur.Load().mode }
 //countnet:allow gatevet -- advisory snapshot; epochs are immutable once published, only their currency is racy
 func (c *Counter) Epoch() uint64 { return c.cur.Load().id }
 
-// Ratio returns the live (Tog+W)/Tog estimator.
-func (c *Counter) Ratio() *obs.Ratio { return c.ratio }
-
 // Next draws the next counter value. input selects the network input wire
 // used in the network regimes; proc identifies the calling worker (it
 // stripes the in-flight census and trace identities) and tok its
@@ -325,14 +290,13 @@ func (c *Counter) Ratio() *obs.Ratio { return c.ratio }
 //countnet:hotpath
 func (c *Counter) Next(input int, proc, tok int32, afterNode func(id topo.NodeID)) int64 {
 	slot, ep := c.enter(proc)
-	sampled := (uint32(proc)*0x9e3779b9+uint32(tok))&(1<<sampleShift-1) == 0
-	var t0 time.Time
-	if sampled {
-		t0 = time.Now()
-	}
 	raw := c.dispatch(ep, input, proc, tok, afterNode)
+	// A sampled token adds the census, itself included, to the
+	// controller's occupancy window.
+	sampled := (uint32(proc)*0x9e3779b9+uint32(tok))&(1<<sampleShift-1) == 0
 	if sampled {
-		c.sample(ep, time.Since(t0))
+		c.occSum.Add(c.census())
+		c.occN.Add(1)
 	}
 	c.inflight[slot].v.Add(-1)
 	if sampled && c.occN.Load() >= c.windowSamples() {
@@ -410,43 +374,6 @@ func (c *Counter) dispatch(ep *epoch, input int, proc, tok int32, afterNode func
 	}
 }
 
-// sample folds one timed token into the controller's accumulators: the
-// per-node wait into the (Tog+W)/Tog estimator and the instantaneous
-// census into the occupancy average.
-//
-// The estimator wants the pure toggle wait Tog, but the dispatch latency
-// includes the injected W delay the workload adds at every visited node.
-// Feeding (Tog+W) in as Tog would clamp the measured ratio below
-// 1 + W/(Tog+W) < 2 and the Corollary 3.12 padding could never engage
-// from a real measurement, so the configured effective per-node W is
-// subtracted first. EffWait is the workload's *average* injected delay,
-// so the subtraction is exact in expectation across samples; the 1ns
-// floor keeps an undelayed sample from going negative (and keeps a
-// measured near-zero Tog distinct from "no observations yet", which
-// padFor treats as no data). The floor can only raise the ratio, i.e. pad
-// earlier than strictly necessary, never later.
-//
-// Only ModeNetwork latencies feed the estimator, because the only
-// consumer of the ratio is the padding factor of a later ModeNetwork
-// epoch. A direct token's latency is one fetch-and-add, not a link time.
-// Combine-mode latencies are dominated by the funnel rendezvous window —
-// a waiting token never visits a balancer at all — and linear-mode
-// latencies by the turn wait, which is serialization cost, not toggle
-// wait. Folding any of them in would make a network epoch's k partly a
-// mean of times no network link took.
-func (c *Counter) sample(ep *epoch, d time.Duration) {
-	if ep.mode == ModeNetwork {
-		nodes := int64(ep.net.Graph().Depth()) + 1
-		per := d.Nanoseconds()/nodes - int64(c.opts.EffWait)
-		if per < 1 {
-			per = 1
-		}
-		c.ratio.Observe(per)
-	}
-	c.occSum.Add(c.census())
-	c.occN.Add(1)
-}
-
 // census sums the striped in-flight counters. The value is approximate
 // under concurrent traffic, which is all the controller needs.
 func (c *Counter) census() int64 {
@@ -499,8 +426,6 @@ func (c *Counter) Stats() Stats {
 		Mode:     ep.mode,
 		Epoch:    ep.id,
 		Switches: c.switches.Load(),
-		Ratio:    c.ratio.Value(),
-		PadK:     ep.padK,
 	}
 	for _, e := range c.epochs {
 		s.PerMode[e.Mode] += e.Tokens
@@ -527,22 +452,17 @@ func (c *Counter) SwitchTo(m Mode) error {
 	if m < ModeDirect || m > ModeLinear {
 		return fmt.Errorf("adaptive: unknown mode %d", int32(m))
 	}
-	k := 1
-	if m == ModeNetwork {
-		k = c.pol.padFor(c.ratio.Value())
-	}
 	c.switchMu.Lock()
 	defer c.switchMu.Unlock()
-	c.switchLocked(m, k)
+	c.switchLocked(m)
 	return nil
 }
 
-// switchLocked executes the drain-then-switch protocol into mode m with
-// Corollary 3.12 factor k (1 outside ModeNetwork). Caller holds
-// switchMu.
+// switchLocked executes the drain-then-switch protocol into mode m.
+// Caller holds switchMu.
 //
 //countnet:gateheld
-func (c *Counter) switchLocked(m Mode, k int) {
+func (c *Counter) switchLocked(m Mode) {
 	old := c.cur.Load()
 	c.gate.Add(1) // even -> odd: close the gate
 	var bo backoff.Backoff
@@ -554,16 +474,15 @@ func (c *Counter) switchLocked(m Mode, k int) {
 	// structure.
 	issued := c.backendTotal(old) - old.strt
 	c.epochs = append(c.epochs, EpochStat{
-		Epoch: old.id, Mode: old.mode, Tokens: issued, PadK: old.padK,
+		Epoch: old.id, Mode: old.mode, Tokens: issued,
 	})
 	next := &epoch{
 		id:   old.id + 1,
 		mode: m,
 		base: old.base + issued,
-		padK: 1,
 	}
 	if m != ModeDirect {
-		next.net, next.padK = c.pickNet(k)
+		next.net = c.net
 		next.strt = netTotal(next.net)
 	} else {
 		next.strt = c.direct.v.Load()
@@ -581,52 +500,4 @@ func (c *Counter) switchLocked(m Mode, k int) {
 	c.modeGauge.Set(int64(m))
 	c.epochGauge.Set(int64(next.id))
 	c.gate.Add(1) // odd -> next even: reopen
-}
-
-// paddedNet is one entry of the padded-network cache: the compiled
-// network together with the Corollary 3.12 factor its graph actually
-// has. The two can differ from the cache key when a pad/compile failure
-// fell back to the plain network — the entry then records padK = 1, so
-// no epoch ever reports padding its graph does not have.
-type paddedNet struct {
-	net  *shm.Network
-	padK int
-}
-
-// compilePadded is the padded-network compile seam; the padK-fallback
-// regression test stubs it to force a deterministic failure, and the
-// toggle-kind test to see the options a padded network compiles with.
-var compilePadded = func(g *topo.Graph, opts shm.Options) (*shm.Network, error) {
-	return shm.Compile(g, opts)
-}
-
-// pickNet returns the network an epoch with Corollary 3.12 factor k
-// traverses and the factor that network really has: the plain one for
-// k = 1, otherwise the padded variant with h*(k-2) prefix pass-through
-// balancers per input, compiled once and cached with the plain network's
-// own toggle kind. The controller asks for k > 1 only for ModeNetwork
-// epochs under the Linearizable option: combine and linear epochs always
-// get the plain network, and a linear epoch's waiting already guarantees
-// what padding buys. Compile failures fall back to the plain network
-// (padding is an optimization of the guarantee, never of correctness) —
-// cached under the requested key but carrying its true factor 1, so the
-// epoch log never claims padding that does not exist and the controller
-// keeps seeing the epoch as unpadded.
-func (c *Counter) pickNet(k int) (*shm.Network, int) {
-	if p, ok := c.padded[k]; ok {
-		return p.net, p.padK
-	}
-	g := c.net.Graph()
-	padded, err := topo.Pad(g, core.PaddingLength(g.Depth(), k))
-	if err != nil {
-		c.padded[k] = paddedNet{net: c.net, padK: 1}
-		return c.net, 1
-	}
-	n, err := compilePadded(padded, shm.Options{Kind: c.net.Kind()})
-	if err != nil {
-		c.padded[k] = paddedNet{net: c.net, padK: 1}
-		return c.net, 1
-	}
-	c.padded[k] = paddedNet{net: n, padK: k}
-	return n, k
 }

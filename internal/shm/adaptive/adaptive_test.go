@@ -2,7 +2,6 @@ package adaptive_test
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -306,148 +305,6 @@ func TestSwitchStorm(t *testing.T) {
 	}
 }
 
-// TestLinearizablePadding drives the ratio estimator to a known value
-// and checks the Corollary 3.12 decision: k = ceil(ratio) prefix padding
-// above 2, clamped at 6, none at or below 2 — and that counting
-// across padded and unpadded epochs stays exact.
-func TestLinearizablePadding(t *testing.T) {
-	t.Run("k4", func(t *testing.T) {
-		c := newCounter(t, 4, adaptive.Options{Linearizable: true, EffWait: 3000})
-		c.Ratio().Observe(1000) // (1000+3000)/1000 = 4
-		if err := c.SwitchTo(adaptive.ModeNetwork); err != nil {
-			t.Fatal(err)
-		}
-		if st := c.Stats(); st.PadK != 4 {
-			t.Fatalf("ratio 4 gave padding k=%d, want 4", st.PadK)
-		}
-		var vals []int64
-		for tok := int32(0); tok < 64; tok++ {
-			vals = append(vals, c.Next(int(tok)%4, 0, tok, nil))
-		}
-		if err := c.SwitchTo(adaptive.ModeDirect); err != nil {
-			t.Fatal(err)
-		}
-		for tok := int32(64); tok < 128; tok++ {
-			vals = append(vals, c.Next(int(tok)%4, 0, tok, nil))
-		}
-		checkValues(t, vals, 4)
-		checkConservation(t, c, int64(len(vals)))
-	})
-	t.Run("clamped", func(t *testing.T) {
-		c := newCounter(t, 2, adaptive.Options{Linearizable: true, EffWait: 1e9})
-		c.Ratio().Observe(1) // ratio ~1e9: must clamp at the cap, 6
-		if err := c.SwitchTo(adaptive.ModeNetwork); err != nil {
-			t.Fatal(err)
-		}
-		if st := c.Stats(); st.PadK != 6 {
-			t.Fatalf("huge ratio gave k=%d, want clamp 6", st.PadK)
-		}
-	})
-	t.Run("under-threshold", func(t *testing.T) {
-		c := newCounter(t, 2, adaptive.Options{Linearizable: true, EffWait: 500})
-		c.Ratio().Observe(1000) // ratio 1.5 <= 2: Corollary 3.9 already applies
-		if err := c.SwitchTo(adaptive.ModeNetwork); err != nil {
-			t.Fatal(err)
-		}
-		if st := c.Stats(); st.PadK != 1 {
-			t.Fatalf("ratio 1.5 gave k=%d, want 1 (unpadded)", st.PadK)
-		}
-	})
-	t.Run("off-by-default", func(t *testing.T) {
-		c := newCounter(t, 2, adaptive.Options{EffWait: 1e9})
-		c.Ratio().Observe(1)
-		if err := c.SwitchTo(adaptive.ModeNetwork); err != nil {
-			t.Fatal(err)
-		}
-		if st := c.Stats(); st.PadK != 1 {
-			t.Fatalf("Linearizable off but k=%d", st.PadK)
-		}
-	})
-	t.Run("combine-unpadded", func(t *testing.T) {
-		// Padding is a network-mode guarantee: a combine epoch runs the
-		// plain network even when the ratio implies k > 2.
-		c := newCounter(t, 2, adaptive.Options{Linearizable: true, EffWait: 1e9})
-		c.Ratio().Observe(1)
-		if err := c.SwitchTo(adaptive.ModeCombine); err != nil {
-			t.Fatal(err)
-		}
-		if st := c.Stats(); st.PadK != 1 {
-			t.Fatalf("combine epoch got padding k=%d, want 1", st.PadK)
-		}
-	})
-}
-
-// TestMeasuredRatioEngagesPadding drives the estimator through Next with
-// a real injected per-node delay W — no synthetic Observe calls — and
-// asserts the Corollary 3.12 padding actually engages. This is the
-// regression test for the estimator bias where sample() fed the full
-// dispatch latency (toggle wait plus injected W) into the estimator:
-// with Tog measured as T+W the ratio (Tog+W)/Tog stays below 2 by
-// construction and the Linearizable option could never pad from a real
-// measurement. W is chosen large against scheduling noise so the
-// residual after subtraction stays well under W and the ratio lands
-// far above the k = 2 threshold. The measuring epoch is an unpadded
-// ModeNetwork one, the only mode whose latencies feed the estimator.
-func TestMeasuredRatioEngagesPadding(t *testing.T) {
-	const wait = 8 * time.Millisecond
-	c := newCounter(t, 2, adaptive.Options{
-		Linearizable: true,
-		EffWait:      float64(wait.Nanoseconds()),
-		Window:       1 << 20, // keep the controller out of the way
-	})
-	if err := c.SwitchTo(adaptive.ModeNetwork); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.PadK != 1 {
-		t.Fatalf("network epoch padded to k=%d before any measurement", st.PadK)
-	}
-	inject := func(topo.NodeID) { time.Sleep(wait) }
-	var vals []int64
-	for tok := int32(0); tok < 65; tok++ { // spans two sampled tokens
-		vals = append(vals, c.Next(int(tok)%2, 0, tok, inject))
-	}
-	if r := c.Ratio().Value(); r <= 2 {
-		t.Fatalf("measured ratio %.3f <= 2 with injected W=%v: estimator still counting W as Tog", r, wait)
-	}
-	if err := c.SwitchTo(adaptive.ModeNetwork); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.PadK <= 2 {
-		t.Fatalf("ratio %.3f implies k > 2 but network epoch got k=%d", st.Ratio, st.PadK)
-	}
-	for tok := int32(65); tok < 129; tok++ {
-		vals = append(vals, c.Next(int(tok)%2, 0, tok, nil))
-	}
-	checkValues(t, vals, 2)
-	checkConservation(t, c, int64(len(vals)))
-}
-
-// TestDirectSamplesLeaveRatioUnset checks that ModeDirect latencies never
-// reach the (Tog+W)/Tog estimator: a fetch-and-add time is not a link
-// time, so a run that never leaves the direct counter has no estimate,
-// and a later network epoch's k cannot be a mean of non-link times.
-func TestDirectSamplesLeaveRatioUnset(t *testing.T) {
-	c := newCounter(t, 2, adaptive.Options{
-		Linearizable: true,
-		Window:       1 << 20, // keep the controller out of the way
-	})
-	vals := drawAll(t, c, 2, 0, 1024) // 16 sampled tokens
-	if m := c.Mode(); m != adaptive.ModeDirect {
-		t.Fatalf("counter left direct mode (now %v) with the controller idle", m)
-	}
-	if r := c.Ratio().Value(); !math.IsInf(r, 1) {
-		t.Fatalf("direct-only run left ratio %.3f, want +Inf (no network samples)", r)
-	}
-	if err := c.SwitchTo(adaptive.ModeNetwork); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.PadK != 1 || !math.IsInf(st.Ratio, 1) {
-		t.Fatalf("network epoch after a direct-only run: ratio %.3f, k=%d; want +Inf, 1", st.Ratio, st.PadK)
-	}
-	checkValues(t, vals, 2)
-	checkConservation(t, c, int64(len(vals)))
-}
-
 // TestControllerEscalates runs concurrent load over tiny thresholds so
 // the free-running controller can escalate away from the direct counter
 // on its own, and checks that counting stays exact whichever regimes it
@@ -476,8 +333,7 @@ func TestControllerEscalates(t *testing.T) {
 	checkValues(t, vals, width)
 	checkConservation(t, c, workers*per)
 	st := c.Stats()
-	t.Logf("controller: %d switches, per-mode tokens %v, ratio %.2f",
-		st.Switches, st.PerMode, st.Ratio)
+	t.Logf("controller: %d switches, per-mode tokens %v", st.Switches, st.PerMode)
 }
 
 // TestStatsPartition checks the per-mode tally partition: every issued

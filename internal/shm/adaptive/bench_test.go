@@ -59,7 +59,6 @@ func BenchmarkAdaptiveLinear(b *testing.B) {
 						front, err := adaptive.New(n, adaptive.Options{
 							LinearBelow: 1 << 20,
 							Window:      1 << 20,
-							EffWait:     cfg.EffWait(),
 						})
 						if err != nil {
 							b.Fatal(err)
@@ -110,7 +109,7 @@ func BenchmarkAdaptive(b *testing.B) {
 					case "combine":
 						cfg.Front = combine.Front{Funnel: combine.New(combine.Options{}), Net: n}
 					case "adaptive":
-						front, err := adaptive.New(n, adaptive.Options{EffWait: cfg.EffWait()})
+						front, err := adaptive.New(n, adaptive.Options{})
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -1,16 +1,14 @@
 // The hysteretic regime controller. It runs on whichever worker
 // goroutine happens to close a sampling window (there is no background
 // thread — an idle counter makes no decisions), reads the window's mean
-// occupancy, the funnel's CAS-failure rate and the (Tog+W)/Tog estimate
-// once each, and hands them to decide, a pure function of those signals
-// and the controller's hysteresis state. A drain-then-switch runs only
-// once hold consecutive windows have cast the same vote. Escalation and
-// de-escalation use different thresholds (the de-escalation edge is half
-// the escalation edge), so a load sitting exactly on a boundary cannot
-// make the counter flap.
+// occupancy and the funnel's CAS-failure rate once each, and hands them
+// to decide, a pure function of those signals and the controller's
+// hysteresis state. A drain-then-switch runs only once hold consecutive
+// windows have cast the same vote. Escalation and de-escalation use
+// different thresholds (the de-escalation edge is half the escalation
+// edge), so a load sitting exactly on a boundary cannot make the counter
+// flap.
 package adaptive
-
-import "math"
 
 // The controller's fixed thresholds.
 const (
@@ -26,28 +24,23 @@ const (
 	// raceMax is the funnel CAS-failure-per-token rate above which
 	// combine escalates to the network regardless of occupancy.
 	raceMax = 2.0
-	// maxPadK caps the Corollary 3.12 padding factor so a wildly noisy
-	// ratio estimate cannot compile an unboundedly deep prefix.
-	maxPadK = 6
 )
 
 // policy is everything decide reads besides the window: the fixed
-// thresholds plus the two Options that shape the vote.
+// thresholds plus the guaranteed-ordering band.
 type policy struct {
 	hold                  int
 	directMax, combineMax float64
 	linearBelow           float64 // 0: the guaranteed-ordering band is off
-	linearizable          bool
 }
 
 // newPolicy returns the policy for a counter built with opts.
 func newPolicy(opts Options) policy {
 	return policy{
-		hold:         hold,
-		directMax:    directMax,
-		combineMax:   combineMax,
-		linearBelow:  float64(opts.LinearBelow),
-		linearizable: opts.Linearizable,
+		hold:        hold,
+		directMax:   directMax,
+		combineMax:  combineMax,
+		linearBelow: float64(opts.LinearBelow),
 	}
 }
 
@@ -55,7 +48,6 @@ func newPolicy(opts Options) policy {
 type window struct {
 	occ   float64 // mean in-flight census over the window's samples
 	races float64 // funnel CAS failures per funnel token in the window
-	ratio float64 // the (Tog+W)/Tog estimate
 }
 
 // hysteresis is the controller's memory between windows.
@@ -65,7 +57,7 @@ type hysteresis struct {
 }
 
 // decide maps one window to the regime the controller wants and says
-// whether to switch to it now. mode and padK describe the live epoch.
+// whether to switch to it now. mode is the live epoch's regime.
 //
 // The ladder escalates on mean occupancy — directMax collisions justify
 // the funnel's rendezvous cost, combineMax justify the network's depth —
@@ -84,12 +76,9 @@ type hysteresis struct {
 // uses. Direct votes pass through: a single fetch-and-add is already
 // linearizable.
 //
-// A network vote under the Linearizable option carries the Corollary
-// 3.12 factor implied by ratio, so a ModeNetwork epoch whose padding has
-// gone stale votes for a re-switch into the same mode. Any vote that
-// differs from the live (mode, padK) counts towards the hold run; a vote
-// for the live regime resets it.
-func decide(p policy, h hysteresis, mode Mode, padK int, w window) (hysteresis, Mode, int, bool) {
+// Any vote that differs from the live mode counts towards the hold run;
+// a vote for the live mode resets it.
+func decide(p policy, h hysteresis, mode Mode, w window) (hysteresis, Mode, bool) {
 	ladder := mode
 	if ladder == ModeLinear {
 		ladder = ModeNetwork
@@ -112,13 +101,8 @@ func decide(p policy, h hysteresis, mode Mode, padK int, w window) (hysteresis, 
 			want = ModeLinear
 		}
 	}
-	k := 1
-	if want == ModeNetwork {
-		k = p.padFor(w.ratio)
-	}
-
-	if want == mode && k == padK {
-		return hysteresis{}, want, k, false
+	if want == mode {
+		return hysteresis{}, want, false
 	}
 	if want == h.want && h.agree > 0 {
 		h.agree++
@@ -126,20 +110,9 @@ func decide(p policy, h hysteresis, mode Mode, padK int, w window) (hysteresis, 
 		h = hysteresis{want: want, agree: 1}
 	}
 	if h.agree < p.hold {
-		return h, want, k, false
+		return h, want, false
 	}
-	return hysteresis{}, want, k, true
-}
-
-// padFor returns the Corollary 3.12 factor a ModeNetwork epoch should run
-// under for the given (Tog+W)/Tog estimate: the smallest integer k with
-// ratio <= k, capped at maxPadK; 1 (no padding) unless the Linearizable
-// option is set and the estimate implies k > 2.
-func (p policy) padFor(ratio float64) int {
-	if !p.linearizable || math.IsInf(ratio, 1) || math.IsNaN(ratio) || ratio <= 2 {
-		return 1
-	}
-	return int(math.Min(math.Ceil(ratio), maxPadK))
+	return hysteresis{}, want, true
 }
 
 // control closes one sampling window and maybe switches regime. Called
@@ -161,11 +134,10 @@ func (c *Counter) control() {
 	}
 	//countnet:allow gatevet -- controller snapshot only; the transition re-reads the epoch under switchMu before switching
 	ep := c.cur.Load()
-	w := window{occ: float64(sum) / float64(n), races: c.raceRate(), ratio: c.ratio.Value()}
+	w := window{occ: float64(sum) / float64(n), races: c.raceRate()}
 	var m Mode
-	var k int
 	var now bool
-	c.hyst, m, k, now = decide(c.pol, c.hyst, ep.mode, ep.padK, w)
+	c.hyst, m, now = decide(c.pol, c.hyst, ep.mode, w)
 	if !now {
 		return
 	}
@@ -174,7 +146,7 @@ func (c *Counter) control() {
 	// Re-read under switchMu: a forced SwitchTo may have landed between
 	// the vote and here, and a stale transition must not undo it.
 	if c.cur.Load().id == ep.id {
-		c.switchLocked(m, k)
+		c.switchLocked(m)
 	}
 }
 

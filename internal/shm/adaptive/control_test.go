@@ -7,48 +7,30 @@ import (
 	"testing"
 )
 
-// regime is a live epoch's (mode, padK).
-type regime struct {
-	mode Mode
-	padK int
-}
-
-func (r regime) String() string { return fmt.Sprintf("%v/k%d", r.mode, r.padK) }
-
-// testPolicy is the policy of a counter built with the given band and
-// Linearizable option, with the hysteresis depth replaced.
-func testPolicy(holdN, lb int, lin bool) policy {
-	p := newPolicy(Options{LinearBelow: lb, Linearizable: lin})
+// testPolicy is the policy of a counter built with the given band, with
+// the hysteresis depth replaced.
+func testPolicy(holdN, lb int) policy {
+	p := newPolicy(Options{LinearBelow: lb})
 	p.hold = holdN
 	return p
 }
 
-// replay feeds trace through decide from the live regime start, applying
-// every switch it orders, and returns the live regime after each window.
-func replay(p policy, start regime, trace []window) []regime {
+// replay feeds trace through decide from the live mode start, applying
+// every switch it orders, and returns the live mode after each window.
+func replay(p policy, start Mode, trace []window) []Mode {
 	var h hysteresis
 	live := start
-	out := make([]regime, len(trace))
+	out := make([]Mode, len(trace))
 	for i, w := range trace {
 		var m Mode
-		var k int
 		var now bool
-		h, m, k, now = decide(p, h, live.mode, live.padK, w)
+		h, m, now = decide(p, h, live, w)
 		if now {
-			live = regime{m, k}
+			live = m
 		}
 		out[i] = live
 	}
 	return out
-}
-
-// wantPad is the Corollary 3.12 factor the specification asks for: the
-// ceiling of the ratio, clamped to [3, 6], and no padding at or below 2.
-func wantPad(ratio float64) int {
-	if !(ratio > 2) || math.IsInf(ratio, 1) {
-		return 1
-	}
-	return int(math.Min(math.Ceil(ratio), 6))
 }
 
 var allModes = []Mode{ModeDirect, ModeCombine, ModeNetwork, ModeLinear}
@@ -61,56 +43,43 @@ func TestDecide(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		lb   int
-		lin  bool
-		live regime
+		live Mode
 		w    window
-		want regime
+		want Mode
 	}{
-		{"direct below directMax", 0, false, regime{ModeDirect, 1}, window{occ: 5.9}, regime{ModeDirect, 1}},
-		{"direct escalates at directMax", 0, false, regime{ModeDirect, 1}, window{occ: 6}, regime{ModeCombine, 1}},
-		{"direct jumps to network at combineMax", 0, false, regime{ModeDirect, 1}, window{occ: 48}, regime{ModeNetwork, 1}},
-		{"direct ignores races", 0, false, regime{ModeDirect, 1}, window{occ: 1, races: 9}, regime{ModeDirect, 1}},
-		{"combine holds at directMax/2", 0, false, regime{ModeCombine, 1}, window{occ: 3}, regime{ModeCombine, 1}},
-		{"combine drops below directMax/2", 0, false, regime{ModeCombine, 1}, window{occ: 2.9}, regime{ModeDirect, 1}},
-		{"combine escalates at combineMax", 0, false, regime{ModeCombine, 1}, window{occ: 48}, regime{ModeNetwork, 1}},
-		{"combine races escalate at low occupancy", 0, false, regime{ModeCombine, 1}, window{occ: 0, races: 2.5}, regime{ModeNetwork, 1}},
-		{"combine races at the threshold do not", 0, false, regime{ModeCombine, 1}, window{occ: 10, races: 2}, regime{ModeCombine, 1}},
-		{"network holds at combineMax/2", 0, false, regime{ModeNetwork, 1}, window{occ: 24}, regime{ModeNetwork, 1}},
-		{"network drops below combineMax/2", 0, false, regime{ModeNetwork, 1}, window{occ: 23.9}, regime{ModeCombine, 1}},
-		{"network drops to direct", 0, false, regime{ModeNetwork, 1}, window{occ: 2.9}, regime{ModeDirect, 1}},
-		{"linear without a band is the network", 0, false, regime{ModeLinear, 1}, window{occ: 30}, regime{ModeNetwork, 1}},
+		{"direct below directMax", 0, ModeDirect, window{occ: 5.9}, ModeDirect},
+		{"direct escalates at directMax", 0, ModeDirect, window{occ: 6}, ModeCombine},
+		{"direct jumps to network at combineMax", 0, ModeDirect, window{occ: 48}, ModeNetwork},
+		{"direct ignores races", 0, ModeDirect, window{occ: 1, races: 9}, ModeDirect},
+		{"combine holds at directMax/2", 0, ModeCombine, window{occ: 3}, ModeCombine},
+		{"combine drops below directMax/2", 0, ModeCombine, window{occ: 2.9}, ModeDirect},
+		{"combine escalates at combineMax", 0, ModeCombine, window{occ: 48}, ModeNetwork},
+		{"combine races escalate at low occupancy", 0, ModeCombine, window{occ: 0, races: 2.5}, ModeNetwork},
+		{"combine races at the threshold do not", 0, ModeCombine, window{occ: 10, races: 2}, ModeCombine},
+		{"network holds at combineMax/2", 0, ModeNetwork, window{occ: 24}, ModeNetwork},
+		{"network drops below combineMax/2", 0, ModeNetwork, window{occ: 23.9}, ModeCombine},
+		{"network drops to direct", 0, ModeNetwork, window{occ: 2.9}, ModeDirect},
+		{"linear without a band is the network", 0, ModeLinear, window{occ: 30}, ModeNetwork},
 
 		// The guaranteed-ordering band: stay below lb from direct or
 		// linear, re-enter below lb/2 from combine or network.
-		{"LinearBelow from direct stays in family (combine vote)", lb, false, regime{ModeDirect, 1}, window{occ: 40}, regime{ModeLinear, 1}},
-		{"LinearBelow from direct stays in family (network vote)", lb, false, regime{ModeDirect, 1}, window{occ: 63.9}, regime{ModeLinear, 1}},
-		{"LinearBelow from direct leaves at lb", lb, false, regime{ModeDirect, 1}, window{occ: 64}, regime{ModeNetwork, 1}},
-		{"LinearBelow from direct keeps direct votes", lb, false, regime{ModeDirect, 1}, window{occ: 5}, regime{ModeDirect, 1}},
-		{"LinearBelow linear stays below lb", lb, false, regime{ModeLinear, 1}, window{occ: 63.9}, regime{ModeLinear, 1}},
-		{"LinearBelow linear leaves at lb", lb, false, regime{ModeLinear, 1}, window{occ: 64}, regime{ModeNetwork, 1}},
-		{"LinearBelow linear drops to direct", lb, false, regime{ModeLinear, 1}, window{occ: 2.9}, regime{ModeDirect, 1}},
-		{"LinearBelow network holds above lb/2", lb, false, regime{ModeNetwork, 1}, window{occ: 32}, regime{ModeNetwork, 1}},
-		{"LinearBelow network re-enters below lb/2", lb, false, regime{ModeNetwork, 1}, window{occ: 31.9}, regime{ModeLinear, 1}},
-		{"LinearBelow combine holds above lb/2", lb, false, regime{ModeCombine, 1}, window{occ: 40}, regime{ModeCombine, 1}},
-		{"LinearBelow combine re-enters below lb/2", lb, false, regime{ModeCombine, 1}, window{occ: 31.9}, regime{ModeLinear, 1}},
-		{"LinearBelow combine races re-enter below lb/2", lb, false, regime{ModeCombine, 1}, window{occ: 10, races: 5}, regime{ModeLinear, 1}},
-
-		// Corollary 3.12 padding rides on network votes only.
-		{"pad k=ceil(ratio)", 0, true, regime{ModeNetwork, 1}, window{occ: 60, ratio: 3.2}, regime{ModeNetwork, 4}},
-		{"pad k=3 just above 2", 0, true, regime{ModeNetwork, 1}, window{occ: 60, ratio: 2.01}, regime{ModeNetwork, 3}},
-		{"pad clamps at 6", 0, true, regime{ModeNetwork, 1}, window{occ: 60, ratio: 1e9}, regime{ModeNetwork, 6}},
-		{"no pad at ratio 2", 0, true, regime{ModeNetwork, 4}, window{occ: 60, ratio: 2}, regime{ModeNetwork, 1}},
-		{"no pad before any sample", 0, true, regime{ModeNetwork, 1}, window{occ: 60, ratio: math.Inf(1)}, regime{ModeNetwork, 1}},
-		{"no pad on NaN", 0, true, regime{ModeNetwork, 1}, window{occ: 60, ratio: math.NaN()}, regime{ModeNetwork, 1}},
-		{"no pad without Linearizable", 0, false, regime{ModeNetwork, 1}, window{occ: 60, ratio: 4}, regime{ModeNetwork, 1}},
-		{"no pad on a combine vote", 0, true, regime{ModeDirect, 1}, window{occ: 10, ratio: 4}, regime{ModeCombine, 1}},
-		{"escalation pads on entry", 0, true, regime{ModeCombine, 1}, window{occ: 50, ratio: 4}, regime{ModeNetwork, 4}},
-		{"no pad on a linear vote", lb, true, regime{ModeNetwork, 4}, window{occ: 20, ratio: 4}, regime{ModeLinear, 1}},
+		{"LinearBelow from direct stays in family (combine vote)", lb, ModeDirect, window{occ: 40}, ModeLinear},
+		{"LinearBelow from direct stays in family (network vote)", lb, ModeDirect, window{occ: 63.9}, ModeLinear},
+		{"LinearBelow from direct leaves at lb", lb, ModeDirect, window{occ: 64}, ModeNetwork},
+		{"LinearBelow from direct keeps direct votes", lb, ModeDirect, window{occ: 5}, ModeDirect},
+		{"LinearBelow linear stays below lb", lb, ModeLinear, window{occ: 63.9}, ModeLinear},
+		{"LinearBelow linear leaves at lb", lb, ModeLinear, window{occ: 64}, ModeNetwork},
+		{"LinearBelow linear drops to direct", lb, ModeLinear, window{occ: 2.9}, ModeDirect},
+		{"LinearBelow network holds above lb/2", lb, ModeNetwork, window{occ: 32}, ModeNetwork},
+		{"LinearBelow network re-enters below lb/2", lb, ModeNetwork, window{occ: 31.9}, ModeLinear},
+		{"LinearBelow combine holds above lb/2", lb, ModeCombine, window{occ: 40}, ModeCombine},
+		{"LinearBelow combine re-enters below lb/2", lb, ModeCombine, window{occ: 31.9}, ModeLinear},
+		{"LinearBelow combine races re-enter below lb/2", lb, ModeCombine, window{occ: 10, races: 5}, ModeLinear},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h, m, k, now := decide(testPolicy(1, tc.lb, tc.lin), hysteresis{}, tc.live.mode, tc.live.padK, tc.w)
-			if got := (regime{m, k}); got != tc.want {
-				t.Fatalf("from %v with %+v: voted %v, want %v", tc.live, tc.w, got, tc.want)
+			h, m, now := decide(testPolicy(1, tc.lb), hysteresis{}, tc.live, tc.w)
+			if m != tc.want {
+				t.Fatalf("from %v with %+v: voted %v, want %v", tc.live, tc.w, m, tc.want)
 			}
 			if now != (tc.want != tc.live) {
 				t.Fatalf("hold 1: switch = %v for vote %v over live %v", now, tc.want, tc.live)
@@ -138,13 +107,13 @@ func TestDecideNoFlap(t *testing.T) {
 					for _, first := range []float64{-0.5, 0.5} {
 						trace := make([]window, 32)
 						for i := range trace {
-							trace[i] = window{occ: e + first, ratio: 1.5}
+							trace[i] = window{occ: e + first}
 							if i%2 == 1 {
 								trace[i].occ = e - first
 							}
 						}
 						name := fmt.Sprintf("lb%d/edge%g/hold%d/%v/%+g", lb, e, holdN, start, first)
-						checkSettles(t, name, replay(testPolicy(holdN, lb, false), regime{start, 1}, trace), regime{start, 1})
+						checkSettles(t, name, replay(testPolicy(holdN, lb), start, trace), start)
 					}
 				}
 			}
@@ -154,9 +123,9 @@ func TestDecideNoFlap(t *testing.T) {
 
 // checkSettles fails when a replay revisits a regime it left or still
 // switches in its second half.
-func checkSettles(t *testing.T, name string, live []regime, start regime) {
+func checkSettles(t *testing.T, name string, live []Mode, start Mode) {
 	t.Helper()
-	seen := map[regime]bool{start: true}
+	seen := map[Mode]bool{start: true}
 	prev := start
 	for i, r := range live {
 		if r != prev {
@@ -176,18 +145,17 @@ func checkSettles(t *testing.T, name string, live []regime, start regime) {
 // the hold-th consecutive agreeing window, a window that votes for the
 // live regime resets the run, and a different vote restarts it.
 func TestDecideHold(t *testing.T) {
-	direct := regime{ModeDirect, 1}
 	for _, holdN := range []int{1, 2, 3, 5} {
-		p := testPolicy(holdN, 0, false)
+		p := testPolicy(holdN, 0)
 		trace := make([]window, 2*holdN)
 		for i := range trace {
 			trace[i] = window{occ: 50}
 		}
-		live := replay(p, direct, trace)
+		live := replay(p, ModeDirect, trace)
 		for i, r := range live {
-			want := direct
+			want := ModeDirect
 			if i >= holdN-1 {
-				want = regime{ModeNetwork, 1}
+				want = ModeNetwork
 			}
 			if r != want {
 				t.Fatalf("hold %d: window %d live %v, want %v (%v)", holdN, i, r, want, live)
@@ -195,15 +163,15 @@ func TestDecideHold(t *testing.T) {
 		}
 	}
 
-	p := testPolicy(2, 0, false)
+	p := testPolicy(2, 0)
 	// 50 votes network, 0 votes the live direct and resets the run.
-	live := replay(p, direct, []window{{occ: 50}, {occ: 0}, {occ: 50}, {occ: 50}})
-	if got := []regime{direct, direct, direct, {ModeNetwork, 1}}; fmt.Sprint(live) != fmt.Sprint(got) {
+	live := replay(p, ModeDirect, []window{{occ: 50}, {occ: 0}, {occ: 50}, {occ: 50}})
+	if got := []Mode{ModeDirect, ModeDirect, ModeDirect, ModeNetwork}; fmt.Sprint(live) != fmt.Sprint(got) {
 		t.Fatalf("reset run: live %v, want %v", live, got)
 	}
 	// 50 votes network, 10 votes combine: a disagreeing vote restarts the run.
-	live = replay(p, direct, []window{{occ: 50}, {occ: 10}, {occ: 10}})
-	if got := []regime{direct, direct, {ModeCombine, 1}}; fmt.Sprint(live) != fmt.Sprint(got) {
+	live = replay(p, ModeDirect, []window{{occ: 50}, {occ: 10}, {occ: 10}})
+	if got := []Mode{ModeDirect, ModeDirect, ModeCombine}; fmt.Sprint(live) != fmt.Sprint(got) {
 		t.Fatalf("restarted run: live %v, want %v", live, got)
 	}
 }
@@ -212,46 +180,17 @@ func TestDecideHold(t *testing.T) {
 // combine epoch to the network whatever the occupancy.
 func TestDecideRaces(t *testing.T) {
 	for _, occ := range []float64{0, 3, 10, 30, 47} {
-		live := replay(testPolicy(hold, 0, false), regime{ModeCombine, 1},
+		live := replay(testPolicy(hold, 0), ModeCombine,
 			[]window{{occ: occ, races: raceMax + 0.5}, {occ: occ, races: raceMax + 0.5}})
-		if got := live[len(live)-1]; got.mode != ModeNetwork {
+		if got := live[len(live)-1]; got != ModeNetwork {
 			t.Errorf("occupancy %g with %g races/token: live %v, want network", occ, raceMax+0.5, got)
-		}
-	}
-}
-
-// TestDecideRepad steps the ratio under a live ModeNetwork epoch with
-// the Linearizable option: the epoch repads to k = ceil(ratio), clamped
-// to [3, 6], on exactly the hold-th window, and a ratio at or below 2
-// means no padding.
-func TestDecideRepad(t *testing.T) {
-	for _, holdN := range []int{1, 2, 3} {
-		for _, from := range []int{1, 4} {
-			for _, ratio := range []float64{1.5, 2, 2.5, 3, 3.2, 4.7, 5, 6, 7, 1e9} {
-				trace := make([]window, holdN+2)
-				for i := range trace {
-					trace[i] = window{occ: 60, ratio: ratio}
-				}
-				start := regime{ModeNetwork, from}
-				live := replay(testPolicy(holdN, 0, true), start, trace)
-				want := regime{ModeNetwork, wantPad(ratio)}
-				for i, r := range live {
-					exp := want
-					if i < holdN-1 {
-						exp = start
-					}
-					if r != exp {
-						t.Fatalf("hold %d, k %d -> ratio %g: window %d live %v, want %v", holdN, from, ratio, i, r, exp)
-					}
-				}
-			}
 		}
 	}
 }
 
 // TestDecideLinearBelowFamily drives random window traces below the band
 // from direct and from linear: the live regime never leaves
-// {direct, linear}, whatever the races and the ratio.
+// {direct, linear}, whatever the races.
 func TestDecideLinearBelowFamily(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, lb := range []int{1, 4, 7, 12, 49, 64, 100, 1 << 20} {
@@ -262,11 +201,10 @@ func TestDecideLinearBelowFamily(t *testing.T) {
 					trace[i] = window{
 						occ:   rng.Float64() * math.Min(float64(lb), 200),
 						races: rng.Float64() * 4,
-						ratio: 1 + rng.Float64()*8,
 					}
 				}
-				for i, r := range replay(testPolicy(holdN, lb, true), regime{start, 1}, trace) {
-					if r.mode != ModeDirect && r.mode != ModeLinear {
+				for i, r := range replay(testPolicy(holdN, lb), start, trace) {
+					if r != ModeDirect && r != ModeLinear {
 						t.Fatalf("lb %d from %v: window %d (occ %.2f) left the family for %v", lb, start, i, trace[i].occ, r)
 					}
 				}
@@ -276,22 +214,20 @@ func TestDecideLinearBelowFamily(t *testing.T) {
 }
 
 // FuzzDecide checks the policy's invariants over arbitrary window-signal
-// traces. The first four bytes pick the hold depth, the band, the
-// Linearizable option and the starting mode; each later triple is one
-// window (occupancy, races per token, ratio). Per window: the target
-// mode is in range; padK is 1 outside ModeNetwork and in {1, 3..6}
-// inside it, and follows the ratio when Linearizable; a counter in
+// traces. The first three bytes pick the hold depth, the band and the
+// starting mode; each later pair is one window (occupancy, races per
+// token). Per window: the target mode is in range; a counter in
 // {direct, linear} below the band votes inside that family; and a switch
 // fires exactly when the last hold votes agree on one mode and each
-// differed from the live regime. After the trace, occupancy oscillating
+// differed from the live mode. After the trace, occupancy oscillating
 // across an edge by at most half a token must settle without flapping.
 func FuzzDecide(f *testing.F) {
-	f.Add([]byte{2, 64, 0, 0, 40, 0, 10, 40, 0, 10, 70, 0, 10, 20, 0, 10})
-	f.Add([]byte{1, 0, 1, 2, 60, 0, 40, 60, 0, 80, 60, 0, 255, 10, 0, 20})
-	f.Add([]byte{3, 0, 0, 1, 10, 100, 10, 10, 100, 10, 10, 100, 10})
-	f.Add([]byte{2, 200, 1, 3, 100, 0, 30, 140, 0, 30, 90, 0, 30, 60, 0, 30})
+	f.Add([]byte{2, 64, 0, 40, 0, 40, 0, 70, 0, 20, 0})
+	f.Add([]byte{1, 0, 2, 60, 0, 60, 0, 60, 0, 10, 0})
+	f.Add([]byte{3, 0, 1, 10, 100, 10, 100, 10, 100})
+	f.Add([]byte{2, 200, 3, 100, 0, 140, 0, 90, 0, 60, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
+		if len(data) < 3 {
 			return
 		}
 		holdN := int(data[0]%4) + 1
@@ -299,52 +235,36 @@ func FuzzDecide(f *testing.F) {
 		if lb < 2 {
 			lb = 0
 		}
-		lin := data[2]&1 == 1
-		p := testPolicy(holdN, lb, lin)
-		live := regime{Mode(data[3] % 4), 1}
-		trace := data[4:]
-		if len(trace) > 3*256 {
-			trace = trace[:3*256]
+		p := testPolicy(holdN, lb)
+		live := Mode(data[2] % 4)
+		trace := data[3:]
+		if len(trace) > 2*256 {
+			trace = trace[:2*256]
 		}
 
 		var h hysteresis
-		var votes []Mode   // vote mode of each window
-		var changed []bool // whether that vote differed from the live regime
-		for len(trace) >= 3 {
+		var votes []Mode   // vote of each window
+		var changed []bool // whether that vote differed from the live mode
+		for len(trace) >= 2 {
 			w := window{
 				occ:   float64(trace[0]) / 2,
 				races: float64(trace[1]) / 32,
-				ratio: float64(trace[2]) / 16,
 			}
-			if trace[2] == 255 {
-				w.ratio = math.Inf(1)
-			}
-			trace = trace[3:]
+			trace = trace[2:]
 
 			var m Mode
-			var k int
 			var now bool
-			h, m, k, now = decide(p, h, live.mode, live.padK, w)
+			h, m, now = decide(p, h, live, w)
 			if m < ModeDirect || m > ModeLinear {
 				t.Fatalf("vote %d out of range", m)
 			}
-			switch {
-			case m != ModeNetwork && k != 1:
-				t.Fatalf("%v vote carries padK %d", m, k)
-			case m == ModeNetwork && k != 1 && (k < 3 || k > maxPadK):
-				t.Fatalf("network vote carries padK %d", k)
-			case m == ModeNetwork && lin && k != wantPad(w.ratio):
-				t.Fatalf("ratio %g voted padK %d, want %d", w.ratio, k, wantPad(w.ratio))
-			case !lin && k != 1:
-				t.Fatalf("padK %d without Linearizable", k)
-			}
-			inFamily := live.mode == ModeDirect || live.mode == ModeLinear
+			inFamily := live == ModeDirect || live == ModeLinear
 			if lb > 0 && inFamily && w.occ < float64(lb) && m != ModeDirect && m != ModeLinear {
 				t.Fatalf("band %d, occupancy %g: %v counter voted %v", lb, w.occ, live, m)
 			}
 
 			votes = append(votes, m)
-			changed = append(changed, regime{m, k} != live)
+			changed = append(changed, m != live)
 			run := 0
 			for i := len(votes) - 1; i >= 0 && changed[i] && votes[i] == m && run < holdN; i-- {
 				run++
@@ -353,7 +273,7 @@ func FuzzDecide(f *testing.F) {
 				t.Fatalf("switch = %v after %d agreeing windows (hold %d): votes %v changed %v", now, run, holdN, votes, changed)
 			}
 			if now {
-				live = regime{m, k}
+				live = m
 				votes, changed = nil, nil
 			}
 		}
@@ -364,10 +284,9 @@ func FuzzDecide(f *testing.F) {
 		}
 		e := edges[int(data[0]>>2)%len(edges)]
 		delta := (float64(data[1]%8) + 1) / 16
-		ratio := float64(data[2]>>1) / 16
 		osc := make([]window, 32)
 		for i := range osc {
-			osc[i] = window{occ: e + delta, ratio: ratio}
+			osc[i] = window{occ: e + delta}
 			if i%2 == 1 {
 				osc[i].occ = e - delta
 			}

@@ -12,10 +12,14 @@ import (
 // FuzzAdaptiveSwitch fuzzes the epoch protocol with randomized arrival
 // bursts interleaved with forced regime flips: each input byte is either
 // a concurrent burst of 1..8 tokens or a forced drain-then-switch into a
-// fuzzer-chosen mode. After the schedule, the invariants that define the
-// adaptive counter must hold exactly — the issued values are the gapless
-// permutation 0..n-1 with step-property tallies, and the closed epoch
-// log conserves every token (each one attributed to exactly one epoch).
+// fuzzer-chosen mode.
+//
+// Every switch is checked against the abstraction function that maps the
+// concrete state to the abstract counter: a token's value is
+// epoch.base + raw - epoch.strt, so after n tokens the values issued so
+// far are exactly {0..n-1}, the closed epochs' Tokens sum to n (the next
+// epoch's base), and Stats().Tokens — the same map applied to the live
+// epoch's backend — reads n. A final forced switch closes the run.
 //
 // Byte encoding: b < 0x80 issues a burst of (b&7)+1 tokens from distinct
 // goroutines; b >= 0x80 forces SwitchTo(b mod 4) — the four-mode
@@ -51,11 +55,37 @@ func FuzzAdaptiveSwitch(f *testing.F) {
 		}
 		adaptive.SetThresholds(c, 1, 6, 48)
 		var vals []int64
+		// switchTo forces a drain-then-switch and checks the abstraction
+		// function at the boundary it creates.
+		switchTo := func(m adaptive.Mode) {
+			if err := c.SwitchTo(m); err != nil {
+				t.Fatal(err)
+			}
+			n := int64(len(vals))
+			var sum int64
+			for _, e := range c.Epochs() {
+				if e.Tokens < 0 {
+					t.Fatalf("epoch %d issued %d tokens", e.Epoch, e.Tokens)
+				}
+				sum += e.Tokens
+			}
+			if sum != n {
+				t.Fatalf("switch to %v: epoch log accounts for %d of %d tokens: %+v", m, sum, n, c.Epochs())
+			}
+			if st := c.Stats(); st.Tokens != n {
+				t.Fatalf("switch to %v: Stats.Tokens = %d after %d tokens", m, st.Tokens, n)
+			}
+			seen := make([]bool, n)
+			for _, v := range vals {
+				if v < 0 || v >= n || seen[v] {
+					t.Fatalf("switch to %v: value %d duplicated or out of range [0,%d)", m, v, n)
+				}
+				seen[v] = true
+			}
+		}
 		for _, b := range data {
 			if b >= 0x80 {
-				if err := c.SwitchTo(adaptive.Mode(b % 4)); err != nil {
-					t.Fatal(err)
-				}
+				switchTo(adaptive.Mode(b % 4))
 				continue
 			}
 			burst := int(b&7) + 1
@@ -72,27 +102,6 @@ func FuzzAdaptiveSwitch(f *testing.F) {
 			wg.Wait()
 			vals = append(vals, out...)
 		}
-		// Roll the live epoch closed so the log covers the whole run,
-		// then check conservation and the permutation.
-		if err := c.SwitchTo(c.Mode()); err != nil {
-			t.Fatal(err)
-		}
-		var sum int64
-		for _, e := range c.Epochs() {
-			if e.Tokens < 0 {
-				t.Fatalf("epoch %d issued %d tokens", e.Epoch, e.Tokens)
-			}
-			sum += e.Tokens
-		}
-		if sum != int64(len(vals)) {
-			t.Fatalf("epoch log accounts for %d of %d tokens: %+v", sum, len(vals), c.Epochs())
-		}
-		seen := make([]bool, len(vals))
-		for _, v := range vals {
-			if v < 0 || v >= int64(len(vals)) || seen[v] {
-				t.Fatalf("value %d duplicated or out of range [0,%d)", v, len(vals))
-			}
-			seen[v] = true
-		}
+		switchTo(c.Mode())
 	})
 }

@@ -37,9 +37,6 @@ type Network struct {
 	counters  []paddedCounter
 	w         int64
 	obs       *netObs // nil until EnableObs; read-only afterwards
-	// kind is read only off the hot path, so it sits after the walk's
-	// fields.
-	kind Kind
 }
 
 // Compile builds the runtime for g.
@@ -61,7 +58,6 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 		balancers: make([]Balancer, g.NumNodes()),
 		counters:  make([]paddedCounter, g.OutWidth()),
 		w:         int64(g.OutWidth()),
-		kind:      opts.Kind,
 	}
 	for _, id := range g.Balancers() {
 		b, err := NewBalancer(opts.Kind, g.FanOut(id))
@@ -80,10 +76,6 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 
 // Graph returns the compiled topology.
 func (n *Network) Graph() *topo.Graph { return n.g }
-
-// Kind returns the toggle implementation the network was compiled with
-// (never zero: Compile resolves the default).
-func (n *Network) Kind() Kind { return n.kind }
 
 // InWidth returns the number of network inputs.
 func (n *Network) InWidth() int { return n.g.InWidth() }

@@ -21,12 +21,13 @@ const (
 	// FrontCombine puts the elimination/combining funnel in front of the
 	// network.
 	FrontCombine FrontKind = "shm-combine"
-	// FrontAdaptive is the contention-adaptive engine with its Corollary
-	// 3.12 padding enabled.
+	// FrontAdaptive is the contention-adaptive engine with its defaults.
 	FrontAdaptive FrontKind = "shm-adaptive"
 	// FrontAdaptiveLinear is the adaptive engine pinned to its
 	// guaranteed-linearizable waiting regime (ModeLinear): the occupancy
-	// band is set far above any reachable occupancy.
+	// band is far above any reachable occupancy, and the controller
+	// window is too long for any run to close, so the counter never
+	// leaves the ModeLinear epoch it starts in.
 	FrontAdaptiveLinear FrontKind = "shm-adaptive-linear"
 )
 
@@ -34,24 +35,21 @@ const (
 var Fronts = []FrontKind{FrontPlain, FrontCombine, FrontAdaptive, FrontAdaptiveLinear}
 
 // Build returns the front-end of this kind over the compiled network n,
-// or nil for the plain network. effWait is the injected per-node delay
-// in nanoseconds (the W of the adaptive engine's (Tog+W)/Tog estimate);
-// reg, when non-nil, receives the front-end's metric family.
-func (k FrontKind) Build(n *shm.Network, effWait float64, reg *obs.Registry) (shm.Front, error) {
-	var opts adaptive.Options
+// or nil for the plain network. reg, when non-nil, receives the
+// front-end's metric family.
+func (k FrontKind) Build(n *shm.Network, reg *obs.Registry) (shm.Front, error) {
+	opts := adaptive.Options{Metrics: reg}
 	switch k {
 	case "", FrontPlain:
 		return nil, nil
 	case FrontCombine:
 		return combine.Front{Funnel: combine.New(combine.Options{Metrics: reg}), Net: n}, nil
 	case FrontAdaptive:
-		opts.Linearizable = true
 	case FrontAdaptiveLinear:
-		opts.LinearBelow = 1 << 20
+		opts.LinearBelow, opts.Window = 1<<20, 1<<30
 	default:
 		return nil, fmt.Errorf("workload: unknown front-end %q", k)
 	}
-	opts.EffWait, opts.Metrics = effWait, reg
 	c, err := adaptive.New(n, opts)
 	if err != nil {
 		return nil, err

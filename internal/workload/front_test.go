@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"countnet/internal/shm"
+	"countnet/internal/shm/adaptive"
 )
 
 func TestFronts(t *testing.T) {
@@ -19,7 +20,7 @@ func TestFronts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			front, err := f.Build(n, 0, nil)
+			front, err := f.Build(n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,10 +51,42 @@ func TestFronts(t *testing.T) {
 			}
 		})
 	}
-	if _, err := FrontKind("nonsense").Build(nil, 0, nil); err == nil {
+	if _, err := FrontKind("nonsense").Build(nil, nil); err == nil {
 		t.Error("unknown front-end accepted")
 	}
 	if _, err := (RealSpec{Net: Bitonic, Width: 4, Workers: 1, Ops: 1, Front: "nonsense"}).Run(); err == nil {
 		t.Error("RealSpec ran an unknown front-end")
+	}
+}
+
+// TestAdaptiveLinearStaysLinear pins shm-adaptive-linear to ModeLinear for
+// a whole run: a 2-worker, 20000-op stress must serve every token from the
+// waiting regime, so the conformance corpus's lincheck assertion on this
+// engine checks the waiting construction, not a fetch-and-add.
+func TestAdaptiveLinearStaysLinear(t *testing.T) {
+	g, err := Bitonic.Build(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := shm.Compile(g, shm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, err := FrontAdaptiveLinear.Build(n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ops = 20000
+	res, err := shm.Stress(shm.StressConfig{Net: n, Workers: 2, Ops: ops, Seed: 1, Front: front})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Report.Linearizable() {
+		t.Fatalf("waiting regime misordered: %s", res.Report)
+	}
+	st := front.(*adaptive.Counter).Stats()
+	if st.Tokens != ops || st.PerMode[adaptive.ModeLinear] != st.Tokens {
+		t.Fatalf("served %d of %d tokens, %d of them in ModeLinear (per mode %v, %d switches)",
+			st.Tokens, ops, st.PerMode[adaptive.ModeLinear], st.PerMode, st.Switches)
 	}
 }

@@ -67,7 +67,7 @@ func (s RealSpec) Run() (*shm.StressResult, error) {
 		BurnDelay:   s.BurnDelay,
 		Seed:        s.Seed,
 	}
-	if cfg.Front, err = s.Front.Build(n, cfg.EffWait(), nil); err != nil {
+	if cfg.Front, err = s.Front.Build(n, nil); err != nil {
 		return nil, err
 	}
 	return shm.Stress(cfg)
