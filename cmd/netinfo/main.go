@@ -10,8 +10,9 @@
 // shm-combine, shm-adaptive, shm-adaptive-linear; rows are labelled by
 // front-end name), message-passing channels — and prints the measured
 // Tog, W, and (Tog+W)/Tog timing ratio per engine (the paper's Section 5
-// measure, live rather than offline), plus the funnel's combine hit rate
-// and the adaptive engine's regime tallies.
+// measure, live rather than offline), plus each front-end's
+// workload.FrontReport summary (the funnel's hit rate, the adaptive
+// engine's regime tallies).
 package main
 
 import (
@@ -19,14 +20,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"countnet/internal/core"
 	"countnet/internal/msgnet"
 	"countnet/internal/obs"
 	"countnet/internal/shm"
-	"countnet/internal/shm/adaptive"
-	"countnet/internal/shm/combine"
 	"countnet/internal/topo"
 	"countnet/internal/workload"
 )
@@ -155,19 +155,8 @@ func measureEngines(w io.Writer, net workload.NetKind, width int) error {
 		if err != nil {
 			return err
 		}
-		switch f := cfg.Front.(type) {
-		case combine.Front:
-			fmt.Fprintf(w, row+"   combine hit rate %.2f\n",
-				kind, "ns", res.Tog, cfg.EffWait(), res.AvgRatio, f.Funnel.Stats().HitRate())
-		case *adaptive.Counter:
-			st := f.Stats()
-			fmt.Fprintf(w, row+"   modes d/c/n/l %d/%d/%d/%d, %d switches\n",
-				kind, "ns", res.Tog, cfg.EffWait(), res.AvgRatio,
-				st.PerMode[adaptive.ModeDirect], st.PerMode[adaptive.ModeCombine],
-				st.PerMode[adaptive.ModeNetwork], st.PerMode[adaptive.ModeLinear], st.Switches)
-		default:
-			fmt.Fprintf(w, row+"\n", kind, "ns", res.Tog, cfg.EffWait(), res.AvgRatio)
-		}
+		line := fmt.Sprintf(row+"   %s", kind, "ns", res.Tog, cfg.EffWait(), res.AvgRatio, workload.FrontReport(cfg.Front))
+		fmt.Fprintln(w, strings.TrimRight(line, " "))
 	}
 
 	reg := obs.NewRegistry()

@@ -65,8 +65,6 @@ import (
 	"countnet/internal/msgnet"
 	"countnet/internal/obs"
 	"countnet/internal/shm"
-	"countnet/internal/shm/adaptive"
-	"countnet/internal/shm/combine"
 	"countnet/internal/stats"
 	"countnet/internal/workload"
 )
@@ -198,28 +196,8 @@ func run(args []string, w io.Writer) error {
 	if cfg.Metrics != nil {
 		fmt.Fprintf(w, "measured Tog %.0fns, (Tog+W)/Tog = %.3f\n", res.Tog, res.AvgRatio)
 	}
-	switch f := cfg.Front.(type) {
-	case combine.Front:
-		c := f.Funnel.Stats()
-		deg := 0.0
-		if c.Pairs > 0 {
-			deg = 1 + float64(c.Partners)/float64(c.Pairs)
-		}
-		fmt.Fprintf(w, "combine: hit rate %.2f, %d combined walks (avg degree %.1f), %d partners, %d timeouts, %d idle, %d races\n",
-			c.HitRate(), c.Pairs, deg, c.Partners, c.Timeouts, c.Idle, c.Races)
-	case *adaptive.Counter:
-		st := f.Stats()
-		fmt.Fprintf(w, "adaptive: ended in %s after %d switches, tokens direct/combine/network/linear = %d/%d/%d/%d\n",
-			st.Mode, st.Switches, st.PerMode[adaptive.ModeDirect], st.PerMode[adaptive.ModeCombine], st.PerMode[adaptive.ModeNetwork], st.PerMode[adaptive.ModeLinear])
-		if eps := f.Epochs(); len(eps) > 0 {
-			fmt.Fprintf(w, "adaptive: regime history:")
-			live := st.Tokens
-			for _, e := range eps {
-				fmt.Fprintf(w, " %s×%d", e.Mode, e.Tokens)
-				live -= e.Tokens
-			}
-			fmt.Fprintf(w, " %s×%d(live)\n", st.Mode, live)
-		}
+	if r := workload.FrontReport(cfg.Front); r != "" {
+		fmt.Fprintln(w, r)
 	}
 	return writeOutputs(w, ring, *trace, obs.Meta{Engine: *engine, Unit: "ns", Net: *net, Width: *width}, cfg.Metrics, *metrics)
 }

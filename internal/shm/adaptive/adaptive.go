@@ -169,9 +169,8 @@ type pad64 struct {
 type epoch struct {
 	id   uint64
 	mode Mode
-	base int64        // values handed out before this epoch
-	strt int64        // backend cumulative issue count at epoch start
-	net  *shm.Network // nil in ModeDirect
+	base int64 // values handed out before this epoch
+	strt int64 // backend cumulative issue count at epoch start
 }
 
 // Counter is the adaptive front-end. Safe for concurrent use by any
@@ -263,7 +262,7 @@ func New(n *shm.Network, opts Options) (*Counter, error) {
 		// the guarantee holds from the first token (an empty counter is
 		// trivially below the band). The backend starts at zero, so the
 		// turn counter's zero value is already correctly seeded.
-		first = &epoch{mode: ModeLinear, net: n}
+		first = &epoch{mode: ModeLinear}
 	}
 	//countnet:allow gatevet -- the constructor publishes the first epoch before any reader exists, so no gate is needed
 	c.cur.Store(first)
@@ -280,17 +279,24 @@ func (c *Counter) Mode() Mode { return c.cur.Load().mode }
 //countnet:allow gatevet -- advisory snapshot; epochs are immutable once published, only their currency is racy
 func (c *Counter) Epoch() uint64 { return c.cur.Load().id }
 
-// Next draws the next counter value. input selects the network input wire
-// used in the network regimes; proc identifies the calling worker (it
-// stripes the in-flight census and trace identities) and tok its
-// operation index; afterNode is the paper's W-delay injection hook,
-// invoked once per visited node (once, with node -1, in ModeDirect, which
-// has a single logical node).
+// Next draws the next counter value: TraverseSpan with no parent span.
+func (c *Counter) Next(input int, proc, tok int32, afterNode func(id topo.NodeID)) int64 {
+	v, _ := c.TraverseSpan(input, proc, tok, 0, afterNode)
+	return v
+}
+
+// TraverseSpan draws the next counter value, as an shm.Front. input
+// selects the network input wire used in the network regimes; proc
+// identifies the calling worker (it stripes the in-flight census and trace
+// identities) and tok its operation index; afterNode is the paper's
+// W-delay injection hook, invoked once per visited node (once, with node
+// -1, in ModeDirect, which has a single logical node). The span returned
+// is the walk's last hop, or parent in ModeDirect and ModeCombine.
 //
 //countnet:hotpath
-func (c *Counter) Next(input int, proc, tok int32, afterNode func(id topo.NodeID)) int64 {
+func (c *Counter) TraverseSpan(input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64) {
 	slot, ep := c.enter(proc)
-	raw := c.dispatch(ep, input, proc, tok, afterNode)
+	raw, last := c.dispatch(ep, input, proc, tok, parent, afterNode)
 	// A sampled token adds the census, itself included, to the
 	// controller's occupancy window.
 	sampled := (uint32(proc)*0x9e3779b9+uint32(tok))&(1<<sampleShift-1) == 0
@@ -302,7 +308,7 @@ func (c *Counter) Next(input int, proc, tok int32, afterNode func(id topo.NodeID
 	if sampled && c.occN.Load() >= c.windowSamples() {
 		c.control()
 	}
-	return ep.base + raw - ep.strt
+	return ep.base + raw - ep.strt, last
 }
 
 // enter passes the epoch gate: it registers the token in the striped
@@ -348,19 +354,19 @@ func (c *Counter) enter(proc int32) (int, *epoch) {
 }
 
 // dispatch routes one token through the epoch's structure and returns the
-// backend's raw sequence value.
-func (c *Counter) dispatch(ep *epoch, input int, proc, tok int32, afterNode func(id topo.NodeID)) int64 {
+// backend's raw sequence value with the span the token's exit chains onto.
+func (c *Counter) dispatch(ep *epoch, input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64) {
 	switch ep.mode {
 	case ModeDirect:
 		v := c.direct.v.Add(1) - 1
 		if afterNode != nil {
 			afterNode(-1)
 		}
-		return v
+		return v, parent
 	case ModeCombine:
-		return combine.Front{Funnel: c.funnel, Net: ep.net}.Next(input, proc, tok, afterNode)
+		return combine.Front{Funnel: c.funnel, Net: c.net}.TraverseSpan(input, proc, tok, parent, afterNode)
 	case ModeLinear:
-		// The turn wait runs inside dispatch — before Next's census
+		// The turn wait runs inside dispatch — before TraverseSpan's census
 		// decrement — so a waiting token still counts as in-flight and a
 		// concurrent drain waits for it. The drain always terminates: with
 		// the gate closed the in-flight set is fixed, each of its tokens
@@ -368,9 +374,10 @@ func (c *Counter) dispatch(ep *epoch, input int, proc, tok int32, afterNode func
 		// and the holder of the smallest unreleased value is never blocked
 		// — so the chain releases in value order until the census reaches
 		// zero.
-		return c.turn.Release(ep.net.TraverseObs(input, proc, tok, afterNode))
+		v, last := c.net.TraverseSpan(input, proc, tok, parent, afterNode)
+		return c.turn.Release(v), last
 	default:
-		return ep.net.TraverseObs(input, proc, tok, afterNode)
+		return c.net.TraverseSpan(input, proc, tok, parent, afterNode)
 	}
 }
 
@@ -395,23 +402,13 @@ func (c *Counter) windowSamples() int64 {
 }
 
 // backendTotal returns the cumulative issue count of the epoch's backend:
-// the direct counter's value, or the sum of the backend network's output
-// counters. Exact only at a drained boundary, which is the only place the
-// switcher reads it.
+// the direct counter's value, or the network's. Exact only at a drained
+// boundary, which is the only place the switcher reads it.
 func (c *Counter) backendTotal(ep *epoch) int64 {
 	if ep.mode == ModeDirect {
 		return c.direct.v.Load()
 	}
-	return netTotal(ep.net)
-}
-
-// netTotal sums a network's output counters: its cumulative issue count.
-func netTotal(n *shm.Network) int64 {
-	var t int64
-	for _, v := range n.CounterCounts() {
-		t += v
-	}
-	return t
+	return c.net.Issued()
 }
 
 // Stats returns a live snapshot. The per-mode tallies attribute the live
@@ -446,8 +443,8 @@ func (c *Counter) Epochs() []EpochStat {
 // SwitchTo forces a drain-then-switch transition into the given mode,
 // rolling the accounting epoch even when the mode is unchanged (which
 // makes it double as a drain point for tests and shutdown accounting).
-// It must not be called from inside a Next invocation on the same
-// goroutine — the drain would wait for the caller's own census entry.
+// It must not be called from inside a Next or TraverseSpan call on the
+// same goroutine — the drain would wait for the caller's own census entry.
 func (c *Counter) SwitchTo(m Mode) error {
 	if m < ModeDirect || m > ModeLinear {
 		return fmt.Errorf("adaptive: unknown mode %d", int32(m))
@@ -481,12 +478,7 @@ func (c *Counter) switchLocked(m Mode) {
 		mode: m,
 		base: old.base + issued,
 	}
-	if m != ModeDirect {
-		next.net = c.net
-		next.strt = netTotal(next.net)
-	} else {
-		next.strt = c.direct.v.Load()
-	}
+	next.strt = c.backendTotal(next)
 	if m == ModeLinear {
 		// Seed the per-epoch turn: the first raw value the new epoch's
 		// backend will issue is also the first allowed to return. The gate

@@ -577,14 +577,10 @@ func TestLinearZeroViolations(t *testing.T) {
 		// tokens cross the network at genuinely different speeds — the
 		// anomaly shape that drives the bare network's misordering — and
 		// no worker subset can drain the shared op pool undelayed.
-		cfg := shm.StressConfig{
+		res, err := shm.Stress(shm.StressConfig{
 			Net: n, Workers: workers, Ops: ops, Seed: 7,
-			RandomDelay: true, Delay: 30 * time.Microsecond,
-		}
-		if front != nil {
-			cfg.Front = front
-		}
-		res, err := shm.Stress(cfg)
+			RandomDelay: true, Delay: 30 * time.Microsecond, Front: front,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

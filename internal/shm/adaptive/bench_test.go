@@ -22,12 +22,12 @@ type directFront struct {
 	_ [56]byte
 }
 
-func (d *directFront) Next(input int, proc, tok int32, afterNode func(id topo.NodeID)) int64 {
+func (d *directFront) TraverseSpan(input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64) {
 	v := d.v.Add(1) - 1
 	if afterNode != nil {
 		afterNode(topo.NodeID(-1))
 	}
-	return v
+	return v, parent
 }
 
 // BenchmarkAdaptiveLinear quantifies the serialization cliff of the

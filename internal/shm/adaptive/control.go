@@ -116,8 +116,9 @@ func decide(p policy, h hysteresis, mode Mode, w window) (hysteresis, Mode, bool
 }
 
 // control closes one sampling window and maybe switches regime. Called
-// from Next after the triggering token has left the in-flight census —
-// never before, or the drain below would wait for the caller itself.
+// from TraverseSpan after the triggering token has left the in-flight
+// census — never before, or the drain below would wait for the caller
+// itself.
 // TryLock makes concurrent closers cheap: one worker arbitrates, the
 // rest go back to counting.
 //

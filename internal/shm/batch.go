@@ -63,12 +63,13 @@ func batchRoute(b Balancer, demand int, counts []int) {
 // sorted); see walk for why this is operationally identical to demand
 // sequential tokens. afterNode is invoked once per node the group (or a
 // part of it) leaves, as in TraverseObs; proc and tok identify the
-// representative in trace events when observability is enabled. A
+// representative in trace events when observability is enabled, and the
+// group's first hop chains onto parent, as in TraverseSpan. A
 // non-positive demand returns nil.
 //
 //countnet:hotpath
-func (n *Network) TraverseBatch(input, demand int, proc, tok int32, afterNode func(id topo.NodeID)) []int64 {
-	if t := (trip{proc: proc, tok: tok, afterNode: afterNode}); demand > 0 {
+func (n *Network) TraverseBatch(input, demand int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) []int64 {
+	if t := (trip{proc: proc, tok: tok, span: parent, afterNode: afterNode}); demand > 0 {
 		return n.walk(n.g.Input(input), demand, &t, make([]int64, 0, demand))
 	}
 	return nil

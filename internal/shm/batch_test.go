@@ -65,7 +65,7 @@ func TestTraverseBatchMatchesSequential(t *testing.T) {
 	batched := compile(t, g, Options{Kind: KindMCS})
 	sequential := compile(t, g, Options{Kind: KindMCS})
 
-	got := batched.TraverseBatch(0, demand, 0, 0, nil)
+	got := batched.TraverseBatch(0, demand, 0, 0, 0, nil)
 	if len(got) != demand {
 		t.Fatalf("batch returned %d values for demand %d", len(got), demand)
 	}
@@ -88,10 +88,10 @@ func TestTraverseBatchZeroDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := compile(t, g, Options{})
-	if got := n.TraverseBatch(0, 0, 0, 0, nil); got != nil {
+	if got := n.TraverseBatch(0, 0, 0, 0, 0, nil); got != nil {
 		t.Fatalf("demand 0 returned %v", got)
 	}
-	if got := n.TraverseBatch(0, -3, 0, 0, nil); got != nil {
+	if got := n.TraverseBatch(0, -3, 0, 0, 0, nil); got != nil {
 		t.Fatalf("negative demand returned %v", got)
 	}
 }
@@ -106,7 +106,7 @@ func TestTraverseBatchVisitsEachNodeOnce(t *testing.T) {
 	}
 	n := compile(t, g, Options{Kind: KindMCS})
 	visits := map[topo.NodeID]int{}
-	n.TraverseBatch(0, 1, 0, 0, func(id topo.NodeID) { visits[id]++ })
+	n.TraverseBatch(0, 1, 0, 0, 0, func(id topo.NodeID) { visits[id]++ })
 	if len(visits) != g.Depth()+1 {
 		t.Fatalf("visited %d nodes, want depth %d balancers + 1 counter", len(visits), g.Depth())
 	}
@@ -131,7 +131,7 @@ func TestTraverseBatchSpans(t *testing.T) {
 	n.EnableObs(ring, nil, nil, 0)
 	demands := []int{4, 8, 13}
 	for i, demand := range demands {
-		if vals := n.TraverseBatch(i%g.InWidth(), demand, 0, int32(i), nil); len(vals) != demand {
+		if vals := n.TraverseBatch(i%g.InWidth(), demand, 0, int32(i), 0, nil); len(vals) != demand {
 			t.Fatalf("demand %d returned %d values", demand, len(vals))
 		}
 	}
@@ -186,10 +186,10 @@ func TestWalkAllocs(t *testing.T) {
 		{"Traverse", 0, func() { n.Traverse(1) }},
 		{"TraverseObs", 0, func() { n.TraverseObs(1, 0, 0, hook) }},
 		{"TraverseObs/traced", 0, func() { traced.TraverseObs(1, 0, 0, hook) }},
-		{"TraverseBatch/1", 1, func() { n.TraverseBatch(1, 1, 0, 0, nil) }},
-		{"TraverseBatch/2", 2, func() { n.TraverseBatch(1, 2, 0, 0, nil) }},
-		{"TraverseBatch/4", 2, func() { n.TraverseBatch(1, 4, 0, 0, nil) }},
-		{"TraverseBatch/8", 2, func() { n.TraverseBatch(1, 8, 0, 0, hook) }},
+		{"TraverseBatch/1", 1, func() { n.TraverseBatch(1, 1, 0, 0, 0, nil) }},
+		{"TraverseBatch/2", 2, func() { n.TraverseBatch(1, 2, 0, 0, 0, nil) }},
+		{"TraverseBatch/4", 2, func() { n.TraverseBatch(1, 4, 0, 0, 0, nil) }},
+		{"TraverseBatch/8", 2, func() { n.TraverseBatch(1, 8, 0, 0, 0, hook) }},
 	} {
 		if got := testing.AllocsPerRun(200, tc.call); got > tc.max {
 			t.Errorf("%s: %v allocs per call, want at most %v", tc.name, got, tc.max)
@@ -216,7 +216,7 @@ func TestTraverseBatchConcurrentWithSingles(t *testing.T) {
 			in := w % g.InWidth()
 			for r := 0; r < rounds; r++ {
 				if w%2 == 0 {
-					results[w] = append(results[w], n.TraverseBatch(in, batch, int32(w), 0, nil)...)
+					results[w] = append(results[w], n.TraverseBatch(in, batch, int32(w), 0, 0, nil)...)
 				} else {
 					for i := 0; i < batch; i++ {
 						results[w] = append(results[w], n.Traverse(in))

@@ -265,14 +265,17 @@ type Front struct {
 	Net *shm.Network
 }
 
-// Next draws one value for the token (proc, tok) entering Net at input,
-// invoking afterNode per node the token's walk visits.
+// TraverseSpan draws one value for the token (proc, tok) entering Net at
+// input, invoking afterNode per node the token's walk visits. A combined
+// walk's hops chain onto its representative's parent. Every token gets
+// parent back: a partner's value comes from another token's walk, so its
+// exit has no hop of its own to chain onto.
 //
 //countnet:hotpath
-func (f Front) Next(input int, proc, tok int32, afterNode func(id topo.NodeID)) int64 {
+func (f Front) TraverseSpan(input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64) {
 	return f.Do(1, func(demand int) []int64 {
-		return f.Net.TraverseBatch(input, demand, proc, tok, afterNode)
-	})[0]
+		return f.Net.TraverseBatch(input, demand, proc, tok, parent, afterNode)
+	})[0], parent
 }
 
 // badDemand panics on an impossible demand. It lives outside Do so the

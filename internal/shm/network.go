@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"countnet/internal/obs"
 	"countnet/internal/topo"
 )
 
@@ -173,19 +174,31 @@ func (n *Network) walk(p topo.PortRef, demand int, t *trip, out []int64) []int64
 	}
 	id := p.Node
 	idx := n.g.CounterIndex(id)
+	// A counter hop has no metric of its own, so only a trace times it.
 	var t0 int64
-	if o != nil {
+	if o != nil && o.tr != nil {
 		t0 = o.clock()
 	}
 	first := int64(idx) + n.w*(n.counters[idx].v.Add(int64(demand))-int64(demand))
 	for i := 0; i < demand; i++ {
 		out = append(out, first+n.w*int64(i))
 	}
-	if o != nil {
-		o.counted(id, t0, demand, first, t)
+	if o != nil && o.tr != nil {
+		// The hop's value is the smallest of the demand values it handed out.
+		o.record(obs.KindCounter, id, t0, o.clock(), first, t)
 	}
 	t.visited(id)
 	return out
+}
+
+// Issued returns how many values the network has handed out, the sum of
+// its output counters; exact at quiescence.
+func (n *Network) Issued() int64 {
+	var total int64
+	for i := range n.counters {
+		total += n.counters[i].v.Load()
+	}
+	return total
 }
 
 // CounterCounts returns the number of tokens that exited each output; in a

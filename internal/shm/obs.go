@@ -8,16 +8,16 @@ import (
 )
 
 // netObs is the observability state attached to a compiled Network by
-// EnableObs: tracer, clock, and the live metric family (the (Tog+W)/Tog
-// estimator, toggle-wait histogram, output fetch-and-add count, and the
-// prism CAS-retry counter).
+// EnableObs: tracer, clock, and the live per-hop metrics (the (Tog+W)/Tog
+// estimator and the toggle-wait histogram). The output fetch-and-add count
+// and the prism CAS-retry count are gauges computed at snapshot time, so
+// no token writes a shared metric word.
 type netObs struct {
 	tr    obs.Tracer   // nil when tracing disabled
 	clock func() int64 // nanoseconds on the run's monotonic timeline
 	spans *obs.Clock   // causal span ids; non-nil exactly when tr is
 	tog   *obs.Histogram
 	ratio *obs.Ratio
-	fai   *obs.Counter // output-counter fetch-and-adds
 }
 
 // Ratio returns the live (Tog+W)/Tog estimator, or nil when EnableObs has
@@ -50,7 +50,7 @@ func (n *Network) EnableObs(tr obs.Tracer, reg *obs.Registry, clock func() int64
 	if reg != nil {
 		o.tog = reg.Histogram("shm_tog_wait_ns")
 		o.ratio = reg.Ratio("shm_avg_c2c1", effW)
-		o.fai = reg.Counter("shm_counter_fai_total")
+		reg.GaugeFunc("shm_counter_fai_total", func() float64 { return float64(n.Issued()) })
 		prisms := false
 		for _, b := range n.balancers {
 			if _, ok := b.(*Diffracting); ok {
@@ -114,16 +114,6 @@ func (o *netObs) toggled(id topo.NodeID, t0 int64, t *trip) {
 		o.ratio.Observe(t1 - t0)
 	}
 	o.record(obs.KindBalancer, id, t0, t1, -1, t)
-}
-
-// counted closes an output-counter hop opened at t0 that handed out demand
-// values, the smallest of them first.
-func (o *netObs) counted(id topo.NodeID, t0 int64, demand int, first int64, t *trip) {
-	t1 := o.clock()
-	if o.fai != nil {
-		o.fai.Add(int64(demand))
-	}
-	o.record(obs.KindCounter, id, t0, t1, first, t)
 }
 
 // record traces one hop under the trip's identity, chained onto the trip's

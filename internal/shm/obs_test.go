@@ -2,6 +2,7 @@ package shm
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"sort"
 	"testing"
@@ -84,11 +85,11 @@ func TestStressTraced(t *testing.T) {
 	if got := reg.Histogram("shm_tog_wait_ns").Count(); got != int64(counts[obs.KindBalancer]) {
 		t.Fatalf("wait histogram has %d samples, trace has %d balancer events", got, counts[obs.KindBalancer])
 	}
-	if got := reg.Counter("shm_counter_fai_total").Value(); got != ops {
-		t.Fatalf("counter fetch-and-adds %d, want %d", got, ops)
-	}
 	var txt bytes.Buffer
 	reg.WriteText(&txt)
+	if want := fmt.Sprintf("shm_counter_fai_total %d\n", ops); !bytes.Contains(txt.Bytes(), []byte(want)) {
+		t.Fatalf("metrics text missing %q:\n%s", want, txt.String())
+	}
 	if !bytes.Contains(txt.Bytes(), []byte("shm_avg_c2c1")) {
 		t.Fatalf("metrics text missing ratio gauge:\n%s", txt.String())
 	}

@@ -39,11 +39,11 @@ type StressConfig struct {
 	BurnDelay bool
 	// Seed drives random delays.
 	Seed int64
-	// Front, when non-nil, is the counting front-end the workers route
-	// every operation through instead of traversing Net directly: the
-	// combining funnel (combine.Front) and the contention-adaptive engine
-	// (adaptive.Counter) are the two in this repo. Net stays required: it
-	// supplies input width and observability.
+	// Front is the counting front-end the workers route every operation
+	// through; nil means Net itself. The combining funnel (combine.Front)
+	// and the contention-adaptive engine (adaptive.Counter) are the other
+	// two in this repo. Net stays required: it supplies input width and
+	// observability.
 	Front Front
 	// Tracer, when non-nil, receives per-token enter/balancer/counter/exit
 	// events on the run's monotonic timeline.
@@ -54,14 +54,16 @@ type StressConfig struct {
 	Metrics *obs.Registry
 }
 
-// Front is a pluggable counting front-end for the stress driver: Next
-// draws one value for the token (proc, tok) entering at the given input
-// wire, invoking afterNode per visited node exactly like TraverseObs,
-// and the values handed out across a run must form the same gapless
-// sequence a direct traversal would produce. Defined here — not in the
-// front-end's own package — so shm never imports its front-ends.
+// Front is a pluggable counting front-end for the stress driver, with the
+// shape of (*Network).TraverseSpan, so the bare network is one:
+// TraverseSpan draws one value for the token (proc, tok) entering at the
+// given input wire, invokes afterNode per visited node, chains every hop
+// it traces onto parent, and returns the value with the span the token's
+// exit chains onto. The values handed out across a run must form the same
+// gapless sequence a direct traversal would produce. Defined here — not
+// in the front-end's own package — so shm never imports its front-ends.
 type Front interface {
-	Next(input int, proc, tok int32, afterNode func(id topo.NodeID)) int64
+	TraverseSpan(input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64)
 }
 
 // EffWait returns the effective injected per-node delay in nanoseconds —
@@ -119,6 +121,10 @@ func Stress(cfg StressConfig) (*StressResult, error) {
 	if cfg.BurnDelay {
 		wait = backoff.Burn
 	}
+	front := cfg.Front
+	if front == nil {
+		front = cfg.Net
+	}
 	nd := int(cfg.DelayedFrac * float64(cfg.Workers))
 	hooks := make([]func(topo.NodeID), cfg.Workers)
 	for wkr := range hooks {
@@ -139,15 +145,7 @@ func Stress(cfg StressConfig) (*StressResult, error) {
 			tr.Record(obs.Event{T: start, Kind: obs.KindEnter,
 				P: proc, Tok: tok, Node: -1, Value: -1, Span: parent})
 		}
-		// last is the exit event's causal parent: the counter hop when this
-		// worker walked the network itself, the enter event when a front-end
-		// drew the value on its behalf.
-		v, last := int64(0), parent
-		if cfg.Front != nil {
-			v = cfg.Front.Next(input, proc, tok, hook)
-		} else {
-			v, last = cfg.Net.TraverseSpan(input, proc, tok, parent, hook)
-		}
+		v, last := front.TraverseSpan(input, proc, tok, parent, hook)
 		if tr != nil && spans != nil {
 			end := clock()
 			tr.Record(obs.Event{T: end, Dur: end - start, Kind: obs.KindExit,

@@ -154,11 +154,12 @@ func TestStressCombineQuiescentLinearizable(t *testing.T) {
 	}
 }
 
-// TestStressCombineSpans pins the funnel path's causal story: a combined
-// worker's exit chains straight onto its enter (the traversal ran on the
-// combiner's identity), every balancer and counter hop of a combined walk
-// is stamped and chains onto the trace, and the trace closes with zero
-// orphans.
+// TestStressCombineSpans pins the funnel path's causal story: every
+// worker's exit chains straight onto its own enter (a partner's value came
+// from another token's walk), every balancer and counter hop of a combined
+// walk is stamped and chains onto an event of the trace — never a root,
+// since a walk starts from its representative's enter — and the trace
+// closes with zero orphans.
 func TestStressCombineSpans(t *testing.T) {
 	g, err := bitonic.New(4)
 	if err != nil {
@@ -189,25 +190,18 @@ func TestStressCombineSpans(t *testing.T) {
 		}
 	}
 	for _, ev := range events {
-		if ev.Kind != obs.KindBalancer && ev.Kind != obs.KindCounter {
-			continue
-		}
-		if ev.Span == 0 {
-			t.Fatalf("unstamped hop in a combined run: %+v", ev)
-		}
-		if ev.Parent != 0 && !spans[ev.Parent] {
-			t.Fatalf("hop chains onto span %d, which is not in the trace: %+v", ev.Parent, ev)
-		}
-	}
-	for _, ev := range events {
-		if ev.Kind != obs.KindExit {
-			continue
-		}
-		if ev.Parent == 0 {
-			t.Fatalf("exit without causal parent: %+v", ev)
-		}
-		if ev.Parent == enterSpan[key(ev)] {
-			continue // combined away: exit chains onto its own enter
+		switch ev.Kind {
+		case obs.KindBalancer, obs.KindCounter:
+			if ev.Span == 0 {
+				t.Fatalf("unstamped hop in a combined run: %+v", ev)
+			}
+			if !spans[ev.Parent] {
+				t.Fatalf("hop chains onto span %d, which is not in the trace: %+v", ev.Parent, ev)
+			}
+		case obs.KindExit:
+			if ev.Parent != enterSpan[key(ev)] {
+				t.Fatalf("exit chains onto span %d, not its own enter %d: %+v", ev.Parent, enterSpan[key(ev)], ev)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"countnet/internal/obs"
 	"countnet/internal/shm"
@@ -34,14 +35,13 @@ const (
 // Fronts lists every front-end, plain network first.
 var Fronts = []FrontKind{FrontPlain, FrontCombine, FrontAdaptive, FrontAdaptiveLinear}
 
-// Build returns the front-end of this kind over the compiled network n,
-// or nil for the plain network. reg, when non-nil, receives the
-// front-end's metric family.
+// Build returns the front-end of this kind over the compiled network n.
+// reg, when non-nil, receives the front-end's metric family.
 func (k FrontKind) Build(n *shm.Network, reg *obs.Registry) (shm.Front, error) {
 	opts := adaptive.Options{Metrics: reg}
 	switch k {
 	case "", FrontPlain:
-		return nil, nil
+		return n, nil
 	case FrontCombine:
 		return combine.Front{Funnel: combine.New(combine.Options{Metrics: reg}), Net: n}, nil
 	case FrontAdaptive:
@@ -55,4 +55,36 @@ func (k FrontKind) Build(n *shm.Network, reg *obs.Registry) (shm.Front, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// FrontReport summarizes what a front-end did over a run in one line: the
+// funnel's hit rate and dispositions, or the adaptive engine's final
+// regime, switch count, per-mode tallies and regime history. It returns ""
+// for the plain network, which has nothing beyond the run's own report.
+func FrontReport(front shm.Front) string {
+	var b strings.Builder
+	switch f := front.(type) {
+	case combine.Front:
+		c := f.Stats()
+		deg := 0.0
+		if c.Pairs > 0 {
+			deg = 1 + float64(c.Partners)/float64(c.Pairs)
+		}
+		fmt.Fprintf(&b, "combine: hit rate %.2f, %d combined walks (avg degree %.1f), %d partners, %d timeouts, %d idle, %d races",
+			c.HitRate(), c.Pairs, deg, c.Partners, c.Timeouts, c.Idle, c.Races)
+	case *adaptive.Counter:
+		st := f.Stats()
+		fmt.Fprintf(&b, "adaptive: ended in %s after %d switches, tokens direct/combine/network/linear = %d/%d/%d/%d",
+			st.Mode, st.Switches, st.PerMode[adaptive.ModeDirect], st.PerMode[adaptive.ModeCombine], st.PerMode[adaptive.ModeNetwork], st.PerMode[adaptive.ModeLinear])
+		if eps := f.Epochs(); len(eps) > 0 {
+			b.WriteString("; regime history:")
+			live := st.Tokens
+			for _, e := range eps {
+				fmt.Fprintf(&b, " %s×%d", e.Mode, e.Tokens)
+				live -= e.Tokens
+			}
+			fmt.Fprintf(&b, " %s×%d(live)", st.Mode, live)
+		}
+	}
+	return b.String()
 }

@@ -5,9 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"countnet/internal/obs"
 	"countnet/internal/shm"
 	"countnet/internal/shm/adaptive"
 )
+
+var _ shm.Front = (*shm.Network)(nil)
 
 func TestFronts(t *testing.T) {
 	for _, f := range Fronts {
@@ -24,8 +27,11 @@ func TestFronts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if (front == nil) != (f == FrontPlain) {
-				t.Fatalf("Build returned %T; want nil exactly for %s", front, FrontPlain)
+			if front == nil {
+				t.Fatal("Build returned a nil front-end")
+			}
+			if (front == shm.Front(n)) != (f == FrontPlain) {
+				t.Fatalf("Build returned %T; want the network itself exactly for %s", front, FrontPlain)
 			}
 
 			spec := RealSpec{Net: Bitonic, Width: 4, Workers: 4, Ops: 300, Seed: 1, Front: f}
@@ -56,6 +62,63 @@ func TestFronts(t *testing.T) {
 	}
 	if _, err := (RealSpec{Net: Bitonic, Width: 4, Workers: 1, Ops: 1, Front: "nonsense"}).Run(); err == nil {
 		t.Error("RealSpec ran an unknown front-end")
+	}
+}
+
+// TestFrontSpansReachEnter runs a traced stress through every front-end
+// and checks that the trace shows where each token's time went: the trace
+// is causally closed, and every balancer and counter hop chains back to
+// the enter event of the token that made it (for a combined walk, its
+// representative's).
+func TestFrontSpansReachEnter(t *testing.T) {
+	for _, f := range Fronts {
+		t.Run(string(f), func(t *testing.T) {
+			g, err := Bitonic.Build(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := shm.Compile(g, shm.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			front, err := f.Build(n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const workers, ops = 8, 400
+			ring := obs.NewRing(workers, 1<<12)
+			if _, err := shm.Stress(shm.StressConfig{
+				Net: n, Workers: workers, Ops: ops, Seed: 1, Tracer: ring, Front: front,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if ring.Overwritten() > 0 {
+				t.Fatalf("ring overwrote %d events; size it up", ring.Overwritten())
+			}
+			events := ring.Events()
+			if _, orphans := obs.CausalClosure(events); orphans != 0 {
+				t.Fatalf("trace not causally closed: %d orphans", orphans)
+			}
+			bySpan := make(map[uint64]obs.Event, len(events))
+			for _, ev := range events {
+				bySpan[ev.Span] = ev
+			}
+			for _, ev := range events {
+				if ev.Kind != obs.KindBalancer && ev.Kind != obs.KindCounter {
+					continue
+				}
+				// Parents precede children, so the chain ends within
+				// len(events) steps: at an enter, or at a missing parent.
+				cur := ev
+				for cur.Kind != obs.KindEnter {
+					p, ok := bySpan[cur.Parent]
+					if !ok || p.Span >= cur.Span {
+						t.Fatalf("hop %+v does not chain back to an enter event (stopped at %+v)", ev, cur)
+					}
+					cur = p
+				}
+			}
+		})
 	}
 }
 
