@@ -71,7 +71,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/... ./internal/shm/... ./internal/msgnet/... ./internal/conformance/... ./internal/workload/...
+	$(GO) test -race . ./internal/obs/... ./internal/shm/... ./internal/msgnet/... ./internal/conformance/... ./internal/workload/...
 
 # chaos is the CI chaos job locally: a race-checked fault-plan soak on
 # the msgnet engine with a fixed seed (byte-for-byte reproducible); a

@@ -32,7 +32,7 @@ package countnet
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"math/rand/v2"
 	"time"
 
 	"countnet/internal/bitonic"
@@ -188,8 +188,7 @@ func WithDiffraction(prismWidth int, window time.Duration) CounterOption {
 // Counter is a concurrent shared counter backed by a counting network. All
 // methods are safe for concurrent use by any number of goroutines.
 type Counter struct {
-	net  *shm.Network
-	next atomic.Int64
+	net *shm.Network
 }
 
 // NewCounter compiles the topology into a runnable concurrent counter.
@@ -208,20 +207,24 @@ func NewCounter(t Topology, opts ...CounterOption) (*Counter, error) {
 	return &Counter{net: net}, nil
 }
 
-// Next draws the next value, entering the network on round-robin inputs.
-// Values across all goroutines form a permutation of 0, 1, 2, ...; see the
-// package comment for the exact ordering guarantees.
+// Next draws the next value, entering the network at an input picked
+// uniformly at random by the calling thread's own generator, so no shared
+// word is written before the first balancer. A counting network counts for
+// any distribution of inputs: values across all goroutines form a
+// permutation of 0, 1, 2, ..., and a single caller still draws 0, 1, 2,
+// ... in order; see the package comment for the exact ordering guarantees.
 func (c *Counter) Next() int64 {
-	in := int(c.next.Add(1)-1) % c.net.InWidth()
-	if in < 0 {
-		in += c.net.InWidth()
-	}
-	return c.net.Traverse(in)
+	return c.net.Traverse(entry(c.net.InWidth()))
 }
 
+// entry picks the input a Next call enters at. math/rand/v2's top-level
+// generator is per thread, so unlike a shared round-robin cursor it is no
+// central hot spot in front of the network.
+func entry(width int) int { return rand.IntN(width) }
+
 // NextAt draws the next value entering at a specific network input, which
-// callers can use to pin goroutines to inputs (lower contention than the
-// shared round-robin cursor).
+// callers can use to pin goroutines to inputs (spreading them evenly
+// rather than at random, as Next does).
 func (c *Counter) NextAt(input int) (int64, error) {
 	if input < 0 || input >= c.net.InWidth() {
 		return 0, fmt.Errorf("countnet: input %d out of range [0,%d)", input, c.net.InWidth())

@@ -174,11 +174,49 @@ func TestNextAt(t *testing.T) {
 			t.Errorf("sequential NextAt %d = %d", k, v)
 		}
 	}
+	// Next enters at a random input, and a lone caller still draws the
+	// values in order.
+	for k := 8; k < 64; k++ {
+		if v := ctr.Next(); v != int64(k) {
+			t.Errorf("sequential Next %d = %d", k, v)
+		}
+	}
 	if _, err := ctr.NextAt(-1); err == nil {
 		t.Error("NextAt(-1) accepted")
 	}
 	if _, err := ctr.NextAt(4); err == nil {
 		t.Error("NextAt(width) accepted")
+	}
+}
+
+// TestNextAllocs pins the default (MCS) counter's calls to zero
+// allocations: the walk's queue node comes from the pool, and the
+// instrumented call's hook stays on the stack. The race detector makes
+// sync.Pool drop items on purpose, so the test is skipped under -race.
+func TestNextAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items on purpose under -race")
+	}
+	tp, err := TreeTopology(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr, err := NewCounter(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook := func() {}
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"Next", func() { ctr.Next() }},
+		{"NextAt", func() { _, _ = ctr.NextAt(0) }},
+		{"NextInstrumented", func() { _, _ = ctr.NextInstrumented(0, hook) }},
+	} {
+		if got := testing.AllocsPerRun(200, tc.call); got != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", tc.name, got)
+		}
 	}
 }
 

@@ -94,22 +94,38 @@ func (b *mutexBalancer) Traverse() int {
 	return out
 }
 
+// nodes is the one pool of MCS queue nodes. A walk draws one node and
+// carries it through every MCS toggle on its path (see walk), so a token
+// pays for one Get and one Put, not one pair per hop.
+var nodes mcs.Pool
+
 // mcsBalancer is the paper's balancer: a toggle in a critical section
-// protected by an MCS queue lock.
+// protected by an MCS queue lock. It fills a cache line, so no two
+// balancers' lock words share one (TestMCSBalancerLayout).
 type mcsBalancer struct {
 	lock   mcs.Lock
-	pool   mcs.Pool
 	toggle int
 	fanOut int
+	_      [40]byte
 }
 
+// Traverse implements Balancer with a queue node of its own, for callers
+// outside a walk (the diffracting wrapper's fallback, single-toggle
+// measurements).
 func (b *mcsBalancer) Traverse() int {
-	n := b.pool.Get()
+	n := nodes.Get()
+	out := b.traverse(n)
+	nodes.Put(n)
+	return out
+}
+
+// traverse toggles once in a critical section queued on n, the walk's
+// node.
+func (b *mcsBalancer) traverse(n *mcs.Node) int {
 	b.lock.Acquire(n)
 	out := b.toggle
 	b.toggle = (b.toggle + 1) % b.fanOut
 	b.lock.Release(n)
-	b.pool.Put(n)
 	return out
 }
 

@@ -1,6 +1,9 @@
 package shm
 
-import "countnet/internal/topo"
+import (
+	"countnet/internal/shm/mcs"
+	"countnet/internal/topo"
+)
 
 // Each toggle kind routes several tokens in one critical section:
 // TraverseBatch advances the toggle demand times, adding one to counts[p]
@@ -26,31 +29,31 @@ func (b *mutexBalancer) TraverseBatch(demand int, counts []int) {
 	b.mu.Unlock()
 }
 
-func (b *mcsBalancer) TraverseBatch(demand int, counts []int) {
-	n := b.pool.Get()
+// TraverseBatch queues on n, the walk's node.
+func (b *mcsBalancer) TraverseBatch(demand int, counts []int, n *mcs.Node) {
 	b.lock.Acquire(n)
 	for i := 0; i < demand; i++ {
 		counts[b.toggle]++
 		b.toggle = (b.toggle + 1) % b.fanOut
 	}
 	b.lock.Release(n)
-	b.pool.Put(n)
 }
 
 // batchRoute routes demand tokens through b into counts: one critical
-// section for the batch-capable toggle kinds, sequential Traverse calls
-// otherwise (diffracting balancers, whose prism pairing is per-token).
+// section for the batch-capable toggle kinds (an MCS toggle queues on
+// node, the walk's), sequential Traverse calls otherwise (diffracting
+// balancers, whose prism pairing is per-token).
 // The switch names the concrete kinds rather than asserting an interface
 // so that counts, the walk's stack-held tally, never passes through an
 // interface call and so never escapes to the heap.
-func batchRoute(b Balancer, demand int, counts []int) {
+func batchRoute(b Balancer, demand int, counts []int, node *mcs.Node) {
 	switch bb := b.(type) {
 	case *atomicBalancer:
 		bb.TraverseBatch(demand, counts)
 	case *mutexBalancer:
 		bb.TraverseBatch(demand, counts)
 	case *mcsBalancer:
-		bb.TraverseBatch(demand, counts)
+		bb.TraverseBatch(demand, counts, node)
 	default:
 		for i := 0; i < demand; i++ {
 			counts[b.Traverse()]++
@@ -69,8 +72,12 @@ func batchRoute(b Balancer, demand int, counts []int) {
 //
 //countnet:hotpath
 func (n *Network) TraverseBatch(input, demand int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) []int64 {
-	if t := (trip{proc: proc, tok: tok, span: parent, afterNode: afterNode}); demand > 0 {
-		return n.walk(n.g.Input(input), demand, &t, make([]int64, 0, demand))
+	if demand <= 0 {
+		return nil
 	}
-	return nil
+	t := trip{proc: proc, tok: tok, span: parent, afterNode: afterNode}
+	node := n.node()
+	vals := n.walk(n.g.Input(input), demand, &t, node, make([]int64, 0, demand))
+	putNode(node)
+	return vals
 }

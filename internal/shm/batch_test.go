@@ -4,9 +4,11 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"countnet/internal/bitonic"
 	"countnet/internal/obs"
+	"countnet/internal/shm/mcs"
 	"countnet/internal/topo"
 )
 
@@ -26,19 +28,22 @@ func TestBatchBalancerMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bb, ok := batched.(interface {
-				TraverseBatch(demand int, counts []int)
-			})
-			if !ok {
-				t.Fatalf("%s balancer does not support batching", kind)
-			}
 			// Skew the toggle off its initial position first.
 			for i := 0; i < warmup; i++ {
 				batched.Traverse()
 				sequential.Traverse()
 			}
 			got := make([]int, fanOut)
-			bb.TraverseBatch(demand, got)
+			switch bb := batched.(type) {
+			case *atomicBalancer:
+				bb.TraverseBatch(demand, got)
+			case *mutexBalancer:
+				bb.TraverseBatch(demand, got)
+			case *mcsBalancer:
+				bb.TraverseBatch(demand, got, new(mcs.Node))
+			default:
+				t.Fatalf("%s balancer does not support batching", kind)
+			}
 			want := make([]int, fanOut)
 			for i := 0; i < demand; i++ {
 				want[sequential.Traverse()]++
@@ -165,35 +170,72 @@ func TestTraverseBatchSpans(t *testing.T) {
 }
 
 // TestWalkAllocs pins the allocation count of every walk entry on
-// bitonic[8]: a single token walks allocation-free, traced or not, and a
-// batch allocates only its values slice (the per-balancer tally stays on
-// the stack). Atomic toggles keep the MCS node pool, whose misses the
-// race detector provokes on purpose, out of the count.
+// bitonic[8], for atomic and MCS toggles: a single token walks
+// allocation-free, traced or not, and a batch allocates only its values
+// slice (the per-balancer tally stays on the stack). An MCS walk's one
+// queue node comes from the pool and goes back to it. The race detector
+// makes sync.Pool drop items on purpose, so the MCS case is skipped under
+// -race.
 func TestWalkAllocs(t *testing.T) {
 	g, err := bitonic.New(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := compile(t, g, Options{Kind: KindAtomic})
-	traced := compile(t, g, Options{Kind: KindAtomic})
-	traced.EnableObs(obs.NewRing(1, 64), nil, nil, 0)
-	hook := func(topo.NodeID) {}
-	for _, tc := range []struct {
-		name string
-		max  float64
-		call func()
-	}{
-		{"Traverse", 0, func() { n.Traverse(1) }},
-		{"TraverseObs", 0, func() { n.TraverseObs(1, 0, 0, hook) }},
-		{"TraverseObs/traced", 0, func() { traced.TraverseObs(1, 0, 0, hook) }},
-		{"TraverseBatch/1", 1, func() { n.TraverseBatch(1, 1, 0, 0, 0, nil) }},
-		{"TraverseBatch/2", 2, func() { n.TraverseBatch(1, 2, 0, 0, 0, nil) }},
-		{"TraverseBatch/4", 2, func() { n.TraverseBatch(1, 4, 0, 0, 0, nil) }},
-		{"TraverseBatch/8", 2, func() { n.TraverseBatch(1, 8, 0, 0, 0, hook) }},
-	} {
-		if got := testing.AllocsPerRun(200, tc.call); got > tc.max {
-			t.Errorf("%s: %v allocs per call, want at most %v", tc.name, got, tc.max)
+	for _, kind := range []Kind{KindAtomic, KindMCS} {
+		t.Run(kind.String(), func(t *testing.T) {
+			if kind == KindMCS && raceEnabled {
+				t.Skip("sync.Pool drops items on purpose under -race")
+			}
+			n := compile(t, g, Options{Kind: kind})
+			traced := compile(t, g, Options{Kind: kind})
+			traced.EnableObs(obs.NewRing(1, 64), nil, nil, 0)
+			hook := func(topo.NodeID) {}
+			for _, tc := range []struct {
+				name string
+				max  float64
+				call func()
+			}{
+				{"Traverse", 0, func() { n.Traverse(1) }},
+				{"TraverseObs", 0, func() { n.TraverseObs(1, 0, 0, hook) }},
+				{"TraverseObs/traced", 0, func() { traced.TraverseObs(1, 0, 0, hook) }},
+				{"TraverseBatch/1", 1, func() { n.TraverseBatch(1, 1, 0, 0, 0, nil) }},
+				{"TraverseBatch/2", 2, func() { n.TraverseBatch(1, 2, 0, 0, 0, nil) }},
+				{"TraverseBatch/4", 2, func() { n.TraverseBatch(1, 4, 0, 0, 0, nil) }},
+				{"TraverseBatch/8", 2, func() { n.TraverseBatch(1, 8, 0, 0, 0, hook) }},
+			} {
+				if got := testing.AllocsPerRun(200, tc.call); got > tc.max {
+					t.Errorf("%s: %v allocs per call, want at most %v", tc.name, got, tc.max)
+				}
+			}
+		})
+	}
+}
+
+// TestMCSBalancerLayout pins the layout every MCS toggle's cost depends
+// on: a balancer fills one cache line, so the lock words of a compiled
+// network's balancers, which different tokens swap concurrently, never
+// share a line.
+func TestMCSBalancerLayout(t *testing.T) {
+	const cacheLine = 64
+	if sz := unsafe.Sizeof(mcsBalancer{}); sz != cacheLine {
+		t.Errorf("mcsBalancer is %d bytes, want %d", sz, cacheLine)
+	}
+	g, err := bitonic.New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := compile(t, g, Options{Kind: KindMCS})
+	owner := map[uintptr]topo.NodeID{}
+	for _, id := range g.Balancers() {
+		b, ok := n.balancers[id].(*mcsBalancer)
+		if !ok {
+			t.Fatalf("balancer %d is %T, want *mcsBalancer", id, n.balancers[id])
 		}
+		line := uintptr(unsafe.Pointer(&b.lock)) / cacheLine
+		if prev, ok := owner[line]; ok {
+			t.Errorf("balancers %d and %d lock words share a cache line", prev, id)
+		}
+		owner[line] = id
 	}
 }
 

@@ -3,6 +3,15 @@
 // Multiprocessors"), the lock the paper uses to protect every balancer: each
 // waiter spins on its own queue node, so admission is FIFO and the lock
 // generates constant remote traffic per handoff.
+//
+// A Node is clean (its next link nil) whenever it is not in a queue: it
+// starts clean, and Release leaves it clean on both the uncontended and the
+// hand-off path. Acquire therefore writes nothing to its node before
+// joining the queue, and an uncontended Acquire/Release pair is two
+// read-modify-writes on the tail (a swap and a compare-and-swap). Only a
+// waiter that finds a predecessor sets its own locked flag and links in.
+// One clean node can carry its goroutine through any number of locks in
+// sequence, as a network walk does.
 package mcs
 
 import (
@@ -11,12 +20,13 @@ import (
 	"sync/atomic"
 )
 
-// Node is one waiter's queue cell. A Node may be reused after Release
-// returns; use a Pool to amortize allocation.
+// Node is one waiter's queue cell, a whole cache line so that no two
+// waiters spin on the same line. A Node may be reused, with this or any
+// other Lock, once Release returns; use a Pool to amortize allocation.
 type Node struct {
 	next   atomic.Pointer[Node]
 	locked atomic.Bool
-	_      [40]byte // keep hot fields of different nodes on separate cache lines
+	_      [52]byte // pad to 64 bytes
 }
 
 // Lock is an MCS queue lock. The zero value is an unlocked lock.
@@ -25,14 +35,16 @@ type Lock struct {
 }
 
 // Acquire enters the critical section, spinning on n until the predecessor
-// hands the lock over. n must not be in use by another Acquire.
+// hands the lock over. n must be clean: new, or released since its last
+// Acquire.
 func (l *Lock) Acquire(n *Node) {
-	n.next.Store(nil)
-	n.locked.Store(true)
 	pred := l.tail.Swap(n)
 	if pred == nil {
 		return
 	}
+	// locked must be set before the link: the predecessor clears it only
+	// after it reads pred.next.
+	n.locked.Store(true)
 	pred.next.Store(n)
 	for spins := 0; n.locked.Load(); spins++ {
 		if spins%64 == 63 {
@@ -43,14 +55,12 @@ func (l *Lock) Acquire(n *Node) {
 }
 
 // TryAcquire enters the critical section only if the lock is free,
-// returning whether it succeeded.
+// returning whether it succeeded. n must be clean, as for Acquire.
 func (l *Lock) TryAcquire(n *Node) bool {
-	n.next.Store(nil)
-	n.locked.Store(true)
 	return l.tail.CompareAndSwap(nil, n)
 }
 
-// Release leaves the critical section entered with n.
+// Release leaves the critical section entered with n and leaves n clean.
 func (l *Lock) Release(n *Node) {
 	next := n.next.Load()
 	if next == nil {
@@ -68,15 +78,16 @@ func (l *Lock) Release(n *Node) {
 			}
 		}
 	}
+	n.next.Store(nil)
 	next.locked.Store(false)
 }
 
-// Pool hands out queue Nodes.
+// Pool hands out clean queue Nodes.
 type Pool struct {
 	p sync.Pool
 }
 
-// Get returns a Node ready for Acquire.
+// Get returns a clean Node ready for Acquire.
 func (p *Pool) Get() *Node {
 	if n, ok := p.p.Get().(*Node); ok {
 		return n

@@ -1,8 +1,10 @@
 package mcs
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestMutualExclusion(t *testing.T) {
@@ -53,6 +55,83 @@ func TestUncontendedSequence(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l.Acquire(n)
 		l.Release(n)
+	}
+}
+
+// TestNodeCleanAfterRelease checks the invariant Acquire's two-RMW fast
+// path rests on: Release leaves its node's next link nil, both when no
+// one queued behind it and when it handed the lock to a successor.
+func TestNodeCleanAfterRelease(t *testing.T) {
+	var l Lock
+	a := new(Node)
+	l.Acquire(a)
+	l.Release(a)
+	if a.next.Load() != nil {
+		t.Fatal("next not nil after an uncontended release")
+	}
+
+	b := new(Node)
+	l.Acquire(a)
+	acquired := make(chan struct{})
+	go func() {
+		l.Acquire(b)
+		close(acquired)
+	}()
+	// Wait until b has linked itself behind a, so Release takes the
+	// hand-off branch.
+	for a.next.Load() == nil {
+		runtime.Gosched()
+	}
+	l.Release(a)
+	<-acquired
+	if a.next.Load() != nil {
+		t.Fatal("next not nil after a hand-off release")
+	}
+	l.Release(b)
+	if b.next.Load() != nil {
+		t.Fatal("successor's next not nil after its uncontended release")
+	}
+}
+
+// TestOneNodeManyLocks carries one node per goroutine through a chain of
+// locks in sequence, the way a network walk carries its node through
+// every toggle on its path. Each lock guards a plain counter, so a break
+// in mutual exclusion shows as a lost update, and as a data race under
+// -race.
+func TestOneNodeManyLocks(t *testing.T) {
+	const goroutines, locks, iters = 8, 6, 500
+	var chain [locks]struct {
+		l Lock
+		n int
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n := new(Node)
+			for i := 0; i < iters; i++ {
+				for k := range chain {
+					chain[k].l.Acquire(n)
+					chain[k].n++
+					chain[k].l.Release(n)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for k := range chain {
+		if chain[k].n != goroutines*iters {
+			t.Errorf("lock %d guarded %d increments, want %d", k, chain[k].n, goroutines*iters)
+		}
+	}
+}
+
+// TestNodeSize pins a Node to one cache line, so that nodes the allocator
+// places side by side never share the line their owners spin on.
+func TestNodeSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Node{}); sz != 64 {
+		t.Fatalf("Node is %d bytes, want 64", sz)
 	}
 }
 

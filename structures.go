@@ -2,7 +2,6 @@ package countnet
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"countnet/internal/shm"
@@ -85,9 +84,8 @@ func (s *Stack[T]) Len() int { return s.s.Len() }
 // not worth paying ("an unnecessary burden on applications that are willing
 // to trade-off occasional non-linearizability for speed and parallelism").
 type LinearizableCounter struct {
-	f    *shm.Filter
-	next atomic.Int64
-	in   int
+	f  *shm.Filter
+	in int
 }
 
 // NewLinearizableCounter compiles t and wraps it in the waiting filter.
@@ -109,11 +107,7 @@ func NewLinearizableCounter(t Topology, opts ...CounterOption) (*LinearizableCou
 // Next draws the next value; values are returned in exactly increasing
 // real-time order across all goroutines.
 func (c *LinearizableCounter) Next() int64 {
-	in := int(c.next.Add(1)-1) % c.in
-	if in < 0 {
-		in += c.in
-	}
-	return c.f.Traverse(in)
+	return c.f.Traverse(entry(c.in))
 }
 
 // NextAt draws the next value entering at a specific network input.
