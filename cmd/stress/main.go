@@ -45,9 +45,10 @@
 // With -trace the run's token events (enter, per-balancer traversal with
 // wait duration, counter, exit) are exported as JSONL (.jsonl) or Chrome
 // trace_event format (anything else; open in Perfetto). With -metrics the
-// live metric family — toggle-wait histogram, (Tog+W)/Tog ratio gauge,
-// per-balancer depth, prism CAS retries — is dumped as plain text. -pprof
-// serves net/http/pprof plus the same metrics at /metrics while running.
+// live metric family — toggle-wait histogram, the (Tog+W)/Tog ratio read
+// from it, output fetch-and-add total, prism CAS retries — is dumped as
+// plain text. -pprof serves net/http/pprof plus the same metrics at
+// /metrics while running.
 package main
 
 import (

@@ -6,9 +6,9 @@ package obsvetdata
 import "countnet/internal/obs"
 
 type engine struct {
-	tr    obs.Tracer
-	tog   *obs.Counter
-	ratio *obs.Ratio
+	tr   obs.Tracer
+	tog  *obs.Counter
+	hist *obs.Histogram
 	//countnet:allow obsvet -- New substitutes a no-op counter when metrics are off; never nil
 	safe *obs.Counter
 	mx   *metrics
@@ -25,7 +25,7 @@ func (e *engine) Unguarded() {
 func (e *engine) SiblingGuard(wait int64) {
 	if e.tog != nil {
 		e.tog.Inc()
-		e.ratio.Observe(wait) // want `unguarded Observe call on \*obs\.Ratio`
+		e.hist.Observe(wait) // want `unguarded Observe call on \*obs\.Histogram`
 	}
 }
 
@@ -33,8 +33,8 @@ func (e *engine) Guarded(wait int64) {
 	if e.tog != nil {
 		e.tog.Inc()
 	}
-	if e.ratio != nil {
-		e.ratio.Observe(wait)
+	if e.hist != nil {
+		e.hist.Observe(wait)
 	}
 	if e.tr != nil {
 		e.tr.Record(obs.Event{})

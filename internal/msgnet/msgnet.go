@@ -72,7 +72,7 @@ type netObs struct {
 	clock func() int64
 	spans *obs.Clock // causal span ids; non-nil exactly when tr is
 	tog   *obs.Histogram
-	ratio *obs.Ratio
+	ratio *obs.Ratio     // read-only view of tog
 	retry *obs.Histogram // backoff waits of fault retransmissions
 }
 
@@ -143,7 +143,7 @@ func StartOpts(g *topo.Graph, opts Options) (*Network, error) {
 		}
 		if opts.Metrics != nil {
 			o.tog = opts.Metrics.Histogram("msgnet_hop_wait_ns")
-			o.ratio = opts.Metrics.Ratio("msgnet_avg_c2c1", opts.EffWait)
+			o.ratio = opts.Metrics.RatioOf("msgnet_avg_c2c1", o.tog, opts.EffWait)
 			for id := 0; id < g.NumNodes(); id++ {
 				id := id
 				opts.Metrics.GaugeFunc(fmt.Sprintf("msgnet_node%03d_queue", id),
@@ -204,7 +204,6 @@ func (n *Network) balancer(id topo.NodeID) {
 				wait := now - t.enq
 				if o.tog != nil {
 					o.tog.Observe(wait)
-					o.ratio.Observe(wait)
 				}
 				if o.tr != nil {
 					o.spans.Witness(t.span)
@@ -350,7 +349,7 @@ func (n *Network) Next(proc, tok int32) (int64, error) {
 	return n.TraverseObs(int(proc)%n.g.InWidth(), proc, tok)
 }
 
-// Ratio returns the live (Tog+W)/Tog estimator, or nil when the network
+// Ratio returns the live (Tog+W)/Tog view, or nil when the network
 // was started without metrics.
 func (n *Network) Ratio() *obs.Ratio {
 	if n.obs == nil {

@@ -82,8 +82,16 @@ func TestTracedTraversals(t *testing.T) {
 	if got := reg.Histogram("msgnet_hop_wait_ns").Count(); got != int64(ops*depth) {
 		t.Fatalf("hop histogram has %d samples, want %d", got, ops*depth)
 	}
-	if r := n.Ratio(); r == nil || r.Value() != 1 {
+	r := n.Ratio()
+	if r == nil || r.Value() != 1 {
 		t.Fatalf("W=0 ratio should be exactly 1, got %v", r)
+	}
+	// The ratio is the registered view of the hop histogram.
+	if reg.Ratio("msgnet_avg_c2c1", 0) != r {
+		t.Fatal("Registry.Ratio does not return the network's registered view")
+	}
+	if got, want := r.Tog(), reg.Histogram("msgnet_hop_wait_ns").Mean(); got != want {
+		t.Fatalf("ratio Tog %f, hop histogram mean %f: not one accumulator", got, want)
 	}
 }
 

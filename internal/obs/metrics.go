@@ -87,12 +87,12 @@ func (m *MinMax) Count() int64 { return m.n.Load() }
 
 // Histogram is a concurrent log-bucketed (HDR-style) latency histogram
 // over non-negative int64 samples, using the bucket boundaries of
-// stats.LogBucket. Observe is wait-free (one atomic add per bucket plus
-// sum/count), and quantiles are estimated from bucket lower bounds.
+// stats.LogBucket. Observe is wait-free (one atomic add to the bucket and
+// one to the sum); the count is the sum of the buckets, and quantiles are
+// estimated from bucket lower bounds.
 type Histogram struct {
 	buckets []atomic.Int64
 	sum     atomic.Int64
-	n       atomic.Int64
 }
 
 // NewHistogram returns an empty histogram covering all of int64.
@@ -107,15 +107,20 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.buckets[stats.LogBucket(v, histSubBits)].Add(1)
 	h.sum.Add(v)
-	h.n.Add(1)
 }
 
 // Count returns the number of samples.
-func (h *Histogram) Count() int64 { return h.n.Load() }
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Mean returns the sample mean, 0 when empty.
 func (h *Histogram) Mean() float64 {
-	n := h.n.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}
@@ -124,8 +129,10 @@ func (h *Histogram) Mean() float64 {
 
 // Quantile estimates the q-th quantile (q in [0,1], clamped; NaN treated
 // as 0) as the lower bound of the bucket holding the rank, 0 when empty.
+// The rank comes from one pass over the buckets and the lookup from a
+// second; buckets only grow, so the second pass always reaches the rank.
 func (h *Histogram) Quantile(q float64) int64 {
-	n := h.n.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}
@@ -149,34 +156,17 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return stats.LogBucketLower(len(h.buckets)-1, histSubBits)
 }
 
-// Ratio is the online estimator of the paper's Figure 7 measure
-// (Tog + W)/Tog: Observe every balancer wait as it happens and Value
-// reports the live average ratio for the configured effective W.
+// Ratio is a read-only view of the paper's Figure 7 measure (Tog + W)/Tog
+// over a toggle-wait histogram: Tog is the histogram's mean wait, so an
+// engine records each wait once, in the histogram, and Value reports the
+// live average ratio for the configured effective W.
 type Ratio struct {
-	togSum atomic.Int64
-	togN   atomic.Int64
-	w      float64
-}
-
-// NewRatio returns an estimator for effective per-node delay w (in the
-// engine's time unit).
-func NewRatio(w float64) *Ratio { return &Ratio{w: w} }
-
-// Observe folds in one balancer wait (the token's arrival-to-departure
-// time at the toggle or prism — one Tog sample).
-func (r *Ratio) Observe(wait int64) {
-	r.togSum.Add(wait)
-	r.togN.Add(1)
+	tog *Histogram
+	w   float64
 }
 
 // Tog returns the average balancer wait so far, 0 before any observation.
-func (r *Ratio) Tog() float64 {
-	n := r.togN.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(r.togSum.Load()) / float64(n)
-}
+func (r *Ratio) Tog() float64 { return r.tog.Mean() }
 
 // W returns the configured effective per-node delay.
 func (r *Ratio) W() float64 { return r.w }
@@ -192,7 +182,7 @@ type metric struct {
 }
 
 // Registry is a process-local metrics registry: engines register named
-// counters, gauges, min/max trackers, histograms, and ratio estimators at
+// counters, gauges, min/max trackers, histograms, and ratio views at
 // setup time, keep the returned pointers for wait-free hot-path updates,
 // and the registry renders a plain-text snapshot on demand (the -metrics
 // endpoint and the CLIs' end-of-run dumps).
@@ -271,13 +261,22 @@ func (r *Registry) Histogram(name string) *Histogram {
 	})
 }
 
-// Ratio returns the named (Tog+W)/Tog estimator for effective delay w,
-// creating it if needed.
-func (r *Registry) Ratio(name string, w float64) *Ratio {
-	rt := NewRatio(w)
+// RatioOf registers under name the (Tog+W)/Tog view of the toggle-wait
+// histogram tog for effective delay w (in the engine's time unit). When
+// the name is already taken it returns the registered view, whatever
+// histogram that view reads.
+func (r *Registry) RatioOf(name string, tog *Histogram, w float64) *Ratio {
+	rt := &Ratio{tog: tog, w: w}
 	return register(r, name, rt, func(wr io.Writer, name string) {
 		fmt.Fprintf(wr, "%s_tog %.1f\n%s_w %g\n%s %g\n", name, rt.Tog(), name, rt.W(), name, rt.Value())
 	})
+}
+
+// Ratio returns the view registered under name. A name nobody has
+// registered gets a view of a fresh, empty histogram for effective delay
+// w, so it reads Tog 0 and Value +Inf.
+func (r *Registry) Ratio(name string, w float64) *Ratio {
+	return r.RatioOf(name, NewHistogram(), w)
 }
 
 // WriteText renders every metric as plain "name value" lines, sorted by

@@ -78,21 +78,71 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Quantile(0) != 0 {
 		t.Fatalf("q0 after negative observe = %d, want 0", h.Quantile(0))
 	}
+	if h.Count() != 1001 {
+		t.Fatalf("count %d after 1001 samples", h.Count())
+	}
+
+	// Count and Quantile racing Observe: clean under -race, and the
+	// quantile stays inside the observed range while the buckets grow.
+	c := NewHistogram()
+	const writers, per = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(1); i <= per; i++ {
+				c.Observe(i)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for c.Count() < writers*per {
+			if q := c.Quantile(0.99); q < 0 || q > per {
+				t.Errorf("concurrent q99 = %d, outside [0, %d]", q, per)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
+	if c.Count() != writers*per {
+		t.Fatalf("count %d, want %d", c.Count(), writers*per)
+	}
+	if mean := c.Mean(); math.Abs(mean-(per+1)/2.0) > 1e-9 {
+		t.Fatalf("mean %f, want %f", mean, (per+1)/2.0)
+	}
 }
 
 func TestRatioEstimator(t *testing.T) {
-	r := NewRatio(1000)
+	reg := NewRegistry()
+	h := reg.Histogram("tog")
+	r := reg.RatioOf("avg_c2c1", h, 1000)
 	if !math.IsInf(r.Value(), 1) {
 		t.Fatal("ratio before observations should be +Inf")
 	}
 	for i := 0; i < 10; i++ {
-		r.Observe(500)
+		h.Observe(400 + 200*int64(i%2)) // 400 and 600 alternately
 	}
-	if got := r.Tog(); got != 500 {
-		t.Fatalf("Tog = %f, want 500", got)
+	if got := r.Tog(); got != 500 || got != h.Mean() {
+		t.Fatalf("Tog = %f, want 500, the histogram mean %f", got, h.Mean())
 	}
 	if got := r.Value(); math.Abs(got-3.0) > 1e-12 {
 		t.Fatalf("(Tog+W)/Tog = %f, want 3.0", got)
+	}
+	if r.W() != 1000 {
+		t.Fatalf("W = %f, want 1000", r.W())
+	}
+	// Ratio returns the registered view, not a new one, and a second
+	// RatioOf under the same name keeps the first binding.
+	if reg.Ratio("avg_c2c1", 1000) != r || reg.RatioOf("avg_c2c1", NewHistogram(), 5) != r {
+		t.Fatal("re-registration replaced the registered ratio view")
+	}
+	// An unregistered name gets a view of an empty histogram.
+	if fresh := reg.Ratio("unbound", 7); fresh.Tog() != 0 || !math.IsInf(fresh.Value(), 1) || fresh.W() != 7 {
+		t.Fatalf("unbound view Tog=%f Value=%f W=%f, want 0, +Inf, 7", fresh.Tog(), fresh.Value(), fresh.W())
 	}
 }
 
@@ -105,8 +155,9 @@ func TestRegistryWriteText(t *testing.T) {
 	mm.Observe(10)
 	mm.Observe(90)
 	r.Histogram("lat").Observe(64)
-	rt := r.Ratio("avg_c2c1", 100)
-	rt.Observe(50)
+	tog := r.Histogram("tog")
+	r.RatioOf("avg_c2c1", tog, 100)
+	tog.Observe(50)
 	var sb strings.Builder
 	r.WriteText(&sb)
 	out := sb.String()

@@ -2,9 +2,10 @@
 // engines (internal/sim, internal/shm, internal/msgnet): a low-overhead
 // structured-event tracer with a lock-free per-processor ring recorder, an
 // online metrics registry (counters, gauges, min/max trackers, log-bucketed
-// latency histograms, and a live (Tog+W)/Tog estimator), and exporters to
-// JSON Lines and the Chrome trace_event format so any run opens directly in
-// Perfetto (https://ui.perfetto.dev).
+// latency histograms, and a live (Tog+W)/Tog ratio that is a read-only view
+// of an engine's toggle-wait histogram, so each wait is recorded once), and
+// exporters to JSON Lines and the Chrome trace_event format so any run
+// opens directly in Perfetto (https://ui.perfetto.dev).
 //
 // The design goal is that tracing disabled costs nothing on the hot path:
 // engines hold a nil Tracer (or the value type Nop) and guard every Record

@@ -8,7 +8,6 @@ package shm
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,8 +135,6 @@ type Diffracting struct {
 	prism  *prism.Prism
 	window time.Duration
 	inner  Balancer
-	rngs   sync.Pool
-	seed   atomic.Int64
 }
 
 // NewDiffracting returns a diffracting balancer over the given two-output
@@ -150,23 +147,16 @@ func NewDiffracting(inner Balancer, prismWidth int, window time.Duration) (*Diff
 	if window <= 0 {
 		return nil, fmt.Errorf("shm: non-positive prism window %v", window)
 	}
-	d := &Diffracting{
+	return &Diffracting{
 		prism:  prism.New(prismWidth),
 		window: window,
 		inner:  inner,
-	}
-	d.rngs.New = func() any {
-		return rand.New(rand.NewSource(d.seed.Add(1) * 0x9e3779b9))
-	}
-	return d, nil
+	}, nil
 }
 
 // Traverse implements Balancer.
 func (d *Diffracting) Traverse() int {
-	rng, _ := d.rngs.Get().(*rand.Rand)
-	out := d.prism.Exchange(d.window, rng)
-	d.rngs.Put(rng)
-	switch out {
+	switch d.prism.Exchange(d.window) {
 	case prism.First:
 		return 0
 	case prism.Second:

@@ -25,7 +25,7 @@ package combine
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,8 +169,6 @@ type Funnel struct {
 	pairWait *obs.Histogram //countnet:allow obsvet -- never nil; New substitutes an unregistered no-op
 
 	pool sync.Pool
-	rngs sync.Pool
-	seed atomic.Int64
 }
 
 // New returns a funnel with the given options.
@@ -206,9 +204,6 @@ func New(opts Options) *Funnel {
 		f.pairWait = obs.NewHistogram()
 	}
 	f.pool.New = func() any { return &waiter{res: make(chan []int64, 1)} }
-	f.rngs.New = func() any {
-		return rand.New(rand.NewSource(f.seed.Add(1) * 0x9e3779b9))
-	}
 	return f
 }
 
@@ -290,10 +285,8 @@ func badDemand(demand int) {
 // exchange is the contended body of Do: camp-or-claim, then either
 // represent a swept batch or wait to be represented.
 func (f *Funnel) exchange(demand int, traverse Traverse) []int64 {
-	rng, _ := f.rngs.Get().(*rand.Rand)
 	spread := f.liveSpread()
-	i := rng.Intn(spread)
-	f.rngs.Put(rng)
+	i := rand.IntN(spread)
 
 	// Tokens prefer to camp: partners accumulate across the live slots,
 	// and the first token whose random slot is already taken turns

@@ -8,19 +8,20 @@ import (
 )
 
 // netObs is the observability state attached to a compiled Network by
-// EnableObs: tracer, clock, and the live per-hop metrics (the (Tog+W)/Tog
-// estimator and the toggle-wait histogram). The output fetch-and-add count
-// and the prism CAS-retry count are gauges computed at snapshot time, so
-// no token writes a shared metric word.
+// EnableObs: tracer, clock, and the live per-hop metric, the toggle-wait
+// histogram, with the (Tog+W)/Tog ratio as a view of it. The output
+// fetch-and-add count and the prism CAS-retry count are gauges computed at
+// snapshot time, so a metered hop writes only the histogram's bucket and
+// sum words.
 type netObs struct {
 	tr    obs.Tracer   // nil when tracing disabled
 	clock func() int64 // nanoseconds on the run's monotonic timeline
 	spans *obs.Clock   // causal span ids; non-nil exactly when tr is
 	tog   *obs.Histogram
-	ratio *obs.Ratio
+	ratio *obs.Ratio // read-only view of tog
 }
 
-// Ratio returns the live (Tog+W)/Tog estimator, or nil when EnableObs has
+// Ratio returns the live (Tog+W)/Tog view, or nil when EnableObs has
 // not been called with a registry.
 func (n *Network) Ratio() *obs.Ratio {
 	if n.obs == nil {
@@ -49,7 +50,7 @@ func (n *Network) EnableObs(tr obs.Tracer, reg *obs.Registry, clock func() int64
 	}
 	if reg != nil {
 		o.tog = reg.Histogram("shm_tog_wait_ns")
-		o.ratio = reg.Ratio("shm_avg_c2c1", effW)
+		o.ratio = reg.RatioOf("shm_avg_c2c1", o.tog, effW)
 		reg.GaugeFunc("shm_counter_fai_total", func() float64 { return float64(n.Issued()) })
 		prisms := false
 		for _, b := range n.balancers {
@@ -107,13 +108,12 @@ func (n *Network) TraverseSpan(input int, proc, tok int32, parent uint64, afterN
 	return val, t.span
 }
 
-// toggled closes a balancer hop opened at t0: the toggle wait histogram
-// and (Tog+W)/Tog ratio, and the trace event.
+// toggled closes a balancer hop opened at t0: the toggle-wait histogram
+// and the trace event.
 func (o *netObs) toggled(id topo.NodeID, t0 int64, t *trip) {
 	t1 := o.clock()
-	if o.tog != nil && o.ratio != nil {
+	if o.tog != nil {
 		o.tog.Observe(t1 - t0)
-		o.ratio.Observe(t1 - t0)
 	}
 	o.record(obs.KindBalancer, id, t0, t1, -1, t)
 }

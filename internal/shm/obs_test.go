@@ -82,8 +82,18 @@ func TestStressTraced(t *testing.T) {
 
 	// Metrics agree with the trace: the wait histogram saw every balancer
 	// traversal, and the exported ratio matches the result.
-	if got := reg.Histogram("shm_tog_wait_ns").Count(); got != int64(counts[obs.KindBalancer]) {
+	hist := reg.Histogram("shm_tog_wait_ns")
+	if got := hist.Count(); got != int64(counts[obs.KindBalancer]) {
 		t.Fatalf("wait histogram has %d samples, trace has %d balancer events", got, counts[obs.KindBalancer])
+	}
+	// The ratio is the registered view of that histogram, so its Tog is
+	// exactly the histogram's mean and the result's Tog.
+	r := n.Ratio()
+	if r == nil || reg.Ratio("shm_avg_c2c1", 0) != r {
+		t.Fatal("Registry.Ratio does not return the network's registered view")
+	}
+	if r.Tog() != hist.Mean() || r.Tog() != res.Tog {
+		t.Fatalf("ratio Tog %f, histogram mean %f, result Tog %f: not one accumulator", r.Tog(), hist.Mean(), res.Tog)
 	}
 	var txt bytes.Buffer
 	reg.WriteText(&txt)

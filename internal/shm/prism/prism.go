@@ -8,7 +8,7 @@
 package prism
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -60,11 +60,11 @@ func (p *Prism) Width() int { return len(p.slots) }
 // contention signal the observability layer exports per balancer.
 func (p *Prism) Retries() int64 { return p.retries.Load() }
 
-// Exchange attempts to diffract with a partner for at most `window`,
-// using rng to pick a slot. It returns First or Second when a collision
-// happened, Timeout otherwise.
-func (p *Prism) Exchange(window time.Duration, rng *rand.Rand) Outcome {
-	slot := &p.slots[rng.Intn(len(p.slots))]
+// Exchange attempts to diffract with a partner for at most `window`, in a
+// slot the calling thread's own generator picks. It returns First or
+// Second when a collision happened, Timeout otherwise.
+func (p *Prism) Exchange(window time.Duration) Outcome {
+	slot := &p.slots[rand.IntN(len(p.slots))]
 	// Partner already waiting? Take it.
 	if w := slot.Load(); w != nil {
 		if slot.CompareAndSwap(w, nil) {

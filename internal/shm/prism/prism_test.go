@@ -1,7 +1,6 @@
 package prism
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,23 +9,21 @@ import (
 
 func TestExchangeTimeoutWhenAlone(t *testing.T) {
 	p := New(4)
-	rng := rand.New(rand.NewSource(1))
-	if out := p.Exchange(time.Millisecond, rng); out != Timeout {
+	if out := p.Exchange(time.Millisecond); out != Timeout {
 		t.Fatalf("alone exchange = %v, want Timeout", out)
 	}
 }
 
 // attemptPair launches two goroutines into the prism with the given window
 // and reports how many landed on each outcome.
-func attemptPair(p *Prism, window time.Duration, round int) (first, second, timeout int64) {
+func attemptPair(p *Prism, window time.Duration) (first, second, timeout int64) {
 	var f, s, to atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			switch p.Exchange(window, rng) {
+			switch p.Exchange(window) {
 			case First:
 				f.Add(1)
 			case Second:
@@ -34,7 +31,7 @@ func attemptPair(p *Prism, window time.Duration, round int) (first, second, time
 			case Timeout:
 				to.Add(1)
 			}
-		}(int64(2*round + g))
+		}()
 	}
 	wg.Wait()
 	return f.Load(), s.Load(), to.Load()
@@ -49,8 +46,8 @@ func attemptPair(p *Prism, window time.Duration, round int) (first, second, time
 func TestExchangePairs(t *testing.T) {
 	p := New(1) // single slot forces the pair to meet
 	deadline := time.Now().Add(5 * time.Second)
-	for round := 0; time.Now().Before(deadline); round++ {
-		first, second, timeout := attemptPair(p, 50*time.Millisecond, round)
+	for time.Now().Before(deadline) {
+		first, second, timeout := attemptPair(p, 50*time.Millisecond)
 		if first == 1 && second == 1 {
 			return // exactly one of each direction: the exchange paired
 		}
@@ -73,23 +70,22 @@ func TestExchangeComplementary(t *testing.T) {
 	const goroutines = 8
 	var first, second atomic.Int64
 	budget := time.Now().Add(10 * time.Second)
-	for burst := 0; first.Load() == 0 && time.Now().Before(budget); burst++ {
+	for first.Load() == 0 && time.Now().Before(budget) {
 		stop := time.Now().Add(100 * time.Millisecond)
 		var wg sync.WaitGroup
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
-			go func(seed int64) {
+			go func() {
 				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
 				for time.Now().Before(stop) {
-					switch p.Exchange(100*time.Microsecond, rng) {
+					switch p.Exchange(100 * time.Microsecond) {
 					case First:
 						first.Add(1)
 					case Second:
 						second.Add(1)
 					}
 				}
-			}(int64(goroutines*burst + g))
+			}()
 		}
 		wg.Wait()
 		// All exchanges have completed (wg.Wait), so the pair counts are

@@ -7,9 +7,8 @@
 package stack
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -42,8 +41,6 @@ type Stack[T any] struct {
 	top    atomic.Pointer[node[T]]
 	slots  []atomic.Pointer[offer[T]]
 	window time.Duration
-	rngs   sync.Pool
-	seed   atomic.Int64
 
 	pushes     atomic.Int64
 	pops       atomic.Int64
@@ -58,14 +55,10 @@ func New[T any](width int, window time.Duration) *Stack[T] {
 	if width < 1 {
 		width = 1
 	}
-	s := &Stack[T]{
+	return &Stack[T]{
 		slots:  make([]atomic.Pointer[offer[T]], width),
 		window: window,
 	}
-	s.rngs.New = func() any {
-		return rand.New(rand.NewSource(s.seed.Add(1) * 0x9e3779b9))
-	}
-	return s
 }
 
 // Push adds v to the stack.
@@ -178,10 +171,7 @@ func (s *Stack[T]) campAndWait(mine *offer[T]) bool {
 
 // pickSlot returns a random elimination slot.
 func (s *Stack[T]) pickSlot() *atomic.Pointer[offer[T]] {
-	rng, _ := s.rngs.Get().(*rand.Rand)
-	slot := &s.slots[rng.Intn(len(s.slots))]
-	s.rngs.Put(rng)
-	return slot
+	return &s.slots[rand.IntN(len(s.slots))]
 }
 
 // tryMatch completes a camped offer `other` with `mine` (of the opposite

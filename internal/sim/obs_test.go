@@ -41,8 +41,20 @@ func TestTracedRunWidth32(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// (c) live gauge vs offline computation.
-	ratio := reg.Ratio("sim_avg_c2c1", 0) // returns the registered instance
+	// (c) live gauge vs offline computation. The gauge is the view the
+	// simulator registered over its wait histogram, so its Tog is exactly
+	// that histogram's mean and its W the run's configured wait.
+	ratio := reg.Ratio("sim_avg_c2c1", 0)
+	if ratio.W() != float64(cfg.Wait) || reg.Ratio("sim_avg_c2c1", 0) != ratio {
+		t.Fatalf("Registry.Ratio returned W=%g, not the registered view (W=%d)", ratio.W(), cfg.Wait)
+	}
+	hist := reg.Histogram("sim_tog_wait_cycles")
+	if got, want := ratio.Tog(), hist.Mean(); got != want {
+		t.Fatalf("ratio Tog %f, wait histogram mean %f: not one accumulator", got, want)
+	}
+	if got, want := hist.Count(), res.Toggles+res.Diffracted; got != want {
+		t.Fatalf("wait histogram has %d samples, run made %d toggles and diffractions", got, want)
+	}
 	if got, want := ratio.Value(), res.AvgRatio; math.Abs(got-want)/want > 0.01 {
 		t.Fatalf("live (Tog+W)/Tog gauge %f, offline %f: differ by more than 1%%", got, want)
 	}

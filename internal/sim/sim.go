@@ -146,7 +146,7 @@ func Run(cfg Config) (*Result, error) {
 	// The Figure 7 formula (Tog+W)/Tog with W as configured; when nobody
 	// actually waits (F=0) or everyone waits a random amount (mean W/2),
 	// use the effective wait so the reported measure reflects the run.
-	// Computed up front so the live estimator and the final Result agree.
+	// Computed up front so the live ratio and the final Result agree.
 	effW := float64(cfg.Wait)
 	switch {
 	case cfg.RandomWait:
