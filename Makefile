@@ -81,20 +81,16 @@ chaos:
 	$(GO) run -race ./cmd/conformance -mode chaos -rounds 10 -fault-seed 1 -shrink -out chaos-plan.jsonl
 
 # bench runs the root (simulator-facing), internal/shm, adaptive-engine,
-# and internal/obs benchmarks and writes the machine-readable
-# BENCH_sim.json / BENCH_shm.json / BENCH_adaptive.json / BENCH_obs.json
-# files whose format is documented in EXPERIMENTS.md (E20). The adaptive
-# run is the E25 crossover sweep (static engines vs the adaptive
-# front-end, 1..256 workers) plus the E27 serialization-cliff sweep
-# (bare network vs the ModeLinear-pinned waiting regime,
-# BenchmarkAdaptiveLinear); the obs run doubles as the
+# and internal/obs Go benchmarks and prints plain `go test -bench`
+# output. The adaptive run is the E25/E32 worker sweep (static engines vs
+# the adaptive front-end, 1..256 workers) plus the E27
+# serialization-cliff sweep (bare network vs the ModeLinear waiting
+# mode, BenchmarkAdaptiveLinear); the obs run doubles as the
 # measurement-cost record: span stamping and flight recording are
-# 0 allocs/op.
+# 0 allocs/op. The benchmark with committed baselines and noise bands is
+# bench/run.sh (bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem . | $(GO) run ./cmd/benchfmt -o BENCH_sim.json
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/shm | $(GO) run ./cmd/benchfmt -o BENCH_shm.json
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/shm/adaptive | $(GO) run ./cmd/benchfmt -o BENCH_adaptive.json
-	$(GO) test -run '^$$' -bench . -benchmem ./internal/obs | $(GO) run ./cmd/benchfmt -o BENCH_obs.json
+	$(GO) test -run '^$$' -bench . -benchmem . ./internal/shm ./internal/shm/adaptive ./internal/obs
 
 clean:
-	rm -f BENCH_sim.json BENCH_shm.json BENCH_adaptive.json BENCH_obs.json chaos-plan.jsonl
+	rm -f chaos-plan.jsonl

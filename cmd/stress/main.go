@@ -22,13 +22,12 @@
 //     front of the network and a representative walks once for a whole
 //     group (internal/shm/combine); the report adds the funnel's hit rate
 //     and combining degree, and the same counters appear in /metrics.
-//   - shm-adaptive: the contention-adaptive front-end
-//     (internal/shm/adaptive) routes tokens through a direct counter, the
-//     combining funnel, or the full network as the measured load changes;
-//     the report adds the regime history (per-mode token tallies, switch
-//     count).
-//   - shm-adaptive-linear: the same front-end pinned to its
-//     guaranteed-linearizable waiting regime (ModeLinear: traverse the
+//   - shm-adaptive: the epoch-gated adaptive front-end
+//     (internal/shm/adaptive) in ModeDirect, serving every token from one
+//     fetch-and-add counter; it reports "ended in direct after 0
+//     switches" and the per-mode token tallies.
+//   - shm-adaptive-linear: the same front-end built in its
+//     guaranteed-linearizable waiting mode (ModeLinear: traverse the
 //     network, then hold the response until every smaller value has been
 //     returned); it reports "ended in linear after 0 switches".
 //

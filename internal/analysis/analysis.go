@@ -28,7 +28,7 @@
 //
 //	//countnet:coldpath
 //	    marks a function as deliberately off the per-token path (a
-//	    sampled controller, a switch slow path): hotvet stops its
+//	    switch slow path): hotvet stops its
 //	    interprocedural descent at the call, treating the annotation as
 //	    the reviewed boundary.
 //

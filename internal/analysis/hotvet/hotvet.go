@@ -23,9 +23,8 @@
 //     `Balancer.Traverse` is checked through each toggle kind rather
 //     than flagged.
 //
-// The walk stops at functions marked //countnet:coldpath (a sampled
-// controller, a switch slow path — the annotation is the reviewed
-// boundary), at program boundaries (a call into a package whose source
+// The walk stops at functions marked //countnet:coldpath (a switch slow
+// path — the annotation is the reviewed boundary), at program boundaries (a call into a package whose source
 // was not loaded is not followed), and at calls through plain function
 // values (those are the workload's own injection hooks; the W they add
 // is the experiment's variable, not a violation, and escvet still sees

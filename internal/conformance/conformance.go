@@ -244,10 +244,10 @@ func RunSim(spec workload.Spec) (*Execution, error) {
 // wall-clock delay; the execution is named after the front-end. Running
 // the combining funnel and the adaptive engine as differential engines
 // asserts that combined walks and drain-then-switch epochs are invisible
-// in every quiescent invariant. The shm-adaptive engine runs its
-// controller with the defaults; shm-adaptive-linear is pinned to the
-// waiting regime for the whole run and promises full linearizability,
-// which CrossCheck asserts.
+// in every quiescent invariant. The shm-adaptive engine runs the epoch
+// gate over its direct counter; shm-adaptive-linear runs in the waiting
+// mode for the whole run and promises full linearizability, which
+// CrossCheck asserts.
 func RunSHM(spec workload.Spec, front workload.FrontKind) (*Execution, error) {
 	real := workload.RealSpec{
 		Net:         spec.Net,
@@ -356,9 +356,8 @@ func CheckPadded(g *topo.Graph, c *schedule.Concrete) error {
 
 // CrossCheck runs the spec through all eight execution engines —
 // quiescent topo, sim, shm behind each of workload.Fronts (the plain
-// network, the combining funnel, the contention-adaptive front-end, and
-// the same front-end pinned to its guaranteed-linearizable waiting
-// regime), msgnet, and msgnet under the spec-derived fault plan — and
+// network, the combining funnel, the adaptive front-end, and the same
+// front-end built in its guaranteed-linearizable waiting mode), msgnet, and msgnet under the spec-derived fault plan — and
 // verifies the universal invariants on each; any breach is an engine
 // disagreement. The shm-adaptive-linear engine additionally promises a
 // linearizable history, so its ops are run through lincheck and any

@@ -1,19 +1,20 @@
-// Package adaptive is the contention-adaptive counter front-end: one
-// shared counter whose internal structure follows the load it actually
-// sees. At low contention tokens take a direct padded fetch-and-add
-// counter (the fastest structure when nobody collides); at medium
-// contention they rendezvous in the elimination/combining funnel
-// (internal/shm/combine) in front of the counting network; at high
-// contention they traverse the full-width balancing network, whose whole
-// point is that no single memory word is hot. The regime choice is driven
-// by sampled occupancy and the funnel's CAS-failure rate, with hysteresis
-// so the mode does not flap.
+// Package adaptive is an epoch-gated counter over two backends, each a
+// mode. ModeDirect serves tokens from a single padded fetch-and-add
+// counter, which is the fastest structure on every measured worker count
+// (EXPERIMENTS.md E32). ModeLinear sends every token through the
+// counting network and then holds its response until every smaller value
+// in the epoch has been returned: the Herlihy-Shavit-Waarts waiting
+// construction the paper contrasts against, and the engine's only
+// linearizability guarantee. It holds in every execution, with no bound
+// on c2/c1 assumed.
 //
-// Mode switches preserve exact counting. Every token enters through a
-// seqlock-style epoch gate: a switch closes the gate (odd value), waits
-// for every in-flight token to drain, rolls the accounting epoch, swaps
-// the backend, and reopens the gate (next even value). Each backend keeps
-// a cumulative issue sequence, and a token's public value is
+// The mode is chosen at construction (Options.LinearBelow > 0 selects
+// ModeLinear) and changes only through SwitchTo. A switch preserves exact
+// counting. Every token enters through a seqlock-style epoch gate: a
+// switch closes the gate (odd value), waits for every in-flight token to
+// drain, rolls the accounting epoch, swaps the backend, and reopens the
+// gate (next even value). Each backend keeps a cumulative issue
+// sequence, and a token's public value is
 //
 //	epoch.base + (backend sequence number - backend count at epoch start)
 //
@@ -23,18 +24,6 @@
 // differentially against the seven other engines. Because a switch only
 // happens through a drained boundary, no interleaving can observe a
 // half-switched structure.
-//
-// A fourth regime, ModeLinear, buys guaranteed linearizability the way
-// the paper says it must be bought — by waiting: tokens traverse the
-// network and then hold their responses until every smaller value in the
-// epoch has been returned (a per-epoch turn counter seeded from the
-// epoch's backend start). Options.LinearBelow makes the regime reachable
-// from the controller: whenever the ladder picks a network-family regime
-// at occupancy below the band, the engine serializes responses instead
-// of running outside the guarantee; above the band it reverts to the
-// practically-linearizable plain network. ModeLinear is the engine's only
-// linearizability guarantee: it holds in every execution, with no bound
-// on c2/c1 assumed.
 package adaptive
 
 import (
@@ -45,33 +34,21 @@ import (
 	"countnet/internal/obs"
 	"countnet/internal/shm"
 	"countnet/internal/shm/backoff"
-	"countnet/internal/shm/combine"
 	"countnet/internal/topo"
 )
 
-// Mode names one of the four counting structures.
+// Mode names one of the two counting structures.
 type Mode int32
 
-// The contention regimes. The first three are the escalation ladder, in
-// order; ModeLinear sits beside the ladder as the guaranteed-ordering
-// regime the controller enters when the user asked for linearizability
-// (Options.LinearBelow) and the occupancy makes waiting affordable.
+// The modes.
 const (
 	// ModeDirect serves tokens from a single padded fetch-and-add
-	// counter: optimal when tokens rarely collide.
+	// counter.
 	ModeDirect Mode = iota
-	// ModeCombine routes tokens through the elimination/combining funnel
-	// in front of the network: medium contention, where pairing pays for
-	// its rendezvous.
-	ModeCombine
-	// ModeNetwork sends every token through the full-width balancing
-	// network: high contention, where only width keeps any one word cool.
-	ModeNetwork
 	// ModeLinear sends every token through the network and then holds its
 	// response until every smaller value issued in the epoch has been
-	// returned — the Herlihy-Shavit-Waarts waiting construction the paper
-	// contrasts against, as a switchable regime: guaranteed
-	// linearizability, paid for by serializing responses.
+	// returned: guaranteed linearizability, paid for by serializing
+	// responses.
 	ModeLinear
 )
 
@@ -80,10 +57,6 @@ func (m Mode) String() string {
 	switch m {
 	case ModeDirect:
 		return "direct"
-	case ModeCombine:
-		return "combine"
-	case ModeNetwork:
-		return "network"
 	case ModeLinear:
 		return "linear"
 	default:
@@ -91,35 +64,19 @@ func (m Mode) String() string {
 	}
 }
 
-// DefaultWindow is the default controller window in tokens.
-const DefaultWindow = 512
-
-// sampleShift sets the occupancy sampling rate: one token in
-// 1<<sampleShift adds the census to the controller's window.
-const sampleShift = 6
-
 // stripes is the width of the striped in-flight census. Tokens add to the
 // stripe hashed from their processor id, so the epoch gate's drain scan is
 // the only place all stripes meet.
 const stripes = 32
 
-// Options configures a Counter. The controller's regime thresholds are
-// fixed constants (control.go); the funnel runs the combine package
-// defaults.
+// Options configures a Counter.
 type Options struct {
-	// Window is the controller window in tokens (default DefaultWindow).
+	// Window is ignored: the counter samples nothing. The field stays
+	// so callers that still set it compile.
 	Window int
-	// LinearBelow, when positive, asks for guaranteed ordering: whenever
-	// the ladder would pick a network-family regime (combine or network)
-	// and the mean occupancy sits below this band, the controller enters
-	// ModeLinear instead — the network plus the waiting filter, whose
-	// serialization cost is affordable exactly when few tokens overlap.
-	// A direct or linear counter stays in that guaranteed family until
-	// the occupancy exceeds the band; a combine or network counter
-	// re-enters it below half the band. Direct-counter epochs are
-	// untouched (a fetch-and-add is already linearizable). A counter
-	// built with LinearBelow > 0 starts in ModeLinear, so the guarantee
-	// holds from the first token.
+	// LinearBelow, when positive, starts the counter in ModeLinear, so
+	// the ordering guarantee holds from the first token. Its magnitude is
+	// not read. Zero starts the counter in ModeDirect.
 	LinearBelow int
 	// Metrics, when non-nil, registers the adaptive metric family:
 	// shm_adaptive_mode / _epoch gauges, shm_adaptive_switches_total,
@@ -141,14 +98,14 @@ type EpochStat struct {
 type Stats struct {
 	// Tokens is the total number of values handed out so far.
 	Tokens int64
-	// Mode is the current regime and Epoch the current epoch number.
+	// Mode is the current mode and Epoch the current epoch number.
 	Mode  Mode
 	Epoch uint64
 	// Switches counts completed drain-then-switch transitions.
 	Switches int64
 	// PerMode tallies tokens by the mode that served them (closed epochs
 	// plus the live one).
-	PerMode [4]int64
+	PerMode [2]int64
 }
 
 // cacheLine is the coherence unit the Counter's hot words are laid out
@@ -163,7 +120,7 @@ type pad64 struct {
 	_ [cacheLine - 8]byte
 }
 
-// epoch is the immutable state tokens read through the gate: the regime,
+// epoch is the immutable state tokens read through the gate: the mode,
 // the value base, and the backend serving it. A new epoch is installed
 // only at a drained boundary, so its fields never change while visible.
 type epoch struct {
@@ -195,22 +152,8 @@ type Counter struct {
 	// Reseeded from the epoch's backend start at every switch into a
 	// linear epoch, which happens at a drained boundary, so no Release
 	// ever races the reseed.
-	turn   shm.Turn
-	net    *shm.Network
-	funnel *combine.Funnel
-	opts   Options
-
-	// Sampled-token accumulators feeding the controller; reset each
-	// window under ctlMu.
-	occSum atomic.Int64
-	occN   atomic.Int64
-
-	// Controller state, all under ctlMu.
-	ctlMu     sync.Mutex
-	pol       policy
-	hyst      hysteresis
-	lastRaces int64
-	lastToks  int64
+	turn shm.Turn
+	net  *shm.Network
 
 	// Switch state under switchMu: the epoch log.
 	switchMu sync.Mutex //countnet:gatelock
@@ -222,11 +165,9 @@ type Counter struct {
 	epochGauge *obs.Gauge //countnet:allow obsvet -- never nil; New substitutes an unregistered no-op
 }
 
-// New returns an adaptive counter over the compiled network. The network
-// backs every regime but ModeDirect and is the funnel's downstream; the
-// direct counter is created internally. The counter starts in ModeDirect
-// (an empty counter has no contention), or in ModeLinear when
-// LinearBelow is set.
+// New returns an adaptive counter over the compiled network, which backs
+// ModeLinear; the direct counter is created internally. The counter
+// starts in ModeDirect, or in ModeLinear when LinearBelow is positive.
 func New(n *shm.Network, opts Options) (*Counter, error) {
 	if n == nil {
 		return nil, fmt.Errorf("adaptive: nil network")
@@ -234,15 +175,7 @@ func New(n *shm.Network, opts Options) (*Counter, error) {
 	if opts.LinearBelow < 0 {
 		return nil, fmt.Errorf("adaptive: negative LinearBelow (%d)", opts.LinearBelow)
 	}
-	if opts.Window <= 0 {
-		opts.Window = DefaultWindow
-	}
-	c := &Counter{
-		net:    n,
-		opts:   opts,
-		pol:    newPolicy(opts),
-		funnel: combine.New(combine.Options{Metrics: opts.Metrics}),
-	}
+	c := &Counter{net: n}
 	if reg := opts.Metrics; reg != nil {
 		c.modeGauge = reg.Gauge("shm_adaptive_mode")
 		c.epochGauge = reg.Gauge("shm_adaptive_epoch")
@@ -258,10 +191,8 @@ func New(n *shm.Network, opts Options) (*Counter, error) {
 	}
 	first := &epoch{mode: ModeDirect}
 	if opts.LinearBelow > 0 {
-		// The user asked for guaranteed ordering: start in ModeLinear so
-		// the guarantee holds from the first token (an empty counter is
-		// trivially below the band). The backend starts at zero, so the
-		// turn counter's zero value is already correctly seeded.
+		// The backend starts at zero, so the turn counter's zero value is
+		// already correctly seeded.
 		first = &epoch{mode: ModeLinear}
 	}
 	//countnet:allow gatevet -- the constructor publishes the first epoch before any reader exists, so no gate is needed
@@ -269,7 +200,7 @@ func New(n *shm.Network, opts Options) (*Counter, error) {
 	return c, nil
 }
 
-// Mode returns the current regime.
+// Mode returns the current mode.
 //
 //countnet:allow gatevet -- advisory snapshot; epochs are immutable once published, only their currency is racy
 func (c *Counter) Mode() Mode { return c.cur.Load().mode }
@@ -286,28 +217,18 @@ func (c *Counter) Next(input int, proc, tok int32, afterNode func(id topo.NodeID
 }
 
 // TraverseSpan draws the next counter value, as an shm.Front. input
-// selects the network input wire used in the network regimes; proc
-// identifies the calling worker (it stripes the in-flight census and trace
-// identities) and tok its operation index; afterNode is the paper's
-// W-delay injection hook, invoked once per visited node (once, with node
-// -1, in ModeDirect, which has a single logical node). The span returned
-// is the walk's last hop, or parent in ModeDirect and ModeCombine.
+// selects the network input wire used in ModeLinear; proc identifies the
+// calling worker (it stripes the in-flight census and trace identities)
+// and tok its operation index; afterNode is the paper's W-delay injection
+// hook, invoked once per visited node (once, with node -1, in ModeDirect,
+// which has a single logical node). The span returned is the walk's last
+// hop, or parent in ModeDirect.
 //
 //countnet:hotpath
 func (c *Counter) TraverseSpan(input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64) {
 	slot, ep := c.enter(proc)
 	raw, last := c.dispatch(ep, input, proc, tok, parent, afterNode)
-	// A sampled token adds the census, itself included, to the
-	// controller's occupancy window.
-	sampled := (uint32(proc)*0x9e3779b9+uint32(tok))&(1<<sampleShift-1) == 0
-	if sampled {
-		c.occSum.Add(c.census())
-		c.occN.Add(1)
-	}
 	c.inflight[slot].v.Add(-1)
-	if sampled && c.occN.Load() >= c.windowSamples() {
-		c.control()
-	}
 	return ep.base + raw - ep.strt, last
 }
 
@@ -356,47 +277,30 @@ func (c *Counter) enter(proc int32) (int, *epoch) {
 // dispatch routes one token through the epoch's structure and returns the
 // backend's raw sequence value with the span the token's exit chains onto.
 func (c *Counter) dispatch(ep *epoch, input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64) {
-	switch ep.mode {
-	case ModeDirect:
+	if ep.mode == ModeDirect {
 		v := c.direct.v.Add(1) - 1
 		if afterNode != nil {
 			afterNode(-1)
 		}
 		return v, parent
-	case ModeCombine:
-		return combine.Front{Funnel: c.funnel, Net: c.net}.TraverseSpan(input, proc, tok, parent, afterNode)
-	case ModeLinear:
-		// The turn wait runs inside dispatch — before TraverseSpan's census
-		// decrement — so a waiting token still counts as in-flight and a
-		// concurrent drain waits for it. The drain always terminates: with
-		// the gate closed the in-flight set is fixed, each of its tokens
-		// obtains a distinct value from the contiguous backend sequence,
-		// and the holder of the smallest unreleased value is never blocked
-		// — so the chain releases in value order until the census reaches
-		// zero.
-		v, last := c.net.TraverseSpan(input, proc, tok, parent, afterNode)
-		return c.turn.Release(v), last
-	default:
-		return c.net.TraverseSpan(input, proc, tok, parent, afterNode)
 	}
+	// The turn wait runs inside dispatch — before TraverseSpan's census
+	// decrement — so a waiting token still counts as in-flight and a
+	// concurrent drain waits for it. The drain always terminates: with
+	// the gate closed the in-flight set is fixed, each of its tokens
+	// obtains a distinct value from the contiguous backend sequence, and
+	// the holder of the smallest unreleased value is never blocked — so
+	// the chain releases in value order until the census reaches zero.
+	v, last := c.net.TraverseSpan(input, proc, tok, parent, afterNode)
+	return c.turn.Release(v), last
 }
 
 // census sums the striped in-flight counters. The value is approximate
-// under concurrent traffic, which is all the controller needs.
+// under concurrent traffic; the drain reads it with the gate closed.
 func (c *Counter) census() int64 {
 	var n int64
 	for i := range c.inflight {
 		n += c.inflight[i].v.Load()
-	}
-	return n
-}
-
-// windowSamples converts the configured token window into a sampled-token
-// quota.
-func (c *Counter) windowSamples() int64 {
-	n := int64(c.opts.Window >> sampleShift)
-	if n < 1 {
-		n = 1
 	}
 	return n
 }

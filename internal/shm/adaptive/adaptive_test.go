@@ -110,11 +110,9 @@ func checkConservation(t *testing.T, c *adaptive.Counter, total int64) {
 
 func TestModeString(t *testing.T) {
 	for m, want := range map[adaptive.Mode]string{
-		adaptive.ModeDirect:  "direct",
-		adaptive.ModeCombine: "combine",
-		adaptive.ModeNetwork: "network",
-		adaptive.ModeLinear:  "linear",
-		adaptive.Mode(9):     "mode(9)",
+		adaptive.ModeDirect: "direct",
+		adaptive.ModeLinear: "linear",
+		adaptive.Mode(9):    "mode(9)",
 	} {
 		if got := m.String(); got != want {
 			t.Errorf("Mode(%d).String() = %q, want %q", int32(m), got, want)
@@ -127,24 +125,27 @@ func TestNewValidation(t *testing.T) {
 		t.Error("nil network accepted")
 	}
 	c := newCounter(t, 2, adaptive.Options{})
-	if err := c.SwitchTo(adaptive.Mode(7)); err == nil {
-		t.Error("unknown mode accepted")
+	for _, m := range []adaptive.Mode{-1, 2, 7} {
+		if err := c.SwitchTo(m); err == nil {
+			t.Errorf("unknown mode %d accepted", int32(m))
+		}
 	}
 	if c.Mode() != adaptive.ModeDirect {
 		t.Errorf("fresh counter in mode %v, want direct", c.Mode())
 	}
 }
 
-// TestQuiescentSwitchMatrix walks every width through a full rotation of
+// TestQuiescentSwitchMatrix walks every width through a rotation of
 // quiescent mode switches — each switch happens with no token in flight
-// — and asserts the values issued across all regimes still form one
+// — and asserts the values issued across both modes still form one
 // gapless step-property sequence, with the epoch log conserving every
-// token.
+// token. The rotation also rolls each mode into itself, which closes an
+// epoch without counting a switch.
 func TestQuiescentSwitchMatrix(t *testing.T) {
 	rotation := []adaptive.Mode{
-		adaptive.ModeCombine, adaptive.ModeNetwork, adaptive.ModeLinear,
-		adaptive.ModeDirect, adaptive.ModeNetwork, adaptive.ModeLinear,
-		adaptive.ModeCombine, adaptive.ModeDirect,
+		adaptive.ModeLinear, adaptive.ModeDirect, adaptive.ModeDirect,
+		adaptive.ModeLinear, adaptive.ModeLinear, adaptive.ModeDirect,
+		adaptive.ModeLinear, adaptive.ModeDirect,
 	}
 	for _, width := range matrixWidths {
 		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
@@ -165,8 +166,8 @@ func TestQuiescentSwitchMatrix(t *testing.T) {
 			}
 			checkValues(t, vals, width)
 			checkConservation(t, c, int64(len(vals)))
-			if st := c.Stats(); st.Switches < int64(len(rotation)) {
-				t.Errorf("forced %d switches, counted %d", len(rotation), st.Switches)
+			if st := c.Stats(); st.Switches != 6 {
+				t.Errorf("forced 6 mode changes, counted %d", st.Switches)
 			}
 		})
 	}
@@ -177,9 +178,7 @@ func TestQuiescentSwitchMatrix(t *testing.T) {
 // every transition invisible — no duplicate, no gap, no step-property
 // breach — at every width.
 func TestConcurrentSwitchMatrix(t *testing.T) {
-	rotation := []adaptive.Mode{
-		adaptive.ModeCombine, adaptive.ModeNetwork, adaptive.ModeLinear, adaptive.ModeDirect,
-	}
+	rotation := []adaptive.Mode{adaptive.ModeLinear, adaptive.ModeDirect}
 	for _, width := range matrixWidths {
 		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
 			c := newCounter(t, width, adaptive.Options{})
@@ -216,7 +215,7 @@ func TestConcurrentSwitchMatrix(t *testing.T) {
 	}
 }
 
-// TestSwitchStorm oscillates the regime as fast as the drain protocol
+// TestSwitchStorm oscillates the mode as fast as the drain protocol
 // allows — back-to-back forced switches with zero settle time — under
 // concurrent load. The storm is the adversarial schedule for the epoch
 // gate: every entry races a closing or reopening gate. The oversubscribed
@@ -266,9 +265,7 @@ func TestSwitchStorm(t *testing.T) {
 			)
 			stormed := make(chan error)
 			go func() {
-				modes := []adaptive.Mode{
-					adaptive.ModeNetwork, adaptive.ModeLinear, adaptive.ModeDirect, adaptive.ModeCombine,
-				}
+				modes := []adaptive.Mode{adaptive.ModeLinear, adaptive.ModeDirect}
 				for i := 0; ; i++ {
 					select {
 					case <-done:
@@ -305,44 +302,13 @@ func TestSwitchStorm(t *testing.T) {
 	}
 }
 
-// TestControllerEscalates runs concurrent load over tiny thresholds so
-// the free-running controller can escalate away from the direct counter
-// on its own, and checks that counting stays exact whichever regimes it
-// visits. Whether it escalates is scheduling-dependent; the escalation
-// policy itself is pinned by the deterministic TestDecide.
-func TestControllerEscalates(t *testing.T) {
-	const width = 4
-	c := newCounter(t, width, adaptive.Options{Window: 64})
-	adaptive.SetThresholds(c, 1, 2, 6)
-	const workers = 16
-	const per = 256
-	vals := make([]int64, workers*per)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			hold := func(topo.NodeID) { time.Sleep(2 * time.Microsecond) }
-			for i := 0; i < per; i++ {
-				tok := int32(w*per + i)
-				vals[tok] = c.Next(w%width, int32(w), tok, hold)
-			}
-		}(w)
-	}
-	wg.Wait()
-	checkValues(t, vals, width)
-	checkConservation(t, c, workers*per)
-	st := c.Stats()
-	t.Logf("controller: %d switches, per-mode tokens %v", st.Switches, st.PerMode)
-}
-
 // TestStatsPartition checks the per-mode tally partition: every issued
-// token is attributed to exactly one regime, across all four regimes.
+// token is attributed to exactly one mode, across both modes.
 func TestStatsPartition(t *testing.T) {
 	c := newCounter(t, 4, adaptive.Options{})
 	var tok int32
 	for _, m := range []adaptive.Mode{
-		adaptive.ModeDirect, adaptive.ModeCombine, adaptive.ModeNetwork, adaptive.ModeLinear,
+		adaptive.ModeDirect, adaptive.ModeLinear, adaptive.ModeDirect, adaptive.ModeLinear,
 	} {
 		if err := c.SwitchTo(m); err != nil {
 			t.Fatal(err)
@@ -353,79 +319,92 @@ func TestStatsPartition(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if got := st.PerMode[0] + st.PerMode[1] + st.PerMode[2] + st.PerMode[3]; got != st.Tokens || st.Tokens != int64(tok) {
+	if got := st.PerMode[0] + st.PerMode[1]; got != st.Tokens || st.Tokens != int64(tok) {
 		t.Fatalf("per-mode partition %v sums to %d, issued %d", st.PerMode, got, tok)
 	}
 	for m, n := range st.PerMode {
-		if n != 40 {
-			t.Errorf("mode %v served %d tokens, want 40", adaptive.Mode(m), n)
+		if n != 80 {
+			t.Errorf("mode %v served %d tokens, want 80", adaptive.Mode(m), n)
 		}
 	}
 }
 
 // TestAdaptiveStressMatrix is the lincheck stress-matrix entry for the
 // adaptive engine: the full stress driver routes every operation through
-// the Front seam while the controller runs free, over a width × worker
-// grid. Linearizability violations are allowed — with injected delays
-// they are the paper's expected behaviour — but the permutation must be
-// exact. A flight recorder rides along as the run's tracer; a breach
-// trips it, so violations produce flight-recorder dumps like the other
-// engines' harnesses.
+// the Front seam, over a width × worker × mode grid. Both modes are
+// linearizable, so a violation is a failure, and so is any break in the
+// permutation. A flight recorder rides along as the run's tracer; a
+// breach trips it, so failures produce flight-recorder dumps like the
+// other engines' harnesses.
 func TestAdaptiveStressMatrix(t *testing.T) {
 	for _, width := range []int{1, 2, 8} {
 		for _, procs := range []int{4, 32, 128} {
 			t.Run(fmt.Sprintf("w%d/p%d", width, procs), func(t *testing.T) {
-				n, err := shm.Compile(buildGraph(t, width), shm.Options{Kind: shm.KindMCS})
-				if err != nil {
-					t.Fatal(err)
-				}
-				front, err := adaptive.New(n, adaptive.Options{Window: 128})
-				if err != nil {
-					t.Fatal(err)
-				}
-				adaptive.SetThresholds(front, 1, 6, 48)
-				ops := 4 * procs
-				if ops < 256 {
-					ops = 256
-				}
-				flight := obs.NewFlight(obs.Meta{
-					Engine: "shm-adaptive", Unit: "ns", Width: width,
-				}, procs, 64)
-				flight.SetAutoDump(filepath.Join(t.TempDir(), "adaptive.flight.jsonl"))
-				res, err := shm.Stress(shm.StressConfig{
-					Net: n, Workers: procs, Ops: ops, Seed: int64(width*1000 + procs),
-					DelayedFrac: 0.25, Delay: 20 * time.Microsecond,
-					Front:  front,
-					Tracer: flight,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				seen := make([]bool, ops)
-				for _, op := range res.Ops {
-					if op.Value < 0 || op.Value >= int64(ops) || seen[op.Value] {
-						if w, ok := lincheck.FirstWitness(res.Ops); ok {
-							t.Logf("first inversion witness: %s", w)
-						}
-						if path, _ := flight.Trip("adaptive-violation"); path != "" {
-							t.Logf("flight dump written to %s", path)
-						}
-						t.Fatalf("value %d duplicated or out of range [0,%d)", op.Value, ops)
-					}
-					seen[op.Value] = true
-				}
-				st := front.Stats()
-				if st.Tokens != int64(ops) {
-					t.Fatalf("front served %d tokens, ran %d ops", st.Tokens, ops)
+				for _, mode := range []adaptive.Mode{adaptive.ModeDirect, adaptive.ModeLinear} {
+					t.Run(mode.String(), func(t *testing.T) { stressOne(t, mode, width, procs) })
 				}
 			})
 		}
 	}
 }
 
+// stressOne is one cell of TestAdaptiveStressMatrix.
+func stressOne(t *testing.T, mode adaptive.Mode, width, procs int) {
+	n, err := shm.Compile(buildGraph(t, width), shm.Options{Kind: shm.KindMCS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts adaptive.Options
+	if mode == adaptive.ModeLinear {
+		opts.LinearBelow = 1
+	}
+	front, err := adaptive.New(n, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := max(4*procs, 256)
+	flight := obs.NewFlight(obs.Meta{
+		Engine: "shm-adaptive", Unit: "ns", Width: width,
+	}, procs, 64)
+	flight.SetAutoDump(filepath.Join(t.TempDir(), "adaptive.flight.jsonl"))
+	res, err := shm.Stress(shm.StressConfig{
+		Net: n, Workers: procs, Ops: ops, Seed: int64(width*1000 + procs),
+		DelayedFrac: 0.25, Delay: 20 * time.Microsecond,
+		Front:  front,
+		Tracer: flight,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fail := func(format string, args ...any) {
+		t.Helper()
+		if w, ok := lincheck.FirstWitness(res.Ops); ok {
+			t.Logf("first inversion witness: %s", w)
+		}
+		if path, _ := flight.Trip("adaptive-violation"); path != "" {
+			t.Logf("flight dump written to %s", path)
+		}
+		t.Fatalf(format, args...)
+	}
+	seen := make([]bool, ops)
+	for _, op := range res.Ops {
+		if op.Value < 0 || op.Value >= int64(ops) || seen[op.Value] {
+			fail("value %d duplicated or out of range [0,%d)", op.Value, ops)
+		}
+		seen[op.Value] = true
+	}
+	if !res.Report.Linearizable() {
+		fail("%v run not linearizable: %s", mode, res.Report)
+	}
+	st := front.Stats()
+	if st.Tokens != int64(ops) || st.PerMode[mode] != st.Tokens {
+		t.Fatalf("front served %d tokens, %d of them in %v; ran %d ops", st.Tokens, st.PerMode[mode], mode, ops)
+	}
+}
+
 // TestAdaptiveQuiescentLinearizable checks the sequential guarantee: a
-// single undelayed worker never leaves the direct counter, and the run
-// is fully linearizable.
+// default counter serves a single undelayed worker from the direct
+// counter, and the run is fully linearizable.
 func TestAdaptiveQuiescentLinearizable(t *testing.T) {
 	n, err := shm.Compile(buildGraph(t, 4), shm.Options{Kind: shm.KindMCS})
 	if err != nil {
@@ -443,7 +422,7 @@ func TestAdaptiveQuiescentLinearizable(t *testing.T) {
 		t.Fatalf("sequential adaptive run not linearizable: %s", res.Report)
 	}
 	if m := front.Mode(); m != adaptive.ModeDirect {
-		t.Errorf("single undelayed worker escalated to %v", m)
+		t.Errorf("default counter ran in %v, want direct", m)
 	}
 }
 
@@ -471,21 +450,23 @@ func drawAll(t *testing.T, c *adaptive.Counter, width int, from, to int32) []int
 	}
 }
 
-// TestLinearTurnReset checks the per-epoch turn counter across regime
+// TestLinearTurnReset checks the per-epoch turn counter across mode
 // switches: every re-entry into ModeLinear must reseed the turn from the
 // new epoch's backend start, or the first waiting token of the second
-// linear epoch would spin on a turn value that already passed.
+// linear epoch would spin on a turn value that already passed. A linear
+// roll into itself reseeds too.
 func TestLinearTurnReset(t *testing.T) {
 	const width = 4
 	c := newCounter(t, width, adaptive.Options{})
 	var vals []int64
 	var tok int32
 	for _, m := range []adaptive.Mode{
-		adaptive.ModeLinear,  // epoch 1: turn seeded from a zero backend
-		adaptive.ModeDirect,  // direct tokens advance only the FAA counter
-		adaptive.ModeLinear,  // re-entry: backend resumed mid-sequence
-		adaptive.ModeNetwork, // network tokens advance the shared backend...
-		adaptive.ModeLinear,  // ...so this reseed crosses unwaited values
+		adaptive.ModeLinear, // epoch 1: turn seeded from a zero backend
+		adaptive.ModeDirect, // direct tokens advance only the FAA counter
+		adaptive.ModeLinear, // re-entry: backend resumed mid-sequence
+		adaptive.ModeLinear, // roll in place: reseed from the same backend
+		adaptive.ModeDirect,
+		adaptive.ModeLinear,
 	} {
 		if err := c.SwitchTo(m); err != nil {
 			t.Fatal(err)
@@ -520,44 +501,8 @@ func TestLinearBelowStartsLinear(t *testing.T) {
 	}
 }
 
-// TestLinearBelowNeverVotesUnguaranteed pins the controller's
-// guaranteed-ordering override under live load: with LinearBelow far
-// above any reachable occupancy, a free-running controller may move
-// between direct and linear but must never serve a token from the
-// unguaranteed combine or network regimes, and counting stays exact.
-// Which of direct and linear it visits is scheduling-dependent; that
-// policy is pinned by the deterministic TestDecide.
-func TestLinearBelowNeverVotesUnguaranteed(t *testing.T) {
-	const width = 4
-	c := newCounter(t, width, adaptive.Options{Window: 64, LinearBelow: 1 << 20})
-	adaptive.SetThresholds(c, 1, 2, 6)
-	const workers = 16
-	const per = 256
-	vals := make([]int64, workers*per)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			hold := func(topo.NodeID) { time.Sleep(2 * time.Microsecond) }
-			for i := 0; i < per; i++ {
-				tok := int32(w*per + i)
-				vals[tok] = c.Next(w%width, int32(w), tok, hold)
-			}
-		}(w)
-	}
-	wg.Wait()
-	checkValues(t, vals, width)
-	checkConservation(t, c, workers*per)
-	st := c.Stats()
-	t.Logf("controller: %d switches, per-mode tokens %v", st.Switches, st.PerMode)
-	if n := st.PerMode[adaptive.ModeCombine] + st.PerMode[adaptive.ModeNetwork]; n != 0 {
-		t.Errorf("guaranteed-ordering run served %d tokens from unguaranteed regimes: %v", n, st.PerMode)
-	}
-}
-
 // TestLinearZeroViolations is the lincheck entry for the guaranteed
-// regime (the race matrix runs it under -race): under the same per-node
+// mode (the race matrix runs it under -race): under the same per-node
 // W-anomaly injection that makes the bare network return values out of
 // real-time order, a counter pinned in ModeLinear must produce zero
 // non-linearizable operations. The bare-network contrast is reported,
@@ -591,9 +536,10 @@ func TestLinearZeroViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Window 1<<20 keeps the controller out: every operation runs inside
-	// a ModeLinear epoch, so the report is exactly the regime's guarantee.
-	front, err := adaptive.New(n, adaptive.Options{LinearBelow: 1, Window: 1 << 20})
+	// Only SwitchTo changes a counter's mode, so every operation runs
+	// inside the ModeLinear epoch the counter starts in, and the report is
+	// exactly the mode's guarantee.
+	front, err := adaptive.New(n, adaptive.Options{LinearBelow: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

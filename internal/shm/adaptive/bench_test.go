@@ -12,11 +12,10 @@ import (
 	"countnet/internal/topo"
 )
 
-// directFront is the static low-contention baseline: a single padded
-// fetch-and-add counter behind the shm.Front seam, i.e. exactly what the
-// adaptive counter's ModeDirect dispatch does but with no epoch gate, no
-// sampling, and no controller. The gap between this row and the adaptive
-// direct-regime row is therefore the full price of adaptivity.
+// directFront is the static fetch-and-add baseline: a single padded
+// counter behind the shm.Front seam, i.e. exactly what the adaptive
+// counter's ModeDirect dispatch does but with no epoch gate. The gap
+// between this row and the adaptive row is therefore the gate's price.
 type directFront struct {
 	v atomic.Int64
 	_ [56]byte
@@ -31,14 +30,12 @@ func (d *directFront) TraverseSpan(input int, proc, tok int32, parent uint64, af
 }
 
 // BenchmarkAdaptiveLinear quantifies the serialization cliff of the
-// guaranteed-linearizable waiting regime (EXPERIMENTS.md E27): the same
-// 4096-token width-8 workload with the front-end pinned to ModeLinear
-// (LinearBelow far above any reachable occupancy, a huge sampling window
-// so the controller never intervenes), against the bare network as the
-// no-guarantee baseline. The waiting construction serializes responses —
-// token v+1 cannot return before token v — so past the point where the
-// network itself stops scaling, added workers only deepen the release
-// chain. The sweep lands in BENCH_adaptive.json next to the E25 rows.
+// guaranteed-linearizable waiting mode (EXPERIMENTS.md E27): the same
+// 4096-token width-8 workload with the front-end built in ModeLinear,
+// which it never leaves, against the bare network as the no-guarantee
+// baseline. The waiting construction serializes responses — token v+1
+// cannot return before token v — so past the point where the network
+// itself stops scaling, added workers only deepen the release chain.
 func BenchmarkAdaptiveLinear(b *testing.B) {
 	g, err := bitonic.New(8)
 	if err != nil {
@@ -56,10 +53,7 @@ func BenchmarkAdaptiveLinear(b *testing.B) {
 					}
 					cfg := shm.StressConfig{Net: n, Workers: workers, Ops: ops, Seed: 1}
 					if eng == "linear" {
-						front, err := adaptive.New(n, adaptive.Options{
-							LinearBelow: 1 << 20,
-							Window:      1 << 20,
-						})
+						front, err := adaptive.New(n, adaptive.Options{LinearBelow: 1})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -77,15 +71,14 @@ func BenchmarkAdaptiveLinear(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptive is the crossover sweep behind BENCH_adaptive.json
-// (EXPERIMENTS.md E25): the same fixed workload — 4096 tokens through a
-// width-8 bitonic network — driven by worker counts from 1 to 256
-// through each static backend (direct fetch-add, combining funnel, full
-// network) and through the adaptive front-end, all via the identical
-// shm.Stress driver. The acceptance bar is that at every worker count
-// the adaptive row lands within 10% of the best static row: it should
-// pay only its sampling/gate overhead at 1 worker and track whichever
-// backend wins as contention grows.
+// BenchmarkAdaptive is the worker sweep behind EXPERIMENTS.md E25 and
+// E32: the same fixed workload — 4096 tokens through a width-8 bitonic
+// network — driven by worker counts from 1 to 256 through each static
+// engine (direct fetch-add, combining funnel, full network) and through
+// the adaptive front-end in its default ModeDirect, all via the
+// identical shm.Stress driver. The direct row beat the funnel and the
+// network at every worker count, which is why the adaptive front-end has
+// no mode that escalates into them.
 func BenchmarkAdaptive(b *testing.B) {
 	g, err := bitonic.New(8)
 	if err != nil {

@@ -19,8 +19,8 @@
 //
 // The funnel is generic over the downstream counter: Do takes the
 // traversal as a closure. Front binds it to a compiled shm network, which
-// makes the funnel one more shm.Front for the stress driver and the
-// adaptive engine's combine regime.
+// makes the funnel one more shm.Front for the stress driver, run as the
+// shm-combine engine.
 package combine
 
 import (

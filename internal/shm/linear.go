@@ -18,8 +18,8 @@ import (
 // sequential bottleneck as concurrency and timing anomalies grow — the
 // quantitative version of "low contention linearizable counting needs
 // linear depth". See BenchmarkLinearizableFilter. The contention-adaptive
-// engine (internal/shm/adaptive) folds the same Turn in as its switchable
-// ModeLinear regime.
+// engine (internal/shm/adaptive) folds the same Turn in as its
+// ModeLinear.
 type Filter struct {
 	net  *Network
 	turn Turn

@@ -22,13 +22,12 @@ const (
 	// FrontCombine puts the elimination/combining funnel in front of the
 	// network.
 	FrontCombine FrontKind = "shm-combine"
-	// FrontAdaptive is the contention-adaptive engine with its defaults.
+	// FrontAdaptive is the adaptive engine with its defaults: the epoch
+	// gate over the direct fetch-and-add counter (ModeDirect).
 	FrontAdaptive FrontKind = "shm-adaptive"
-	// FrontAdaptiveLinear is the adaptive engine pinned to its
-	// guaranteed-linearizable waiting regime (ModeLinear): the occupancy
-	// band is far above any reachable occupancy, and the controller
-	// window is too long for any run to close, so the counter never
-	// leaves the ModeLinear epoch it starts in.
+	// FrontAdaptiveLinear is the adaptive engine built in its
+	// guaranteed-linearizable waiting mode (ModeLinear). Nothing but
+	// SwitchTo changes a counter's mode, so it serves every token there.
 	FrontAdaptiveLinear FrontKind = "shm-adaptive-linear"
 )
 
@@ -46,7 +45,7 @@ func (k FrontKind) Build(n *shm.Network, reg *obs.Registry) (shm.Front, error) {
 		return combine.Front{Funnel: combine.New(combine.Options{Metrics: reg}), Net: n}, nil
 	case FrontAdaptive:
 	case FrontAdaptiveLinear:
-		opts.LinearBelow, opts.Window = 1<<20, 1<<30
+		opts.LinearBelow = 1
 	default:
 		return nil, fmt.Errorf("workload: unknown front-end %q", k)
 	}
@@ -59,7 +58,7 @@ func (k FrontKind) Build(n *shm.Network, reg *obs.Registry) (shm.Front, error) {
 
 // FrontReport summarizes what a front-end did over a run in one line: the
 // funnel's hit rate and dispositions, or the adaptive engine's final
-// regime, switch count, per-mode tallies and regime history. It returns ""
+// mode, switch count, per-mode tallies and mode history. It returns ""
 // for the plain network, which has nothing beyond the run's own report.
 func FrontReport(front shm.Front) string {
 	var b strings.Builder
@@ -74,10 +73,10 @@ func FrontReport(front shm.Front) string {
 			c.HitRate(), c.Pairs, deg, c.Partners, c.Timeouts, c.Idle, c.Races)
 	case *adaptive.Counter:
 		st := f.Stats()
-		fmt.Fprintf(&b, "adaptive: ended in %s after %d switches, tokens direct/combine/network/linear = %d/%d/%d/%d",
-			st.Mode, st.Switches, st.PerMode[adaptive.ModeDirect], st.PerMode[adaptive.ModeCombine], st.PerMode[adaptive.ModeNetwork], st.PerMode[adaptive.ModeLinear])
+		fmt.Fprintf(&b, "adaptive: ended in %s after %d switches, tokens direct/linear = %d/%d",
+			st.Mode, st.Switches, st.PerMode[adaptive.ModeDirect], st.PerMode[adaptive.ModeLinear])
 		if eps := f.Epochs(); len(eps) > 0 {
-			b.WriteString("; regime history:")
+			b.WriteString("; mode history:")
 			live := st.Tokens
 			for _, e := range eps {
 				fmt.Fprintf(&b, " %s×%d", e.Mode, e.Tokens)

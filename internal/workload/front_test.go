@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"countnet/internal/obs"
 	"countnet/internal/shm"
@@ -122,34 +123,51 @@ func TestFrontSpansReachEnter(t *testing.T) {
 	}
 }
 
-// TestAdaptiveLinearStaysLinear pins shm-adaptive-linear to ModeLinear for
-// a whole run: a 2-worker, 20000-op stress must serve every token from the
-// waiting regime, so the conformance corpus's lincheck assertion on this
-// engine checks the waiting construction, not a fetch-and-add.
+// TestAdaptiveLinearStaysLinear pins each adaptive engine to the mode it
+// is built in for a whole run: shm-adaptive-linear must serve every token
+// of a 2-worker, 20000-op stress from the waiting mode, so the
+// conformance corpus's lincheck assertion on this engine checks the
+// waiting construction, not a fetch-and-add; and shm-adaptive must serve
+// every token of a W-delayed 64-worker stress from the direct counter
+// with no switch, since nothing but SwitchTo changes a counter's mode.
 func TestAdaptiveLinearStaysLinear(t *testing.T) {
-	g, err := Bitonic.Build(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := shm.Compile(g, shm.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front, err := FrontAdaptiveLinear.Build(n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ops = 20000
-	res, err := shm.Stress(shm.StressConfig{Net: n, Workers: 2, Ops: ops, Seed: 1, Front: front})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Report.Linearizable() {
-		t.Fatalf("waiting regime misordered: %s", res.Report)
-	}
-	st := front.(*adaptive.Counter).Stats()
-	if st.Tokens != ops || st.PerMode[adaptive.ModeLinear] != st.Tokens {
-		t.Fatalf("served %d of %d tokens, %d of them in ModeLinear (per mode %v, %d switches)",
-			st.Tokens, ops, st.PerMode[adaptive.ModeLinear], st.PerMode, st.Switches)
+	for _, tc := range []struct {
+		kind FrontKind
+		want adaptive.Mode
+		cfg  shm.StressConfig
+	}{
+		{FrontAdaptiveLinear, adaptive.ModeLinear, shm.StressConfig{Workers: 2, Ops: 20000}},
+		{FrontAdaptive, adaptive.ModeDirect, shm.StressConfig{
+			Workers: 64, Ops: 20000, DelayedFrac: 0.5, Delay: 10 * time.Microsecond,
+		}},
+	} {
+		t.Run(string(tc.kind), func(t *testing.T) {
+			g, err := Bitonic.Build(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := shm.Compile(g, shm.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			front, err := tc.kind.Build(n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := tc.cfg
+			cfg.Net, cfg.Front, cfg.Seed = n, front, 1
+			res, err := shm.Stress(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Report.Linearizable() {
+				t.Fatalf("%v mode misordered: %s", tc.want, res.Report)
+			}
+			st := front.(*adaptive.Counter).Stats()
+			if st.Tokens != int64(cfg.Ops) || st.PerMode[tc.want] != st.Tokens || st.Switches != 0 {
+				t.Fatalf("served %d of %d tokens, %d of them in %v (per mode %v, %d switches)",
+					st.Tokens, cfg.Ops, st.PerMode[tc.want], tc.want, st.PerMode, st.Switches)
+			}
+		})
 	}
 }
