@@ -135,11 +135,12 @@ type epoch struct {
 //
 // Layout: every token reads gate and cur, and only a switch writes them,
 // so the two share a line that no per-token write touches. Each census
-// stripe, the direct counter and the turn counter start on line
-// boundaries and fill their lines, so a token's RMWs invalidate no line
-// another token reads. The allocator may start a Counter a few words past
-// a line boundary (Go's malloc header), which shifts every word alike and
-// keeps each hot word on a line of its own. TestCounterLayout pins this.
+// stripe and the direct counter start on line boundaries and fill their
+// lines, and the turn starts on one with its next and parked words alone
+// on it, so a token's RMWs invalidate no line another token reads. The
+// allocator may start a Counter a few words past a line boundary (Go's
+// malloc header), which shifts every word alike and keeps each hot word
+// on a line of its own. TestCounterLayout pins this.
 type Counter struct {
 	// gate is a seqlock: even = open, odd = switching.
 	gate     atomic.Int64          //countnet:gate
@@ -285,12 +286,14 @@ func (c *Counter) dispatch(ep *epoch, input int, proc, tok int32, parent uint64,
 		return v, parent
 	}
 	// The turn wait runs inside dispatch — before TraverseSpan's census
-	// decrement — so a waiting token still counts as in-flight and a
-	// concurrent drain waits for it. The drain always terminates: with
-	// the gate closed the in-flight set is fixed, each of its tokens
-	// obtains a distinct value from the contiguous backend sequence, and
-	// the holder of the smallest unreleased value is never blocked — so
-	// the chain releases in value order until the census reaches zero.
+	// decrement — so a waiting token, polling or parked, still counts as
+	// in-flight and a concurrent drain waits for it. The drain always
+	// terminates: with the gate closed the in-flight set is fixed, each
+	// of its tokens obtains a distinct value from the contiguous backend
+	// sequence, the holder of the smallest unreleased value never blocks,
+	// and its release wakes the holder of the next value if that one has
+	// parked — so the wake chain runs in value order until the census
+	// reaches zero.
 	v, last := c.net.TraverseSpan(input, proc, tok, parent, afterNode)
 	return c.turn.Release(v), last
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -300,6 +301,103 @@ func TestSwitchStorm(t *testing.T) {
 			checkConservation(t, c, int64(tc.workers*tc.per))
 		})
 	}
+}
+
+// TestSwitchDrainsParkedLinear forces a switch while ModeLinear waiters
+// are parked: the holder of the smallest value stalls after drawing it,
+// the tokens behind it exhaust their yield budget and park, and only
+// then does SwitchTo close the gate. The drain must wait for the held
+// token, then terminate as the release chain wakes the parked waiters in
+// value order, and the values must stay a gapless permutation across the
+// switch.
+func TestSwitchDrainsParkedLinear(t *testing.T) {
+	const (
+		width   = 4
+		waiters = 16
+	)
+	g := buildGraph(t, width)
+	n, err := shm.Compile(g, shm.Options{Kind: shm.KindMCS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := adaptive.New(n, adaptive.Options{LinearBelow: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]int64, waiters+1)
+	held, release := make(chan struct{}), make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // a failed check must not leave the holder stalled
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		vals[0] = c.Next(0, 0, 0, func(id topo.NodeID) {
+			if g.KindOf(id) == topo.KindCounter {
+				close(held)
+				<-release
+			}
+		})
+	}()
+	<-held
+	for w := 1; w <= waiters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			vals[w] = c.Next(w%width, int32(w), int32(w), nil)
+		}(w)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for parkedWaiters() < waiters {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d waiters parked behind the held token", parkedWaiters(), waiters)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	switched := make(chan error, 1)
+	go func() { switched <- c.SwitchTo(adaptive.ModeDirect) }()
+	select {
+	case err := <-switched:
+		t.Fatalf("SwitchTo returned (%v) while a token was still in flight", err)
+	case <-time.After(10 * time.Millisecond):
+	}
+	unblock()
+	select {
+	case err := <-switched:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("drain over parked ModeLinear waiters did not terminate")
+	}
+	wg.Wait()
+	if m := c.Mode(); m != adaptive.ModeDirect {
+		t.Fatalf("mode %v after SwitchTo(direct)", m)
+	}
+	vals = append(vals, drawAll(t, c, width, waiters+1, waiters+9)...)
+	checkValues(t, vals, width)
+	checkConservation(t, c, int64(len(vals)))
+}
+
+// parkedWaiters counts the goroutines blocked in shm.Turn's park, read
+// from a dump of every goroutine's stack.
+func parkedWaiters() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	parked := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "[chan receive") && strings.Contains(g, "shm.(*Turn).park(") {
+			parked++
+		}
+	}
+	return parked
 }
 
 // TestStatsPartition checks the per-mode tally partition: every issued

@@ -30,7 +30,7 @@ func (d *directFront) TraverseSpan(input int, proc, tok int32, parent uint64, af
 }
 
 // BenchmarkAdaptiveLinear quantifies the serialization cliff of the
-// guaranteed-linearizable waiting mode (EXPERIMENTS.md E27): the same
+// guaranteed-linearizable waiting mode (EXPERIMENTS.md E27, E33): the same
 // 4096-token width-8 workload with the front-end built in ModeLinear,
 // which it never leaves, against the bare network as the no-guarantee
 // baseline. The waiting construction serializes responses — token v+1

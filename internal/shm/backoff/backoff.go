@@ -2,10 +2,19 @@
 // shared-memory runtime: an exponential spin-then-yield-then-sleep
 // backoff for slots and locks that poll under contention, and a
 // precision pause used by the stress driver to inject the paper's
-// per-node W delays. Centralizing them keeps every busy-wait in the
-// runtime on the same escalation policy, which matters on small
-// machines where a spinning goroutine steals the quantum from the very
-// goroutine it is waiting on.
+// per-node W delays. Centralizing them keeps those busy-waits on the
+// same escalation policy, which matters on small machines where a
+// spinning goroutine steals the quantum from the very goroutine it is
+// waiting on.
+//
+// Its users: Backoff paces the combining funnel's camp
+// (internal/shm/combine) and the adaptive engine's epoch gate and
+// drain (internal/shm/adaptive); Pause injects W in the stress driver,
+// the msgnet fault path and the benchmark's anomaly workload, and Burn
+// is the stress driver's busy variant; Exp spaces msgnet
+// retransmissions. The ModeLinear turn wait (shm.Turn) does not use it:
+// a held value is handed straight to its parked successor, which a
+// timed sleep would only delay (EXPERIMENTS.md E33).
 package backoff
 
 import (

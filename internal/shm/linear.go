@@ -1,9 +1,9 @@
 package shm
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
-
-	"countnet/internal/shm/backoff"
 )
 
 // Filter makes a counting network linearizable by waiting, in the spirit of
@@ -17,7 +17,9 @@ import (
 // cost: the waiting serializes responses, so throughput degrades toward a
 // sequential bottleneck as concurrency and timing anomalies grow — the
 // quantitative version of "low contention linearizable counting needs
-// linear depth". See BenchmarkLinearizableFilter. The contention-adaptive
+// linear depth". See BenchmarkLinearizableFilter. The wait is Turn's: a
+// held token polls, yields, and then parks until the release of the value
+// below its own wakes it (EXPERIMENTS.md E33). The contention-adaptive
 // engine (internal/shm/adaptive) folds the same Turn in as its
 // ModeLinear.
 type Filter struct {
@@ -41,30 +43,99 @@ func (f *Filter) Returned() int64 { return f.turn.Next() }
 
 // Turn is the Herlihy-Shavit-Waarts wait-then-release gate: values leave
 // it in exactly increasing order, starting from the seed (0 for the zero
-// Turn). It sits on its own cache line, because every waiter polls it.
+// Turn). The zero Turn is ready to use.
+//
+// Layout: every waiter polls next and every release reads parked, so the
+// two share a cache line that nothing else writes. The park registry
+// sits on the following line, where only a parking waiter and the
+// release that wakes it touch it.
 type Turn struct {
-	next atomic.Int64
-	_    [56]byte
+	next   atomic.Int64
+	parked atomic.Int64 // waiters registered in waiters
+	_      [48]byte
+
+	mu      sync.Mutex
+	waiters map[int64]chan struct{} // parked waiter for value v, by v
 }
 
+// The turn wait polls next back to back and yields the processor every
+// pollsPerYield polls; after yieldBudget yields it parks until the
+// release of v-1 wakes it.
+const (
+	pollsPerYield = 64
+	yieldBudget   = 64
+)
+
 // Release holds value v until every smaller value since the seed has been
-// released, then returns it and opens the gate for v+1. The wait runs the
-// shared backoff ladder — spin, then yield, then sleep — so a long-blocked
-// token stops burning its core (on a single-CPU host a raw spin would
-// steal the quantum from the very token it is waiting on). Release stays
-// live as long as every value from the seed up to v is eventually
-// released: the holder of the smallest unreleased value never waits.
+// released, then returns it and opens the gate for v+1. A short wait
+// polls and yields; a long one parks, and the release of v-1 hands the
+// turn straight to it, so a blocked token neither burns its core nor
+// oversleeps on a timer while later values queue behind it. On the
+// common path the hand-off costs one load of parked, on the line the
+// release has just written. Release stays live as long as every value
+// from the seed up to v is eventually released: the holder of the
+// smallest unreleased value never waits.
 //
 //countnet:hotpath
 func (t *Turn) Release(v int64) int64 {
-	if t.next.Load() != v {
-		var bo backoff.Backoff
-		for t.next.Load() != v {
-			bo.Wait()
+	for polls := 1; t.next.Load() != v; polls++ {
+		if polls%pollsPerYield != 0 {
+			continue
 		}
+		if polls > pollsPerYield*yieldBudget {
+			t.park(v)
+			break
+		}
+		//countnet:allow hotvet -- bounded courtesy yield before the waiter parks; pure polling here starves the holder of v-1 on oversubscribed runs
+		runtime.Gosched()
 	}
 	t.next.Store(v + 1)
+	if t.parked.Load() != 0 {
+		t.wake(v + 1)
+	}
 	return v
+}
+
+// park blocks until next reaches v. It registers the waiter and counts
+// it in parked before it re-reads next, while a release stores next
+// before it reads parked. With sequentially consistent atomics at least
+// one side sees the other's write: either the re-read finds the turn
+// already passed to v, or the release of v-1 sees the count and wakes
+// the registered waiter. No wake-up is lost.
+//
+//countnet:coldpath
+func (t *Turn) park(v int64) {
+	ch := make(chan struct{})
+	t.mu.Lock()
+	if t.waiters == nil {
+		t.waiters = make(map[int64]chan struct{})
+	}
+	t.waiters[v] = ch
+	t.mu.Unlock()
+	t.parked.Add(1)
+	if t.next.Load() == v {
+		// The turn arrived during registration: withdraw. A wake that
+		// raced this may have removed the entry already and closed a
+		// channel that no one receives from.
+		t.mu.Lock()
+		delete(t.waiters, v)
+		t.mu.Unlock()
+	} else {
+		<-ch // wake removed the entry
+	}
+	t.parked.Add(-1)
+}
+
+// wake hands the turn to the waiter parked on v, if there is one.
+//
+//countnet:coldpath
+func (t *Turn) wake(v int64) {
+	t.mu.Lock()
+	if ch, ok := t.waiters[v]; ok {
+		delete(t.waiters, v)
+		close(ch)
+	}
+	t.mu.Unlock()
 }
 
 // Reseed makes v the next value allowed to leave. It must not race a

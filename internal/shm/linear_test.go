@@ -1,9 +1,13 @@
 package shm
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
+	"countnet/internal/bitonic"
 	"countnet/internal/dtree"
 	"countnet/internal/lincheck"
 	"countnet/internal/topo"
@@ -72,6 +76,144 @@ func TestTurnReseed(t *testing.T) {
 	}
 	if turn.Next() != 7 {
 		t.Fatalf("Next = %d after releasing 5 and 6", turn.Next())
+	}
+}
+
+// TestTurnParkHandoff checks the direct hand-off: the holder of value 0
+// sleeps past the waiter's yield budget, so the waiter for 1 parks; the
+// release of 0 must wake it, and it must leave the park registry empty.
+// A waiter that parks after its turn has arrived must not block.
+func TestTurnParkHandoff(t *testing.T) {
+	var turn Turn
+	done := make(chan int64)
+	go func() { done <- turn.Release(1) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for turn.parked.Load() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the waiter for 1 never parked")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	select {
+	case v := <-done:
+		t.Fatalf("Release(1) returned %d before 0 was released", v)
+	default:
+	}
+	if v := turn.Release(0); v != 0 {
+		t.Fatalf("Release(0) = %d", v)
+	}
+	select {
+	case v := <-done:
+		if v != 1 {
+			t.Fatalf("Release(1) = %d", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the parked waiter for 1 was not woken by the release of 0")
+	}
+	if n := turn.parked.Load(); n != 0 {
+		t.Errorf("parked = %d after the hand-off, want 0", n)
+	}
+	if n := len(turn.waiters); n != 0 {
+		t.Errorf("%d waiters still registered after the hand-off", n)
+	}
+	if turn.Next() != 2 {
+		t.Errorf("Next = %d after releasing 0 and 1", turn.Next())
+	}
+
+	// The registration race: a waiter whose turn arrives after its last
+	// poll but before it parks must see the turn when it re-reads next,
+	// since no release is left to wake it.
+	parked := make(chan struct{})
+	go func() { turn.park(2); close(parked) }()
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("park(2) blocked although the turn was already 2")
+	}
+	if n, w := turn.parked.Load(), len(turn.waiters); n != 0 || w != 0 {
+		t.Errorf("parked = %d, %d waiters registered after a withdrawn park", n, w)
+	}
+}
+
+// TestTurnLayout pins the line every waiter polls and every release
+// reads: next and parked share a Turn's first cache line, and the park
+// registry, written only by a parking waiter and its waker, starts past
+// it.
+func TestTurnLayout(t *testing.T) {
+	const cacheLine = 64
+	var turn Turn
+	if off := unsafe.Offsetof(turn.parked); off+unsafe.Sizeof(turn.parked) > cacheLine {
+		t.Errorf("parked at offset %d, off next's line", off)
+	}
+	if off := unsafe.Offsetof(turn.mu); off < cacheLine {
+		t.Errorf("park registry at offset %d, on next's line", off)
+	}
+}
+
+// TestTurnOversubscribed pushes values through a Filter from 256
+// goroutines on one and on two processors. Every 256th token stalls
+// while holding its value, so the waiters behind it exhaust their yield
+// budget and park. Every value must come back exactly once and in
+// real-time order (no operation may return a value larger than one that
+// started after it returned), and the run must finish within a
+// wall-clock deadline: a lost wake-up would hang it.
+func TestTurnOversubscribed(t *testing.T) {
+	const workers = 256
+	const ops = workers * 8
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			g, err := bitonic.New(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := NewFilter(compile(t, g, Options{Kind: KindMCS}))
+			type result struct {
+				ops []lincheck.Op
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				log, err := Drive(time.Now(), workers, ops, func(proc, tok int32) (int64, error) {
+					if tok%workers != 0 {
+						return f.Traverse(int(tok) % 4), nil
+					}
+					// Every 256th token holds its value for 2ms, long
+					// enough for the tokens behind it to park.
+					return f.turn.Release(f.net.TraverseObs(0, proc, tok, func(id topo.NodeID) {
+						if g.KindOf(id) == topo.KindCounter {
+							time.Sleep(2 * time.Millisecond)
+						}
+					})), nil
+				})
+				done <- result{log, err}
+			}()
+			var res result
+			select {
+			case res = <-done:
+			case <-time.After(60 * time.Second):
+				t.Fatalf("%d ops on %d goroutines did not finish: turn wait stalled", ops, workers)
+			}
+			if res.err != nil {
+				t.Fatal(res.err)
+			}
+			seen := make([]bool, ops)
+			for _, op := range res.ops {
+				if op.Value < 0 || op.Value >= ops || seen[op.Value] {
+					t.Fatalf("value %d duplicated or out of range [0,%d)", op.Value, ops)
+				}
+				seen[op.Value] = true
+			}
+			if rep := lincheck.Analyze(res.ops); !rep.Linearizable() {
+				t.Errorf("turn released values out of order: %v", rep)
+			}
+			if f.Returned() != ops {
+				t.Errorf("Returned = %d, want %d", f.Returned(), ops)
+			}
+			if n := f.turn.parked.Load(); n != 0 {
+				t.Errorf("parked = %d at quiescence, want 0", n)
+			}
+		})
 	}
 }
 

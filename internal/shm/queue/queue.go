@@ -14,6 +14,7 @@ package queue
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
 
@@ -28,8 +29,6 @@ type Queue[T any] struct {
 	deq   *shm.Network
 	cells []cell[T]
 	cap   int64
-	enqIn atomic.Int64
-	deqIn atomic.Int64
 }
 
 // cell is one ring slot. turn advances 2 per generation: 2g means "empty,
@@ -64,9 +63,11 @@ func New[T any](g *topo.Graph, capacity int, opts shm.Options) (*Queue[T], error
 	}, nil
 }
 
-// Enqueue appends v, blocking while the queue is full.
+// Enqueue appends v, blocking while the queue is full. Enqueue and
+// Dequeue enter their network at an input drawn from math/rand/v2's
+// per-thread generator, so no shared word sits in front of the network.
 func (q *Queue[T]) Enqueue(v T) {
-	t := q.enq.Traverse(int(q.enqIn.Add(1)-1) % q.enq.InWidth())
+	t := q.enq.Traverse(rand.IntN(q.enq.InWidth()))
 	c := &q.cells[t%q.cap]
 	gen := t / q.cap
 	for spins := 0; c.turn.Load() != 2*gen; spins++ {
@@ -81,7 +82,7 @@ func (q *Queue[T]) Enqueue(v T) {
 // Dequeue removes and returns the oldest item, blocking while the queue is
 // empty.
 func (q *Queue[T]) Dequeue() T {
-	t := q.deq.Traverse(int(q.deqIn.Add(1)-1) % q.deq.InWidth())
+	t := q.deq.Traverse(rand.IntN(q.deq.InWidth()))
 	c := &q.cells[t%q.cap]
 	gen := t / q.cap
 	for spins := 0; c.turn.Load() != 2*gen+1; spins++ {
