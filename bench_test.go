@@ -22,6 +22,7 @@ package countnet
 //	BenchmarkLincheckAlgorithms sweep vs quadratic oracle
 //	BenchmarkScheduleEngine     timed executor event throughput
 //	BenchmarkConstruct          network construction cost
+//	BenchmarkBuildCounter       bitonic[8] counter build: graph vs Compile
 
 import (
 	"fmt"
@@ -343,6 +344,47 @@ func BenchmarkConstruct(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkBuildCounter times the whole build the bench workloads' setup_s
+// times, BitonicTopology(8) then NewCounter, and its two halves: "graph"
+// is the topology alone and "compile" is NewCounter over a prebuilt
+// topology, so the split between graph construction and Compile reads
+// directly.
+func BenchmarkBuildCounter(b *testing.B) {
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tp, err := BitonicTopology(8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := NewCounter(tp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("graph", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := BitonicTopology(8); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("compile", func(b *testing.B) {
+		tp, err := BitonicTopology(8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewCounter(tp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkLinearizableFilter quantifies the price of guaranteed

@@ -3,6 +3,7 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Out is an open wire end produced by the Builder: either a network input
@@ -24,17 +25,25 @@ type Out struct {
 //
 // Errors (double consumption, foreign Outs, dangling wires) are latched and
 // reported by Build, so construction code can stay assignment-shaped.
+//
+// A node is appended only after every Out it consumes exists, so every
+// node's id exceeds the ids of its sources: id order is a topological
+// order, and Build assigns layers in one pass over the ids, with no sort.
 type Builder struct {
 	nodes    []node
 	inputs   []PortRef
 	counters []NodeID
-	consumed map[Src]bool
+	srcs     []Src     // unused tail of the backing array for nodes' in ports
+	dsts     []PortRef // unused tail of the backing array for nodes' out ports
 	err      error
 }
 
+// errBuilt latches a Builder once Build has handed its nodes to a Graph.
+var errBuilt = errors.New("topo: Builder already built")
+
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{consumed: make(map[Src]bool)}
+	return &Builder{}
 }
 
 func (b *Builder) fail(format string, args ...any) {
@@ -50,6 +59,7 @@ func (b *Builder) Inputs(v int) []Out {
 		return make([]Out, v)
 	}
 	outs := make([]Out, v)
+	b.inputs = slices.Grow(b.inputs, v)
 	for i := range outs {
 		idx := len(b.inputs)
 		b.inputs = append(b.inputs, PortRef{Node: InvalidNode}) // patched on consumption
@@ -59,7 +69,8 @@ func (b *Builder) Inputs(v int) []Out {
 }
 
 // consume marks an Out as used and returns its Src, recording the
-// destination so network inputs learn their entry port.
+// destination so network inputs learn their entry port. A wire end is
+// consumed once its destination slot holds a node.
 func (b *Builder) consume(o Out, dst PortRef) Src {
 	if b.err != nil {
 		return Src{Node: InvalidNode}
@@ -73,17 +84,69 @@ func (b *Builder) consume(o Out, dst PortRef) Src {
 		return Src{Node: InvalidNode}
 	}
 	s := Src{Node: o.node, Port: o.port}
-	if b.consumed[s] {
+	var slot *PortRef
+	if s.IsInput() {
+		slot = &b.inputs[s.Port]
+	} else {
+		slot = &b.nodes[s.Node].out[s.Port]
+	}
+	if slot.Node != InvalidNode {
 		b.fail("topo: wire %+v consumed twice", s)
 		return s
 	}
-	b.consumed[s] = true
-	if s.IsInput() {
-		b.inputs[s.Port] = dst
-	} else {
-		b.nodes[s.Node].out[s.Port] = dst
-	}
+	*slot = dst
 	return s
+}
+
+// ports carves fanIn input and fanOut output ports for a new node from the
+// Builder's backing arrays, starting a fresh array when the current one is
+// full. The full slice expressions cap each node's ports at their length,
+// so no node can grow into its neighbour's.
+func (b *Builder) ports(fanIn, fanOut int) ([]Src, []PortRef) {
+	if cap(b.srcs)-len(b.srcs) < fanIn {
+		b.srcs = make([]Src, 0, max(2*cap(b.srcs), fanIn, 64))
+	}
+	if cap(b.dsts)-len(b.dsts) < fanOut {
+		b.dsts = make([]PortRef, 0, max(2*cap(b.dsts), fanOut, 64))
+	}
+	i, o := len(b.srcs), len(b.dsts)
+	b.srcs = b.srcs[:i+fanIn]
+	b.dsts = b.dsts[:o+fanOut]
+	out := b.dsts[o : o+fanOut : o+fanOut]
+	for p := range out {
+		out[p] = PortRef{Node: InvalidNode}
+	}
+	return b.srcs[i : i+fanIn : i+fanIn], out
+}
+
+// balancer appends a balancing node consuming ins with fanOut outputs and
+// returns its id, or InvalidNode when the Builder has already failed or the
+// shape is invalid.
+func (b *Builder) balancer(ins []Out, fanOut int) NodeID {
+	if b.err != nil {
+		return InvalidNode
+	}
+	if len(ins) < 1 {
+		b.fail("topo: balancer with no inputs")
+		return InvalidNode
+	}
+	if fanOut < 1 {
+		b.fail("topo: balancer with fanOut %d", fanOut)
+		return InvalidNode
+	}
+	id := NodeID(len(b.nodes))
+	in, out := b.ports(len(ins), fanOut)
+	b.nodes = append(b.nodes, node{
+		kind:   KindBalancer,
+		fanIn:  len(ins),
+		fanOut: fanOut,
+		in:     in,
+		out:    out,
+	})
+	for p, o := range ins {
+		in[p] = b.consume(o, PortRef{Node: id, Port: p})
+	}
+	return id
 }
 
 // BalancerN creates a balancing node consuming the given wire ends as its
@@ -93,28 +156,9 @@ func (b *Builder) BalancerN(ins []Out, fanOut int) []Out {
 	if b.err != nil {
 		return make([]Out, max(fanOut, 0))
 	}
-	if len(ins) < 1 {
-		b.fail("topo: balancer with no inputs")
+	id := b.balancer(ins, fanOut)
+	if id == InvalidNode {
 		return nil
-	}
-	if fanOut < 1 {
-		b.fail("topo: balancer with fanOut %d", fanOut)
-		return nil
-	}
-	id := NodeID(len(b.nodes))
-	n := node{
-		kind:   KindBalancer,
-		fanIn:  len(ins),
-		fanOut: fanOut,
-		in:     make([]Src, len(ins)),
-		out:    make([]PortRef, fanOut),
-	}
-	for p := range n.out {
-		n.out[p] = PortRef{Node: InvalidNode}
-	}
-	b.nodes = append(b.nodes, n)
-	for p, o := range ins {
-		b.nodes[id].in[p] = b.consume(o, PortRef{Node: id, Port: p})
 	}
 	outs := make([]Out, fanOut)
 	for p := range outs {
@@ -125,30 +169,30 @@ func (b *Builder) BalancerN(ins []Out, fanOut int) []Out {
 
 // Balancer2 creates the ubiquitous 2-input 2-output balancer.
 func (b *Builder) Balancer2(in0, in1 Out) (Out, Out) {
-	outs := b.BalancerN([]Out{in0, in1}, 2)
-	if len(outs) != 2 {
+	id := b.balancer([]Out{in0, in1}, 2)
+	if id == InvalidNode {
 		return Out{}, Out{}
 	}
-	return outs[0], outs[1]
+	return Out{node: id, port: 0, b: b}, Out{node: id, port: 1, b: b}
 }
 
 // Balancer12 creates a 1-input 2-output balancer (a counting-tree node).
 func (b *Builder) Balancer12(in Out) (Out, Out) {
-	outs := b.BalancerN([]Out{in}, 2)
-	if len(outs) != 2 {
+	id := b.balancer([]Out{in}, 2)
+	if id == InvalidNode {
 		return Out{}, Out{}
 	}
-	return outs[0], outs[1]
+	return Out{node: id, port: 0, b: b}, Out{node: id, port: 1, b: b}
 }
 
 // Balancer11 creates a 1-input 1-output pass-through balancer, the padding
 // node of Corollary 3.12.
 func (b *Builder) Balancer11(in Out) Out {
-	outs := b.BalancerN([]Out{in}, 1)
-	if len(outs) != 1 {
+	id := b.balancer([]Out{in}, 1)
+	if id == InvalidNode {
 		return Out{}
 	}
-	return outs[0]
+	return Out{node: id, port: 0, b: b}
 }
 
 // Terminate attaches an atomic counter to each wire end, in order: outs[i]
@@ -165,16 +209,18 @@ func (b *Builder) Terminate(outs []Out) {
 		b.fail("topo: Terminate with no outputs")
 		return
 	}
+	b.counters = make([]NodeID, len(outs))
 	for i, o := range outs {
 		id := NodeID(len(b.nodes))
+		in, _ := b.ports(1, 0)
 		b.nodes = append(b.nodes, node{
 			kind:  KindCounter,
 			fanIn: 1,
-			in:    make([]Src, 1),
+			in:    in,
 			index: i,
 		})
-		b.nodes[id].in[0] = b.consume(o, PortRef{Node: id, Port: 0})
-		b.counters = append(b.counters, id)
+		in[0] = b.consume(o, PortRef{Node: id, Port: 0})
+		b.counters[i] = id
 	}
 }
 
@@ -210,11 +256,9 @@ func (b *Builder) Build() (*Graph, error) {
 		inputs:   b.inputs,
 		counters: b.counters,
 	}
-	if err := g.computeLayers(); err != nil {
-		return nil, err
-	}
+	g.computeLayers()
 	// The Graph now owns the node slices; latch the Builder so further use
 	// cannot mutate the published network.
-	b.err = errors.New("topo: Builder already built")
+	b.err = errBuilt
 	return g, nil
 }

@@ -63,13 +63,32 @@ func TestBuilderWidth2(t *testing.T) {
 	}
 }
 
+// TestBuilderDoubleConsume covers each kind of wire end a second consumer
+// can take: a balancer output, a network input, and a wire handed to
+// Terminate twice. The Builder keeps no consumed set; a wire end counts as
+// consumed once its destination slot holds a node.
 func TestBuilderDoubleConsume(t *testing.T) {
-	b := NewBuilder()
-	in := b.Inputs(2)
-	o0, _ := b.Balancer2(in[0], in[1])
-	b.Balancer2(o0, o0) // same wire twice
-	if _, err := b.Build(); err == nil {
-		t.Fatal("Build succeeded despite double-consumed wire")
+	for name, build := range map[string]func(b *Builder, in []Out){
+		"balancer output": func(b *Builder, in []Out) {
+			o0, o1 := b.Balancer2(in[0], in[1])
+			p0, p1 := b.Balancer2(o0, o0) // same wire twice
+			b.Terminate([]Out{o1, p0, p1})
+		},
+		"network input": func(b *Builder, in []Out) {
+			o0, o1 := b.Balancer2(in[0], in[1])
+			b.Terminate([]Out{o0, o1, b.Balancer11(in[0])})
+		},
+		"terminate": func(b *Builder, in []Out) {
+			o0, _ := b.Balancer2(in[0], in[1])
+			b.Terminate([]Out{o0, o0})
+		},
+	} {
+		b := NewBuilder()
+		build(b, b.Inputs(2))
+		_, err := b.Build()
+		if err == nil || !strings.Contains(err.Error(), "consumed twice") {
+			t.Errorf("%s: Build error = %v, want a consumed-twice error", name, err)
+		}
 	}
 }
 

@@ -4,45 +4,33 @@ import "fmt"
 
 // cloneBalancers rebuilds g's balancers (not its counters) inside b, with
 // network input i of g fed by feeds[i]. It returns the wires that fed g's
-// counters, in output order.
+// counters, in output order. The clones are appended in g's breadthOrder,
+// which is what numbers the nodes of a padded or cascaded network.
 func cloneBalancers(b *Builder, g *Graph, feeds []Out) ([]Out, error) {
 	if len(feeds) != g.InWidth() {
 		return nil, fmt.Errorf("topo: %d feeds for %d inputs", len(feeds), g.InWidth())
 	}
-	wires := make(map[Src]Out, len(g.nodes)*2)
-	for i, f := range feeds {
-		wires[Src{Node: InvalidNode, Port: i}] = f
+	clone := make([]NodeID, len(g.nodes)) // clone[id] = id of g's node id in b
+	wire := func(s Src) Out {
+		if s.IsInput() {
+			return feeds[s.Port]
+		}
+		return Out{node: clone[s.Node], port: s.Port, b: b}
 	}
-	order, err := g.topoOrder()
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range order {
+	var ins []Out
+	for _, id := range g.breadthOrder() {
 		n := &g.nodes[id]
-		if n.kind != KindBalancer {
-			continue
+		ins = ins[:0]
+		for _, s := range n.in {
+			ins = append(ins, wire(s))
 		}
-		ins := make([]Out, n.fanIn)
-		for p, s := range n.in {
-			o, ok := wires[s]
-			if !ok {
-				return nil, fmt.Errorf("topo: clone: unmapped wire %+v into node %d", s, id)
-			}
-			ins[p] = o
-		}
-		outs := b.BalancerN(ins, n.fanOut)
-		for p, o := range outs {
-			wires[Src{Node: id, Port: p}] = o
+		if clone[id] = b.balancer(ins, n.fanOut); clone[id] == InvalidNode {
+			return nil, b.err
 		}
 	}
 	term := make([]Out, g.OutWidth())
 	for i, c := range g.counters {
-		s := g.nodes[c].in[0]
-		o, ok := wires[s]
-		if !ok {
-			return nil, fmt.Errorf("topo: clone: unmapped wire %+v into counter %d", s, i)
-		}
-		term[i] = o
+		term[i] = wire(g.nodes[c].in[0])
 	}
 	return term, nil
 }

@@ -35,47 +35,31 @@ func Encode(g *Graph) ([]byte, error) {
 	if g == nil {
 		return nil, fmt.Errorf("topo: encode nil graph")
 	}
-	order, err := g.topoOrder()
-	if err != nil {
-		return nil, err
+	order := g.breadthOrder()
+	pos := make([]int32, len(g.nodes)) // pos[id] = balancer id's index in order
+	for i, id := range order {
+		pos[id] = int32(i)
 	}
-	// Balancer id -> position in serialized order.
-	pos := make(map[NodeID]int32, len(order))
-	out := graphJSON{Inputs: g.InWidth()}
-	for _, id := range order {
+	src := func(s Src) wireJSON {
+		if s.IsInput() {
+			return wireJSON{Input: s.Port}
+		}
+		return wireJSON{Input: -1, Node: pos[s.Node], Port: s.Port}
+	}
+	out := graphJSON{Inputs: g.InWidth(), Balancers: make([]balancerJSON, len(order))}
+	for i, id := range order {
 		n := &g.nodes[id]
-		if n.kind != KindBalancer {
-			continue
-		}
-		pos[id] = int32(len(out.Balancers))
 		bj := balancerJSON{FanOut: n.fanOut, In: make([]wireJSON, n.fanIn)}
-		for p, src := range n.in {
-			bj.In[p], err = encodeSrc(src, pos)
-			if err != nil {
-				return nil, err
-			}
+		for p, s := range n.in {
+			bj.In[p] = src(s)
 		}
-		out.Balancers = append(out.Balancers, bj)
+		out.Balancers[i] = bj
 	}
 	out.Counters = make([]wireJSON, g.OutWidth())
 	for i, c := range g.counters {
-		out.Counters[i], err = encodeSrc(g.nodes[c].in[0], pos)
-		if err != nil {
-			return nil, err
-		}
+		out.Counters[i] = src(g.nodes[c].in[0])
 	}
 	return json.MarshalIndent(out, "", " ")
-}
-
-func encodeSrc(s Src, pos map[NodeID]int32) (wireJSON, error) {
-	if s.IsInput() {
-		return wireJSON{Input: s.Port}, nil
-	}
-	p, ok := pos[s.Node]
-	if !ok {
-		return wireJSON{}, fmt.Errorf("topo: encode: source node %d not yet serialized", s.Node)
-	}
-	return wireJSON{Input: -1, Node: p, Port: s.Port}, nil
 }
 
 // Decode rebuilds a Graph from Encode's output, re-running all Builder

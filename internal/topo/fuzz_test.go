@@ -1,10 +1,16 @@
 package topo
 
-import "testing"
+import (
+	"bytes"
+	"slices"
+	"testing"
+)
 
 // FuzzDecode feeds arbitrary bytes to the network decoder: it must never
-// panic, and anything it accepts must be a well-formed graph that survives
-// an encode/decode round trip.
+// panic, and anything it accepts must be a well-formed graph whose encoding
+// is a fixed point: re-encoding its decoding gives the same bytes, and the
+// decoding has the same layer lists once each node is renamed to its place
+// in the encoding.
 func FuzzDecode(f *testing.F) {
 	g, err := func() (*Graph, error) {
 		b := NewBuilder()
@@ -24,6 +30,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(`{"inputs":1,"balancers":[],"counters":[{"input":0}]}`))
 	f.Add([]byte(`{"inputs":-1}`))
 	f.Add([]byte(`{`))
+	// Balancers listed in an order that is topological but not the
+	// encoding's breadth-first order, so the decoding renumbers them.
+	f.Add([]byte(`{"inputs":4,"balancers":[{"in":[{"input":0},{"input":1}],"fanOut":2},` +
+		`{"in":[{"input":-1},{"input":-1,"port":1}],"fanOut":2},` +
+		`{"in":[{"input":2},{"input":3}],"fanOut":2}],` +
+		`"counters":[{"input":-1,"node":1},{"input":-1,"node":1,"port":1},{"input":-1,"node":2},{"input":-1,"node":2,"port":1}]}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		g, err := Decode(raw)
 		if err != nil {
@@ -40,8 +52,34 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip of accepted graph failed: %v", err)
 		}
-		if g2.Depth() != g.Depth() || g2.NumBalancers() != g.NumBalancers() {
+		re2, err := Encode(g2)
+		if err != nil {
+			t.Fatalf("encode of round-tripped graph failed: %v", err)
+		}
+		if !bytes.Equal(re2, re) {
+			t.Fatalf("encoding is not a fixed point:\n%s\nvs\n%s", re, re2)
+		}
+		// Encode lists g's balancers in breadthOrder and its counters in
+		// output order, and Decode numbers g2's nodes in that order.
+		rename := make([]NodeID, g.NumNodes())
+		for k, id := range g.breadthOrder() {
+			rename[id] = NodeID(k)
+		}
+		for i := range g.OutWidth() {
+			rename[g.CounterNode(i)] = g2.CounterNode(i)
+		}
+		if g2.Depth() != g.Depth() || g2.Uniform() != g.Uniform() {
 			t.Fatalf("round trip changed shape: %s vs %s", Summary(g), Summary(g2))
+		}
+		for l := 1; l <= g.Depth()+1; l++ {
+			var want []NodeID
+			for _, id := range g.LayerNodes(l) {
+				want = append(want, rename[id])
+			}
+			slices.Sort(want)
+			if got := g2.LayerNodes(l); !slices.Equal(got, want) {
+				t.Fatalf("layer %d: round trip has %v, want %v", l, got, want)
+			}
 		}
 	})
 }

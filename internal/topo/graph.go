@@ -13,7 +13,9 @@
 //
 // Graphs are built with a Builder, which makes ill-formed networks
 // unrepresentable: a balancer's inputs are fixed at creation from existing
-// outputs, so the result is acyclic and fully wired by construction.
+// outputs, so the result is acyclic and fully wired by construction. A
+// node's id is its creation index, and every node's id exceeds the ids of
+// the nodes feeding it, so id order is a topological order.
 //
 //countnet:deterministic
 package topo

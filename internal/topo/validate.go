@@ -1,20 +1,16 @@
 package topo
 
-import "fmt"
-
 // computeLayers assigns 1-based layers by longest distance from the network
 // inputs, records per-layer node lists, the network depth, and whether the
 // network is uniform in the sense of Definition 2.1: every node lies on an
 // input-to-output path (guaranteed by the Builder) and all such paths have
 // equal length, which holds exactly when every node's predecessors share a
-// single layer and all counters land on the same layer.
-func (g *Graph) computeLayers() error {
+// single layer and all counters land on the same layer. Every node's
+// sources have smaller ids (see Builder), so one pass in id order sees each
+// node after its sources.
+func (g *Graph) computeLayers() {
 	uniform := true
-	order, err := g.topoOrder()
-	if err != nil {
-		return err
-	}
-	for _, id := range order {
+	for id := range g.nodes {
 		n := &g.nodes[id]
 		lo, hi := -1, -1
 		for _, s := range n.in {
@@ -50,52 +46,59 @@ func (g *Graph) computeLayers() error {
 	}
 	g.depth = counterLayer - 1
 	g.uniform = uniform
+	// Bucket the ids by layer into one shared array: count each layer,
+	// then cut every layer's list at its offset.
+	end := make([]int, counterLayer+1)
+	for id := range g.nodes {
+		end[g.nodes[id].layer]++
+	}
+	for l := 1; l <= counterLayer; l++ {
+		end[l] += end[l-1]
+	}
+	all := make([]NodeID, len(g.nodes))
 	g.layers = make([][]NodeID, counterLayer)
+	for l := counterLayer; l >= 1; l-- {
+		g.layers[l-1] = all[end[l-1]:end[l-1]:end[l]]
+	}
 	for id := range g.nodes {
 		l := g.nodes[id].layer
-		if l >= 1 && l <= counterLayer {
-			g.layers[l-1] = append(g.layers[l-1], NodeID(id))
-		}
+		g.layers[l-1] = append(g.layers[l-1], NodeID(id))
 	}
-	return nil
 }
 
-// topoOrder returns the node ids in a topological order. The Builder can
-// only produce DAGs, but the check guards hand-constructed graphs and future
-// transforms.
-func (g *Graph) topoOrder() ([]NodeID, error) {
-	indeg := make([]int, len(g.nodes))
+// breadthOrder returns g's balancers first in, first out: it starts from the
+// balancers fed only by network inputs, in id order, and lists a balancer
+// once all of its source balancers are listed. Encode serializes balancers
+// in this order and cloneBalancers numbers its clones in it, so it fixes
+// both the encoding and the node ids of padded and cascaded networks. It
+// differs from id order (for bitonic and periodic networks of width 4 and
+// more, for instance), which is why it is kept; sources always precede a
+// node in id order, so it needs no cycle check.
+func (g *Graph) breadthOrder() []NodeID {
+	waiting := make([]int, len(g.nodes)) // source balancers not yet listed
+	order := make([]NodeID, 0, g.NumBalancers())
 	for id := range g.nodes {
-		for _, s := range g.nodes[id].in {
-			if !s.IsInput() {
-				indeg[id]++
-			}
-		}
-	}
-	queue := make([]NodeID, 0, len(g.nodes))
-	for id := range g.nodes {
-		if indeg[id] == 0 {
-			queue = append(queue, NodeID(id))
-		}
-	}
-	order := make([]NodeID, 0, len(g.nodes))
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		n := &g.nodes[id]
-		if n.kind != KindBalancer {
+		if g.nodes[id].kind != KindBalancer {
 			continue
 		}
-		for _, dst := range n.out {
-			indeg[dst.Node]--
-			if indeg[dst.Node] == 0 {
-				queue = append(queue, dst.Node)
+		for _, s := range g.nodes[id].in {
+			if !s.IsInput() {
+				waiting[id]++
+			}
+		}
+		if waiting[id] == 0 {
+			order = append(order, NodeID(id))
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		for _, dst := range g.nodes[order[i]].out {
+			if g.nodes[dst.Node].kind != KindBalancer {
+				continue
+			}
+			if waiting[dst.Node]--; waiting[dst.Node] == 0 {
+				order = append(order, dst.Node)
 			}
 		}
 	}
-	if len(order) != len(g.nodes) {
-		return nil, fmt.Errorf("topo: network contains a cycle (%d of %d nodes ordered)", len(order), len(g.nodes))
-	}
-	return order, nil
+	return order
 }
