@@ -25,10 +25,8 @@ type Out struct {
 //
 // Errors (double consumption, foreign Outs, dangling wires) are latched and
 // reported by Build, so construction code can stay assignment-shaped.
-//
-// A node is appended only after every Out it consumes exists, so every
-// node's id exceeds the ids of its sources: id order is a topological
-// order, and Build assigns layers in one pass over the ids, with no sort.
+// A node is appended only after the Outs it consumes exist, so every node's
+// id exceeds its sources' ids: id order is topological, with no sort.
 type Builder struct {
 	nodes    []node
 	inputs   []PortRef
@@ -61,9 +59,8 @@ func (b *Builder) Inputs(v int) []Out {
 	outs := make([]Out, v)
 	b.inputs = slices.Grow(b.inputs, v)
 	for i := range outs {
-		idx := len(b.inputs)
+		outs[i] = Out{node: InvalidNode, port: len(b.inputs), b: b}
 		b.inputs = append(b.inputs, PortRef{Node: InvalidNode}) // patched on consumption
-		outs[i] = Out{node: InvalidNode, port: idx, b: b}
 	}
 	return outs
 }
@@ -84,44 +81,31 @@ func (b *Builder) consume(o Out, dst PortRef) Src {
 		return Src{Node: InvalidNode}
 	}
 	s := Src{Node: o.node, Port: o.port}
-	var slot *PortRef
-	if s.IsInput() {
-		slot = &b.inputs[s.Port]
-	} else {
-		slot = &b.nodes[s.Node].out[s.Port]
+	dsts := b.inputs
+	if !s.IsInput() {
+		dsts = b.nodes[s.Node].out
 	}
-	if slot.Node != InvalidNode {
+	if dsts[s.Port].Node != InvalidNode {
 		b.fail("topo: wire %+v consumed twice", s)
 		return s
 	}
-	*slot = dst
+	dsts[s.Port] = dst
 	return s
 }
 
-// ports carves fanIn input and fanOut output ports for a new node from the
-// Builder's backing arrays, starting a fresh array when the current one is
-// full. The full slice expressions cap each node's ports at their length,
-// so no node can grow into its neighbour's.
-func (b *Builder) ports(fanIn, fanOut int) ([]Src, []PortRef) {
-	if cap(b.srcs)-len(b.srcs) < fanIn {
-		b.srcs = make([]Src, 0, max(2*cap(b.srcs), fanIn, 64))
+// carve cuts k ports from the backing array *buf, starting a fresh one when
+// it is full. The cap of k keeps a node from growing into its neighbour's.
+func carve[T any](buf *[]T, k int) []T {
+	if cap(*buf)-len(*buf) < k {
+		*buf = make([]T, 0, max(2*cap(*buf), k, 64))
 	}
-	if cap(b.dsts)-len(b.dsts) < fanOut {
-		b.dsts = make([]PortRef, 0, max(2*cap(b.dsts), fanOut, 64))
-	}
-	i, o := len(b.srcs), len(b.dsts)
-	b.srcs = b.srcs[:i+fanIn]
-	b.dsts = b.dsts[:o+fanOut]
-	out := b.dsts[o : o+fanOut : o+fanOut]
-	for p := range out {
-		out[p] = PortRef{Node: InvalidNode}
-	}
-	return b.srcs[i : i+fanIn : i+fanIn], out
+	i := len(*buf)
+	*buf = (*buf)[:i+k]
+	return (*buf)[i : i+k : i+k]
 }
 
-// balancer appends a balancing node consuming ins with fanOut outputs and
-// returns its id, or InvalidNode when the Builder has already failed or the
-// shape is invalid.
+// balancer appends a balancing node and returns its id, or InvalidNode when
+// the Builder has failed or the shape is invalid.
 func (b *Builder) balancer(ins []Out, fanOut int) NodeID {
 	if b.err != nil {
 		return InvalidNode
@@ -135,7 +119,10 @@ func (b *Builder) balancer(ins []Out, fanOut int) NodeID {
 		return InvalidNode
 	}
 	id := NodeID(len(b.nodes))
-	in, out := b.ports(len(ins), fanOut)
+	in, out := carve(&b.srcs, len(ins)), carve(&b.dsts, fanOut)
+	for p := range out {
+		out[p] = PortRef{Node: InvalidNode}
+	}
 	b.nodes = append(b.nodes, node{
 		kind:   KindBalancer,
 		fanIn:  len(ins),
@@ -147,6 +134,14 @@ func (b *Builder) balancer(ins []Out, fanOut int) NodeID {
 		in[p] = b.consume(o, PortRef{Node: id, Port: p})
 	}
 	return id
+}
+
+// out returns output port p of balancer id, or the zero Out for InvalidNode.
+func (b *Builder) out(id NodeID, p int) Out {
+	if id == InvalidNode {
+		return Out{}
+	}
+	return Out{node: id, port: p, b: b}
 }
 
 // BalancerN creates a balancing node consuming the given wire ends as its
@@ -162,7 +157,7 @@ func (b *Builder) BalancerN(ins []Out, fanOut int) []Out {
 	}
 	outs := make([]Out, fanOut)
 	for p := range outs {
-		outs[p] = Out{node: id, port: p, b: b}
+		outs[p] = b.out(id, p)
 	}
 	return outs
 }
@@ -170,29 +165,19 @@ func (b *Builder) BalancerN(ins []Out, fanOut int) []Out {
 // Balancer2 creates the ubiquitous 2-input 2-output balancer.
 func (b *Builder) Balancer2(in0, in1 Out) (Out, Out) {
 	id := b.balancer([]Out{in0, in1}, 2)
-	if id == InvalidNode {
-		return Out{}, Out{}
-	}
-	return Out{node: id, port: 0, b: b}, Out{node: id, port: 1, b: b}
+	return b.out(id, 0), b.out(id, 1)
 }
 
 // Balancer12 creates a 1-input 2-output balancer (a counting-tree node).
 func (b *Builder) Balancer12(in Out) (Out, Out) {
 	id := b.balancer([]Out{in}, 2)
-	if id == InvalidNode {
-		return Out{}, Out{}
-	}
-	return Out{node: id, port: 0, b: b}, Out{node: id, port: 1, b: b}
+	return b.out(id, 0), b.out(id, 1)
 }
 
 // Balancer11 creates a 1-input 1-output pass-through balancer, the padding
 // node of Corollary 3.12.
 func (b *Builder) Balancer11(in Out) Out {
-	id := b.balancer([]Out{in}, 1)
-	if id == InvalidNode {
-		return Out{}
-	}
-	return Out{node: id, port: 0, b: b}
+	return b.out(b.balancer([]Out{in}, 1), 0)
 }
 
 // Terminate attaches an atomic counter to each wire end, in order: outs[i]
@@ -212,7 +197,7 @@ func (b *Builder) Terminate(outs []Out) {
 	b.counters = make([]NodeID, len(outs))
 	for i, o := range outs {
 		id := NodeID(len(b.nodes))
-		in, _ := b.ports(1, 0)
+		in := carve(&b.srcs, 1)
 		b.nodes = append(b.nodes, node{
 			kind:  KindCounter,
 			fanIn: 1,

@@ -4,8 +4,7 @@ import "fmt"
 
 // cloneBalancers rebuilds g's balancers (not its counters) inside b, with
 // network input i of g fed by feeds[i]. It returns the wires that fed g's
-// counters, in output order. The clones are appended in g's breadthOrder,
-// which is what numbers the nodes of a padded or cascaded network.
+// counters, in output order. The clones are numbered in g's breadthOrder.
 func cloneBalancers(b *Builder, g *Graph, feeds []Out) ([]Out, error) {
 	if len(feeds) != g.InWidth() {
 		return nil, fmt.Errorf("topo: %d feeds for %d inputs", len(feeds), g.InWidth())
@@ -15,7 +14,7 @@ func cloneBalancers(b *Builder, g *Graph, feeds []Out) ([]Out, error) {
 		if s.IsInput() {
 			return feeds[s.Port]
 		}
-		return Out{node: clone[s.Node], port: s.Port, b: b}
+		return b.out(clone[s.Node], s.Port)
 	}
 	var ins []Out
 	for _, id := range g.breadthOrder() {

@@ -37,9 +37,6 @@ func Encode(g *Graph) ([]byte, error) {
 	}
 	order := g.breadthOrder()
 	pos := make([]int32, len(g.nodes)) // pos[id] = balancer id's index in order
-	for i, id := range order {
-		pos[id] = int32(i)
-	}
 	src := func(s Src) wireJSON {
 		if s.IsInput() {
 			return wireJSON{Input: s.Port}
@@ -49,6 +46,7 @@ func Encode(g *Graph) ([]byte, error) {
 	out := graphJSON{Inputs: g.InWidth(), Balancers: make([]balancerJSON, len(order))}
 	for i, id := range order {
 		n := &g.nodes[id]
+		pos[id] = int32(i) // sources come earlier in order, so theirs are set
 		bj := balancerJSON{FanOut: n.fanOut, In: make([]wireJSON, n.fanIn)}
 		for p, s := range n.in {
 			bj.In[p] = src(s)

@@ -5,9 +5,8 @@ package topo
 // network is uniform in the sense of Definition 2.1: every node lies on an
 // input-to-output path (guaranteed by the Builder) and all such paths have
 // equal length, which holds exactly when every node's predecessors share a
-// single layer and all counters land on the same layer. Every node's
-// sources have smaller ids (see Builder), so one pass in id order sees each
-// node after its sources.
+// single layer and all counters land on the same layer. Ids are topological
+// (see Builder), so one pass in id order sees each node after its sources.
 func (g *Graph) computeLayers() {
 	uniform := true
 	for id := range g.nodes {
@@ -46,8 +45,7 @@ func (g *Graph) computeLayers() {
 	}
 	g.depth = counterLayer - 1
 	g.uniform = uniform
-	// Bucket the ids by layer into one shared array: count each layer,
-	// then cut every layer's list at its offset.
+	// Layer l's ids share one array: all[end[l-1]:end[l]].
 	end := make([]int, counterLayer+1)
 	for id := range g.nodes {
 		end[g.nodes[id].layer]++
@@ -57,45 +55,37 @@ func (g *Graph) computeLayers() {
 	}
 	all := make([]NodeID, len(g.nodes))
 	g.layers = make([][]NodeID, counterLayer)
-	for l := counterLayer; l >= 1; l-- {
-		g.layers[l-1] = all[end[l-1]:end[l-1]:end[l]]
+	for i := range g.layers {
+		g.layers[i] = all[end[i]:end[i]:end[i+1]]
 	}
 	for id := range g.nodes {
-		l := g.nodes[id].layer
-		g.layers[l-1] = append(g.layers[l-1], NodeID(id))
+		i := g.nodes[id].layer - 1
+		g.layers[i] = append(g.layers[i], NodeID(id))
 	}
 }
 
-// breadthOrder returns g's balancers first in, first out: it starts from the
-// balancers fed only by network inputs, in id order, and lists a balancer
-// once all of its source balancers are listed. Encode serializes balancers
-// in this order and cloneBalancers numbers its clones in it, so it fixes
-// both the encoding and the node ids of padded and cascaded networks. It
-// differs from id order (for bitonic and periodic networks of width 4 and
-// more, for instance), which is why it is kept; sources always precede a
-// node in id order, so it needs no cycle check.
+// breadthOrder returns g's balancers first in, first out: the balancers fed
+// only by network inputs in id order, then each balancer once all of its
+// source balancers are listed. It fixes Encode's bytes and the node ids of
+// padded and cascaded networks, and differs from id order (for bitonic and
+// periodic networks of width 4 and more, for instance). Builder ids are
+// topological, so it needs no cycle check.
 func (g *Graph) breadthOrder() []NodeID {
 	waiting := make([]int, len(g.nodes)) // source balancers not yet listed
 	order := make([]NodeID, 0, g.NumBalancers())
 	for id := range g.nodes {
-		if g.nodes[id].kind != KindBalancer {
-			continue
-		}
 		for _, s := range g.nodes[id].in {
 			if !s.IsInput() {
 				waiting[id]++
 			}
 		}
-		if waiting[id] == 0 {
+		if waiting[id] == 0 && g.nodes[id].kind == KindBalancer {
 			order = append(order, NodeID(id))
 		}
 	}
 	for i := 0; i < len(order); i++ {
 		for _, dst := range g.nodes[order[i]].out {
-			if g.nodes[dst.Node].kind != KindBalancer {
-				continue
-			}
-			if waiting[dst.Node]--; waiting[dst.Node] == 0 {
+			if waiting[dst.Node]--; waiting[dst.Node] == 0 && g.nodes[dst.Node].kind == KindBalancer {
 				order = append(order, dst.Node)
 			}
 		}
