@@ -190,13 +190,10 @@ func TestNextAt(t *testing.T) {
 }
 
 // TestNextAllocs pins the default (MCS) counter's calls to zero
-// allocations: the walk's queue node comes from the pool, and the
-// instrumented call's hook stays on the stack. The race detector makes
-// sync.Pool drop items on purpose, so the test is skipped under -race.
+// allocations: a lone caller finds every toggle idle, so it never draws a
+// queue node from the pool, and the instrumented call's hook stays on the
+// stack.
 func TestNextAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items on purpose under -race")
-	}
 	tp, err := TreeTopology(32)
 	if err != nil {
 		t.Fatal(err)

@@ -61,7 +61,7 @@ func NewBalancer(k Kind, fanOut int) (Balancer, error) {
 	case KindMutex:
 		return &mutexBalancer{fanOut: fanOut}, nil
 	case KindMCS:
-		return &mcsBalancer{fanOut: fanOut}, nil
+		return &mcsBalancer{fanOut: int64(fanOut)}, nil
 	default:
 		return nil, fmt.Errorf("shm: unknown balancer kind %d", int(k))
 	}
@@ -88,44 +88,70 @@ func (b *mutexBalancer) Traverse() int {
 	//countnet:allow hotvet -- KindMutex is the deliberately blocking textbook toggle, kept as the measurement baseline
 	b.mu.Lock()
 	out := b.toggle
-	b.toggle = (b.toggle + 1) % b.fanOut
+	if b.toggle++; b.toggle == b.fanOut {
+		b.toggle = 0
+	}
 	b.mu.Unlock()
 	return out
 }
 
-// nodes is the one pool of MCS queue nodes. A walk draws one node and
-// carries it through every MCS toggle on its path (see walk), so a token
-// pays for one Get and one Put, not one pair per hop.
+// nodes is the one pool of MCS queue nodes. Only a token that queues
+// draws one.
 var nodes mcs.Pool
 
-// mcsBalancer is the paper's balancer: a toggle in a critical section
-// protected by an MCS queue lock. It fills a cache line, so no two
-// balancers' lock words share one (TestMCSBalancerLayout).
+// mcsBalancer is the paper's balancer: a toggle behind an MCS queue lock.
+// The lock is the FIFO admission queue under contention. An idle toggle,
+// one with no holder and no waiter, is one compare-and-swap on the toggle
+// word and never writes the lock. A token that finds a holder or a waiter
+// always queues, so contended tokens are still admitted in arrival order.
+// The balancer fills a cache line that holds its lock and its toggle, so
+// no two balancers' words share one (TestMCSBalancerLayout).
 type mcsBalancer struct {
 	lock   mcs.Lock
-	toggle int
-	fanOut int
+	toggle atomic.Int64
+	fanOut int64
 	_      [40]byte
 }
 
-// Traverse implements Balancer with a queue node of its own, for callers
-// outside a walk (the diffracting wrapper's fallback, single-toggle
-// measurements).
+// Traverse implements Balancer. The fast path makes one attempt: a token
+// that saw the lock idle and lost the swap queues like any other. The
+// holder also advances the toggle by compare-and-swap, not by a plain
+// store, because a token that saw the lock idle just before the holder
+// took it may still land its swap. Each such racer tries once, so the
+// holder's retries are bounded by the number of concurrent racers.
 func (b *mcsBalancer) Traverse() int {
+	if b.lock.Idle() {
+		t := b.toggle.Load()
+		if b.toggle.CompareAndSwap(t, b.next(t)) {
+			return int(t)
+		}
+	}
 	n := nodes.Get()
-	out := b.traverse(n)
+	b.lock.Acquire(n)
+	t := b.advance()
+	b.lock.Release(n)
 	nodes.Put(n)
-	return out
+	return int(t)
 }
 
-// traverse toggles once in a critical section queued on n, the walk's
-// node.
-func (b *mcsBalancer) traverse(n *mcs.Node) int {
-	b.lock.Acquire(n)
-	out := b.toggle
-	b.toggle = (b.toggle + 1) % b.fanOut
-	b.lock.Release(n)
-	return out
+// next is the toggle position after t: a compare-and-reset, not a
+// division.
+func (b *mcsBalancer) next(t int64) int64 {
+	if t++; t == b.fanOut {
+		return 0
+	}
+	return t
+}
+
+// advance moves the toggle one position and returns the one it left. Only
+// the lock's holder calls it; it retries against fast-path racers.
+func (b *mcsBalancer) advance() int64 {
+	for {
+		t := b.toggle.Load()
+		if b.toggle.CompareAndSwap(t, b.next(t)) {
+			return t
+		}
+	}
 }
 
 // Diffracting wraps a two-output toggle with a prism: concurrent pairs

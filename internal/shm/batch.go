@@ -1,9 +1,6 @@
 package shm
 
-import (
-	"countnet/internal/shm/mcs"
-	"countnet/internal/topo"
-)
+import "countnet/internal/topo"
 
 // Each toggle kind routes several tokens in one critical section:
 // TraverseBatch advances the toggle demand times, adding one to counts[p]
@@ -13,9 +10,12 @@ import (
 // step property verbatim.
 
 func (b *atomicBalancer) TraverseBatch(demand int, counts []int) {
-	base := b.c.Add(int64(demand)) - int64(demand)
-	for i := int64(0); i < int64(demand); i++ {
-		counts[(base+i)%b.fanOut]++
+	p := (b.c.Add(int64(demand)) - int64(demand)) % b.fanOut
+	for i := 0; i < demand; i++ {
+		counts[p]++
+		if p++; p == b.fanOut {
+			p = 0
+		}
 	}
 }
 
@@ -24,36 +24,39 @@ func (b *mutexBalancer) TraverseBatch(demand int, counts []int) {
 	b.mu.Lock()
 	for i := 0; i < demand; i++ {
 		counts[b.toggle]++
-		b.toggle = (b.toggle + 1) % b.fanOut
+		if b.toggle++; b.toggle == b.fanOut {
+			b.toggle = 0
+		}
 	}
 	b.mu.Unlock()
 }
 
-// TraverseBatch queues on n, the walk's node.
-func (b *mcsBalancer) TraverseBatch(demand int, counts []int, n *mcs.Node) {
+// TraverseBatch always queues, and advances the toggle inside its critical
+// section with the holder's compare-and-swap, once per token.
+func (b *mcsBalancer) TraverseBatch(demand int, counts []int) {
+	n := nodes.Get()
 	b.lock.Acquire(n)
 	for i := 0; i < demand; i++ {
-		counts[b.toggle]++
-		b.toggle = (b.toggle + 1) % b.fanOut
+		counts[b.advance()]++
 	}
 	b.lock.Release(n)
+	nodes.Put(n)
 }
 
 // batchRoute routes demand tokens through b into counts: one critical
-// section for the batch-capable toggle kinds (an MCS toggle queues on
-// node, the walk's), sequential Traverse calls otherwise (diffracting
-// balancers, whose prism pairing is per-token).
+// section for the batch-capable toggle kinds, sequential Traverse calls
+// otherwise (diffracting balancers, whose prism pairing is per-token).
 // The switch names the concrete kinds rather than asserting an interface
 // so that counts, the walk's stack-held tally, never passes through an
 // interface call and so never escapes to the heap.
-func batchRoute(b Balancer, demand int, counts []int, node *mcs.Node) {
+func batchRoute(b Balancer, demand int, counts []int) {
 	switch bb := b.(type) {
 	case *atomicBalancer:
 		bb.TraverseBatch(demand, counts)
 	case *mutexBalancer:
 		bb.TraverseBatch(demand, counts)
 	case *mcsBalancer:
-		bb.TraverseBatch(demand, counts, node)
+		bb.TraverseBatch(demand, counts)
 	default:
 		for i := 0; i < demand; i++ {
 			counts[b.Traverse()]++
@@ -76,8 +79,5 @@ func (n *Network) TraverseBatch(input, demand int, proc, tok int32, parent uint6
 		return nil
 	}
 	t := trip{proc: proc, tok: tok, span: parent, afterNode: afterNode}
-	node := n.node()
-	vals := n.walk(n.g.Input(input), demand, &t, node, make([]int64, 0, demand))
-	putNode(node)
-	return vals
+	return n.walk(n.g.Input(input), demand, &t, make([]int64, 0, demand))
 }

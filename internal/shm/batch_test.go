@@ -8,7 +8,6 @@ import (
 
 	"countnet/internal/bitonic"
 	"countnet/internal/obs"
-	"countnet/internal/shm/mcs"
 	"countnet/internal/topo"
 )
 
@@ -40,7 +39,7 @@ func TestBatchBalancerMatchesSequential(t *testing.T) {
 			case *mutexBalancer:
 				bb.TraverseBatch(demand, got)
 			case *mcsBalancer:
-				bb.TraverseBatch(demand, got, new(mcs.Node))
+				bb.TraverseBatch(demand, got)
 			default:
 				t.Fatalf("%s balancer does not support batching", kind)
 			}
@@ -172,9 +171,10 @@ func TestTraverseBatchSpans(t *testing.T) {
 // TestWalkAllocs pins the allocation count of every walk entry on
 // bitonic[8], for atomic and MCS toggles: a single token walks
 // allocation-free, traced or not, and a batch allocates only its values
-// slice (the per-balancer tally stays on the stack). An MCS walk's one
-// queue node comes from the pool and goes back to it. The race detector
-// makes sync.Pool drop items on purpose, so the MCS case is skipped under
+// slice (the per-balancer tally stays on the stack). A lone MCS token
+// takes the idle fast path and draws no queue node; a batch always queues
+// on a node from the pool and puts it back. The race detector makes
+// sync.Pool drop items on purpose, so the MCS case is skipped under
 // -race.
 func TestWalkAllocs(t *testing.T) {
 	g, err := bitonic.New(8)
@@ -214,7 +214,8 @@ func TestWalkAllocs(t *testing.T) {
 // TestMCSBalancerLayout pins the layout every MCS toggle's cost depends
 // on: a balancer fills one cache line, so the lock words of a compiled
 // network's balancers, which different tokens swap concurrently, never
-// share a line.
+// share a line, and its toggle sits on its lock's line, so the idle fast
+// path reads the lock and swaps the toggle on one line.
 func TestMCSBalancerLayout(t *testing.T) {
 	const cacheLine = 64
 	if sz := unsafe.Sizeof(mcsBalancer{}); sz != cacheLine {
@@ -232,6 +233,9 @@ func TestMCSBalancerLayout(t *testing.T) {
 			t.Fatalf("balancer %d is %T, want *mcsBalancer", id, n.balancers[id])
 		}
 		line := uintptr(unsafe.Pointer(&b.lock)) / cacheLine
+		if tl := uintptr(unsafe.Pointer(&b.toggle)) / cacheLine; tl != line {
+			t.Errorf("balancer %d: toggle on line %d, lock on line %d", id, tl, line)
+		}
 		if prev, ok := owner[line]; ok {
 			t.Errorf("balancers %d and %d lock words share a cache line", prev, id)
 		}

@@ -4,6 +4,10 @@
 // waiter spins on its own queue node, so admission is FIFO and the lock
 // generates constant remote traffic per handoff.
 //
+// The balancers use it as their FIFO admission queue under contention:
+// Idle lets a caller see that no one holds or waits for the lock and skip
+// the queue entirely, so only a contended token pays for queueing.
+//
 // A Node is clean (its next link nil) whenever it is not in a queue: it
 // starts clean, and Release leaves it clean on both the uncontended and the
 // hand-off path. Acquire therefore writes nothing to its node before
@@ -11,7 +15,7 @@
 // read-modify-writes on the tail (a swap and a compare-and-swap). Only a
 // waiter that finds a predecessor sets its own locked flag and links in.
 // One clean node can carry its goroutine through any number of locks in
-// sequence, as a network walk does.
+// sequence.
 package mcs
 
 import (
@@ -52,6 +56,12 @@ func (l *Lock) Acquire(n *Node) {
 			runtime.Gosched()
 		}
 	}
+}
+
+// Idle reports whether the lock had no holder and no waiter at the moment
+// it looked. It is advisory: the lock may be taken as soon as Idle returns.
+func (l *Lock) Idle() bool {
+	return l.tail.Load() == nil
 }
 
 // TryAcquire enters the critical section only if the lock is free,

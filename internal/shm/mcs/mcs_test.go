@@ -49,6 +49,54 @@ func TestTryAcquire(t *testing.T) {
 	l.Release(b)
 }
 
+// TestIdle checks that Idle reports a lock idle exactly when no one holds
+// it and no one waits: not while it is held, not while a waiter is
+// queued, and not after a hand-off, only after the last release.
+func TestIdle(t *testing.T) {
+	var l Lock
+	if !l.Idle() {
+		t.Fatal("zero lock not idle")
+	}
+	a, b := new(Node), new(Node)
+	l.Acquire(a)
+	if l.Idle() {
+		t.Fatal("held lock idle")
+	}
+	acquired := make(chan struct{})
+	release := make(chan struct{})
+	go func() {
+		l.Acquire(b)
+		close(acquired)
+		<-release
+		l.Release(b)
+	}()
+	for a.next.Load() == nil {
+		runtime.Gosched()
+	}
+	if l.Idle() {
+		t.Fatal("lock with a queued waiter idle")
+	}
+	l.Release(a)
+	<-acquired
+	if l.Idle() {
+		t.Fatal("lock idle after handing off to a waiter")
+	}
+	close(release)
+	for !l.Idle() {
+		runtime.Gosched()
+	}
+	if !l.TryAcquire(a) {
+		t.Fatal("TryAcquire on an idle lock failed")
+	}
+	if l.Idle() {
+		t.Fatal("lock idle after TryAcquire")
+	}
+	l.Release(a)
+	if !l.Idle() {
+		t.Fatal("lock not idle after the last release")
+	}
+}
+
 func TestUncontendedSequence(t *testing.T) {
 	var l Lock
 	n := new(Node)
@@ -94,10 +142,9 @@ func TestNodeCleanAfterRelease(t *testing.T) {
 }
 
 // TestOneNodeManyLocks carries one node per goroutine through a chain of
-// locks in sequence, the way a network walk carries its node through
-// every toggle on its path. Each lock guards a plain counter, so a break
-// in mutual exclusion shows as a lost update, and as a data race under
-// -race.
+// locks in sequence: a clean node serves any lock as soon as Release
+// returns. Each lock guards a plain counter, so a break in mutual
+// exclusion shows as a lost update, and as a data race under -race.
 func TestOneNodeManyLocks(t *testing.T) {
 	const goroutines, locks, iters = 8, 6, 500
 	var chain [locks]struct {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"countnet/internal/obs"
-	"countnet/internal/shm/mcs"
 	"countnet/internal/topo"
 )
 
@@ -38,7 +37,6 @@ type Network struct {
 	balancers []Balancer // indexed by NodeID; nil for counters
 	counters  []paddedCounter
 	w         int64
-	queued    bool    // some balancer is a bare MCS toggle, so a walk needs a queue node
 	obs       *netObs // nil until EnableObs; read-only afterwards
 }
 
@@ -72,9 +70,6 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 				return nil, err
 			}
 		}
-		if _, ok := b.(*mcsBalancer); ok {
-			n.queued = true
-		}
 		n.balancers[id] = b
 	}
 	return n, nil
@@ -96,35 +91,12 @@ func (n *Network) OutWidth() int { return int(n.w) }
 func (n *Network) Traverse(input int) int64 {
 	var t trip
 	var v [1]int64
-	node := n.node()
-	val := n.walk(n.g.Input(input), 1, &t, node, v[:0])[0]
-	putNode(node)
-	return val
-}
-
-// node draws the one MCS queue node a walk carries through every MCS
-// toggle on its path, or returns nil when the network has none.
-func (n *Network) node() *mcs.Node {
-	if !n.queued {
-		return nil
-	}
-	return nodes.Get()
-}
-
-// putNode returns a walk's node, if it drew one, to the pool.
-func putNode(node *mcs.Node) {
-	if node != nil {
-		nodes.Put(node)
-	}
+	return n.walk(n.g.Input(input), 1, &t, v[:0])[0]
 }
 
 // trip is what travels with a token (or a combined group of tokens)
 // through walk: the (proc, tok) identity its trace events carry, the span
-// its next event chains onto, and the caller's per-node hook. The walk's
-// MCS queue node travels beside it as walk's own parameter, not as a
-// field: escape analysis is not field-sensitive, so a node field handed to
-// the pool would move the trip, and the afterNode closure it points to,
-// to the heap on every instrumented call.
+// its next event chains onto, and the caller's per-node hook.
 type trip struct {
 	proc, tok int32
 	span      uint64
@@ -141,10 +113,7 @@ func (t *trip) visited(id topo.NodeID) {
 
 // walk routes demand tokens entering at p to the output counters as one
 // group and appends their values to out in exit order. It is the only
-// network walk: every Traverse variant is a wrapper around it. node is the
-// queue node every MCS toggle on the path is entered with (nil when the
-// network has none); the group holds at most one lock at a time, so one
-// node serves the whole walk.
+// network walk: every Traverse variant is a wrapper around it.
 //
 // At each balancer a single token takes one Traverse and the loop moves
 // on. A larger group is routed by batchRoute in one critical section,
@@ -157,7 +126,7 @@ func (t *trip) visited(id topo.NodeID) {
 // concurrent traffic.
 //
 //countnet:hotpath
-func (n *Network) walk(p topo.PortRef, demand int, t *trip, node *mcs.Node, out []int64) []int64 {
+func (n *Network) walk(p topo.PortRef, demand int, t *trip, out []int64) []int64 {
 	o := n.obs
 	for {
 		id := p.Node
@@ -174,12 +143,7 @@ func (n *Network) walk(p topo.PortRef, demand int, t *trip, node *mcs.Node, out 
 		// plain traversal paid for spilling them, 2-7% in p50 latency on the
 		// walking benchmark workloads.
 		if demand == 1 {
-			var port int
-			if m, ok := b.(*mcsBalancer); ok {
-				port = m.traverse(node)
-			} else {
-				port = b.Traverse()
-			}
+			port := b.Traverse()
 			if o != nil {
 				o.toggled(id, t0, t)
 			}
@@ -194,7 +158,7 @@ func (n *Network) walk(p topo.PortRef, demand int, t *trip, node *mcs.Node, out 
 		} else {
 			split = make([]int, fo)
 		}
-		batchRoute(b, demand, split, node)
+		batchRoute(b, demand, split)
 		if o != nil {
 			o.toggled(id, t0, t)
 		}
@@ -203,7 +167,7 @@ func (n *Network) walk(p topo.PortRef, demand int, t *trip, node *mcs.Node, out 
 		for q, d := range split {
 			if d > 0 {
 				t.span = span
-				out = n.walk(n.g.OutDest(id, q), d, t, node, out)
+				out = n.walk(n.g.OutDest(id, q), d, t, out)
 			}
 		}
 		return out

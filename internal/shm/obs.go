@@ -102,9 +102,7 @@ func (n *Network) TraverseObs(input int, proc, tok int32, afterNode func(id topo
 func (n *Network) TraverseSpan(input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64) {
 	t := trip{proc: proc, tok: tok, span: parent, afterNode: afterNode}
 	var v [1]int64
-	node := n.node()
-	val := n.walk(n.g.Input(input), 1, &t, node, v[:0])[0]
-	putNode(node)
+	val := n.walk(n.g.Input(input), 1, &t, v[:0])[0]
 	return val, t.span
 }
 
