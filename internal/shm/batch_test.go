@@ -33,16 +33,11 @@ func TestBatchBalancerMatchesSequential(t *testing.T) {
 				sequential.Traverse()
 			}
 			got := make([]int, fanOut)
-			switch bb := batched.(type) {
-			case *atomicBalancer:
-				bb.TraverseBatch(demand, got)
-			case *mutexBalancer:
-				bb.TraverseBatch(demand, got)
-			case *mcsBalancer:
-				bb.TraverseBatch(demand, got)
-			default:
+			bb, ok := batched.(interface{ TraverseBatch(int, []int) })
+			if !ok {
 				t.Fatalf("%s balancer does not support batching", kind)
 			}
+			bb.TraverseBatch(demand, got)
 			want := make([]int, fanOut)
 			for i := 0; i < demand; i++ {
 				want[sequential.Traverse()]++
