@@ -131,6 +131,10 @@ func BenchmarkThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b8, err := BitonicTopology(8)
+	if err != nil {
+		b.Fatal(err)
+	}
 	tr, err := TreeTopology(32)
 	if err != nil {
 		b.Fatal(err)
@@ -151,6 +155,12 @@ func BenchmarkThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b8c, err := NewCounter(b8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// bitonic8/mcs is the net-hot topology of bench/ (E36).
+	mk("bitonic8/mcs", b8c.Next)
 	mk("bitonic32/mcs", bc.Next)
 	mk("bitonic32/atomic", ba.Next)
 	mk("dtree32/prism", dt.Next)

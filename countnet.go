@@ -32,7 +32,6 @@ package countnet
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"time"
 
 	"countnet/internal/bitonic"
@@ -207,24 +206,21 @@ func NewCounter(t Topology, opts ...CounterOption) (*Counter, error) {
 	return &Counter{net: net}, nil
 }
 
-// Next draws the next value, entering the network at an input picked
-// uniformly at random by the calling thread's own generator, so no shared
-// word is written before the first balancer. A counting network counts for
-// any distribution of inputs: values across all goroutines form a
-// permutation of 0, 1, 2, ..., and a single caller still draws 0, 1, 2,
-// ... in order; see the package comment for the exact ordering guarantees.
+// Next draws the next value, entering the network at the calling
+// processor's own home input (see shm.Network.Home): each processor keeps
+// one input, and the first processors' inputs spread over the network's
+// halves and then quarters, so on bitonic[8] the first two processors
+// enter different Bitonic[4] halves. A counting network counts for any
+// distribution of inputs: values across all goroutines form a permutation
+// of 0, 1, 2, ..., and a single caller still draws 0, 1, 2, ... in order;
+// see the package comment for the exact ordering guarantees.
 func (c *Counter) Next() int64 {
-	return c.net.Traverse(entry(c.net.InWidth()))
+	return c.net.Traverse(c.net.Home())
 }
 
-// entry picks the input a Next call enters at. math/rand/v2's top-level
-// generator is per thread, so unlike a shared round-robin cursor it is no
-// central hot spot in front of the network.
-func entry(width int) int { return rand.IntN(width) }
-
 // NextAt draws the next value entering at a specific network input, which
-// callers can use to pin goroutines to inputs (spreading them evenly
-// rather than at random, as Next does).
+// callers can use to pin goroutines to inputs of their choosing rather
+// than to their processor's home, as Next does.
 func (c *Counter) NextAt(input int) (int64, error) {
 	if input < 0 || input >= c.net.InWidth() {
 		return 0, fmt.Errorf("countnet: input %d out of range [0,%d)", input, c.net.InWidth())

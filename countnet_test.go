@@ -174,8 +174,8 @@ func TestNextAt(t *testing.T) {
 			t.Errorf("sequential NextAt %d = %d", k, v)
 		}
 	}
-	// Next enters at a random input, and a lone caller still draws the
-	// values in order.
+	// Next enters at the caller's home input, and a lone caller still
+	// draws the values in order.
 	for k := 8; k < 64; k++ {
 		if v := ctr.Next(); v != int64(k) {
 			t.Errorf("sequential Next %d = %d", k, v)
@@ -192,13 +192,32 @@ func TestNextAt(t *testing.T) {
 // TestNextAllocs pins the default (MCS) counter's calls to zero
 // allocations: a lone caller finds every toggle idle, so it never draws a
 // queue node from the pool, and the instrumented call's hook stays on the
-// stack.
+// stack. On bitonic[8] every Next-style call also looks up its home input.
+// AllocsPerRun rounds down, so the pool misses -race causes (it drops a
+// quarter of the puts) would not show here; TestHomeMissAllocs in
+// internal/shm pins a miss to zero allocations.
 func TestNextAllocs(t *testing.T) {
 	tp, err := TreeTopology(32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctr, err := NewCounter(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b8, err := BitonicTopology(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr8, err := NewCounter(b8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin8, err := NewLinearizableCounter(b8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q8, err := NewQueue[int](b8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +229,9 @@ func TestNextAllocs(t *testing.T) {
 		{"Next", func() { ctr.Next() }},
 		{"NextAt", func() { _, _ = ctr.NextAt(0) }},
 		{"NextInstrumented", func() { _, _ = ctr.NextInstrumented(0, hook) }},
+		{"bitonic8/Next", func() { ctr8.Next() }},
+		{"bitonic8/LinearizableNext", func() { lin8.Next() }},
+		{"bitonic8/QueueEnqueueDequeue", func() { q8.Enqueue(1); q8.Dequeue() }},
 	} {
 		if got := testing.AllocsPerRun(200, tc.call); got != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", tc.name, got)

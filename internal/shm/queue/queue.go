@@ -14,7 +14,6 @@ package queue
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
 
@@ -64,10 +63,10 @@ func New[T any](g *topo.Graph, capacity int, opts shm.Options) (*Queue[T], error
 }
 
 // Enqueue appends v, blocking while the queue is full. Enqueue and
-// Dequeue enter their network at an input drawn from math/rand/v2's
-// per-thread generator, so no shared word sits in front of the network.
+// Dequeue enter their network at the calling processor's home input
+// (shm.Network.Home), so no shared word sits in front of the network.
 func (q *Queue[T]) Enqueue(v T) {
-	t := q.enq.Traverse(rand.IntN(q.enq.InWidth()))
+	t := q.enq.Traverse(q.enq.Home())
 	c := &q.cells[t%q.cap]
 	gen := t / q.cap
 	for spins := 0; c.turn.Load() != 2*gen; spins++ {
@@ -82,7 +81,7 @@ func (q *Queue[T]) Enqueue(v T) {
 // Dequeue removes and returns the oldest item, blocking while the queue is
 // empty.
 func (q *Queue[T]) Dequeue() T {
-	t := q.deq.Traverse(rand.IntN(q.deq.InWidth()))
+	t := q.deq.Traverse(q.deq.Home())
 	c := &q.cells[t%q.cap]
 	gen := t / q.cap
 	for spins := 0; c.turn.Load() != 2*gen+1; spins++ {

@@ -84,8 +84,8 @@ func (s *Stack[T]) Len() int { return s.s.Len() }
 // not worth paying ("an unnecessary burden on applications that are willing
 // to trade-off occasional non-linearizability for speed and parallelism").
 type LinearizableCounter struct {
-	f  *shm.Filter
-	in int
+	f   *shm.Filter
+	net *shm.Network
 }
 
 // NewLinearizableCounter compiles t and wraps it in the waiting filter.
@@ -101,19 +101,19 @@ func NewLinearizableCounter(t Topology, opts ...CounterOption) (*LinearizableCou
 	if err != nil {
 		return nil, err
 	}
-	return &LinearizableCounter{f: shm.NewFilter(net), in: t.InWidth()}, nil
+	return &LinearizableCounter{f: shm.NewFilter(net), net: net}, nil
 }
 
 // Next draws the next value; values are returned in exactly increasing
 // real-time order across all goroutines.
 func (c *LinearizableCounter) Next() int64 {
-	return c.f.Traverse(entry(c.in))
+	return c.f.Traverse(c.net.Home())
 }
 
 // NextAt draws the next value entering at a specific network input.
 func (c *LinearizableCounter) NextAt(input int) (int64, error) {
-	if input < 0 || input >= c.in {
-		return 0, fmt.Errorf("countnet: input %d out of range [0,%d)", input, c.in)
+	if input < 0 || input >= c.net.InWidth() {
+		return 0, fmt.Errorf("countnet: input %d out of range [0,%d)", input, c.net.InWidth())
 	}
 	return c.f.Traverse(input), nil
 }
