@@ -82,8 +82,9 @@ chaos:
 
 # bench runs the root (simulator-facing), internal/shm, adaptive-engine,
 # and internal/obs Go benchmarks and prints plain `go test -bench`
-# output. The adaptive run is the E25/E32 worker sweep (static engines vs
-# the adaptive front-end, 1..256 workers) plus the E27
+# output. The adaptive run is the E25/E32 worker sweep (combining funnel
+# and bare network vs the adaptive front's direct fetch-and-add, 1..256
+# workers) plus the E27
 # serialization-cliff sweep (bare network vs the ModeLinear waiting
 # mode, BenchmarkAdaptiveLinear); the obs run doubles as the
 # measurement-cost record: span stamping and flight recording are

@@ -1,5 +1,5 @@
 // Command countnetvet is the repo's multichecker: it runs stock go vet
-// and the seven countnet domain analyzers over the requested packages
+// and the six countnet domain analyzers over the requested packages
 // and exits nonzero on any finding.
 //
 // Usage:
@@ -14,7 +14,6 @@
 //	obsvet    nil-guarded observability so disabled obs costs nothing
 //	lockvet   lock copies, leaked critical sections, undeclared nesting
 //	hotvet    //countnet:hotpath call trees free of blocking and allocation
-//	gatevet   seqlock epoch-gate protocol on marked fields
 //	escvet    compiler escape/inline decisions pinned to escapes.golden
 //
 // The suite runs over the whole loaded program at once, so hotvet's
@@ -43,7 +42,6 @@ import (
 	"countnet/internal/analysis/atomicvet"
 	"countnet/internal/analysis/detvet"
 	"countnet/internal/analysis/escvet"
-	"countnet/internal/analysis/gatevet"
 	"countnet/internal/analysis/hotvet"
 	"countnet/internal/analysis/lockvet"
 	"countnet/internal/analysis/obsvet"
@@ -56,7 +54,6 @@ var analyzers = []*analysis.Analyzer{
 	obsvet.Analyzer,
 	lockvet.Analyzer,
 	hotvet.Analyzer,
-	gatevet.Analyzer,
 	escvet.Analyzer,
 }
 

@@ -77,7 +77,7 @@ func TestJSONStableOrder(t *testing.T) {
 	}
 	runOnce := func() ([]byte, int) {
 		var stdout, stderr bytes.Buffer
-		code := run([]string{"-novet", "-json", "./internal/analysis/testdata/src/gatevet"}, &stdout, &stderr)
+		code := run([]string{"-novet", "-json", "./internal/analysis/testdata/src/lockvet"}, &stdout, &stderr)
 		if stderr.Len() > 0 {
 			t.Logf("stderr: %s", stderr.String())
 		}
@@ -126,12 +126,12 @@ func TestSortTieBreak(t *testing.T) {
 	pos.Filename, pos.Line, pos.Column = "a.go", 3, 7
 	ds := []analysis.Diagnostic{
 		{Pos: pos, Analyzer: "hotvet", Message: "b"},
-		{Pos: pos, Analyzer: "gatevet", Message: "z"},
+		{Pos: pos, Analyzer: "atomicvet", Message: "z"},
 		{Pos: pos, Analyzer: "hotvet", Message: "a"},
 	}
 	analysis.Sort(ds)
 	got := []string{ds[0].Analyzer + "/" + ds[0].Message, ds[1].Analyzer + "/" + ds[1].Message, ds[2].Analyzer + "/" + ds[2].Message}
-	want := []string{"gatevet/z", "hotvet/a", "hotvet/b"}
+	want := []string{"atomicvet/z", "hotvet/a", "hotvet/b"}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("tie-break order %v, want %v", got, want)

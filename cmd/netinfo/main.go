@@ -12,7 +12,7 @@
 // Tog, W, and (Tog+W)/Tog timing ratio per engine (the paper's Section 5
 // measure, live rather than offline), plus each front-end's
 // workload.FrontReport summary (the funnel's hit rate, the adaptive
-// engine's per-mode tallies).
+// front's built mode and per-mode tallies).
 package main
 
 import (

@@ -22,14 +22,13 @@
 //     front of the network and a representative walks once for a whole
 //     group (internal/shm/combine); the report adds the funnel's hit rate
 //     and combining degree, and the same counters appear in /metrics.
-//   - shm-adaptive: the epoch-gated adaptive front-end
-//     (internal/shm/adaptive) in ModeDirect, serving every token from one
-//     fetch-and-add counter; it reports "ended in direct after 0
-//     switches" and the per-mode token tallies.
-//   - shm-adaptive-linear: the same front-end built in its
-//     guaranteed-linearizable waiting mode (ModeLinear: traverse the
-//     network, then hold the response until every smaller value has been
-//     returned); it reports "ended in linear after 0 switches".
+//   - shm-adaptive: the adaptive front (internal/shm/adaptive) in
+//     ModeDirect, serving every token from one fetch-and-add on a padded
+//     word; it reports "built in direct" and the per-mode token tallies.
+//   - shm-adaptive-linear: the same front built in its
+//     guaranteed-linearizable waiting mode (ModeLinear, an shm.Filter:
+//     traverse the network, then hold the response until every smaller
+//     value has been returned); it reports "built in linear".
 //
 // With -engine msgnet the workload runs on the message-passing runtime
 // instead, and -faults turns on deterministic chaos (internal/faults):

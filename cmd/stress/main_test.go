@@ -87,8 +87,8 @@ func TestRunRejectsFaultsOnSHMEngine(t *testing.T) {
 func TestRunEveryShmEngine(t *testing.T) {
 	stats := map[workload.FrontKind]string{
 		workload.FrontCombine:        "combine: hit rate",
-		workload.FrontAdaptive:       "adaptive: ended in",
-		workload.FrontAdaptiveLinear: "adaptive: ended in linear",
+		workload.FrontAdaptive:       "adaptive: built in direct",
+		workload.FrontAdaptiveLinear: "adaptive: built in linear",
 	}
 	for _, f := range workload.Fronts {
 		t.Run(string(f), func(t *testing.T) {

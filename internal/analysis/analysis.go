@@ -28,15 +28,9 @@
 //
 //	//countnet:coldpath
 //	    marks a function as deliberately off the per-token path (a
-//	    switch slow path): hotvet stops its
-//	    interprocedural descent at the call, treating the annotation as
-//	    the reviewed boundary.
-//
-//	//countnet:gate / gated / gatecensus / gatelock / gateheld
-//	    declare the seqlock-style epoch-gate protocol gatevet checks: the
-//	    gate word itself, the fields it guards, the in-flight census
-//	    stripes, the mutex a switch runs under, and the functions that
-//	    assume the switch lock is already held.
+//	    parking or lock slow path): hotvet stops its interprocedural
+//	    descent at the call, treating the annotation as the reviewed
+//	    boundary.
 //
 // Several directives may share one comment line (each starts its own
 // `//countnet:` token; an `allow` consumes the rest of the line and so
@@ -45,7 +39,7 @@
 // meant to invoke.
 //
 // The concrete analyzers live in the subpackages detvet, atomicvet,
-// obsvet, lockvet, hotvet, gatevet, and escvet; cmd/countnetvet runs
+// obsvet, lockvet, hotvet, and escvet; cmd/countnetvet runs
 // them all (alongside the stock `go vet` suite) over any package
 // pattern.
 package analysis
@@ -141,10 +135,9 @@ type LockOrder struct {
 	Before, After string
 }
 
-// Mark is one parsed annotation-style directive (hotpath, coldpath,
-// gate, gated, gatecensus, gatelock, gateheld): a verb attached to the
-// declaration on its line, the line below, or — for functions — the
-// doc comment it appears in.
+// Mark is one parsed annotation-style directive (hotpath, coldpath): a
+// verb attached to the declaration on its line, the line below, or — for
+// functions — the doc comment it appears in.
 type Mark struct {
 	// Verb is the directive name after "countnet:".
 	Verb string
@@ -163,7 +156,7 @@ type Directives struct {
 	Deterministic bool
 	// LockOrders lists the declared nested-acquisition orders.
 	LockOrders []LockOrder
-	// Marks lists the parsed annotation directives (hotpath, gate, ...).
+	// Marks lists the parsed annotation directives (hotpath, coldpath).
 	Marks []Mark
 	// Unknown lists directives whose verb no analyzer understands; each
 	// becomes a finding, so a typo cannot silently disable a check.
@@ -174,13 +167,8 @@ type Directives struct {
 
 // markVerbs are the annotation verbs analyzers look up through Marked*.
 var markVerbs = map[string]bool{
-	"hotpath":    true,
-	"coldpath":   true,
-	"gate":       true,
-	"gated":      true,
-	"gatecensus": true,
-	"gatelock":   true,
-	"gateheld":   true,
+	"hotpath":  true,
+	"coldpath": true,
 }
 
 // allowRE parses "allow detvet,obsvet -- reason text" (the segment after
@@ -205,7 +193,7 @@ func ParseDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 }
 
 // parseComment parses every directive in one comment. A line may carry
-// several (`//countnet:gate //countnet:gated` is two); each "//countnet:"
+// several (`//countnet:hotpath //countnet:coldpath` is two); each "//countnet:"
 // token starts a new one, so an `allow` — whose reason runs to end of
 // line — must be the last directive on its line.
 func (d *Directives) parseComment(fset *token.FileSet, c *ast.Comment) {
@@ -383,7 +371,7 @@ func RunProgram(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 			out = append(out, Diagnostic{
 				Pos:      token.Position{Filename: u.File, Line: u.Line},
 				Analyzer: DirectiveCheckName,
-				Message:  fmt.Sprintf("unknown countnet directive %q (known verbs: allow, coldpath, deterministic, gate, gatecensus, gated, gateheld, gatelock, hotpath, lockorder)", u.Verb),
+				Message:  fmt.Sprintf("unknown countnet directive %q (known verbs: allow, coldpath, deterministic, hotpath, lockorder)", u.Verb),
 			})
 		}
 	}

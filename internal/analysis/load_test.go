@@ -53,12 +53,12 @@ func TestDirectiveParsing(t *testing.T) {
 	if d.HasLockOrder("T.b", "T.a") {
 		t.Errorf("lockorder is not symmetric")
 	}
-	// Two directives share one comment line on field g.
+	// Two directives share one comment line on function both.
 	var verbs []string
 	for _, m := range d.Marks {
 		verbs = append(verbs, m.Verb)
 	}
-	for _, want := range []string{"gate", "gated"} {
+	for _, want := range []string{"hotpath", "coldpath"} {
 		found := false
 		for _, v := range verbs {
 			if v == want {

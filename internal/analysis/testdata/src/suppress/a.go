@@ -6,12 +6,17 @@ package suppress
 
 import "sync"
 
-// T carries two ordered locks, plus a field claiming two protocol roles
-// with two directives on one comment line.
+// T carries two ordered locks.
 type T struct {
 	a, b sync.Mutex
-	g    int64 //countnet:gate //countnet:gated
 }
+
+// both carries two directives on one comment line.
+//
+//countnet:hotpath //countnet:coldpath
+func both() {}
+
+var _ = both
 
 // mistyped carries a typoed verb: a diagnostic, never a silent no-op.
 //

@@ -3,7 +3,7 @@
 // — the quiescent topo executor, the cycle simulator (internal/sim), the
 // real-goroutine runtime (internal/shm) plain, behind the
 // elimination/combining funnel (internal/shm/combine), and behind the
-// contention-adaptive front-end (internal/shm/adaptive), the
+// fixed-mode adaptive front (internal/shm/adaptive), the
 // message-passing runtime (internal/msgnet) both fault-free and under
 // deterministic fault injection (internal/faults), and the timed schedule
 // executor (internal/schedule) —
@@ -242,11 +242,11 @@ func RunSim(spec workload.Spec) (*Execution, error) {
 // RunSHM executes the spec on the real-goroutine shared-memory runtime
 // behind the given front-end, mapping W cycles to nanoseconds of
 // wall-clock delay; the execution is named after the front-end. Running
-// the combining funnel and the adaptive engine as differential engines
-// asserts that combined walks and drain-then-switch epochs are invisible
-// in every quiescent invariant. The shm-adaptive engine runs the epoch
-// gate over its direct counter; shm-adaptive-linear runs in the waiting
-// mode for the whole run and promises full linearizability, which
+// the combining funnel and the adaptive front as differential engines
+// asserts that combined walks and the direct fetch-and-add are invisible
+// in every quiescent invariant. The shm-adaptive engine serves every
+// token from one padded fetch-and-add word; shm-adaptive-linear is built
+// in the waiting mode and promises full linearizability, which
 // CrossCheck asserts.
 func RunSHM(spec workload.Spec, front workload.FrontKind) (*Execution, error) {
 	real := workload.RealSpec{

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,11 +16,6 @@ import (
 	"countnet/internal/shm/adaptive"
 	"countnet/internal/topo"
 )
-
-// matrixWidths is the width axis of the switch-boundary property tests:
-// every power of two from the degenerate single-counter network up to
-// twice the paper's width.
-var matrixWidths = []int{1, 2, 4, 8, 16, 32, 64}
 
 // buildGraph returns a counting network of the given width: the
 // hand-built pass-through graph for width 1 (which the bitonic
@@ -63,8 +57,7 @@ func newCounter(t *testing.T, width int, opts adaptive.Options) *adaptive.Counte
 
 // checkValues asserts the run handed out exactly 0..n-1 (the gap
 // property) and that the per-output tallies implied by value mod width
-// are exactly the step-property counts (the step property) — the two
-// invariants no mode switch may ever disturb.
+// are exactly the step-property counts (the step property).
 func checkValues(t *testing.T, vals []int64, width int) {
 	t.Helper()
 	seen := make([]bool, len(vals))
@@ -84,28 +77,6 @@ func checkValues(t *testing.T, vals []int64, width int) {
 	}
 	if !topo.StepPropertyHolds(tallies) {
 		t.Fatalf("output tallies %v violate the step property", tallies)
-	}
-}
-
-// checkConservation rolls the live epoch closed and asserts the epoch
-// log accounts for every token exactly once.
-func checkConservation(t *testing.T, c *adaptive.Counter, total int64) {
-	t.Helper()
-	if err := c.SwitchTo(c.Mode()); err != nil {
-		t.Fatal(err)
-	}
-	var sum int64
-	for _, e := range c.Epochs() {
-		if e.Tokens < 0 {
-			t.Fatalf("epoch %d issued %d tokens", e.Epoch, e.Tokens)
-		}
-		sum += e.Tokens
-	}
-	if sum != total {
-		t.Fatalf("epoch log accounts for %d of %d tokens: %+v", sum, total, c.Epochs())
-	}
-	if st := c.Stats(); st.Tokens != total {
-		t.Fatalf("Stats.Tokens = %d, issued %d", st.Tokens, total)
 	}
 }
 
@@ -136,293 +107,75 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestQuiescentSwitchMatrix walks every width through a rotation of
-// quiescent mode switches — each switch happens with no token in flight
-// — and asserts the values issued across both modes still form one
-// gapless step-property sequence, with the epoch log conserving every
-// token. The rotation also rolls each mode into itself, which closes an
-// epoch without counting a switch.
-func TestQuiescentSwitchMatrix(t *testing.T) {
-	rotation := []adaptive.Mode{
-		adaptive.ModeLinear, adaptive.ModeDirect, adaptive.ModeDirect,
-		adaptive.ModeLinear, adaptive.ModeLinear, adaptive.ModeDirect,
-		adaptive.ModeLinear, adaptive.ModeDirect,
-	}
-	for _, width := range matrixWidths {
-		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
-			c := newCounter(t, width, adaptive.Options{})
-			per := 3*width + 5
-			var vals []int64
-			var tok int32
-			for phase := 0; phase <= len(rotation); phase++ {
-				for i := 0; i < per; i++ {
-					vals = append(vals, c.Next(int(tok)%width, 0, tok, nil))
-					tok++
-				}
-				if phase < len(rotation) {
-					if err := c.SwitchTo(rotation[phase]); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			checkValues(t, vals, width)
-			checkConservation(t, c, int64(len(vals)))
-			if st := c.Stats(); st.Switches != 6 {
-				t.Errorf("forced 6 mode changes, counted %d", st.Switches)
-			}
-		})
-	}
-}
-
-// TestConcurrentSwitchMatrix forces mode switches while worker
-// goroutines are drawing values: the drain-then-switch gate must make
-// every transition invisible — no duplicate, no gap, no step-property
-// breach — at every width.
-func TestConcurrentSwitchMatrix(t *testing.T) {
-	rotation := []adaptive.Mode{adaptive.ModeLinear, adaptive.ModeDirect}
-	for _, width := range matrixWidths {
-		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
-			c := newCounter(t, width, adaptive.Options{})
-			const workers = 8
-			const per = 64
-			vals := make([]int64, workers*per)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						tok := int32(w*per + i)
-						vals[tok] = c.Next(w%width, int32(w), tok, nil)
-					}
-				}(w)
-			}
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
-			for i := 0; ; i++ {
-				select {
-				case <-done:
-					checkValues(t, vals, width)
-					checkConservation(t, c, workers*per)
-					return
-				default:
-					if err := c.SwitchTo(rotation[i%len(rotation)]); err != nil {
-						t.Error(err)
-					}
-					time.Sleep(200 * time.Microsecond)
-				}
-			}
-		})
-	}
-}
-
-// TestSwitchStorm oscillates the mode as fast as the drain protocol
-// allows — back-to-back forced switches with zero settle time — under
-// concurrent load. The storm is the adversarial schedule for the epoch
-// gate: every entry races a closing or reopening gate. The oversubscribed
-// case bounds drain liveness: 256 goroutines on GOMAXPROCS(2), so the
-// in-flight census is large and its members compete for two CPUs. Every
-// drain-then-switch — linear epochs included, where the in-flight set
-// releases in value order — must return within drainBound. The bound is
-// generous: a drain waits for at most 256 tokens of a few microseconds
-// each, so only a drain that stalls on descheduled goroutines nears it.
-func TestSwitchStorm(t *testing.T) {
-	const (
-		width      = 4
-		drainBound = 2 * time.Second
-	)
-	for _, tc := range []struct {
-		name         string
-		workers, per int
-		maxprocs     int // 0 leaves GOMAXPROCS alone
-	}{
-		{"4-workers", 4, 128, 0},
-		{"256-workers-2-procs", 256, 64, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if tc.maxprocs > 0 {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.maxprocs))
-			}
-			c := newCounter(t, width, adaptive.Options{})
-			vals := make([]int64, tc.workers*tc.per)
-			start := make(chan struct{}) // closed once the storm is under way
-			var wg sync.WaitGroup
-			for w := 0; w < tc.workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					<-start
-					for i := 0; i < tc.per; i++ {
-						tok := int32(w*tc.per + i)
-						vals[tok] = c.Next(w%width, int32(w), tok, nil)
-					}
-				}(w)
-			}
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
-			var (
-				storms  int
-				slowest time.Duration
-			)
-			stormed := make(chan error)
-			go func() {
-				modes := []adaptive.Mode{adaptive.ModeLinear, adaptive.ModeDirect}
-				for i := 0; ; i++ {
-					select {
-					case <-done:
-						close(stormed)
-						return
-					default:
-					}
-					t0 := time.Now()
-					if err := c.SwitchTo(modes[i%len(modes)]); err != nil {
-						stormed <- err
-						return
-					}
-					slowest = max(slowest, time.Since(t0))
-					if storms++; storms == 1 {
-						close(start)
-					}
-				}
-			}()
-			select {
-			case err, ok := <-stormed:
-				if ok {
-					t.Fatal(err)
-				}
-			case <-time.After(60 * time.Second):
-				t.Fatalf("switch storm hung in mode %v", c.Mode())
-			}
-			t.Logf("survived %d forced switches; slowest %v", storms, slowest)
-			if slowest > drainBound {
-				t.Fatalf("a SwitchTo took %v, bound %v", slowest, drainBound)
-			}
-			checkValues(t, vals, width)
-			checkConservation(t, c, int64(tc.workers*tc.per))
-		})
-	}
-}
-
-// TestSwitchDrainsParkedLinear forces a switch while ModeLinear waiters
-// are parked: the holder of the smallest value stalls after drawing it,
-// the tokens behind it exhaust their yield budget and park, and only
-// then does SwitchTo close the gate. The drain must wait for the held
-// token, then terminate as the release chain wakes the parked waiters in
-// value order, and the values must stay a gapless permutation across the
-// switch.
-func TestSwitchDrainsParkedLinear(t *testing.T) {
-	const (
-		width   = 4
-		waiters = 16
-	)
-	g := buildGraph(t, width)
-	n, err := shm.Compile(g, shm.Options{Kind: shm.KindMCS})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := adaptive.New(n, adaptive.Options{LinearBelow: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vals := make([]int64, waiters+1)
-	held, release := make(chan struct{}), make(chan struct{})
-	unblock := sync.OnceFunc(func() { close(release) })
-	defer unblock() // a failed check must not leave the holder stalled
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		vals[0] = c.Next(0, 0, 0, func(id topo.NodeID) {
-			if g.KindOf(id) == topo.KindCounter {
-				close(held)
-				<-release
-			}
-		})
-	}()
-	<-held
-	for w := 1; w <= waiters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			vals[w] = c.Next(w%width, int32(w), int32(w), nil)
-		}(w)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for parkedWaiters() < waiters {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d waiters parked behind the held token", parkedWaiters(), waiters)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	switched := make(chan error, 1)
-	go func() { switched <- c.SwitchTo(adaptive.ModeDirect) }()
-	select {
-	case err := <-switched:
-		t.Fatalf("SwitchTo returned (%v) while a token was still in flight", err)
-	case <-time.After(10 * time.Millisecond):
-	}
-	unblock()
-	select {
-	case err := <-switched:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("drain over parked ModeLinear waiters did not terminate")
-	}
-	wg.Wait()
-	if m := c.Mode(); m != adaptive.ModeDirect {
-		t.Fatalf("mode %v after SwitchTo(direct)", m)
-	}
-	vals = append(vals, drawAll(t, c, width, waiters+1, waiters+9)...)
-	checkValues(t, vals, width)
-	checkConservation(t, c, int64(len(vals)))
-}
-
-// parkedWaiters counts the goroutines blocked in shm.Turn's park, read
-// from a dump of every goroutine's stack.
-func parkedWaiters() int {
-	buf := make([]byte, 1<<20)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			buf = buf[:n]
-			break
-		}
-		buf = make([]byte, 2*len(buf))
-	}
-	parked := 0
-	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "[chan receive") && strings.Contains(g, "shm.(*Turn).park(") {
-			parked++
-		}
-	}
-	return parked
-}
-
-// TestStatsPartition checks the per-mode tally partition: every issued
-// token is attributed to exactly one mode, across both modes.
+// TestStatsPartition checks the per-mode tally partition on fixed-mode
+// counters: every issued token is attributed to the mode the counter was
+// built in, and none to the other.
 func TestStatsPartition(t *testing.T) {
-	c := newCounter(t, 4, adaptive.Options{})
-	var tok int32
-	for _, m := range []adaptive.Mode{
-		adaptive.ModeDirect, adaptive.ModeLinear, adaptive.ModeDirect, adaptive.ModeLinear,
+	for _, tc := range []struct {
+		mode adaptive.Mode
+		opts adaptive.Options
+	}{
+		{adaptive.ModeDirect, adaptive.Options{}},
+		{adaptive.ModeLinear, adaptive.Options{LinearBelow: 1}},
 	} {
-		if err := c.SwitchTo(m); err != nil {
-			t.Fatal(err)
+		c := newCounter(t, 4, tc.opts)
+		const tokens = 40
+		drawAll(t, c, 4, 0, tokens)
+		st := c.Stats()
+		if st.Mode != tc.mode || st.Tokens != tokens {
+			t.Fatalf("%v counter: Stats %+v after %d tokens", tc.mode, st, tokens)
 		}
-		for i := 0; i < 40; i++ {
-			c.Next(int(tok)%4, 0, tok, nil)
-			tok++
+		if got := st.PerMode[0] + st.PerMode[1]; got != st.Tokens || st.PerMode[tc.mode] != tokens {
+			t.Errorf("%v counter: per-mode partition %v, issued %d", tc.mode, st.PerMode, tokens)
 		}
 	}
-	st := c.Stats()
-	if got := st.PerMode[0] + st.PerMode[1]; got != st.Tokens || st.Tokens != int64(tok) {
-		t.Fatalf("per-mode partition %v sums to %d, issued %d", st.PerMode, got, tok)
-	}
-	for m, n := range st.PerMode {
-		if n != 80 {
-			t.Errorf("mode %v served %d tokens, want 80", adaptive.Mode(m), n)
+}
+
+// TestSwitchTo checks what is left of the switch: SwitchTo into the
+// built mode returns nil at once, even while other goroutines draw
+// values, and those values stay gapless; any other mode is an error and
+// leaves the mode unchanged.
+func TestSwitchTo(t *testing.T) {
+	const width, workers, per = 4, 4, 200
+	for _, opts := range []adaptive.Options{{}, {LinearBelow: 1}} {
+		c := newCounter(t, width, opts)
+		built := c.Mode()
+		vals := make([]int64, workers*per)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					tok := int32(w*per + i)
+					vals[tok] = c.Next(w%width, int32(w), tok, nil)
+				}
+			}(w)
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		for running := true; running; {
+			select {
+			case <-done:
+				running = false
+			default:
+				if err := c.SwitchTo(built); err != nil {
+					t.Fatalf("SwitchTo(%v) on a %v counter: %v", built, built, err)
+				}
+				runtime.Gosched()
+			}
+		}
+		checkValues(t, vals, width)
+		for _, m := range []adaptive.Mode{-1, adaptive.ModeDirect, adaptive.ModeLinear, 2} {
+			if m == built {
+				continue
+			}
+			if err := c.SwitchTo(m); err == nil {
+				t.Errorf("SwitchTo(%v) on a %v counter returned nil", m, built)
+			}
+		}
+		if c.Mode() != built {
+			t.Errorf("mode %v after refused switches, built in %v", c.Mode(), built)
 		}
 	}
 }
@@ -525,10 +278,9 @@ func TestAdaptiveQuiescentLinearizable(t *testing.T) {
 }
 
 // drawAll issues tokens [from, to) sequentially with a fast-fail
-// watchdog: a mis-seeded ModeLinear turn counter would hang Next forever
-// waiting for a turn value the epoch's backend will never issue, and the
-// watchdog turns that hang into a prompt failure instead of a package
-// timeout.
+// watchdog: a ModeLinear turn that waits for a value the network never
+// issues would hang Next forever, and the watchdog turns that hang into
+// a prompt failure instead of a package timeout.
 func drawAll(t *testing.T, c *adaptive.Counter, width int, from, to int32) []int64 {
 	t.Helper()
 	out := make([]int64, 0, to-from)
@@ -543,37 +295,9 @@ func drawAll(t *testing.T, c *adaptive.Counter, width int, from, to int32) []int
 	case <-done:
 		return out
 	case <-time.After(30 * time.Second):
-		t.Fatalf("tokens [%d,%d) hung in mode %v: turn counter not seeded for the epoch", from, to, c.Mode())
+		t.Fatalf("tokens [%d,%d) hung in mode %v", from, to, c.Mode())
 		return nil
 	}
-}
-
-// TestLinearTurnReset checks the per-epoch turn counter across mode
-// switches: every re-entry into ModeLinear must reseed the turn from the
-// new epoch's backend start, or the first waiting token of the second
-// linear epoch would spin on a turn value that already passed. A linear
-// roll into itself reseeds too.
-func TestLinearTurnReset(t *testing.T) {
-	const width = 4
-	c := newCounter(t, width, adaptive.Options{})
-	var vals []int64
-	var tok int32
-	for _, m := range []adaptive.Mode{
-		adaptive.ModeLinear, // epoch 1: turn seeded from a zero backend
-		adaptive.ModeDirect, // direct tokens advance only the FAA counter
-		adaptive.ModeLinear, // re-entry: backend resumed mid-sequence
-		adaptive.ModeLinear, // roll in place: reseed from the same backend
-		adaptive.ModeDirect,
-		adaptive.ModeLinear,
-	} {
-		if err := c.SwitchTo(m); err != nil {
-			t.Fatal(err)
-		}
-		vals = append(vals, drawAll(t, c, width, tok, tok+21)...)
-		tok += 21
-	}
-	checkValues(t, vals, width)
-	checkConservation(t, c, int64(len(vals)))
 }
 
 // TestLinearBelowStartsLinear checks the guaranteed-ordering contract of
@@ -634,9 +358,8 @@ func TestLinearZeroViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only SwitchTo changes a counter's mode, so every operation runs
-	// inside the ModeLinear epoch the counter starts in, and the report is
-	// exactly the mode's guarantee.
+	// A counter's mode is fixed when it is built, so every operation runs
+	// in ModeLinear, and the report is exactly the mode's guarantee.
 	front, err := adaptive.New(n, adaptive.Options{LinearBelow: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -2,32 +2,13 @@ package adaptive_test
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"countnet/internal/bitonic"
 	"countnet/internal/shm"
 	"countnet/internal/shm/adaptive"
 	"countnet/internal/shm/combine"
-	"countnet/internal/topo"
 )
-
-// directFront is the static fetch-and-add baseline: a single padded
-// counter behind the shm.Front seam, i.e. exactly what the adaptive
-// counter's ModeDirect dispatch does but with no epoch gate. The gap
-// between this row and the adaptive row is therefore the gate's price.
-type directFront struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-func (d *directFront) TraverseSpan(input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64) {
-	v := d.v.Add(1) - 1
-	if afterNode != nil {
-		afterNode(topo.NodeID(-1))
-	}
-	return v, parent
-}
 
 // BenchmarkAdaptiveLinear quantifies the serialization cliff of the
 // guaranteed-linearizable waiting mode (EXPERIMENTS.md E27, E33): the same
@@ -73,19 +54,19 @@ func BenchmarkAdaptiveLinear(b *testing.B) {
 
 // BenchmarkAdaptive is the worker sweep behind EXPERIMENTS.md E25 and
 // E32: the same fixed workload — 4096 tokens through a width-8 bitonic
-// network — driven by worker counts from 1 to 256 through each static
-// engine (direct fetch-add, combining funnel, full network) and through
-// the adaptive front-end in its default ModeDirect, all via the
-// identical shm.Stress driver. The direct row beat the funnel and the
-// network at every worker count, which is why the adaptive front-end has
-// no mode that escalates into them.
+// network — driven by worker counts from 1 to 256 through the combining
+// funnel, the full network and the adaptive front in its default
+// ModeDirect (one fetch-and-add on a padded word), all via the identical
+// shm.Stress driver. The direct fetch-and-add beat the funnel and the
+// network at every worker count, which is why the adaptive front has no
+// mode that escalates into them.
 func BenchmarkAdaptive(b *testing.B) {
 	g, err := bitonic.New(8)
 	if err != nil {
 		b.Fatal(err)
 	}
 	const ops = 4096
-	engines := []string{"direct", "combine", "network", "adaptive"}
+	engines := []string{"combine", "network", "adaptive"}
 	for _, workers := range []int{1, 8, 32, 128, 256} {
 		for _, eng := range engines {
 			b.Run(fmt.Sprintf("%s/p%d", eng, workers), func(b *testing.B) {
@@ -97,8 +78,6 @@ func BenchmarkAdaptive(b *testing.B) {
 					}
 					cfg := shm.StressConfig{Net: n, Workers: workers, Ops: ops, Seed: 1}
 					switch eng {
-					case "direct":
-						cfg.Front = &directFront{}
 					case "combine":
 						cfg.Front = combine.Front{Funnel: combine.New(combine.Options{}), Net: n}
 					case "adaptive":

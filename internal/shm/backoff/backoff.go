@@ -8,8 +8,7 @@
 // waiting on.
 //
 // Its users: Backoff paces the combining funnel's camp
-// (internal/shm/combine) and the adaptive engine's epoch gate and
-// drain (internal/shm/adaptive); Pause injects W in the stress driver,
+// (internal/shm/combine); Pause injects W in the stress driver,
 // the msgnet fault path and the benchmark's anomaly workload, and Burn
 // is the stress driver's busy variant; Exp spaces msgnet
 // retransmissions. The ModeLinear turn wait (shm.Turn) does not use it:

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"countnet/internal/topo"
 )
 
 // Filter makes a counting network linearizable by waiting, in the spirit of
@@ -19,11 +21,16 @@ import (
 // quantitative version of "low contention linearizable counting needs
 // linear depth". See BenchmarkLinearizableFilter. The wait is Turn's: a
 // held token polls, yields, and then parks until the release of the value
-// below its own wakes it (EXPERIMENTS.md E33). The contention-adaptive
-// engine (internal/shm/adaptive) folds the same Turn in as its
-// ModeLinear.
+// below its own wakes it (EXPERIMENTS.md E33). The adaptive front
+// (internal/shm/adaptive) serves its ModeLinear through a Filter.
+//
+// Layout: every token reads net and writes turn's first line, so net
+// sits a full line before it. At any 8-byte-aligned start no line holds
+// both, and the line every waiter polls carries no word a token only
+// reads. TestFilterLayout pins this.
 type Filter struct {
 	net  *Network
+	_    [56]byte
 	turn Turn
 }
 
@@ -36,6 +43,16 @@ func NewFilter(net *Network) *Filter {
 // returned.
 func (f *Filter) Traverse(input int) int64 {
 	return f.turn.Release(f.net.Traverse(input))
+}
+
+// TraverseSpan is Traverse as an shm.Front: the walk stamps spans from
+// parent and calls afterNode at every node, then the value waits its
+// turn. It returns the value and the walk's last span.
+//
+//countnet:hotpath
+func (f *Filter) TraverseSpan(input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64) {
+	v, last := f.net.TraverseSpan(input, proc, tok, parent, afterNode)
+	return f.turn.Release(v), last
 }
 
 // Returned reports how many values have been handed out so far.

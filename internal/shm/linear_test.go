@@ -150,6 +150,42 @@ func TestTurnLayout(t *testing.T) {
 	}
 }
 
+// TestFilterLayout pins the line every ModeLinear waiter polls: at any
+// 8-byte-aligned start, the lines holding the turn's next and parked
+// words carry no word a token only reads. net, read by every token, ends
+// a full line minus a word before next, and the park registry's map
+// starts that far past parked. It checks the offsets and then the lines
+// of live Filters.
+func TestFilterLayout(t *testing.T) {
+	const cacheLine, word = 64, 8
+	var f Filter
+	next := unsafe.Offsetof(f.turn) + unsafe.Offsetof(f.turn.next)
+	parked := unsafe.Offsetof(f.turn) + unsafe.Offsetof(f.turn.parked)
+	waiters := unsafe.Offsetof(f.turn) + unsafe.Offsetof(f.turn.waiters)
+	if gap := next - (unsafe.Offsetof(f.net) + word); gap < cacheLine-word {
+		t.Errorf("net ends %d bytes before next, want at least %d", gap, cacheLine-word)
+	}
+	if gap := waiters - (parked + word); gap < cacheLine-word {
+		t.Errorf("waiters starts %d bytes after parked, want at least %d", gap, cacheLine-word)
+	}
+
+	g, err := bitonic.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := compile(t, g, Options{})
+	line := func(p unsafe.Pointer) uintptr { return uintptr(p) / cacheLine }
+	for i := 0; i < 64; i++ {
+		f := NewFilter(n)
+		polled := map[uintptr]bool{line(unsafe.Pointer(&f.turn.next)): true, line(unsafe.Pointer(&f.turn.parked)): true}
+		for name, p := range map[string]unsafe.Pointer{"net": unsafe.Pointer(&f.net), "waiters": unsafe.Pointer(&f.turn.waiters)} {
+			if polled[line(p)] {
+				t.Fatalf("%s shares a line with the turn's next or parked (Filter at %p)", name, f)
+			}
+		}
+	}
+}
+
 // TestTurnOversubscribed pushes values through a Filter from 256
 // goroutines on one and on two processors. Every 256th token stalls
 // while holding its value, so the waiters behind it exhaust their yield

@@ -40,9 +40,9 @@ type StressConfig struct {
 	// Seed drives random delays.
 	Seed int64
 	// Front is the counting front-end the workers route every operation
-	// through; nil means Net itself. The combining funnel (combine.Front)
-	// and the contention-adaptive engine (adaptive.Counter) are the other
-	// two in this repo. Net stays required: it supplies input width and
+	// through; nil means Net itself. The combining funnel (combine.Front),
+	// the waiting Filter and the fixed-mode adaptive front
+	// (adaptive.Counter) are the others in this repo. Net stays required: it supplies input width and
 	// observability.
 	Front Front
 	// Tracer, when non-nil, receives per-token enter/balancer/counter/exit

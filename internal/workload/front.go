@@ -22,12 +22,13 @@ const (
 	// FrontCombine puts the elimination/combining funnel in front of the
 	// network.
 	FrontCombine FrontKind = "shm-combine"
-	// FrontAdaptive is the adaptive engine with its defaults: the epoch
-	// gate over the direct fetch-and-add counter (ModeDirect).
+	// FrontAdaptive is the adaptive front with its defaults: one
+	// fetch-and-add on a padded word (ModeDirect).
 	FrontAdaptive FrontKind = "shm-adaptive"
-	// FrontAdaptiveLinear is the adaptive engine built in its
-	// guaranteed-linearizable waiting mode (ModeLinear). Nothing but
-	// SwitchTo changes a counter's mode, so it serves every token there.
+	// FrontAdaptiveLinear is the adaptive front built in its
+	// guaranteed-linearizable waiting mode (ModeLinear, an shm.Filter).
+	// A counter's mode is fixed when it is built, so it serves every token
+	// there.
 	FrontAdaptiveLinear FrontKind = "shm-adaptive-linear"
 )
 
@@ -35,9 +36,9 @@ const (
 var Fronts = []FrontKind{FrontPlain, FrontCombine, FrontAdaptive, FrontAdaptiveLinear}
 
 // Build returns the front-end of this kind over the compiled network n.
-// reg, when non-nil, receives the front-end's metric family.
+// reg, when non-nil, receives the combining funnel's metric family.
 func (k FrontKind) Build(n *shm.Network, reg *obs.Registry) (shm.Front, error) {
-	opts := adaptive.Options{Metrics: reg}
+	var opts adaptive.Options
 	switch k {
 	case "", FrontPlain:
 		return n, nil
@@ -57,9 +58,9 @@ func (k FrontKind) Build(n *shm.Network, reg *obs.Registry) (shm.Front, error) {
 }
 
 // FrontReport summarizes what a front-end did over a run in one line: the
-// funnel's hit rate and dispositions, or the adaptive engine's final
-// mode, switch count, per-mode tallies and mode history. It returns ""
-// for the plain network, which has nothing beyond the run's own report.
+// funnel's hit rate and dispositions, or the adaptive front's built mode
+// and per-mode token tallies. It returns "" for the plain network, which
+// has nothing beyond the run's own report.
 func FrontReport(front shm.Front) string {
 	var b strings.Builder
 	switch f := front.(type) {
@@ -73,17 +74,8 @@ func FrontReport(front shm.Front) string {
 			c.HitRate(), c.Pairs, deg, c.Partners, c.Timeouts, c.Idle, c.Races)
 	case *adaptive.Counter:
 		st := f.Stats()
-		fmt.Fprintf(&b, "adaptive: ended in %s after %d switches, tokens direct/linear = %d/%d",
-			st.Mode, st.Switches, st.PerMode[adaptive.ModeDirect], st.PerMode[adaptive.ModeLinear])
-		if eps := f.Epochs(); len(eps) > 0 {
-			b.WriteString("; mode history:")
-			live := st.Tokens
-			for _, e := range eps {
-				fmt.Fprintf(&b, " %s×%d", e.Mode, e.Tokens)
-				live -= e.Tokens
-			}
-			fmt.Fprintf(&b, " %s×%d(live)", st.Mode, live)
-		}
+		fmt.Fprintf(&b, "adaptive: built in %s, tokens direct/linear = %d/%d",
+			st.Mode, st.PerMode[adaptive.ModeDirect], st.PerMode[adaptive.ModeLinear])
 	}
 	return b.String()
 }
