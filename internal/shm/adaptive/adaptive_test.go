@@ -111,13 +111,7 @@ func TestNewValidation(t *testing.T) {
 // counters: every issued token is attributed to the mode the counter was
 // built in, and none to the other.
 func TestStatsPartition(t *testing.T) {
-	for _, tc := range []struct {
-		mode adaptive.Mode
-		opts adaptive.Options
-	}{
-		{adaptive.ModeDirect, adaptive.Options{}},
-		{adaptive.ModeLinear, adaptive.Options{LinearBelow: 1}},
-	} {
+	for _, tc := range builtModes {
 		c := newCounter(t, 4, tc.opts)
 		const tokens = 40
 		drawAll(t, c, 4, 0, tokens)
@@ -131,52 +125,204 @@ func TestStatsPartition(t *testing.T) {
 	}
 }
 
-// TestSwitchTo checks what is left of the switch: SwitchTo into the
-// built mode returns nil at once, even while other goroutines draw
-// values, and those values stay gapless; any other mode is an error and
-// leaves the mode unchanged.
-func TestSwitchTo(t *testing.T) {
-	const width, workers, per = 4, 4, 200
-	for _, opts := range []adaptive.Options{{}, {LinearBelow: 1}} {
-		c := newCounter(t, width, opts)
-		built := c.Mode()
-		vals := make([]int64, workers*per)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					tok := int32(w*per + i)
-					vals[tok] = c.Next(w%width, int32(w), tok, nil)
+// builtModes lists each mode a counter can be built in with the options
+// that build it.
+var builtModes = []struct {
+	mode adaptive.Mode
+	opts adaptive.Options
+}{
+	{adaptive.ModeDirect, adaptive.Options{}},
+	{adaptive.ModeLinear, adaptive.Options{LinearBelow: 1}},
+}
+
+// matrixWidths are the network widths the switch matrices cover.
+var matrixWidths = []int{1, 2, 4, 8, 16, 32, 64}
+
+// checkSwitchTo asserts SwitchTo's contract on a counter built in built:
+// nil for the built mode, an error for any other, and the mode unchanged
+// either way.
+func checkSwitchTo(t *testing.T, c *adaptive.Counter, built, m adaptive.Mode) {
+	t.Helper()
+	err := c.SwitchTo(m)
+	if m == built && err != nil {
+		t.Errorf("SwitchTo(%v) on a %v counter: %v", m, built, err)
+	}
+	if m != built && err == nil {
+		t.Errorf("SwitchTo(%v) on a %v counter returned nil", m, built)
+	}
+	if got := c.Mode(); got != built {
+		t.Errorf("mode %v after SwitchTo(%v), built in %v", got, m, built)
+	}
+}
+
+// checkTokens asserts Stats at quiescence: total tokens issued, every one
+// of them attributed to the built mode.
+func checkTokens(t *testing.T, c *adaptive.Counter, total int64) {
+	t.Helper()
+	st := c.Stats()
+	if st.Tokens != total || st.PerMode[c.Mode()] != total {
+		t.Fatalf("Stats %+v, issued %d tokens in %v", st, total, c.Mode())
+	}
+}
+
+// TestQuiescentSwitchMatrix walks every width and built mode through a
+// rotation of quiescent SwitchTo requests — each made with no token in
+// flight — and asserts each request into the built mode succeeds, each
+// other request is refused, and the values issued across all phases form
+// one gapless step-property sequence with Stats exact at every phase.
+func TestQuiescentSwitchMatrix(t *testing.T) {
+	rotation := []adaptive.Mode{
+		adaptive.ModeLinear, adaptive.ModeDirect, adaptive.ModeDirect,
+		adaptive.ModeLinear, adaptive.ModeLinear, adaptive.ModeDirect,
+		adaptive.ModeLinear, adaptive.ModeDirect,
+	}
+	for _, width := range matrixWidths {
+		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
+			for _, bm := range builtModes {
+				c := newCounter(t, width, bm.opts)
+				per := int32(3*width + 5)
+				var vals []int64
+				var tok int32
+				for phase := 0; phase <= len(rotation); phase++ {
+					vals = append(vals, drawAll(t, c, width, tok, tok+per)...)
+					tok += per
+					checkTokens(t, c, int64(tok))
+					if phase < len(rotation) {
+						checkSwitchTo(t, c, bm.mode, rotation[phase])
+					}
 				}
-			}(w)
-		}
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		for running := true; running; {
-			select {
-			case <-done:
-				running = false
-			default:
-				if err := c.SwitchTo(built); err != nil {
-					t.Fatalf("SwitchTo(%v) on a %v counter: %v", built, built, err)
+				checkValues(t, vals, width)
+			}
+		})
+	}
+}
+
+// TestConcurrentSwitchMatrix makes SwitchTo requests while worker
+// goroutines draw values, at every width and built mode: a request into
+// the built mode returns nil at once, any other is refused, and neither
+// disturbs the values — no duplicate, no gap, no step-property breach.
+func TestConcurrentSwitchMatrix(t *testing.T) {
+	rotation := []adaptive.Mode{adaptive.ModeLinear, adaptive.ModeDirect}
+	for _, width := range matrixWidths {
+		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
+			for _, bm := range builtModes {
+				c := newCounter(t, width, bm.opts)
+				const workers = 8
+				const per = 64
+				vals := make([]int64, workers*per)
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for i := 0; i < per; i++ {
+							tok := int32(w*per + i)
+							vals[tok] = c.Next(w%width, int32(w), tok, nil)
+						}
+					}(w)
 				}
-				runtime.Gosched()
+				done := make(chan struct{})
+				go func() { wg.Wait(); close(done) }()
+				for i, running := 0, true; running; i++ {
+					select {
+					case <-done:
+						running = false
+					default:
+						checkSwitchTo(t, c, bm.mode, rotation[i%len(rotation)])
+						time.Sleep(200 * time.Microsecond)
+					}
+				}
+				checkValues(t, vals, width)
+				checkTokens(t, c, workers*per)
 			}
-		}
-		checkValues(t, vals, width)
-		for _, m := range []adaptive.Mode{-1, adaptive.ModeDirect, adaptive.ModeLinear, 2} {
-			if m == built {
-				continue
+		})
+	}
+}
+
+// TestSwitchStorm makes back-to-back SwitchTo requests with zero settle
+// time under concurrent load, on both built modes. The oversubscribed
+// case runs 256 goroutines on GOMAXPROCS(2), so a ModeLinear counter's
+// waiters park and compete for two CPUs while the storm runs. No request
+// may block: each must return within stormBound, which only a SwitchTo
+// that waited on the in-flight tokens could near.
+func TestSwitchStorm(t *testing.T) {
+	const (
+		width      = 4
+		stormBound = 2 * time.Second
+	)
+	for _, tc := range []struct {
+		name         string
+		workers, per int
+		maxprocs     int // 0 leaves GOMAXPROCS alone
+	}{
+		{"4-workers", 4, 128, 0},
+		{"256-workers-2-procs", 256, 64, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.maxprocs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.maxprocs))
 			}
-			if err := c.SwitchTo(m); err == nil {
-				t.Errorf("SwitchTo(%v) on a %v counter returned nil", m, built)
+			for _, bm := range builtModes {
+				c := newCounter(t, width, bm.opts)
+				vals := make([]int64, tc.workers*tc.per)
+				start := make(chan struct{}) // closed once the storm is under way
+				var wg sync.WaitGroup
+				for w := 0; w < tc.workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						<-start
+						for i := 0; i < tc.per; i++ {
+							tok := int32(w*tc.per + i)
+							vals[tok] = c.Next(w%width, int32(w), tok, nil)
+						}
+					}(w)
+				}
+				done := make(chan struct{})
+				go func() { wg.Wait(); close(done) }()
+				var (
+					storms  int
+					slowest time.Duration
+				)
+				stormed := make(chan error)
+				go func() {
+					modes := []adaptive.Mode{adaptive.ModeLinear, adaptive.ModeDirect}
+					for i := 0; ; i++ {
+						select {
+						case <-done:
+							close(stormed)
+							return
+						default:
+						}
+						m := modes[i%len(modes)]
+						t0 := time.Now()
+						err := c.SwitchTo(m)
+						slowest = max(slowest, time.Since(t0))
+						if (err == nil) != (m == bm.mode) {
+							stormed <- fmt.Errorf("SwitchTo(%v) on a %v counter: %v", m, bm.mode, err)
+							return
+						}
+						if storms++; storms == 1 {
+							close(start)
+						}
+					}
+				}()
+				select {
+				case err, ok := <-stormed:
+					if ok {
+						t.Fatal(err)
+					}
+				case <-time.After(60 * time.Second):
+					t.Fatalf("switch storm hung on a %v counter", bm.mode)
+				}
+				t.Logf("%v counter: %d SwitchTo requests; slowest %v", bm.mode, storms, slowest)
+				if slowest > stormBound {
+					t.Fatalf("a SwitchTo took %v, bound %v", slowest, stormBound)
+				}
+				checkValues(t, vals, width)
+				checkTokens(t, c, int64(tc.workers*tc.per))
 			}
-		}
-		if c.Mode() != built {
-			t.Errorf("mode %v after refused switches, built in %v", c.Mode(), built)
-		}
+		})
 	}
 }
 

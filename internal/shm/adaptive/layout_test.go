@@ -8,11 +8,11 @@ import (
 	"countnet/internal/shm"
 )
 
-// TestDirectWordLayout pins the line a ModeDirect token writes: the
+// TestCounterLayout pins the line a ModeDirect token writes: the
 // direct word fills a whole cache line and every allocation of it starts
 // on a line boundary, so no other word shares the line at any allocator
 // offset. The linear turn's line is pinned by shm's TestFilterLayout.
-func TestDirectWordLayout(t *testing.T) {
+func TestCounterLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(word{}); sz != cacheLine {
 		t.Fatalf("direct word is %d bytes, want %d", sz, cacheLine)
 	}
