@@ -241,7 +241,8 @@ func (c *Counter) NextInstrumented(input int, afterNode func()) (int64, error) {
 	if afterNode == nil {
 		return c.net.Traverse(input), nil
 	}
-	return c.net.TraverseObs(input, 0, 0, func(topo.NodeID) { afterNode() }), nil
+	v, _ := c.net.TraverseSpan(input, 0, 0, 0, func(topo.NodeID) { afterNode() })
+	return v, nil
 }
 
 // InWidth returns the number of network inputs accepted by NextAt.

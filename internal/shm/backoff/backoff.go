@@ -7,8 +7,9 @@
 // spinning goroutine steals the quantum from the very goroutine it is
 // waiting on.
 //
-// Its users: Backoff paces the combining funnel's camp
-// (internal/shm/combine); Pause injects W in the stress driver,
+// Its users: Backoff paces the one exchanger wait (prism.Slot.Wait,
+// through Yield) that the diffracting prism, the elimination stack and
+// the combining funnel share; Pause injects W in the stress driver,
 // the msgnet fault path and the benchmark's anomaly workload, and Burn
 // is the stress driver's busy variant; Exp spaces msgnet
 // retransmissions. The ModeLinear turn wait (shm.Turn) does not use it:
@@ -52,6 +53,16 @@ func (b *Backoff) Wait() {
 		//countnet:allow hotvet -- the sleep tier of the escalation ladder; a persistent waiter must stop burning scheduler time
 		time.Sleep(sleepQuantum)
 	}
+}
+
+// Yield is Wait for a caller that polls its own condition between
+// calls and so has no use for the spin tier: it starts at the yield
+// tier, and persistent waiting still sleeps.
+func (b *Backoff) Yield() {
+	if b.attempts < spinAttempts {
+		b.attempts = spinAttempts
+	}
+	b.Wait()
 }
 
 // Attempts returns how many times Wait has been called since the last

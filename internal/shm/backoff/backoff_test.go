@@ -34,6 +34,20 @@ func TestBackoffEscalation(t *testing.T) {
 	}
 }
 
+// TestBackoffYield checks Yield enters the ladder at the yield tier and
+// then climbs it like Wait.
+func TestBackoffYield(t *testing.T) {
+	var b Backoff
+	b.Yield()
+	if b.Attempts() != spinAttempts+1 {
+		t.Fatalf("first Yield left %d attempts, want %d", b.Attempts(), spinAttempts+1)
+	}
+	b.Yield()
+	if b.Attempts() != spinAttempts+2 {
+		t.Fatalf("second Yield left %d attempts, want %d", b.Attempts(), spinAttempts+2)
+	}
+}
+
 func TestBackoffSleepLevelActuallySleeps(t *testing.T) {
 	var b Backoff
 	for i := 0; i < yieldAttempts; i++ {

@@ -68,7 +68,7 @@ func batchRoute(b Balancer, demand int, counts []int) {
 // combined trip and returns their counter values (in exit order, not
 // sorted); see walk for why this is operationally identical to demand
 // sequential tokens. afterNode is invoked once per node the group (or a
-// part of it) leaves, as in TraverseObs; proc and tok identify the
+// part of it) leaves, as in TraverseSpan; proc and tok identify the
 // representative in trace events when observability is enabled, and the
 // group's first hop chains onto parent, as in TraverseSpan. A
 // non-positive demand returns nil.

@@ -191,8 +191,8 @@ func TestWalkAllocs(t *testing.T) {
 				call func()
 			}{
 				{"Traverse", 0, func() { n.Traverse(1) }},
-				{"TraverseObs", 0, func() { n.TraverseObs(1, 0, 0, hook) }},
-				{"TraverseObs/traced", 0, func() { traced.TraverseObs(1, 0, 0, hook) }},
+				{"TraverseSpan", 0, func() { n.TraverseSpan(1, 0, 0, 0, hook) }},
+				{"TraverseSpan/traced", 0, func() { traced.TraverseSpan(1, 0, 0, 0, hook) }},
 				{"TraverseBatch/1", 1, func() { n.TraverseBatch(1, 1, 0, 0, 0, nil) }},
 				{"TraverseBatch/2", 2, func() { n.TraverseBatch(1, 2, 0, 0, 0, nil) }},
 				{"TraverseBatch/4", 2, func() { n.TraverseBatch(1, 4, 0, 0, 0, nil) }},

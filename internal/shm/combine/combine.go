@@ -12,10 +12,12 @@
 // toggle advances once per combined token and every output counter is
 // fetched once per combined token (see shm.Network.TraverseBatch). What
 // combining removes is *contention*: under heavy traffic roughly half
-// the goroutines park on a channel instead of queueing on MCS toggles,
-// which shortens lock queues, cuts scheduler pressure on oversubscribed
-// machines, and degrades to a single atomic check when the funnel is
-// idle.
+// the goroutines wait in an exchanger slot instead of queueing on MCS
+// toggles, which shortens lock queues, cuts scheduler pressure on
+// oversubscribed machines, and degrades to a single atomic check when the
+// funnel is idle. The slots are the prism's (prism.Slot): one camp,
+// claim, withdraw and delivery protocol, and one wait, for every
+// exchanger in the runtime.
 //
 // The funnel is generic over the downstream counter: Do takes the
 // traversal as a closure. Front binds it to a compiled shm network, which
@@ -32,7 +34,7 @@ import (
 
 	"countnet/internal/obs"
 	"countnet/internal/shm"
-	"countnet/internal/shm/backoff"
+	"countnet/internal/shm/prism"
 	"countnet/internal/topo"
 )
 
@@ -63,13 +65,6 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// campSpins bounds the opportunistic backoff phase of a camped token: a
-// few escalating inline spins to catch a fast partner cheaply — never a
-// yield, which costs a full scheduler turn on oversubscribed machines —
-// after which the camper parks on its channel so it costs no CPU while
-// the representative walks the network.
-const campSpins = 4
-
 // maxPartners bounds how many camped tokens one representative claims
 // in a single sweep. Combining degree is the funnel's leverage — a
 // batch of k tokens shares every balancer visit until the toggles
@@ -84,18 +79,22 @@ const maxPartners = 31
 // one exchanger slot is live per spreadPerSlot in-flight tokens.
 const spreadPerSlot = 8
 
-// waiter is one token camped in a slot awaiting a representative. The
-// result channel is buffered so delivery never blocks the
-// representative; the timer is reused across camps by the pool.
-type waiter struct {
+// share is what a camped token exchanges: its demand, which the
+// representative that claims it reads, and the values the
+// representative delivers back.
+type share struct {
 	demand int
-	res    chan []int64
-	timer  *time.Timer
+	vals   []int64
 }
+
+// waiter is one token camped in a slot awaiting a representative. The
+// representative reads nothing of a waiter before its claim wins, so
+// waiters are pooled.
+type waiter = prism.Offer[share]
 
 // slot keeps each exchanger cell on its own cache line.
 type slot struct {
-	w atomic.Pointer[waiter]
+	prism.Slot[share]
 	_ [56]byte
 }
 
@@ -203,7 +202,7 @@ func New(opts Options) *Funnel {
 		f.races = &obs.Counter{}
 		f.pairWait = obs.NewHistogram()
 	}
-	f.pool.New = func() any { return &waiter{res: make(chan []int64, 1)} }
+	f.pool.New = func() any { return new(waiter) }
 	return f
 }
 
@@ -293,11 +292,12 @@ func (f *Funnel) exchange(demand int, traverse Traverse) []int64 {
 	// representative — a birthday collision, so the expected number of
 	// campers it sweeps up grows with the live spread.
 	me, _ := f.pool.Get().(*waiter)
-	me.demand = demand
-	if !f.camp(i, me) {
+	me.V.demand = demand
+	if !f.slots[i].Camp(me) {
 		f.pool.Put(me)
 		// Claim sweep: gather every camped partner in one pass over the
-		// live slots, starting at the collision slot.
+		// live slots, starting at the collision slot. A lost claim is
+		// counted as a contention signal.
 		var ps [maxPartners]*waiter
 		cap := len(f.slots) - 1
 		if cap > maxPartners {
@@ -308,9 +308,14 @@ func (f *Funnel) exchange(demand int, traverse Traverse) []int64 {
 		}
 		np := 0
 		for j := 0; j < spread && np < cap; j++ {
-			if w, ok := f.tryClaim((i + j) % spread); ok {
+			s := &f.slots[(i+j)%spread]
+			switch w := s.Peek(); {
+			case w == nil:
+			case s.Claim(w):
 				ps[np] = w
 				np++
+			default:
+				f.races.Add(1)
 			}
 		}
 		if np > 0 {
@@ -323,61 +328,15 @@ func (f *Funnel) exchange(demand int, traverse Traverse) []int64 {
 		return f.run(traverse, demand)
 	}
 	t0 := time.Now()
-	// Phase one: adaptive per-slot backoff, catching fast partners
-	// without paying a park/unpark.
-	var bo backoff.Backoff
-	for bo.Attempts() < campSpins {
-		//countnet:allow hotvet -- nonblocking poll for an early partner; parking campers is the funnel's combining mechanism
-		select {
-		case vals := <-me.res:
-			f.pairWait.Observe(time.Since(t0).Nanoseconds())
-			f.pool.Put(me)
-			return vals
-		default:
-		}
-		bo.Wait()
-	}
-	// Phase two: park on the channel for the rest of the window, so a
-	// camped token costs no CPU while its representative traverses.
-	if rem := f.window - time.Since(t0); rem > 0 {
-		if me.timer == nil {
-			me.timer = time.NewTimer(rem)
-		} else {
-			me.timer.Reset(rem)
-		}
-		//countnet:allow hotvet -- camped token parks on its result channel for the window; that CPU hand-back is the point of combining
-		select {
-		case vals := <-me.res:
-			stopTimer(me.timer)
-			f.pairWait.Observe(time.Since(t0).Nanoseconds())
-			f.pool.Put(me)
-			return vals
-		case <-me.timer.C:
-		}
-	}
-	if f.withdraw(i, me) {
+	if !f.slots[i].Wait(me, t0.Add(f.window)) {
 		f.pool.Put(me)
 		f.timeouts.Inc()
 		return f.run(traverse, demand)
 	}
-	// A representative committed to us at the last instant; the values
-	// are on their way.
-	//countnet:allow hotvet -- delivery already committed by a representative; the receive is bounded by its traversal
-	vals := <-me.res
 	f.pairWait.Observe(time.Since(t0).Nanoseconds())
+	vals := me.V.vals
 	f.pool.Put(me)
 	return vals
-}
-
-// stopTimer stops and drains t so the pool can reuse it.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		//countnet:allow hotvet -- nonblocking drain of an already-fired pooled timer
-		select {
-		case <-t.C:
-		default:
-		}
-	}
 }
 
 // represent executes one combined traversal for self (demand values)
@@ -386,7 +345,7 @@ func stopTimer(t *time.Timer) {
 func (f *Funnel) represent(ps []*waiter, demand int, traverse Traverse) []int64 {
 	total := demand
 	for _, w := range ps {
-		total += w.demand
+		total += w.V.demand
 	}
 	vals := f.run(traverse, total)
 	off := demand
@@ -394,9 +353,9 @@ func (f *Funnel) represent(ps []*waiter, demand int, traverse Traverse) []int64 
 		// Read the demand before delivering: once its values arrive the
 		// partner may put w back in the pool, where another token rewrites
 		// it.
-		d := w.demand
-		//countnet:allow hotvet -- partner channels are buffered (capacity 1), so delivery never blocks the representative
-		w.res <- vals[off : off+d : off+d]
+		d := w.V.demand
+		w.V.vals = vals[off : off+d : off+d]
+		w.Deliver()
 		off += d
 	}
 	f.pairs.Inc()
@@ -427,31 +386,4 @@ func (f *Funnel) liveSpread() int {
 		return len(f.slots)
 	}
 	return n
-}
-
-// tryClaim attempts to claim a waiter camped at slot i, returning it on
-// success. A lost CAS race is counted as a contention signal.
-func (f *Funnel) tryClaim(i int) (*waiter, bool) {
-	s := &f.slots[i]
-	w := s.w.Load()
-	if w == nil {
-		return nil, false
-	}
-	if s.w.CompareAndSwap(w, nil) {
-		return w, true
-	}
-	f.races.Add(1)
-	return nil, false
-}
-
-// camp installs w at slot i, returning false when a concurrent token
-// holds the slot.
-func (f *Funnel) camp(i int, w *waiter) bool {
-	return f.slots[i].w.CompareAndSwap(nil, w)
-}
-
-// withdraw removes w from slot i, returning false when a representative
-// already claimed it (the caller must then wait for delivery).
-func (f *Funnel) withdraw(i int, w *waiter) bool {
-	return f.slots[i].w.CompareAndSwap(w, nil)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"countnet/internal/obs"
+	"countnet/internal/shm/prism"
 )
 
 // counterTraverse returns a Traverse backed by a shared fetch-and-add,
@@ -69,11 +70,11 @@ func TestRunChecksTraverseContract(t *testing.T) {
 func TestRepresentDelivery(t *testing.T) {
 	f := New(Options{Width: 4})
 	var next atomic.Int64
-	w1 := &waiter{demand: 1, res: make(chan []int64, 1)}
-	w2 := &waiter{demand: 2, res: make(chan []int64, 1)}
+	w1 := &waiter{V: share{demand: 1}}
+	w2 := &waiter{V: share{demand: 2}}
 
 	own := f.represent([]*waiter{w1, w2}, 2, counterTraverse(&next))
-	got1, got2 := <-w1.res, <-w2.res
+	got1, got2 := w1.V.vals, w2.V.vals
 	if len(own) != 2 || len(got1) != 1 || len(got2) != 2 {
 		t.Fatalf("shares %d/%d/%d for demands 2/1/2", len(own), len(got1), len(got2))
 	}
@@ -106,13 +107,18 @@ func TestRepresentBeforeReuse(t *testing.T) {
 	got := make([][]int64, partners)
 	var wg sync.WaitGroup
 	for i := range ps {
-		w := &waiter{demand: demand, res: make(chan []int64, 1)}
+		w := &waiter{V: share{demand: demand}}
 		ps[i] = w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = <-w.res
-			w.demand = 1 // what the next token to draw w from the pool does
+			// w camps in no slot, so the withdraw at the passed deadline
+			// fails at once and Wait polls for the delivery, as it does
+			// for a camper whose claim has won.
+			var s prism.Slot[share]
+			s.Wait(w, time.Time{})
+			got[i] = w.V.vals
+			w.V.demand = 1 // what the next token to draw w from the pool does
 		}()
 	}
 	own := f.represent(ps, 2, counterTraverse(&next))
@@ -170,37 +176,6 @@ func TestConcurrentMultiDemand(t *testing.T) {
 	}
 	if int64(n) != total {
 		t.Fatalf("delivered %d values, counter issued %d", n, total)
-	}
-}
-
-// TestSlotProtocol exercises the camp/claim/withdraw CAS triangle on a
-// single slot.
-func TestSlotProtocol(t *testing.T) {
-	f := New(Options{Width: 2})
-	w := &waiter{demand: 1, res: make(chan []int64, 1)}
-	other := &waiter{demand: 1, res: make(chan []int64, 1)}
-
-	if _, ok := f.tryClaim(0); ok {
-		t.Fatal("claimed an empty slot")
-	}
-	if !f.camp(0, w) {
-		t.Fatal("camp on empty slot failed")
-	}
-	if f.camp(0, other) {
-		t.Fatal("second camp displaced the first")
-	}
-	got, ok := f.tryClaim(0)
-	if !ok || got != w {
-		t.Fatalf("tryClaim = %v, %v; want the camped waiter", got, ok)
-	}
-	if f.withdraw(0, w) {
-		t.Fatal("withdraw succeeded after a claim")
-	}
-	if !f.camp(0, w) || !f.withdraw(0, w) {
-		t.Fatal("camp+withdraw round trip failed")
-	}
-	if f.slots[0].w.Load() != nil {
-		t.Fatal("slot not empty after withdraw")
 	}
 }
 

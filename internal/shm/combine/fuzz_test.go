@@ -6,11 +6,12 @@ import (
 )
 
 // FuzzCombineExchange drives the slot pairing protocol — camp, claim,
-// withdraw, represent, and the idle Do path — through arbitrary
-// single-threaded interleavings decoded from the fuzz input, modelling
-// the schedules a representative and its campers can produce (arrive,
-// pair, time out, cancel). The model counter is a plain fetch-and-add,
-// so the checked invariants are exact:
+// withdraw and wait on the funnel's prism.Slot cells, represent, and
+// the idle Do path — through arbitrary single-threaded interleavings
+// decoded from the fuzz input, modelling the schedules a representative
+// and its campers can produce (arrive, pair, time out, cancel). The
+// model counter is a plain fetch-and-add, so the checked invariants are
+// exact:
 //
 //   - a claim returns only a waiter that camped and was not withdrawn
 //   - a withdraw succeeds iff no claim got there first
@@ -62,18 +63,23 @@ func FuzzCombineExchange(f *testing.F) {
 			op, arg := int(b&3), int(b>>2)
 			switch op {
 			case 0: // a colliding token claims at a slot and represents
-				if w, ok := fz.tryClaim(arg % fz.Width()); ok {
+				s := &fz.slots[arg%fz.Width()]
+				if w := s.Peek(); w != nil && s.Claim(w) {
 					forget(w)
 					got = append(got, fz.represent([]*waiter{w}, 1+arg%2, trav)...)
-					share := <-w.res
-					if len(share) != w.demand {
-						t.Fatalf("partner got %d values for demand %d", len(share), w.demand)
+					// The claimed camper's window is over: its withdraw
+					// fails and it takes the delivery.
+					if !s.Wait(w, time.Time{}) {
+						t.Fatal("claimed camper withdrew")
 					}
-					got = append(got, share...)
+					if len(w.V.vals) != w.V.demand {
+						t.Fatalf("partner got %d values for demand %d", len(w.V.vals), w.V.demand)
+					}
+					got = append(got, w.V.vals...)
 				}
 			case 1: // a new token camps
-				w := &waiter{demand: 1 + arg%3, res: make(chan []int64, 1)}
-				if fz.camp(arg%fz.Width(), w) {
+				w := &waiter{V: share{demand: 1 + arg%3}}
+				if fz.slots[arg%fz.Width()].Camp(w) {
 					camps = append(camps, camped{arg % fz.Width(), w})
 				}
 			case 2: // a camped token's window expires: withdraw, traverse alone
@@ -81,13 +87,13 @@ func FuzzCombineExchange(f *testing.F) {
 					continue
 				}
 				c := camps[arg%len(camps)]
-				if !fz.withdraw(c.slot, c.w) {
+				if !fz.slots[c.slot].Withdraw(c.w) {
 					// Single-threaded: only case 0 claims, and it forgets the
 					// waiter, so a tracked camper must still be withdrawable.
 					t.Fatal("withdraw failed for an unclaimed camper")
 				}
 				forget(c.w)
-				got = append(got, fz.run(trav, c.w.demand)...)
+				got = append(got, fz.run(trav, c.w.V.demand)...)
 			case 3: // a full Do call; alone in the funnel it takes the idle path
 				got = append(got, fz.Do(1+arg%2, trav)...)
 			}
@@ -95,11 +101,11 @@ func FuzzCombineExchange(f *testing.F) {
 		// Quiesce: every still-camped token times out and walks alone.
 		for len(camps) > 0 {
 			c := camps[0]
-			if !fz.withdraw(c.slot, c.w) {
+			if !fz.slots[c.slot].Withdraw(c.w) {
 				t.Fatal("withdraw failed during drain")
 			}
 			forget(c.w)
-			got = append(got, fz.run(trav, c.w.demand)...)
+			got = append(got, fz.run(trav, c.w.V.demand)...)
 		}
 
 		if int64(len(got)) != next {
@@ -113,7 +119,7 @@ func FuzzCombineExchange(f *testing.F) {
 			seen[v] = true
 		}
 		for i := range fz.slots {
-			if fz.slots[i].w.Load() != nil {
+			if fz.slots[i].Peek() != nil {
 				t.Fatalf("slot %d not empty at quiescence", i)
 			}
 		}

@@ -59,8 +59,8 @@ func (f *Filter) TraverseSpan(input int, proc, tok int32, parent uint64, afterNo
 func (f *Filter) Returned() int64 { return f.turn.Next() }
 
 // Turn is the Herlihy-Shavit-Waarts wait-then-release gate: values leave
-// it in exactly increasing order, starting from the seed (0 for the zero
-// Turn). The zero Turn is ready to use.
+// it in exactly increasing order, starting from 0. The zero Turn is
+// ready to use.
 //
 // Layout: every waiter polls next and every release reads parked, so the
 // two share a cache line that nothing else writes. The park registry
@@ -83,15 +83,15 @@ const (
 	yieldBudget   = 64
 )
 
-// Release holds value v until every smaller value since the seed has been
-// released, then returns it and opens the gate for v+1. A short wait
-// polls and yields; a long one parks, and the release of v-1 hands the
-// turn straight to it, so a blocked token neither burns its core nor
+// Release holds value v until every smaller value has been released,
+// then returns it and opens the gate for v+1. A short wait polls and
+// yields; a long one parks, and the release of v-1 hands the turn
+// straight to it, so a blocked token neither burns its core nor
 // oversleeps on a timer while later values queue behind it. On the
 // common path the hand-off costs one load of parked, on the line the
 // release has just written. Release stays live as long as every value
-// from the seed up to v is eventually released: the holder of the
-// smallest unreleased value never waits.
+// from 0 up to v is eventually released: the holder of the smallest
+// unreleased value never waits.
 //
 //countnet:hotpath
 func (t *Turn) Release(v int64) int64 {
@@ -154,10 +154,6 @@ func (t *Turn) wake(v int64) {
 	}
 	t.mu.Unlock()
 }
-
-// Reseed makes v the next value allowed to leave. It must not race a
-// Release: call it only while no value is waiting at the gate.
-func (t *Turn) Reseed(v int64) { t.next.Store(v) }
 
 // Next returns the next value allowed to leave.
 func (t *Turn) Next() int64 { return t.next.Load() }

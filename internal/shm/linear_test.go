@@ -56,26 +56,25 @@ func TestFilterIsLinearizable(t *testing.T) {
 	}
 }
 
-// TestTurnReseed checks the gate releases in value order from its seed:
-// after Reseed(5), a Release of 6 waits until 5 has been released.
-func TestTurnReseed(t *testing.T) {
+// TestTurnReleaseOrder checks the zero gate releases in value order from
+// 0: a Release of 1 waits until 0 has been released.
+func TestTurnReleaseOrder(t *testing.T) {
 	var turn Turn
-	turn.Reseed(5)
 	done := make(chan int64)
-	go func() { done <- turn.Release(6) }()
+	go func() { done <- turn.Release(1) }()
 	select {
 	case v := <-done:
-		t.Fatalf("Release(6) returned %d before 5 was released", v)
+		t.Fatalf("Release(1) returned %d before 0 was released", v)
 	case <-time.After(time.Millisecond):
 	}
-	if v := turn.Release(5); v != 5 {
-		t.Fatalf("Release(5) = %d", v)
+	if v := turn.Release(0); v != 0 {
+		t.Fatalf("Release(0) = %d", v)
 	}
-	if v := <-done; v != 6 {
-		t.Fatalf("Release(6) = %d", v)
+	if v := <-done; v != 1 {
+		t.Fatalf("Release(1) = %d", v)
 	}
-	if turn.Next() != 7 {
-		t.Fatalf("Next = %d after releasing 5 and 6", turn.Next())
+	if turn.Next() != 2 {
+		t.Fatalf("Next = %d after releasing 0 and 1", turn.Next())
 	}
 }
 
@@ -216,11 +215,12 @@ func TestTurnOversubscribed(t *testing.T) {
 					}
 					// Every 256th token holds its value for 2ms, long
 					// enough for the tokens behind it to park.
-					return f.turn.Release(f.net.TraverseObs(0, proc, tok, func(id topo.NodeID) {
+					v, _ := f.net.TraverseSpan(0, proc, tok, 0, func(id topo.NodeID) {
 						if g.KindOf(id) == topo.KindCounter {
 							time.Sleep(2 * time.Millisecond)
 						}
-					})), nil
+					})
+					return f.turn.Release(v), nil
 				})
 				done <- result{log, err}
 			}()
@@ -257,9 +257,10 @@ func TestTurnOversubscribed(t *testing.T) {
 // the paper's W anomaly inside the network. The wait-then-release step is
 // the filter's own, so the test path cannot drift from the real one.
 func (f *Filter) slowTraverse(input int, stall time.Duration) int64 {
-	return f.turn.Release(f.net.TraverseObs(input, 0, 0, func(topo.NodeID) {
+	v, _ := f.net.TraverseSpan(input, 0, 0, 0, func(topo.NodeID) {
 		deadline := time.Now().Add(stall)
 		for time.Now().Before(deadline) {
 		}
-	}))
+	})
+	return f.turn.Release(v)
 }

@@ -84,16 +84,18 @@ func (n *Network) SpanClock() *obs.Clock {
 	return n.obs.spans
 }
 
-// TraverseObs routes one token like Traverse while recording per-node
-// trace events and metrics under the identity (proc, tok) when EnableObs
-// was called, and invokes afterNode (if non-nil) after every node the token
-// leaves: each balancer and the final counter.
+// TraverseObs is TraverseSpan from a root span, with the last span
+// dropped. Its one caller is the benchmark module's observer-effect row
+// (bench/layers.go); the runtime calls TraverseSpan.
 func (n *Network) TraverseObs(input int, proc, tok int32, afterNode func(id topo.NodeID)) int64 {
 	v, _ := n.TraverseSpan(input, proc, tok, 0, afterNode)
 	return v
 }
 
-// TraverseSpan is TraverseObs with causal stamping: every recorded hop
+// TraverseSpan routes one token like Traverse while recording per-node
+// trace events and metrics under the identity (proc, tok) when EnableObs
+// was called, and invokes afterNode (if non-nil) after every node the
+// token leaves: each balancer and the final counter. Every recorded hop
 // gets a span id from the network's Clock, chained parent → child along
 // the token's path starting from parent (0 for a root). It returns the
 // counter value and the last span id (parent itself when tracing is off),

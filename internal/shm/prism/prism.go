@@ -9,7 +9,6 @@ package prism
 
 import (
 	"math/rand/v2"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,14 +29,11 @@ const (
 	Second
 )
 
-// waiter is one token camped in a slot awaiting a partner.
-type waiter struct {
-	result chan Outcome
-}
-
-// Prism is a fixed-width array of exchanger slots.
+// Prism is a fixed-width array of exchanger slots. A diffracted pair
+// exchanges nothing but the fact that it met, so its offers carry no
+// payload and are pooled.
 type Prism struct {
-	slots   []atomic.Pointer[waiter]
+	slots   []Slot[struct{}]
 	pool    sync.Pool
 	retries atomic.Int64
 }
@@ -47,8 +43,8 @@ func New(width int) *Prism {
 	if width < 1 {
 		width = 1
 	}
-	p := &Prism{slots: make([]atomic.Pointer[waiter], width)}
-	p.pool.New = func() any { return &waiter{result: make(chan Outcome, 1)} }
+	p := &Prism{slots: make([]Slot[struct{}], width)}
+	p.pool.New = func() any { return new(Offer[struct{}]) }
 	return p
 }
 
@@ -66,50 +62,28 @@ func (p *Prism) Retries() int64 { return p.retries.Load() }
 func (p *Prism) Exchange(window time.Duration) Outcome {
 	slot := &p.slots[rand.IntN(len(p.slots))]
 	// Partner already waiting? Take it.
-	if w := slot.Load(); w != nil {
-		if slot.CompareAndSwap(w, nil) {
-			//countnet:allow hotvet -- partner channels are buffered (capacity 1) and the CAS made us sole sender, so the send never blocks
-			w.result <- First
+	if o := slot.Peek(); o != nil {
+		if slot.Claim(o) {
+			o.Deliver()
 			return Second
 		}
 		p.retries.Add(1)
 	}
-	me, _ := p.pool.Get().(*waiter)
-	if !slot.CompareAndSwap(nil, me) {
+	me, _ := p.pool.Get().(*Offer[struct{}])
+	if !slot.Camp(me) {
 		// Lost the race to camp; retry against whoever won.
 		p.retries.Add(1)
 		p.pool.Put(me)
-		if w := slot.Load(); w != nil && slot.CompareAndSwap(w, nil) {
-			//countnet:allow hotvet -- partner channels are buffered (capacity 1) and the CAS made us sole sender, so the send never blocks
-			w.result <- First
+		if o := slot.Peek(); o != nil && slot.Claim(o) {
+			o.Deliver()
 			return Second
 		}
 		return Timeout
 	}
-	deadline := time.Now().Add(window)
-	for spins := 0; ; spins++ {
-		//countnet:allow hotvet -- nonblocking poll for a partner during the diffraction window; camping is the prism's pairing mechanism
-		select {
-		case out := <-me.result:
-			p.pool.Put(me)
-			return out
-		default:
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		if spins%32 == 31 {
-			//countnet:allow hotvet -- bounded courtesy yield inside the diffraction window poll
-			runtime.Gosched()
-		}
+	out := Timeout
+	if slot.Wait(me, time.Now().Add(window)) {
+		out = First
 	}
-	// Withdraw; a partner may pair with us at the last instant.
-	if slot.CompareAndSwap(me, nil) {
-		p.pool.Put(me)
-		return Timeout
-	}
-	//countnet:allow hotvet -- the failed withdrawal CAS proves a partner committed, so the buffered result is already in flight
-	out := <-me.result // partner committed; complete the exchange
 	p.pool.Put(me)
 	return out
 }

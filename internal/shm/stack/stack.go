@@ -3,30 +3,22 @@
 // same collision idea the diffracting prisms use): a lock-free Treiber
 // stack whose contended operations meet in an elimination array where a
 // concurrent push/pop pair cancels out without touching the stack top at
-// all.
+// all. The array's cells are the prism's exchanger slots (prism.Slot).
 package stack
 
 import (
 	"math/rand/v2"
-	"runtime"
 	"sync/atomic"
 	"time"
+
+	"countnet/internal/shm/prism"
 )
 
-// offer states.
-const (
-	offerWaiting int32 = iota
-	offerClaimed       // a partner is writing the exchanged value
-	offerMatched
-	offerWithdrawn
-)
-
-// offer is one operation camped in the elimination array.
+// offer is one operation camped in the elimination array: a push
+// carries its value in v, and a pop receives its value there.
 type offer[T any] struct {
-	isPush bool
-	v      T // pushed value (valid for push offers)
-	match  T // value delivered to a pop offer
-	state  atomic.Int32
+	push bool
+	v    T
 }
 
 // node is one Treiber-stack cell.
@@ -39,7 +31,7 @@ type node[T any] struct {
 // not usable; call New.
 type Stack[T any] struct {
 	top    atomic.Pointer[node[T]]
-	slots  []atomic.Pointer[offer[T]]
+	slots  []prism.Slot[offer[T]]
 	window time.Duration
 
 	pushes     atomic.Int64
@@ -56,7 +48,7 @@ func New[T any](width int, window time.Duration) *Stack[T] {
 		width = 1
 	}
 	return &Stack[T]{
-		slots:  make([]atomic.Pointer[offer[T]], width),
+		slots:  make([]prism.Slot[offer[T]], width),
 		window: window,
 	}
 }
@@ -67,7 +59,7 @@ func (s *Stack[T]) Push(v T) {
 	n := &node[T]{v: v}
 	for {
 		// Cheap peek: complete a camped pop without touching the top.
-		if s.matchOnly(&offer[T]{isPush: true, v: v}) {
+		if s.eliminate(true, &v) {
 			return
 		}
 		top := s.top.Load()
@@ -75,7 +67,7 @@ func (s *Stack[T]) Push(v T) {
 		if s.top.CompareAndSwap(top, n) {
 			return
 		}
-		if s.campAndWait(&offer[T]{isPush: true, v: v}) {
+		if s.campAndWait(true, &v) {
 			return
 		}
 	}
@@ -88,23 +80,19 @@ func (s *Stack[T]) Pop() (v T, ok bool) {
 	for {
 		// Cheap peek: complete against a camped push without touching the
 		// top.
-		if o := (&offer[T]{isPush: false}); s.matchOnly(o) {
-			return o.match, true
+		if s.eliminate(false, &v) {
+			return v, true
 		}
 		top := s.top.Load()
 		if top == nil {
-			o := &offer[T]{isPush: false}
-			if s.campAndWait(o) {
-				return o.match, true
-			}
-			return v, false
+			ok = s.campAndWait(false, &v)
+			return v, ok
 		}
 		if s.top.CompareAndSwap(top, top.next) {
 			return top.v, true
 		}
-		o := &offer[T]{isPush: false}
-		if s.campAndWait(o) {
-			return o.match, true
+		if s.campAndWait(false, &v) {
+			return v, true
 		}
 	}
 }
@@ -121,73 +109,43 @@ func (s *Stack[T]) Len() int {
 	return n
 }
 
-// matchOnly attempts to complete `mine` against an already-camped
-// complementary offer, without camping itself.
-func (s *Stack[T]) matchOnly(mine *offer[T]) bool {
-	slot := s.pickSlot()
-	if other := slot.Load(); other != nil &&
-		other.isPush != mine.isPush && slot.CompareAndSwap(other, nil) {
-		return s.tryMatch(other, mine)
+// eliminate completes a push (push true) or pop against an offer of the
+// other kind already camped in a random slot, without camping itself: v
+// is the pushed value, or receives the popped one.
+func (s *Stack[T]) eliminate(push bool, v *T) bool {
+	slot := &s.slots[rand.IntN(len(s.slots))]
+	o := slot.Peek()
+	if o == nil || o.V.push == push || !slot.Claim(o) {
+		return false
 	}
-	return false
+	if push {
+		o.V.v = *v
+	} else {
+		*v = o.V.v
+	}
+	o.Deliver()
+	s.eliminated.Add(1)
+	return true
 }
 
-// campAndWait parks `mine` in an empty slot for the collision window; it
-// reports whether a partner completed the operation.
-func (s *Stack[T]) campAndWait(mine *offer[T]) bool {
-	if s.matchOnly(mine) {
+// campAndWait tries eliminate, then camps an offer in a random slot for
+// the collision window; it reports whether a partner completed the
+// operation.
+func (s *Stack[T]) campAndWait(push bool, v *T) bool {
+	if s.eliminate(push, v) {
 		return true
 	}
 	if s.window <= 0 {
 		return false
 	}
-	slot := s.pickSlot()
-	if !slot.CompareAndSwap(nil, mine) {
+	// A fresh offer per camp: eliminate reads a peeked offer's kind
+	// before it claims, so a recycled offer could change kind under it.
+	o := &prism.Offer[offer[T]]{V: offer[T]{push: push, v: *v}}
+	slot := &s.slots[rand.IntN(len(s.slots))]
+	if !slot.Camp(o) || !slot.Wait(o, time.Now().Add(s.window)) {
 		return false
 	}
-	deadline := time.Now().Add(s.window)
-	for spins := 0; ; spins++ {
-		switch mine.state.Load() {
-		case offerMatched:
-			slot.CompareAndSwap(mine, nil)
-			s.eliminated.Add(1)
-			return true
-		case offerClaimed:
-			// Partner committed; wait for the handoff to finish.
-		default:
-			if time.Now().After(deadline) {
-				if mine.state.CompareAndSwap(offerWaiting, offerWithdrawn) {
-					slot.CompareAndSwap(mine, nil)
-					return false
-				}
-				continue // lost the race: a partner is completing us
-			}
-		}
-		if spins%32 == 31 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// pickSlot returns a random elimination slot.
-func (s *Stack[T]) pickSlot() *atomic.Pointer[offer[T]] {
-	return &s.slots[rand.IntN(len(s.slots))]
-}
-
-// tryMatch completes a camped offer `other` with `mine` (of the opposite
-// kind); it reports whether the exchange happened.
-func (s *Stack[T]) tryMatch(other, mine *offer[T]) bool {
-	if !other.state.CompareAndSwap(offerWaiting, offerClaimed) {
-		return false // withdrawn or already taken
-	}
-	if mine.isPush {
-		// I push, the camped offer pops: hand it my value.
-		other.match = mine.v
-	} else {
-		// I pop, the camped offer pushes: take its value.
-		mine.match = other.v
-	}
-	other.state.Store(offerMatched)
+	*v = o.V.v
 	s.eliminated.Add(1)
 	return true
 }
