@@ -1,20 +1,20 @@
 // Package backoff provides the shared waiting primitives of the
-// shared-memory runtime: an exponential spin-then-yield-then-sleep
-// backoff for slots and locks that poll under contention, and a
-// precision pause used by the stress driver to inject the paper's
-// per-node W delays. Centralizing them keeps those busy-waits on the
-// same escalation policy, which matters on small machines where a
-// spinning goroutine steals the quantum from the very goroutine it is
-// waiting on.
+// shared-memory runtime: the one poll-and-yield ladder every shm wait
+// climbs, and a precision pause used by the stress driver to inject the
+// paper's per-node W delays. Centralizing them keeps those busy-waits on
+// the same policy, which matters on small machines where a spinning
+// goroutine steals the quantum from the very goroutine it is waiting on.
 //
-// Its users: Backoff paces the one exchanger wait (prism.Slot.Wait,
-// through Yield) that the diffracting prism, the elimination stack and
-// the combining funnel share; Pause injects W in the stress driver,
-// the msgnet fault path and the benchmark's anomaly workload, and Burn
-// is the stress driver's busy variant; Exp spaces msgnet
-// retransmissions. The ModeLinear turn wait (shm.Turn) does not use it:
-// a held value is handed straight to its parked successor, which a
-// timed sleep would only delay (EXPERIMENTS.md E33).
+// Its users: Spin paces every wait of internal/shm. The MCS lock
+// (internal/shm/mcs) polls on it for the hand-over and for its
+// successor's link and never parks; the turn wait (shm.Turn), under
+// the linearizable filter and every cell of the FIFO queue
+// (internal/shm/queue), parks once its yield budget is spent, and the
+// exchanger wait (prism.Slot.Wait) under the prism, the elimination
+// stack and the combining funnel parks once its offer is claimed. Pause
+// injects W in the stress driver, the msgnet fault path and the
+// benchmark's anomaly workload, and Burn is the stress driver's busy
+// variant; Exp spaces msgnet retransmissions.
 package backoff
 
 import (
@@ -22,7 +22,36 @@ import (
 	"time"
 )
 
-// Escalation thresholds of Backoff.Wait: pure spins first (cheapest,
+// pollsPerYield is how many failed polls a Spin waiter makes per yield
+// of the processor.
+const pollsPerYield = 64
+
+// Spin is the poll-and-yield ladder: a waiter polls its condition back
+// to back and calls Poll once per failed check, and every
+// pollsPerYield-th call hands the processor to whoever holds what the
+// waiter waits for. Pure polling starves that holder on an
+// oversubscribed machine; a timed sleep would oversleep the hand-off,
+// so a long waiter that has a wake-up parks on it instead. The zero
+// value is ready to use; a Spin is not safe for concurrent use.
+type Spin struct {
+	polls uint32
+}
+
+// Poll records one failed check of the caller's condition. Every
+// pollsPerYield-th call yields the processor and reports true, so the
+// caller can decide at that round whether to park; the others return
+// false at once.
+func (s *Spin) Poll() bool {
+	s.polls++
+	if s.polls%pollsPerYield != 0 {
+		return false
+	}
+	//countnet:allow hotvet -- the ladder's one yield, every pollsPerYield polls of a wait; pure polling starves the holder on oversubscribed runs
+	runtime.Gosched()
+	return true
+}
+
+// Escalation thresholds of backoff.wait: pure spins first (cheapest,
 // keeps the cache line hot), cooperative yields next, brief sleeps once
 // the wait is clearly not nanosecond-scale.
 const (
@@ -31,47 +60,26 @@ const (
 	sleepQuantum  = 20 * time.Microsecond
 )
 
-// Backoff is an escalating waiter for polling loops: the first few
-// Waits spin, the next batch yields the processor, and persistent
-// waiting sleeps in short quanta so oversubscribed runs stop burning
-// scheduler time. The zero value is ready to use; a Backoff is not safe
-// for concurrent use.
-type Backoff struct {
+// backoff is Pause's escalating waiter: the first few waits spin, the
+// next batch yields the processor, and persistent waiting sleeps in
+// short quanta so oversubscribed runs stop burning scheduler time. The
+// zero value is ready to use.
+type backoff struct {
 	attempts int
 }
 
-// Wait blocks for the current escalation level and advances it.
-func (b *Backoff) Wait() {
+// wait blocks for the current escalation level and advances it.
+func (b *backoff) wait() {
 	b.attempts++
 	switch {
 	case b.attempts <= spinAttempts:
 		spin(4 << b.attempts)
 	case b.attempts <= yieldAttempts:
-		//countnet:allow hotvet -- the yield tier of the escalation ladder; handing back the quantum is this primitive's purpose
 		runtime.Gosched()
 	default:
-		//countnet:allow hotvet -- the sleep tier of the escalation ladder; a persistent waiter must stop burning scheduler time
 		time.Sleep(sleepQuantum)
 	}
 }
-
-// Yield is Wait for a caller that polls its own condition between
-// calls and so has no use for the spin tier: it starts at the yield
-// tier, and persistent waiting still sleeps.
-func (b *Backoff) Yield() {
-	if b.attempts < spinAttempts {
-		b.attempts = spinAttempts
-	}
-	b.Wait()
-}
-
-// Attempts returns how many times Wait has been called since the last
-// Reset.
-func (b *Backoff) Attempts() int { return b.attempts }
-
-// Reset returns the backoff to the spinning level, for reuse across
-// independent waiting episodes.
-func (b *Backoff) Reset() { b.attempts = 0 }
 
 // spin busies the CPU for roughly n loop iterations without entering
 // the scheduler.
@@ -86,7 +94,7 @@ func spin(n int) {
 // Pause delays the calling goroutine for d. The stress driver uses it
 // to model the paper's W — local work a simulated processor performs
 // between balancer accesses — so sub-millisecond pauses burn the delay
-// cooperatively (one clock check per escalating Wait) rather than
+// cooperatively (one clock check per escalating wait) rather than
 // parking on a timer: a processor doing work holds its share of the
 // machine, it does not hand it back. The spin levels keep
 // sub-microsecond resolution on an idle machine, and the yield levels
@@ -101,7 +109,7 @@ func Pause(d time.Duration) {
 		return
 	}
 	deadline := time.Now().Add(d)
-	var b Backoff
+	var b backoff
 	for {
 		rem := time.Until(deadline)
 		if rem <= 0 {
@@ -114,10 +122,10 @@ func Pause(d time.Duration) {
 			// clock-read granularity, which is exactly the simulated
 			// work the pause stands in for.
 			runtime.Gosched()
-			b.Reset()
+			b.attempts = 0
 			continue
 		}
-		b.Wait()
+		b.wait()
 	}
 }
 

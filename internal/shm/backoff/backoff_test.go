@@ -16,47 +16,40 @@ func strictTiming() bool {
 }
 
 func TestBackoffEscalation(t *testing.T) {
-	var b Backoff
-	if b.Attempts() != 0 {
-		t.Fatalf("zero value has %d attempts", b.Attempts())
+	var b backoff
+	if b.attempts != 0 {
+		t.Fatalf("zero value has %d attempts", b.attempts)
 	}
 	// The whole ladder must terminate: spins, yields, then one sleep
 	// quantum. Walk past every threshold and check the bookkeeping.
 	for i := 1; i <= yieldAttempts+1; i++ {
-		b.Wait()
-		if b.Attempts() != i {
-			t.Fatalf("after %d waits Attempts() = %d", i, b.Attempts())
+		b.wait()
+		if b.attempts != i {
+			t.Fatalf("after %d waits attempts = %d", i, b.attempts)
 		}
-	}
-	b.Reset()
-	if b.Attempts() != 0 {
-		t.Fatalf("Reset left %d attempts", b.Attempts())
 	}
 }
 
-// TestBackoffYield checks Yield enters the ladder at the yield tier and
-// then climbs it like Wait.
-func TestBackoffYield(t *testing.T) {
-	var b Backoff
-	b.Yield()
-	if b.Attempts() != spinAttempts+1 {
-		t.Fatalf("first Yield left %d attempts, want %d", b.Attempts(), spinAttempts+1)
-	}
-	b.Yield()
-	if b.Attempts() != spinAttempts+2 {
-		t.Fatalf("second Yield left %d attempts, want %d", b.Attempts(), spinAttempts+2)
+// TestSpinPoll checks the ladder's schedule: Poll reports true, having
+// yielded, exactly on every pollsPerYield-th call.
+func TestSpinPoll(t *testing.T) {
+	var s Spin
+	for i := 1; i <= 4*pollsPerYield; i++ {
+		if got, want := s.Poll(), i%pollsPerYield == 0; got != want {
+			t.Fatalf("Poll call %d reported %v, want %v", i, got, want)
+		}
 	}
 }
 
 func TestBackoffSleepLevelActuallySleeps(t *testing.T) {
-	var b Backoff
+	var b backoff
 	for i := 0; i < yieldAttempts; i++ {
-		b.Wait()
+		b.wait()
 	}
 	start := time.Now()
-	b.Wait() // past the yield threshold: one sleep quantum
+	b.wait() // past the yield threshold: one sleep quantum
 	if elapsed := time.Since(start); elapsed < sleepQuantum/2 {
-		t.Errorf("sleep-level Wait returned after %v, quantum is %v", elapsed, sleepQuantum)
+		t.Errorf("sleep-level wait returned after %v, quantum is %v", elapsed, sleepQuantum)
 	}
 }
 

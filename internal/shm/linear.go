@@ -1,10 +1,10 @@
 package shm
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"countnet/internal/shm/backoff"
 	"countnet/internal/topo"
 )
 
@@ -20,9 +20,10 @@ import (
 // sequential bottleneck as concurrency and timing anomalies grow — the
 // quantitative version of "low contention linearizable counting needs
 // linear depth". See BenchmarkLinearizableFilter. The wait is Turn's: a
-// held token polls, yields, and then parks until the release of the value
-// below its own wakes it (EXPERIMENTS.md E33). The adaptive front
-// (internal/shm/adaptive) serves its ModeLinear through a Filter.
+// held token polls and yields on the backoff.Spin ladder, then parks
+// until the pass of the value below its own wakes it (EXPERIMENTS.md
+// E33, E39). The adaptive front (internal/shm/adaptive) serves its
+// ModeLinear through a Filter.
 //
 // Layout: every token reads net and writes turn's first line, so net
 // sits a full line before it. At any 8-byte-aligned start no line holds
@@ -59,13 +60,16 @@ func (f *Filter) TraverseSpan(input int, proc, tok int32, parent uint64, afterNo
 func (f *Filter) Returned() int64 { return f.turn.Next() }
 
 // Turn is the Herlihy-Shavit-Waarts wait-then-release gate: values leave
-// it in exactly increasing order, starting from 0. The zero Turn is
-// ready to use.
+// it in exactly increasing order, starting from 0. It is the runtime's
+// one value-ordered wait: the Filter releases its tokens through one
+// Turn, and every cell of the FIFO queue (internal/shm/queue) is a Turn
+// that its enqueuers and dequeuers take in alternation. The zero Turn
+// is ready to use.
 //
-// Layout: every waiter polls next and every release reads parked, so the
+// Layout: every waiter polls next and every pass reads parked, so the
 // two share a cache line that nothing else writes. The park registry
 // sits on the following line, where only a parking waiter and the
-// release that wakes it touch it.
+// pass that wakes it touch it.
 type Turn struct {
 	next   atomic.Int64
 	parked atomic.Int64 // waiters registered in waiters
@@ -75,49 +79,58 @@ type Turn struct {
 	waiters map[int64]chan struct{} // parked waiter for value v, by v
 }
 
-// The turn wait polls next back to back and yields the processor every
-// pollsPerYield polls; after yieldBudget yields it parks until the
-// release of v-1 wakes it.
-const (
-	pollsPerYield = 64
-	yieldBudget   = 64
-)
+// yieldBudget is how many times the turn wait yields on the
+// backoff.Spin ladder before it parks until the pass of v-1 wakes it.
+const yieldBudget = 64
 
 // Release holds value v until every smaller value has been released,
-// then returns it and opens the gate for v+1. A short wait polls and
-// yields; a long one parks, and the release of v-1 hands the turn
-// straight to it, so a blocked token neither burns its core nor
-// oversleeps on a timer while later values queue behind it. On the
-// common path the hand-off costs one load of parked, on the line the
-// release has just written. Release stays live as long as every value
-// from 0 up to v is eventually released: the holder of the smallest
-// unreleased value never waits.
+// then returns it and opens the gate for v+1: Wait, then Pass.
 //
 //countnet:hotpath
 func (t *Turn) Release(v int64) int64 {
-	for polls := 1; t.next.Load() != v; polls++ {
-		if polls%pollsPerYield != 0 {
+	t.Wait(v)
+	t.Pass(v)
+	return v
+}
+
+// Wait blocks until every value below v has passed. A short wait polls
+// on the backoff.Spin ladder; a long one parks, and the pass of v-1
+// hands the turn straight to it, so a blocked waiter neither burns its
+// core nor oversleeps on a timer while later values queue behind it.
+// Wait stays live as long as every value from 0 up to v-1 eventually
+// passes: the holder of the smallest value not yet passed never waits.
+//
+//countnet:hotpath
+func (t *Turn) Wait(v int64) {
+	var s backoff.Spin
+	for yields := 0; t.next.Load() != v; {
+		if !s.Poll() {
 			continue
 		}
-		if polls > pollsPerYield*yieldBudget {
+		if yields++; yields == yieldBudget {
 			t.park(v)
-			break
+			return
 		}
-		//countnet:allow hotvet -- bounded courtesy yield before the waiter parks; pure polling here starves the holder of v-1 on oversubscribed runs
-		runtime.Gosched()
 	}
+}
+
+// Pass opens the gate for v+1, whose turn it is once the holder of v,
+// which Wait let through, is done. On the common path the hand-off
+// costs one load of parked, on the line the pass has just written.
+//
+//countnet:hotpath
+func (t *Turn) Pass(v int64) {
 	t.next.Store(v + 1)
 	if t.parked.Load() != 0 {
 		t.wake(v + 1)
 	}
-	return v
 }
 
 // park blocks until next reaches v. It registers the waiter and counts
-// it in parked before it re-reads next, while a release stores next
+// it in parked before it re-reads next, while a pass stores next
 // before it reads parked. With sequentially consistent atomics at least
 // one side sees the other's write: either the re-read finds the turn
-// already passed to v, or the release of v-1 sees the count and wakes
+// already passed to v, or the pass of v-1 sees the count and wakes
 // the registered waiter. No wake-up is lost.
 //
 //countnet:coldpath

@@ -19,9 +19,10 @@
 package mcs
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"countnet/internal/shm/backoff"
 )
 
 // Node is one waiter's queue cell, a whole cache line so that no two
@@ -39,8 +40,9 @@ type Lock struct {
 }
 
 // Acquire enters the critical section, spinning on n until the predecessor
-// hands the lock over. n must be clean: new, or released since its last
-// Acquire.
+// hands the lock over. The spin polls on the backoff.Spin ladder and never
+// parks: a hand-over is a few stores away. n must be clean: new, or
+// released since its last Acquire.
 func (l *Lock) Acquire(n *Node) {
 	pred := l.tail.Swap(n)
 	if pred == nil {
@@ -50,11 +52,9 @@ func (l *Lock) Acquire(n *Node) {
 	// after it reads pred.next.
 	n.locked.Store(true)
 	pred.next.Store(n)
-	for spins := 0; n.locked.Load(); spins++ {
-		if spins%64 == 63 {
-			//countnet:allow hotvet -- bounded courtesy yield while the predecessor hands over the MCS lock; pure spinning here starves oversubscribed runs
-			runtime.Gosched()
-		}
+	var s backoff.Spin
+	for n.locked.Load() {
+		s.Poll()
 	}
 }
 
@@ -78,14 +78,9 @@ func (l *Lock) Release(n *Node) {
 			return
 		}
 		// A successor is linking itself in; wait for the pointer.
-		for spins := 0; ; spins++ {
-			if next = n.next.Load(); next != nil {
-				break
-			}
-			if spins%64 == 63 {
-				//countnet:allow hotvet -- bounded courtesy yield while the successor finishes linking itself into the queue
-				runtime.Gosched()
-			}
+		var s backoff.Spin
+		for next = n.next.Load(); next == nil; next = n.next.Load() {
+			s.Poll()
 		}
 	}
 	n.next.Store(nil)

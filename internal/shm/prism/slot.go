@@ -49,11 +49,6 @@ const (
 	parked
 )
 
-// pollsPerYield is how many polls of its done word a waiting camper
-// makes between two backoff rounds. Each poll also reads the clock, so
-// the camper leaves within a poll of its deadline.
-const pollsPerYield = 32
-
 // Camp installs o in an empty slot; it reports false when the slot is
 // taken.
 func (s *Slot[T]) Camp(o *Offer[T]) bool { return s.p.CompareAndSwap(nil, o) }
@@ -80,18 +75,18 @@ func (o *Offer[T]) Deliver() {
 
 // Wait is the camper's side of the exchange, the one wait every
 // exchanger in the runtime shares. It polls o's done word back to back
-// against deadline, where it withdraws o, and every pollsPerYield polls
-// it escalates through backoff.Backoff, so a waiter on an oversubscribed
-// machine hands the processor to the token it waits for. An offer that
-// has left its slot is claimed and its delivery is certain, so a
-// camper that finds o claimed at a backoff round, or loses its
-// withdraw, parks until Deliver wakes it instead of polling for as long
-// as the claimer takes (a funnel representative walks the whole network
-// first). Wait reports whether o was delivered, and leaves o ready to
-// camp again.
+// on the backoff.Spin ladder, against deadline, where it withdraws o;
+// each poll reads the clock, so the camper leaves within a poll of its
+// deadline, and the ladder's yields hand the processor to the token it
+// waits for on an oversubscribed machine. An offer that has left its
+// slot is claimed and its delivery is certain, so a camper that finds o
+// claimed at a yield round, or loses its withdraw, parks until Deliver
+// wakes it instead of polling for as long as the claimer takes (a
+// funnel representative walks the whole network first). Wait reports
+// whether o was delivered, and leaves o ready to camp again.
 func (s *Slot[T]) Wait(o *Offer[T], deadline time.Time) bool {
-	var bo backoff.Backoff
-	for polls := 1; o.done.Load() != delivered; polls++ {
+	var spin backoff.Spin
+	for o.done.Load() != delivered {
 		if time.Now().After(deadline) {
 			if s.Withdraw(o) {
 				return false
@@ -99,12 +94,9 @@ func (s *Slot[T]) Wait(o *Offer[T], deadline time.Time) bool {
 			o.park()
 			break
 		}
-		if polls%pollsPerYield == 0 {
-			if s.p.Load() != o {
-				o.park()
-				break
-			}
-			bo.Yield()
+		if spin.Poll() && s.p.Load() != o {
+			o.park()
+			break
 		}
 	}
 	o.done.Store(waiting)

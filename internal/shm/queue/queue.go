@@ -4,6 +4,13 @@
 // MPMC queue whose enqueue and dequeue tickets are drawn from two counting
 // networks, eliminating the head/tail hot spots of a conventional ring.
 //
+// Every ring cell is an shm.Turn, the Herlihy-Shavit-Waarts wait that
+// also serializes the linearizable filter: the enqueuer of generation g
+// takes the cell's turn 2g and its dequeuer turn 2g+1. A blocked
+// operation (a dequeue on an empty cell, an enqueue on a full one) polls
+// and yields on the turn's ladder, then parks until the operation
+// before it on the cell passes the turn.
+//
 // The queue inherits the counting networks' ordering: it is quiescently
 // consistent (every item is delivered exactly once, and in quiescent states
 // the order is FIFO) but not linearizable — under timing anomalies two
@@ -14,8 +21,6 @@ package queue
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"countnet/internal/shm"
 	"countnet/internal/topo"
@@ -30,11 +35,14 @@ type Queue[T any] struct {
 	cap   int64
 }
 
-// cell is one ring slot. turn advances 2 per generation: 2g means "empty,
-// awaiting enqueue ticket of generation g"; 2g+1 means "full, awaiting
-// dequeue ticket of generation g".
+// cell is one ring slot. Its turn advances 2 per generation: 2g means
+// "empty, awaiting the enqueue ticket of generation g"; 2g+1 means "full,
+// awaiting the dequeue ticket of generation g". The padding makes the
+// cell of a word-sized T exactly two cache lines, so in a line-aligned
+// ring the value written under a turn never shares a line with a
+// turn's polled words.
 type cell[T any] struct {
-	turn atomic.Int64
+	turn shm.Turn
 	val  T
 	_    [40]byte
 }
@@ -68,14 +76,10 @@ func New[T any](g *topo.Graph, capacity int, opts shm.Options) (*Queue[T], error
 func (q *Queue[T]) Enqueue(v T) {
 	t := q.enq.Traverse(q.enq.Home())
 	c := &q.cells[t%q.cap]
-	gen := t / q.cap
-	for spins := 0; c.turn.Load() != 2*gen; spins++ {
-		if spins%64 == 63 {
-			runtime.Gosched()
-		}
-	}
+	turn := 2 * (t / q.cap)
+	c.turn.Wait(turn)
 	c.val = v
-	c.turn.Store(2*gen + 1)
+	c.turn.Pass(turn)
 }
 
 // Dequeue removes and returns the oldest item, blocking while the queue is
@@ -83,16 +87,12 @@ func (q *Queue[T]) Enqueue(v T) {
 func (q *Queue[T]) Dequeue() T {
 	t := q.deq.Traverse(q.deq.Home())
 	c := &q.cells[t%q.cap]
-	gen := t / q.cap
-	for spins := 0; c.turn.Load() != 2*gen+1; spins++ {
-		if spins%64 == 63 {
-			runtime.Gosched()
-		}
-	}
+	turn := 2*(t/q.cap) + 1
+	c.turn.Wait(turn)
 	v := c.val
 	var zero T
 	c.val = zero
-	c.turn.Store(2 * (gen + 1))
+	c.turn.Pass(turn)
 	return v
 }
 

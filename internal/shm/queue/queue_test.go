@@ -1,6 +1,9 @@
 package queue
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -148,6 +151,108 @@ func TestBlockingEmptyAndFull(t *testing.T) {
 	}
 	if v := q.Dequeue(); v != 3 {
 		t.Fatalf("Dequeue = %d, want 3", v)
+	}
+}
+
+// parkedInTurn reports whether some goroutine is blocked in the turn
+// wait's park, read from a dump of every goroutine's stack.
+func parkedInTurn() bool {
+	buf := make([]byte, 1<<20)
+	return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*Turn).park")
+}
+
+// TestDequeueParksOnEmpty checks that a Dequeue on an empty queue stops
+// polling: once the cell's turn budget is spent it parks in the turn
+// wait, and the Enqueue that fills the cell passes the turn to it and
+// wakes it.
+func TestDequeueParksOnEmpty(t *testing.T) {
+	q := build(t, 2)
+	done := make(chan int, 1)
+	go func() { done <- q.Dequeue() }()
+	deadline := time.Now().Add(10 * time.Second)
+	for !parkedInTurn() {
+		if time.Now().After(deadline) {
+			t.Fatal("a Dequeue on an empty queue never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case v := <-done:
+		t.Fatalf("Dequeue returned %d from an empty queue", v)
+	default:
+	}
+	q.Enqueue(7)
+	select {
+	case v := <-done:
+		if v != 7 {
+			t.Fatalf("Dequeue = %d, want 7", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the parked Dequeue was not woken by the Enqueue")
+	}
+}
+
+// TestQueueOversubscribed runs many more producers and consumers than
+// the queue has cells, on one and on two processors. The consumers
+// start first, so they block on empty cells, exhaust their yield
+// budget and park before the first item arrives. Every item must be
+// dequeued exactly once, and the run must finish within a wall-clock
+// deadline: a lost wake-up would hang it.
+func TestQueueOversubscribed(t *testing.T) {
+	const producers, consumers, perProducer = 32, 32, 200
+	const total = producers * perProducer
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			q := build(t, 3)
+			got := make([][]int, consumers)
+			done := make(chan struct{})
+			go func() {
+				var wg sync.WaitGroup
+				for c := 0; c < consumers; c++ {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						for i := 0; i < total/consumers; i++ {
+							got[c] = append(got[c], q.Dequeue())
+						}
+					}(c)
+				}
+				// The consumers find every cell empty and park; the
+				// producers' passes must wake them.
+				time.Sleep(5 * time.Millisecond)
+				for p := 0; p < producers; p++ {
+					wg.Add(1)
+					go func(p int) {
+						defer wg.Done()
+						for i := 0; i < perProducer; i++ {
+							q.Enqueue(p*perProducer + i)
+						}
+					}(p)
+				}
+				wg.Wait()
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(60 * time.Second):
+				t.Fatalf("%d items through %d producers and %d consumers did not finish: queue wait stalled", total, producers, consumers)
+			}
+			seen := make([]bool, total)
+			for _, vals := range got {
+				for _, v := range vals {
+					if v < 0 || v >= total || seen[v] {
+						t.Fatalf("item %d duplicated or out of range [0,%d)", v, total)
+					}
+					seen[v] = true
+				}
+			}
+			for v, ok := range seen {
+				if !ok {
+					t.Fatalf("item %d lost", v)
+				}
+			}
+		})
 	}
 }
 

@@ -34,8 +34,6 @@ type Stack[T any] struct {
 	slots  []prism.Slot[offer[T]]
 	window time.Duration
 
-	pushes     atomic.Int64
-	pops       atomic.Int64
 	eliminated atomic.Int64
 }
 
@@ -55,7 +53,6 @@ func New[T any](width int, window time.Duration) *Stack[T] {
 
 // Push adds v to the stack.
 func (s *Stack[T]) Push(v T) {
-	s.pushes.Add(1)
 	n := &node[T]{v: v}
 	for {
 		// Cheap peek: complete a camped pop without touching the top.
@@ -76,7 +73,6 @@ func (s *Stack[T]) Push(v T) {
 // Pop removes and returns the most recently pushed value; ok is false when
 // the stack is empty and no concurrent push eliminated with us.
 func (s *Stack[T]) Pop() (v T, ok bool) {
-	s.pops.Add(1)
 	for {
 		// Cheap peek: complete against a camped push without touching the
 		// top.

@@ -1,7 +1,8 @@
 // Package stats provides the small set of descriptive statistics the
 // benchmark harness reports: mean, standard deviation, min/max,
-// percentiles, and fixed-width histograms over int64 samples (cycles or
-// nanoseconds).
+// percentiles over int64 samples (cycles or nanoseconds), and the
+// log-linear bucket layout of the online latency histograms in
+// internal/obs.
 //
 //countnet:deterministic
 package stats
@@ -11,7 +12,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"strings"
 )
 
 // Summary describes a sample set.
@@ -84,87 +84,6 @@ func (s Summary) String() string {
 	}
 	return fmt.Sprintf("n=%d min=%d mean=%.1f p50=%d p90=%d p99=%d max=%d sd=%.1f",
 		s.N, s.Min, s.Mean, s.P50, s.P90, s.P99, s.Max, s.Stddev)
-}
-
-// Histogram tallies samples into width-sized buckets starting at 0;
-// samples beyond the last bucket land in it.
-type Histogram struct {
-	Width   int64
-	Buckets []int64
-}
-
-// NewHistogram returns a histogram with n buckets of the given width.
-func NewHistogram(width int64, n int) *Histogram {
-	if width < 1 {
-		width = 1
-	}
-	if n < 1 {
-		n = 1
-	}
-	return &Histogram{Width: width, Buckets: make([]int64, n)}
-}
-
-// Add tallies one sample; negative samples land in bucket 0.
-func (h *Histogram) Add(v int64) {
-	i := int(v / h.Width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Buckets) {
-		i = len(h.Buckets) - 1
-	}
-	h.Buckets[i]++
-}
-
-// Merge adds other's tallies into h. The histograms must have identical
-// bucket layouts (same width, same bucket count); merging a nil or empty
-// histogram is a no-op.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil || other.Total() == 0 {
-		return nil
-	}
-	if other.Width != h.Width || len(other.Buckets) != len(h.Buckets) {
-		return fmt.Errorf("stats: merge of mismatched histograms (width %d/%d, buckets %d/%d)",
-			h.Width, other.Width, len(h.Buckets), len(other.Buckets))
-	}
-	for i, b := range other.Buckets {
-		h.Buckets[i] += b
-	}
-	return nil
-}
-
-// Total returns the number of samples tallied.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
-}
-
-// String renders an ASCII bar chart, one row per non-empty bucket.
-func (h *Histogram) String() string {
-	total := h.Total()
-	if total == 0 {
-		return "(empty)"
-	}
-	var max int64
-	for _, b := range h.Buckets {
-		if b > max {
-			max = b
-		}
-	}
-	var sb strings.Builder
-	for i, b := range h.Buckets {
-		if b == 0 {
-			continue
-		}
-		bar := int(40 * b / max)
-		fmt.Fprintf(&sb, "%10d..%-10d %6.2f%% %s\n",
-			int64(i)*h.Width, int64(i+1)*h.Width,
-			100*float64(b)/float64(total), strings.Repeat("#", bar))
-	}
-	return sb.String()
 }
 
 // Log-linear (HDR-style) bucket layout shared with the online latency

@@ -79,33 +79,6 @@ func TestSummaryInvariantsQuick(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 4)
-	for _, v := range []int64{0, 5, 9, 10, 25, 39, 1000, -3} {
-		h.Add(v)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// buckets: [0,10): 0,5,9,-3 -> 4; [10,20): 10 -> 1; [20,30): 25 -> 1;
-	// [30,..]: 39, 1000 -> 2.
-	want := []int64{4, 1, 1, 2}
-	for i, b := range h.Buckets {
-		if b != want[i] {
-			t.Errorf("bucket %d = %d, want %d", i, b, want[i])
-		}
-	}
-	if !strings.Contains(h.String(), "%") {
-		t.Errorf("String = %q", h.String())
-	}
-	if NewHistogram(0, 0).Width != 1 {
-		t.Error("degenerate histogram not clamped")
-	}
-	if (&Histogram{Width: 1, Buckets: make([]int64, 1)}).String() != "(empty)" {
-		t.Error("empty histogram rendering")
-	}
-}
-
 func TestPercentileEdgeCases(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -126,42 +99,6 @@ func TestPercentileEdgeCases(t *testing.T) {
 		if got := Percentile(tc.sorted, tc.p); got != tc.want {
 			t.Errorf("%s: Percentile(%v, %v) = %d, want %d", tc.name, tc.sorted, tc.p, got, tc.want)
 		}
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(10, 5)
-	b := NewHistogram(10, 5)
-	a.Add(5)
-	a.Add(15)
-	b.Add(15)
-	b.Add(49)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != 4 || a.Buckets[1] != 2 || a.Buckets[4] != 1 {
-		t.Fatalf("merged buckets %v (total %d)", a.Buckets, a.Total())
-	}
-	// Merging nil or an empty histogram is a no-op.
-	if err := a.Merge(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Merge(NewHistogram(99, 2)); err != nil {
-		t.Fatal("empty mismatched histogram should be a no-op merge")
-	}
-	if a.Total() != 4 {
-		t.Fatalf("no-op merges changed total to %d", a.Total())
-	}
-	// A non-empty layout mismatch is an error.
-	c := NewHistogram(20, 5)
-	c.Add(1)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("Merge accepted mismatched widths")
-	}
-	d := NewHistogram(10, 9)
-	d.Add(1)
-	if err := a.Merge(d); err == nil {
-		t.Fatal("Merge accepted mismatched bucket counts")
 	}
 }
 
