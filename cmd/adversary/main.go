@@ -4,9 +4,14 @@
 // plus the Corollary 3.12 padding fix. For each scenario it prints the
 // timing parameters, the per-token values, and the linearizability report.
 //
-//	adversary -scenario section1|tree|bitonic|waves|padding|all [-width w]
+//	adversary -scenario section1|tree|bitonic|waves|padding|all [-width w] [-trace t.jsonl]
+//	adversary -replay schedule.jsonl [-trace t.jsonl]
 //	adversary -faults chaos-plan.jsonl
 //	adversary -fault-seed 7 -width 4 -net bitonic
+//
+// Every -trace is written through the shared obs exporter: a .jsonl name
+// gives JSON Lines with a meta header (which tracetool -in reads), any
+// other name Chrome trace_event (which Perfetto opens).
 //
 // With -faults the command replays a serialized chaos plan (a
 // faults.WritePlan JSONL file, e.g. a shrunken reproducer from the
@@ -45,7 +50,7 @@ func run(args []string, w io.Writer) error {
 	var (
 		name    = fs.String("scenario", "all", "section1, tree, bitonic, waves, padding, or all")
 		width   = fs.Int("width", 8, "network width for the Section 4 scenarios")
-		trace   = fs.String("trace", "", "write the execution trace (JSONL) to this file (single scenarios only)")
+		trace   = fs.String("trace", "", "write the execution trace to this file: JSONL for a .jsonl name, Chrome trace_event otherwise (single scenarios only)")
 		sweep   = fs.Bool("sweep", false, "run the Lemma 3.7 start-separation sweep instead of a scenario")
 		search  = fs.Bool("search", false, "synthesize an adversarial schedule by hill climbing instead of replaying a scripted one")
 		ratio   = fs.Int64("ratio", 5, "c2/c1 ratio budget for -search")
@@ -94,6 +99,7 @@ func runOne(w io.Writer, name string, width int, tracePath string) error {
 	}
 	var (
 		sc  *schedule.Scenario
+		net string // workload.NetKind of the scenario's network, if it is one
 		err error
 	)
 	switch name {
@@ -101,10 +107,13 @@ func runOne(w io.Writer, name string, width int, tracePath string) error {
 		sc, err = schedule.Section1()
 	case "tree":
 		sc, err = schedule.Tree(width)
+		net = string(workload.DTree)
 	case "bitonic":
 		sc, err = schedule.Bitonic(width)
+		net = string(workload.Bitonic)
 	case "waves":
 		sc, err = schedule.Waves(width)
+		net = string(workload.Bitonic)
 	default:
 		return fmt.Errorf("unknown scenario %q", name)
 	}
@@ -116,18 +125,9 @@ func runOne(w io.Writer, name string, width int, tracePath string) error {
 		return err
 	}
 	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
+		if err := writeScheduleTrace(w, tracePath, net, sc.Graph.OutWidth(), res); err != nil {
 			return err
 		}
-		if err := schedule.WriteTrace(f, sc.Graph, res); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "trace written to %s (%d events)\n", tracePath, len(res.Events))
 	}
 	rep := res.Report()
 	fmt.Fprintf(w, "== %s ==\n%s\n", sc.Name, sc.Claim)
@@ -135,16 +135,36 @@ func runOne(w io.Writer, name string, width int, tracePath string) error {
 	fmt.Fprintf(w, "timing:  c1=%d c2=%d (ratio %.2f, linearizable bound is 2)\n",
 		sc.C1, sc.C2, float64(sc.C2)/float64(sc.C1))
 	fmt.Fprintf(w, "result:  %s\n", rep)
-	if len(res.Values) <= 12 {
-		for k, v := range res.Values {
-			fmt.Fprintf(w, "  token %2d: [%6d, %6d] -> %d\n", k, res.Ops[k].Start, res.Ops[k].End, v)
-		}
-	} else {
-		for _, viol := range topViolations(res) {
-			fmt.Fprintf(w, "  violated op: [%d, %d] -> %d (preceded by value %d)\n",
-				viol.start, viol.end, viol.value, viol.prev)
-		}
+	if len(res.Ops) <= 12 {
+		printTokens(w, res)
+		return nil
 	}
+	viols := lincheck.Violations(res.Ops)
+	if len(viols) > 5 {
+		viols = viols[:5]
+	}
+	for _, v := range viols {
+		fmt.Fprintf(w, "  violated op: [%d, %d] -> %d (preceded by value %d)\n",
+			v.Op.Start, v.Op.End, v.Op.Value, v.PrecedingMax)
+	}
+	return nil
+}
+
+// printTokens lists every token's operation interval and value.
+func printTokens(w io.Writer, res *schedule.Result) {
+	for k, op := range res.Ops {
+		fmt.Fprintf(w, "  token %2d: [%6d, %6d] -> %d\n", k, op.Start, op.End, op.Value)
+	}
+}
+
+// writeScheduleTrace exports a traced timed-executor run through obs, in
+// the format the path's extension picks.
+func writeScheduleTrace(w io.Writer, path, net string, width int, res *schedule.Result) error {
+	meta := obs.Meta{Engine: "schedule", Unit: "cycles", Net: net, Width: width}
+	if err := obs.WriteFile(path, meta, res.Events); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "trace written to %s (%d events)\n", path, len(res.Events))
 	return nil
 }
 
@@ -176,27 +196,16 @@ func replaySchedule(w io.Writer, path, tracePath string) error {
 		return err
 	}
 	if tracePath != "" {
-		tf, err := os.Create(tracePath)
-		if err != nil {
+		if err := writeScheduleTrace(w, tracePath, sched.Net, sched.Width, res); err != nil {
 			return err
 		}
-		if err := schedule.WriteTrace(tf, g, res); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "trace written to %s (%d events)\n", tracePath, len(res.Events))
 	}
 	fmt.Fprintf(w, "== replay %s ==\n", path)
 	fmt.Fprintf(w, "network: %s\n", topo.Summary(g))
 	fmt.Fprintf(w, "timing:  c1=%d c2=%d (ratio %.2f, linearizable bound is 2)\n",
 		sched.C1, sched.C2, float64(sched.C2)/float64(sched.C1))
 	fmt.Fprintf(w, "result:  %s\n", res.Report())
-	for k, v := range res.Values {
-		fmt.Fprintf(w, "  token %2d: [%6d, %6d] -> %d\n", k, res.Ops[k].Start, res.Ops[k].End, v)
-	}
+	printTokens(w, res)
 	if wit, ok := lincheck.FirstWitness(res.Ops); ok {
 		fmt.Fprintf(w, "witness: %s\n", wit)
 	}
@@ -264,30 +273,21 @@ func runFaultPlan(w io.Writer, plan *faults.Plan, tracePath string) error {
 	fmt.Fprintf(w, "network: %s\n", topo.Summary(g))
 	fmt.Fprintf(w, "plan:    %v\n", plan)
 	fmt.Fprintf(w, "workload: %d procs, %d ops\n", spec.Procs, spec.Ops)
-	var ring *obs.Ring
+	var (
+		ring *obs.Ring
+		tr   obs.Tracer // nil when untraced, never a nil *Ring
+	)
 	if tracePath != "" {
 		ring = obs.NewRing(spec.Procs, 1<<16)
+		tr = ring
 	}
-	var exec *conformance.Execution
-	if ring != nil {
-		exec, err = conformance.RunMsgnetPlanTraced(spec, plan, ring, nil)
-	} else {
-		exec, err = conformance.RunMsgnetPlan(spec, plan)
-	}
+	exec, err := conformance.RunMsgnetPlan(spec, plan, tr, nil)
 	if err != nil {
 		return err
 	}
 	if ring != nil {
 		meta := obs.Meta{Engine: "msgnet-faults", Unit: "ns", Net: plan.Net, Width: plan.Width}
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := obs.ExportFile(f, tracePath, meta, ring.Events()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := obs.WriteFile(tracePath, meta, ring.Events()); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "trace written to %s (%d events, %d overwritten; analyze with: tracetool -in %s)\n",
@@ -303,28 +303,6 @@ func runFaultPlan(w io.Writer, plan *faults.Plan, tracePath string) error {
 	fmt.Fprintf(w, "result:  quiescent invariants hold (gapless permutation, exact step tallies)\n")
 	fmt.Fprintf(w, "lincheck: %s\n", lincheck.Analyze(exec.Ops))
 	return nil
-}
-
-type violRow struct{ start, end, value, prev int64 }
-
-// topViolations lists up to five violated operations.
-func topViolations(res *schedule.Result) []violRow {
-	var out []violRow
-	for k, op := range res.Ops {
-		var prevMax int64 = -1
-		for j, other := range res.Ops {
-			if j != k && other.End < op.Start && other.Value > prevMax {
-				prevMax = other.Value
-			}
-		}
-		if prevMax > op.Value {
-			out = append(out, violRow{op.Start, op.End, op.Value, prevMax})
-			if len(out) == 5 {
-				break
-			}
-		}
-	}
-	return out
 }
 
 // searchAdversary synthesizes a violating schedule for the counting tree
@@ -359,7 +337,7 @@ func searchAdversary(w io.Writer, width int, ratio int64) error {
 	fmt.Fprintf(w, "replayed: %s\n", replay.Report())
 	for k, a := range res.Arrivals {
 		fmt.Fprintf(w, "  token %2d: enter t=%-6d delays %v -> value %d [%d,%d]\n",
-			k, a.Time, res.LinkDelays[k], replay.Values[k], replay.Ops[k].Start, replay.Ops[k].End)
+			k, a.Time, res.LinkDelays[k], replay.Ops[k].Value, replay.Ops[k].Start, replay.Ops[k].End)
 	}
 	return nil
 }

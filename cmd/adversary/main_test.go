@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"countnet/internal/faults"
+	"countnet/internal/obs"
 	"countnet/internal/schedule"
 )
 
@@ -47,6 +48,33 @@ func TestRunRejectsUnknownScenario(t *testing.T) {
 	}
 }
 
+// readTrace reads a -trace export back through obs.ReadJSONL and checks
+// that it came from the timed executor and that every token's events form
+// one causal chain: each event's Parent is the token's previous span.
+func readTrace(t *testing.T, path string) (obs.Meta, []obs.Event) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	meta, events, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Engine != "schedule" || meta.Unit != "cycles" {
+		t.Errorf("meta = %+v, want engine schedule in cycles", meta)
+	}
+	last := make(map[int32]uint64)
+	for i, ev := range events {
+		if ev.Span != uint64(i+1) || ev.Parent != last[ev.Tok] {
+			t.Errorf("event %d: span %d parent %d, want %d and %d", i, ev.Span, ev.Parent, i+1, last[ev.Tok])
+		}
+		last[ev.Tok] = ev.Span
+	}
+	return meta, events
+}
+
 func TestRunTraceExport(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.jsonl")
@@ -54,14 +82,9 @@ func TestRunTraceExport(t *testing.T) {
 	if err := run([]string{"-scenario", "tree", "-width", "4", "-trace", path}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	events, err := schedule.ReadTrace(f)
-	if err != nil {
-		t.Fatal(err)
+	meta, events := readTrace(t, path)
+	if meta.Net != "dtree" || meta.Width != 4 {
+		t.Errorf("meta = %+v, want dtree width 4", meta)
 	}
 	// 5 tokens (w=4 scenario: T0, T1, 3 wave) each transit depth+1 = 3 nodes.
 	if len(events) != 5*3 {
@@ -113,8 +136,10 @@ func TestRunSearchBelowBoundFindsNothing(t *testing.T) {
 	}
 }
 
-func TestRunReplay(t *testing.T) {
-	dir := t.TempDir()
+// writeViolatingSchedule serializes a 3-token bitonic[2] schedule whose
+// third token is non-linearizable and returns its path.
+func writeViolatingSchedule(t *testing.T, dir string) string {
+	t.Helper()
 	path := filepath.Join(dir, "sched.jsonl")
 	sched := &schedule.Concrete{
 		Net: "bitonic", Width: 2, C1: 100, C2: 1000,
@@ -134,6 +159,11 @@ func TestRunReplay(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+func TestRunReplay(t *testing.T) {
+	path := writeViolatingSchedule(t, t.TempDir())
 	var sb strings.Builder
 	if err := run([]string{"-replay", path}, &sb); err != nil {
 		t.Fatal(err)
@@ -144,14 +174,34 @@ func TestRunReplay(t *testing.T) {
 			t.Errorf("replay output missing %q:\n%s", want, out)
 		}
 	}
-	// Replay with trace export.
+}
+
+// TestRunReplayTraceExport: -replay -trace writes the obs format, named
+// after the schedule's network, with one event per transition (3 tokens,
+// each through one balancer and a counter).
+func TestRunReplayTraceExport(t *testing.T) {
+	dir := t.TempDir()
+	path := writeViolatingSchedule(t, dir)
 	trace := filepath.Join(dir, "trace.jsonl")
-	sb.Reset()
+	var sb strings.Builder
 	if err := run([]string{"-replay", path, "-trace", trace}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(trace); err != nil {
-		t.Fatalf("trace not written: %v", err)
+	meta, events := readTrace(t, trace)
+	if meta.Net != "bitonic" || meta.Width != 2 {
+		t.Errorf("meta = %+v, want bitonic width 2", meta)
+	}
+	if len(events) != 3*2 {
+		t.Fatalf("trace has %d events, want 6", len(events))
+	}
+	var counters int
+	for _, ev := range events {
+		if ev.Kind == obs.KindCounter {
+			counters++
+		}
+	}
+	if counters != 3 {
+		t.Errorf("trace has %d counter events, want 3", counters)
 	}
 }
 

@@ -298,7 +298,7 @@ func writeOutputs(w io.Writer, ring *obs.Ring, tracePath string, meta obs.Meta, 
 		if dropped := ring.Overwritten(); dropped > 0 {
 			fmt.Fprintf(w, "trace ring overwrote %d events (oldest dropped)\n", dropped)
 		}
-		if err := exportTrace(tracePath, meta, ring.Events()); err != nil {
+		if err := obs.WriteFile(tracePath, meta, ring.Events()); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "trace written to %s\n", tracePath)
@@ -320,19 +320,6 @@ func writeOutputs(w io.Writer, ring *obs.Ring, tracePath string, meta obs.Meta, 
 	}
 	fmt.Fprintf(w, "metrics written to %s\n", metricsPath)
 	return nil
-}
-
-// exportTrace writes events to path in the format implied by its extension.
-func exportTrace(path string, meta obs.Meta, events []obs.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.ExportFile(f, path, meta, events); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // realGrid runs the wall-clock analogue of the paper's benchmark grid and

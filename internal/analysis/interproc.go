@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -141,13 +142,23 @@ func FuncDisplay(fn *types.Func) string {
 	return fn.Name()
 }
 
-// sigKey renders a method signature (receiver excluded) with
-// package-path-qualified type names, so signatures from different
-// importer universes compare equal exactly when the compiler would
-// consider them identical.
+// sigKey renders a method signature (receiver and parameter names
+// excluded) with package-path-qualified type names, so signatures from
+// different importer universes compare equal exactly when the compiler
+// would consider them identical: an implementation may name its
+// parameters differently from its interface.
 func sigKey(sig *types.Signature) string {
-	noRecv := types.NewSignatureType(nil, nil, nil, sig.Params(), sig.Results(), sig.Variadic())
+	noRecv := types.NewSignatureType(nil, nil, nil, unnamed(sig.Params()), unnamed(sig.Results()), sig.Variadic())
 	return types.TypeString(noRecv, func(p *types.Package) string { return p.Path() })
+}
+
+// unnamed copies a parameter or result tuple with the names dropped.
+func unnamed(t *types.Tuple) *types.Tuple {
+	vars := make([]*types.Var, t.Len())
+	for i := range vars {
+		vars[i] = types.NewParam(token.NoPos, nil, "", t.At(i).Type())
+	}
+	return types.NewTuple(vars...)
 }
 
 // Devirtualize resolves an interface-method call to every loaded

@@ -61,6 +61,21 @@ func Run(s stepper) int {
 	return s.step() // devirtualized: walked through both *fast and *slow
 }
 
+// sink's method names its parameter; the blocking implementation names it
+// differently, which must not hide it from devirtualization.
+type sink interface{ put(v int) }
+
+type parker struct{}
+
+func (parker) put(n int) {
+	time.Sleep(time.Duration(n)) // want `hot path Emit: time\.Sleep \(parks the goroutine\) \(depth 1, via \(parker\)\.put\)`
+}
+
+//countnet:hotpath
+func Emit(s sink) {
+	s.put(1) // devirtualized: parameter names are not part of the signature
+}
+
 //countnet:hotpath
 func Flush(w io.Writer) {
 	w.Write(nil) // want `hot path Flush: interface-method call Writer\.Write on an interface declared outside the program`

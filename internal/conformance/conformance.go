@@ -269,10 +269,10 @@ func RunSHM(spec workload.Spec, front workload.FrontKind) (*Execution, error) {
 
 // RunMsgnet executes the spec on the message-passing runtime: spec.Procs
 // goroutines issue spec.Ops traversals in total, each timestamped with the
-// monotonic clock. The shared harness lives in runMsgnet (faults.go),
-// which RunMsgnetFaulty reuses under a derived chaos plan.
+// monotonic clock. The shared harness is RunMsgnetPlan (faults.go), which
+// RunMsgnetFaulty reuses under a derived chaos plan.
 func RunMsgnet(spec workload.Spec) (*Execution, error) {
-	return runMsgnet(spec, nil, "msgnet", nil, nil)
+	return RunMsgnetPlan(spec, nil, nil, nil)
 }
 
 // Runner executes a concrete schedule on a graph. The default is the
@@ -309,7 +309,7 @@ func CheckConcreteWith(run Runner, g *topo.Graph, c *schedule.Concrete) error {
 	if len(res.Events) > 0 {
 		paths := make([][]topo.NodeID, len(c.Tokens))
 		for _, ev := range res.Events {
-			paths[ev.Tok] = append(paths[ev.Tok], ev.Node)
+			paths[ev.Tok] = append(paths[ev.Tok], topo.NodeID(ev.Node))
 		}
 		if err := checkBalancerStep(g, paths); err != nil {
 			return fmt.Errorf("schedule: %w", err)

@@ -48,36 +48,23 @@ func RunMsgnetFaulty(spec workload.Spec) (*Execution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runMsgnet(spec, plan, "msgnet-faults", nil, nil)
+	return RunMsgnetPlan(spec, plan, nil, nil)
 }
 
 // RunMsgnetPlan executes the spec on the message-passing runtime under an
 // explicit fault plan (nil for fault-free), the entry point chaos soaks
-// and CLI plan replays share.
-func RunMsgnetPlan(spec workload.Spec, plan *faults.Plan) (*Execution, error) {
+// and CLI plan replays share. The execution is labeled "msgnet-faults"
+// when the plan injects anything and "msgnet" otherwise. When tr is
+// non-nil every hop is recorded through it with a unique per-operation
+// token identity and a causal span chain; flight, when non-nil, rides
+// along as the auto-tripping black box. spec.Procs workers issue
+// spec.Ops traversals in total on shm.Drive, which every
+// real-goroutine engine shares.
+func RunMsgnetPlan(spec workload.Spec, plan *faults.Plan, tr obs.Tracer, flight *obs.Flight) (*Execution, error) {
 	engine := "msgnet"
 	if plan != nil && plan.Active() {
 		engine = "msgnet-faults"
 	}
-	return runMsgnet(spec, plan, engine, nil, nil)
-}
-
-// RunMsgnetPlanTraced is RunMsgnetPlan with observability: every hop is
-// recorded through tr with a unique per-operation token identity and a
-// causal span chain, and flight (when non-nil) rides along as the
-// auto-tripping black box. Either may be nil.
-func RunMsgnetPlanTraced(spec workload.Spec, plan *faults.Plan, tr obs.Tracer, flight *obs.Flight) (*Execution, error) {
-	engine := "msgnet"
-	if plan != nil && plan.Active() {
-		engine = "msgnet-faults"
-	}
-	return runMsgnet(spec, plan, engine, tr, flight)
-}
-
-// runMsgnet is the shared msgnet run: spec.Procs workers issue spec.Ops
-// traversals in total on shm.Drive, the driver every real-goroutine
-// engine shares.
-func runMsgnet(spec workload.Spec, plan *faults.Plan, engine string, tr obs.Tracer, flight *obs.Flight) (*Execution, error) {
 	g, err := spec.Net.Build(spec.Width)
 	if err != nil {
 		return nil, err
@@ -127,12 +114,12 @@ func (f *ChaosFailure) Error() string {
 // chaosRound runs one plan against one spec and checks the universal
 // invariants plus operation-count completeness.
 func chaosRound(spec workload.Spec, plan *faults.Plan) error {
-	exec, err := runMsgnet(spec, plan, "msgnet-faults", nil, nil)
+	exec, err := RunMsgnetPlan(spec, plan, nil, nil)
 	if err != nil {
 		return err
 	}
 	if len(exec.Ops) != spec.Ops {
-		return fmt.Errorf("msgnet-faults: completed %d of %d operations", len(exec.Ops), spec.Ops)
+		return fmt.Errorf("%s: completed %d of %d operations", exec.Engine, len(exec.Ops), spec.Ops)
 	}
 	return exec.CheckUniversal(spec.Width)
 }

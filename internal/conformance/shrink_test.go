@@ -76,8 +76,8 @@ func swappedValuesRunner(g *topo.Graph, c *schedule.Concrete) (*schedule.Result,
 		return nil, err
 	}
 	i0, i1 := -1, -1
-	for k, v := range res.Values {
-		switch v {
+	for k, op := range res.Ops {
+		switch op.Value {
 		case 0:
 			i0 = k
 		case 1:
@@ -85,7 +85,6 @@ func swappedValuesRunner(g *topo.Graph, c *schedule.Concrete) (*schedule.Result,
 		}
 	}
 	if i0 >= 0 && i1 >= 0 {
-		res.Values[i0], res.Values[i1] = res.Values[i1], res.Values[i0]
 		res.Ops[i0].Value, res.Ops[i1].Value = res.Ops[i1].Value, res.Ops[i0].Value
 	}
 	return res, nil

@@ -3,7 +3,6 @@ package conformance
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"countnet/internal/lincheck"
 	"countnet/internal/obs"
@@ -47,32 +46,13 @@ func TraceWitness(g *topo.Graph, c *schedule.Concrete) (wt *WitnessTrace, ok boo
 	if w.Preceding.End > to {
 		to = w.Preceding.End
 	}
-	// Stamp causal spans while converting: the executor replays
-	// transitions in time order, so a running counter plus each token's
-	// previous span reconstructs the per-token chains the engines record
-	// natively.
-	events := make([]obs.Event, 0, len(res.Events))
-	var seq uint64
-	last := make(map[int32]uint64)
-	for _, ev := range res.Events {
-		kind, val := obs.KindBalancer, int64(-1)
-		if g.KindOf(ev.Node) == topo.KindCounter {
-			kind, val = obs.KindCounter, ev.Value
-		}
-		tok := int32(ev.Tok)
-		seq++
-		events = append(events, obs.Event{T: ev.Time, Kind: kind,
-			P: tok, Tok: tok, Node: int32(ev.Node), Value: val,
-			Span: seq, Parent: last[tok]})
-		last[tok] = seq
-	}
 	return &WitnessTrace{
 		Witness: w,
 		From:    from,
 		To:      to,
-		Events:  obs.Window(events, from, to),
+		Events:  obs.Window(res.Events, from, to),
 		Meta:    obs.Meta{Engine: "schedule", Unit: "cycles", Net: c.Net, Width: c.Width},
-		all:     events,
+		all:     res.Events,
 	}, true, nil
 }
 
@@ -101,13 +81,5 @@ func (wt *WitnessTrace) WriteChrome(w io.Writer) error {
 // WriteFile writes the slice to path, picking JSONL or Chrome format from
 // the extension as obs.ExportFile does.
 func (wt *WitnessTrace) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.ExportFile(f, path, wt.Meta, wt.Events); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return obs.WriteFile(path, wt.Meta, wt.Events)
 }

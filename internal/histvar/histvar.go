@@ -46,8 +46,8 @@ func New(g *topo.Graph, numTokens int) *Tracker {
 }
 
 // OnEvent merges knowledge for the transition event <tok, node>. Feed it
-// every event of the execution, in execution order (e.g. from
-// schedule.Options.Observer).
+// every event of the execution, in execution order (e.g. the Events of a
+// schedule.Run made with Options.Trace).
 func (t *Tracker) OnEvent(tok int, node topo.NodeID) {
 	ht := t.tokens[tok]
 	hd := t.nodes[node]

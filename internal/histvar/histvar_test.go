@@ -25,32 +25,29 @@ func runTracked(t *testing.T, g *topo.Graph, n int, c1, c2 int64, seed int64) {
 		}
 		entry[k] = arr[k].Time
 	}
-	tr := histvar.New(g, n)
-	var lemmaErr error
-	obs := func(ev schedule.Event) {
-		tr.OnEvent(ev.Tok, ev.Node)
-		if lemmaErr != nil {
-			return
-		}
-		if err := tr.CheckLemma32(ev.Node, ev.Time, c1, entry); err != nil {
-			lemmaErr = err
-			return
-		}
-		if g.KindOf(ev.Node) == topo.KindCounter {
-			if err := tr.CheckLemma31(ev.Tok, ev.Node); err != nil {
-				lemmaErr = err
-				return
-			}
-			if err := tr.CheckLemma33(ev.Node, ev.Time, c1, entry); err != nil {
-				lemmaErr = err
-			}
-		}
-	}
-	if _, err := schedule.Run(g, arr, schedule.UniformRandom(c1, c2, seed), schedule.Options{Observer: obs}); err != nil {
+	res, err := schedule.Run(g, arr, schedule.UniformRandom(c1, c2, seed), schedule.Options{Trace: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if lemmaErr != nil {
-		t.Error(lemmaErr)
+	tr := histvar.New(g, n)
+	for _, ev := range res.Events {
+		tok, node := int(ev.Tok), topo.NodeID(ev.Node)
+		tr.OnEvent(tok, node)
+		if err := tr.CheckLemma32(node, ev.T, c1, entry); err != nil {
+			t.Error(err)
+			return
+		}
+		if g.KindOf(node) != topo.KindCounter {
+			continue
+		}
+		if err := tr.CheckLemma31(tok, node); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := tr.CheckLemma33(node, ev.T, c1, entry); err != nil {
+			t.Error(err)
+			return
+		}
 	}
 }
 

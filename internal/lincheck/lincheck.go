@@ -71,15 +71,31 @@ func opLess(a, b Op) bool {
 	return a.Value < b.Value
 }
 
-// Analyze computes the Report for an execution in O(n log n) time: sweep
-// operations in start-time order while maintaining the maximum value among
-// operations that ended strictly before the sweep point.
-//
-// The input slice is not modified.
+// Analyze computes the Report for an execution in O(n log n) time with
+// one watermark sweep (see sweep). The input slice is not modified.
 func Analyze(ops []Op) Report {
 	r := Report{Total: len(ops), FirstViolation: -1}
+	sweep(ops, func(i int, op Op, maxEnded int64) {
+		r.NonLinearizable++
+		if inv := maxEnded - op.Value; inv > r.MaxInversion {
+			r.MaxInversion = inv
+		}
+		if r.FirstViolation == -1 {
+			r.FirstViolation = i
+		}
+	})
+	return r
+}
+
+// sweep visits every violated operation in canonical start order
+// (opLess): it walks the operations by start time while maintaining the
+// watermark, the maximum value among operations that ended strictly
+// before the sweep point, and calls visit with the operation's index in
+// that order and the watermark whenever the watermark exceeds the
+// operation's value. The input slice is not modified.
+func sweep(ops []Op, visit func(i int, op Op, maxEnded int64)) {
 	if len(ops) == 0 {
-		return r
+		return
 	}
 	byStart := make([]Op, len(ops))
 	copy(byStart, ops)
@@ -100,16 +116,9 @@ func Analyze(ops []Op) Report {
 			j++
 		}
 		if haveEnded && maxEnded > op.Value {
-			r.NonLinearizable++
-			if inv := maxEnded - op.Value; inv > r.MaxInversion {
-				r.MaxInversion = inv
-			}
-			if r.FirstViolation == -1 {
-				r.FirstViolation = i
-			}
+			visit(i, op, maxEnded)
 		}
 	}
-	return r
 }
 
 // AnalyzeBrute computes the same Report by the O(n^2) definition. It exists
@@ -143,29 +152,10 @@ func AnalyzeBrute(ops []Op) Report {
 // each paired with the highest value returned by an operation that
 // completely preceded it.
 func Violations(ops []Op) []Violation {
-	byStart := make([]Op, len(ops))
-	copy(byStart, ops)
-	sort.Slice(byStart, func(i, j int) bool { return opLess(byStart[i], byStart[j]) })
-	byEnd := make([]Op, len(ops))
-	copy(byEnd, ops)
-	sort.Slice(byEnd, func(i, j int) bool { return byEnd[i].End < byEnd[j].End })
-
 	var out []Violation
-	var maxEnded int64
-	haveEnded := false
-	j := 0
-	for _, op := range byStart {
-		for j < len(byEnd) && byEnd[j].End < op.Start {
-			if !haveEnded || byEnd[j].Value > maxEnded {
-				maxEnded = byEnd[j].Value
-				haveEnded = true
-			}
-			j++
-		}
-		if haveEnded && maxEnded > op.Value {
-			out = append(out, Violation{Op: op, PrecedingMax: maxEnded})
-		}
-	}
+	sweep(ops, func(_ int, op Op, maxEnded int64) {
+		out = append(out, Violation{Op: op, PrecedingMax: maxEnded})
+	})
 	return out
 }
 

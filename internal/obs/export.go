@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -238,4 +239,18 @@ func ExportFile(w io.Writer, name string, meta Meta, events []Event) error {
 		return WriteJSONL(w, meta, events)
 	}
 	return WriteChromeTrace(w, meta, events)
+}
+
+// WriteFile creates the file at path and writes events to it in the
+// format ExportFile picks from the name.
+func WriteFile(path string, meta Meta, events []Event) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := ExportFile(f, path, meta, events); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -147,6 +149,33 @@ func TestExportFilePicksFormat(t *testing.T) {
 	}
 	if _, ok := doc["traceEvents"]; !ok {
 		t.Fatal("chrome trace missing traceEvents")
+	}
+}
+
+// TestWriteFile: the file holds exactly what ExportFile writes for its
+// name, and a path that cannot be created is an error.
+func TestWriteFile(t *testing.T) {
+	meta := Meta{Engine: "schedule", Unit: "cycles"}
+	dir := t.TempDir()
+	for _, name := range []string{"trace.jsonl", "trace.json"} {
+		path := filepath.Join(dir, name)
+		if err := WriteFile(path, meta, sampleEvents()); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := ExportFile(&want, name, meta, sampleEvents()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: file differs from ExportFile output", name)
+		}
+	}
+	if err := WriteFile(filepath.Join(dir, "missing", "t.jsonl"), meta, nil); err == nil {
+		t.Error("WriteFile into a missing directory succeeded")
 	}
 }
 

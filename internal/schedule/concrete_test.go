@@ -63,8 +63,8 @@ func TestConcreteRunMatchesExplicit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Values, explicit.Values) {
-		t.Fatalf("concrete run %v != explicit run %v", res.Values, explicit.Values)
+	if !reflect.DeepEqual(res.Ops, explicit.Ops) {
+		t.Fatalf("concrete run %v != explicit run %v", res.Ops, explicit.Ops)
 	}
 }
 

@@ -17,9 +17,9 @@ func TestSection1Scenario(t *testing.T) {
 	}
 	// T0 returns 2, T1 returns 1, T2 returns 0.
 	want := []int64{2, 1, 0}
-	for k, v := range res.Values {
-		if v != want[k] {
-			t.Errorf("token %d value = %d, want %d", k, v, want[k])
+	for k, op := range res.Ops {
+		if op.Value != want[k] {
+			t.Errorf("token %d value = %d, want %d", k, op.Value, want[k])
 		}
 	}
 	rep := res.Report()
@@ -63,13 +63,13 @@ func TestTheorem41Tree(t *testing.T) {
 		}
 		res := requireWaveViolation(t, sc)
 		// T1 must race to value 1 as the proof requires.
-		if res.Values[1] != 1 {
-			t.Errorf("w=%d: T1 value = %d, want 1", w, res.Values[1])
+		if res.Ops[1].Value != 1 {
+			t.Errorf("w=%d: T1 value = %d, want 1", w, res.Ops[1].Value)
 		}
 		// Some wave token returns 0 after T1's exit.
 		ok := false
-		for k := sc.WaveStart; k < len(res.Values); k++ {
-			if res.Values[k] == 0 && res.Ops[k].Start > res.Ops[1].End {
+		for k := sc.WaveStart; k < len(res.Ops); k++ {
+			if res.Ops[k].Value == 0 && res.Ops[k].Start > res.Ops[1].End {
 				ok = true
 			}
 		}
@@ -86,16 +86,16 @@ func TestTheorem43Bitonic(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := requireWaveViolation(t, sc)
-		if res.Values[0] != 0 {
-			t.Errorf("w=%d: T0 value = %d, want 0", w, res.Values[0])
+		if res.Ops[0].Value != 0 {
+			t.Errorf("w=%d: T0 value = %d, want 0", w, res.Ops[0].Value)
 		}
-		if res.Values[2] != 2 {
-			t.Errorf("w=%d: T2 value = %d, want 2", w, res.Values[2])
+		if res.Ops[2].Value != 2 {
+			t.Errorf("w=%d: T2 value = %d, want 2", w, res.Ops[2].Value)
 		}
 		// T2 completely precedes a wave token that returned less than 2.
 		ok := false
-		for k := sc.WaveStart; k < len(res.Values); k++ {
-			if res.Ops[2].End < res.Ops[k].Start && res.Values[k] < 2 {
+		for k := sc.WaveStart; k < len(res.Ops); k++ {
+			if res.Ops[2].End < res.Ops[k].Start && res.Ops[k].Value < 2 {
 				ok = true
 			}
 		}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"countnet/internal/lincheck"
+	"countnet/internal/obs"
 	"countnet/internal/topo"
 )
 
@@ -86,29 +87,20 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Event records one instantaneous transition of the execution, in the sense
-// of the paper's execution model E = e1, e2, ...: token Tok passed node Node
-// at time Time; Value is the assigned counter value for counter transitions
-// and -1 otherwise.
-type Event struct {
-	Time  int64
-	Tok   int
-	Node  topo.NodeID
-	Value int64
-}
-
 // Result is the outcome of running a timing schedule.
 type Result struct {
 	// Ops holds one lincheck operation per token, indexed by token id:
-	// Start is the arrival time Q(k,1), End the counter transition time.
+	// Start is the arrival time Q(k,1), End the counter transition time
+	// and Value the counter value the token received.
 	Ops []lincheck.Op
-	// Values[k] is the counter value token k received.
-	Values []int64
-	// Exits[k] is the time token k transited its counter.
-	Exits []int64
 	// Events is the full transition trace, in execution order, when
-	// Options.Trace is set.
-	Events []Event
+	// Options.Trace is set: one obs.Event per instantaneous transition of
+	// the paper's execution model E = e1, e2, ... Each is a KindBalancer
+	// (Value -1) or a KindCounter event carrying the assigned value, with
+	// P = Tok = the token id and T the transition time. Span is the
+	// event's 1-based index in the trace and Parent the token's previous
+	// span, so every token's transitions form one causal chain.
+	Events []obs.Event
 }
 
 // Report analyzes the execution's linearizability (Definition 2.4).
@@ -118,9 +110,6 @@ func (r *Result) Report() lincheck.Report { return lincheck.Analyze(r.Ops) }
 type Options struct {
 	// Trace records every transition event in Result.Events.
 	Trace bool
-	// Observer, when non-nil, is invoked on every transition event in
-	// execution order (used by the histvar tracker).
-	Observer func(Event)
 }
 
 // Run executes the timing schedule (arrivals, delays) on network g and
@@ -131,11 +120,7 @@ type Options struct {
 func Run(g *topo.Graph, arrivals []Arrival, delays Delays, opts Options) (*Result, error) {
 	n := len(arrivals)
 	st := topo.NewStepper(g)
-	res := &Result{
-		Ops:    make([]lincheck.Op, n),
-		Values: make([]int64, n),
-		Exits:  make([]int64, n),
-	}
+	res := &Result{Ops: make([]lincheck.Op, n)}
 	var pq eventHeap
 	var seq int64
 	for k, a := range arrivals {
@@ -151,6 +136,10 @@ func Run(g *topo.Graph, arrivals []Arrival, delays Delays, opts Options) (*Resul
 		seq++
 	}
 	hops := make([]int, n) // links traversed so far per token
+	var lastSpan []uint64  // per token: span of its previous transition
+	if opts.Trace {
+		lastSpan = make([]uint64, n)
+	}
 	for pq.Len() > 0 {
 		it := heap.Pop(&pq).(item)
 		node := st.At(it.tok).Node
@@ -158,25 +147,25 @@ func Run(g *topo.Graph, arrivals []Arrival, delays Delays, opts Options) (*Resul
 		if err != nil {
 			return nil, err
 		}
-		if opts.Trace || opts.Observer != nil {
-			v := int64(-1)
-			if done {
-				v, _ = st.Value(it.tok)
-			}
-			ev := Event{Time: it.time, Tok: it.tok, Node: node, Value: v}
-			if opts.Trace {
-				res.Events = append(res.Events, ev)
-			}
-			if opts.Observer != nil {
-				opts.Observer(ev)
-			}
-		}
+		v := int64(-1)
 		if done {
-			v, _ := st.Value(it.tok)
-			res.Values[it.tok] = v
-			res.Exits[it.tok] = it.time
+			v, _ = st.Value(it.tok)
 			res.Ops[it.tok].End = it.time
 			res.Ops[it.tok].Value = v
+		}
+		if opts.Trace {
+			kind := obs.KindBalancer
+			if done {
+				kind = obs.KindCounter
+			}
+			span := uint64(len(res.Events) + 1)
+			tok := int32(it.tok)
+			res.Events = append(res.Events, obs.Event{T: it.time, Kind: kind,
+				P: tok, Tok: tok, Node: int32(node), Value: v,
+				Span: span, Parent: lastSpan[it.tok]})
+			lastSpan[it.tok] = span
+		}
+		if done {
 			continue
 		}
 		hops[it.tok]++

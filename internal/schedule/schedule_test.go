@@ -6,6 +6,8 @@ import (
 
 	"countnet/internal/bitonic"
 	"countnet/internal/dtree"
+	"countnet/internal/lincheck"
+	"countnet/internal/obs"
 	"countnet/internal/periodic"
 	"countnet/internal/topo"
 )
@@ -42,9 +44,9 @@ func TestRunSequentialSpacedTokens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k, v := range res.Values {
-			if v != int64(k) {
-				t.Errorf("%s: token %d got value %d", name, k, v)
+		for k, op := range res.Ops {
+			if op.Value != int64(k) {
+				t.Errorf("%s: token %d got value %d", name, k, op.Value)
 			}
 		}
 		if rep := res.Report(); !rep.Linearizable() {
@@ -62,37 +64,53 @@ func TestRunExitTimesRespectDelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(50 + 3*7); res.Exits[0] != want {
-		t.Errorf("exit at %d, want %d", res.Exits[0], want)
-	}
-	if res.Ops[0].Start != 50 || res.Ops[0].End != res.Exits[0] {
-		t.Errorf("op = %+v", res.Ops[0])
+	if want := (lincheck.Op{Start: 50, End: 50 + 3*7, Value: 0}); res.Ops[0] != want {
+		t.Errorf("op = %+v, want %+v", res.Ops[0], want)
 	}
 }
 
+// TestRunTrace checks the stamping of the transition trace: time order,
+// one balancer event per layer and a final counter event carrying the
+// token's value, P = Tok = the token id, spans numbered by trace index,
+// and each token's events chained through Parent.
 func TestRunTrace(t *testing.T) {
 	g, err := dtree.New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var observed int
 	res, err := Run(g, []Arrival{{Time: 0, Input: 0}, {Time: 3, Input: 0}},
-		Constant(10), Options{Trace: true, Observer: func(Event) { observed++ }})
+		Constant(10), Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Each token transits depth()+1 = 3 nodes (2 balancers + counter).
-	if len(res.Events) != 6 || observed != 6 {
-		t.Fatalf("events = %d, observed = %d, want 6", len(res.Events), observed)
+	if len(res.Events) != 6 {
+		t.Fatalf("events = %d, want 6", len(res.Events))
 	}
-	for i := 1; i < len(res.Events); i++ {
-		if res.Events[i].Time < res.Events[i-1].Time {
+	hops := make(map[int32]int)
+	last := make(map[int32]uint64)
+	for i, ev := range res.Events {
+		if i > 0 && ev.T < res.Events[i-1].T {
 			t.Errorf("events out of order at %d: %+v", i, res.Events)
 		}
-	}
-	last := res.Events[len(res.Events)-1]
-	if last.Value < 0 {
-		t.Errorf("final event should be a counter transition: %+v", last)
+		if ev.P != ev.Tok || ev.Tok < 0 || ev.Tok > 1 {
+			t.Errorf("event %d: P %d, Tok %d", i, ev.P, ev.Tok)
+		}
+		if ev.Span != uint64(i+1) || ev.Parent != last[ev.Tok] {
+			t.Errorf("event %d: span %d parent %d, want %d and %d", i, ev.Span, ev.Parent, i+1, last[ev.Tok])
+		}
+		last[ev.Tok] = ev.Span
+		hops[ev.Tok]++
+		op := res.Ops[ev.Tok]
+		switch {
+		case hops[ev.Tok] < 3:
+			if ev.Kind != obs.KindBalancer || ev.Value != -1 || g.KindOf(topo.NodeID(ev.Node)) == topo.KindCounter {
+				t.Errorf("event %d should be a balancer transition: %+v", i, ev)
+			}
+		case ev.Kind != obs.KindCounter || ev.Value != op.Value || ev.T != op.End ||
+			g.KindOf(topo.NodeID(ev.Node)) != topo.KindCounter:
+			t.Errorf("event %d should be token %d's counter transition (op %+v): %+v", i, ev.Tok, op, ev)
+		}
 	}
 }
 
@@ -203,9 +221,9 @@ func TestLemma37(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 1; k < n; k++ {
-			if res.Values[k] <= res.Values[k-1] {
+			if res.Ops[k].Value <= res.Ops[k-1].Value {
 				t.Fatalf("trial %d: token %d value %d <= token %d value %d despite gap > 2h(c2-c1)",
-					trial, k, res.Values[k], k-1, res.Values[k-1])
+					trial, k, res.Ops[k].Value, k-1, res.Ops[k-1].Value)
 			}
 		}
 	}

@@ -59,7 +59,7 @@ func GapSweep(g *topo.Graph, c1, c2 int64, fracs []float64, tokens, trials int, 
 			}
 			for k := 1; k < tokens; k++ {
 				pt.Pairs++
-				if res.Values[k] <= res.Values[k-1] {
+				if res.Ops[k].Value <= res.Ops[k-1].Value {
 					pt.Inversions++
 				}
 			}

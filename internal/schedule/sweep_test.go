@@ -70,9 +70,9 @@ func TestTheorem36FinishStart(t *testing.T) {
 		}
 		for i := range res.Ops {
 			for j := range res.Ops {
-				if res.Ops[j].Start > res.Ops[i].End+gap && res.Values[j] <= res.Values[i] {
+				if res.Ops[j].Start > res.Ops[i].End+gap && res.Ops[j].Value <= res.Ops[i].Value {
 					t.Fatalf("seed %d: token %d (exit %d, value %d) then token %d (start %d, value %d) despite finish-start gap > %d",
-						seed, i, res.Ops[i].End, res.Values[i], j, res.Ops[j].Start, res.Values[j], gap)
+						seed, i, res.Ops[i].End, res.Ops[i].Value, j, res.Ops[j].Start, res.Ops[j].Value, gap)
 				}
 			}
 		}
