@@ -22,7 +22,7 @@ package countnet
 //	BenchmarkLincheckAlgorithms sweep vs quadratic oracle
 //	BenchmarkScheduleEngine     timed executor event throughput
 //	BenchmarkConstruct          network construction cost
-//	BenchmarkBuildCounter       bitonic[8] counter build: graph vs Compile
+//	BenchmarkBuildCounter       bitonic[8], tree[32] counter build: graph vs Compile
 
 import (
 	"fmt"
@@ -357,44 +357,52 @@ func BenchmarkConstruct(b *testing.B) {
 }
 
 // BenchmarkBuildCounter times the whole build the bench workloads' setup_s
-// times, BitonicTopology(8) then NewCounter, and its two halves: "graph"
-// is the topology alone and "compile" is NewCounter over a prebuilt
-// topology, so the split between graph construction and Compile reads
-// directly.
+// times, a topology then NewCounter, and its two halves, on the bitonic[8]
+// and tree[32] networks the workloads use: "graph" is the topology alone
+// and "compile" is NewCounter over a prebuilt topology, so the split
+// between graph construction and Compile reads directly.
 func BenchmarkBuildCounter(b *testing.B) {
-	b.Run("full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tp, err := BitonicTopology(8)
+	for _, net := range []struct {
+		name  string
+		build func() (Topology, error)
+	}{
+		{"bitonic8", func() (Topology, error) { return BitonicTopology(8) }},
+		{"tree32", func() (Topology, error) { return TreeTopology(32) }},
+	} {
+		b.Run(net.name+"/full", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tp, err := net.build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := NewCounter(tp); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(net.name+"/graph", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := net.build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(net.name+"/compile", func(b *testing.B) {
+			tp, err := net.build()
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := NewCounter(tp); err != nil {
-				b.Fatal(err)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewCounter(tp); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("graph", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := BitonicTopology(8); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("compile", func(b *testing.B) {
-		tp, err := BitonicTopology(8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := NewCounter(tp); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkLinearizableFilter quantifies the price of guaranteed

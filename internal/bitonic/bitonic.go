@@ -25,9 +25,11 @@ func New(w int) (*topo.Graph, error) {
 		return nil, fmt.Errorf("bitonic: width %d is not a power of two >= 2", w)
 	}
 	b := topo.NewBuilder()
-	in := b.Inputs(w)
-	out := network(b, in)
-	b.Terminate(out)
+	nb := w / 2 * Depth(w) // 2-input 2-output balancers
+	b.Reserve(nb+w, 2*nb+w, 2*nb)
+	wires := b.Inputs(w)
+	network(b, wires, make([]topo.Out, w))
+	b.Terminate(wires)
 	g, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("bitonic: width %d: %w", w, err)
@@ -41,51 +43,41 @@ func Depth(w int) int {
 	return lg * (lg + 1) / 2
 }
 
-// network wires Bitonic[len(in)] and returns its ordered outputs.
-func network(b *topo.Builder, in []topo.Out) []topo.Out {
+// network wires Bitonic[len(in)] onto the wires in, replacing each with
+// the network's output of the same index. tmp is scratch of len(in).
+func network(b *topo.Builder, in, tmp []topo.Out) {
 	n := len(in)
 	if n == 1 {
-		return in
+		return
 	}
 	k := n / 2
-	top := network(b, in[:k])
-	bot := network(b, in[k:])
-	return merger(b, append(append(make([]topo.Out, 0, n), top...), bot...))
+	network(b, in[:k], tmp[:k])
+	network(b, in[k:], tmp[k:])
+	merger(b, in, tmp)
 }
 
-// merger wires Merger[len(in)]: the first half of in carries one sequence
-// with the step property, the second half another; the outputs satisfy the
-// step property whenever the inputs do.
-func merger(b *topo.Builder, in []topo.Out) []topo.Out {
+// merger wires Merger[len(in)] onto the wires in, in place: the first half
+// of in carries one sequence with the step property, the second half
+// another; the outputs satisfy the step property whenever the inputs do.
+// tmp is scratch of len(in).
+func merger(b *topo.Builder, in, tmp []topo.Out) {
 	n := len(in)
 	if n == 2 {
-		o0, o1 := b.Balancer2(in[0], in[1])
-		return []topo.Out{o0, o1}
+		in[0], in[1] = b.Balancer2(in[0], in[1])
+		return
 	}
 	k := n / 2
-	aIn := make([]topo.Out, 0, k)
-	bIn := make([]topo.Out, 0, k)
-	for i := 0; i < k; i += 2 { // even subsequence of x, odd of x'
-		aIn = append(aIn, in[i])
+	// tmp[:k] takes the even subsequence of x and the odd of x', tmp[k:]
+	// the odd of x and the even of x'.
+	for i := 0; i < k; i += 2 {
+		tmp[i/2], tmp[k+i/2] = in[i], in[i+1]
+		tmp[k/2+i/2], tmp[k+k/2+i/2] = in[k+i+1], in[k+i]
 	}
-	for i := k + 1; i < n; i += 2 {
-		aIn = append(aIn, in[i])
-	}
-	for i := 1; i < k; i += 2 { // odd subsequence of x, even of x'
-		bIn = append(bIn, in[i])
-	}
-	for i := k; i < n; i += 2 {
-		bIn = append(bIn, in[i])
-	}
-	y := merger(b, aIn)
-	z := merger(b, bIn)
-	out := make([]topo.Out, n)
+	merger(b, tmp[:k], in[:k])
+	merger(b, tmp[k:], in[k:])
 	for i := 0; i < k; i++ {
-		o0, o1 := b.Balancer2(y[i], z[i])
-		out[2*i] = o0
-		out[2*i+1] = o1
+		in[2*i], in[2*i+1] = b.Balancer2(tmp[i], tmp[k+i])
 	}
-	return out
 }
 
 func log2(w int) int {

@@ -45,11 +45,15 @@ func NewArity(w, arity int) (*topo.Graph, error) {
 	if !isPower(w, arity) {
 		return nil, fmt.Errorf("dtree: width %d is not a positive power of arity %d", w, arity)
 	}
+	nb := (w - 1) / (arity - 1) // 1-input arity-output balancers
 	b := topo.NewBuilder()
+	b.Reserve(nb+w, nb+w, nb*arity)
 	in := b.Inputs(1)
-	leaves := make([]topo.Out, w)
-	subtree(b, in[0], arity, w, 0, 1, leaves)
-	b.Terminate(leaves)
+	// The leaves, then arity wires per level of the tree: the depth
+	// log_arity(w) levels need at most w.
+	wires := make([]topo.Out, 2*w)
+	subtree(b, in[0], arity, w, 0, 1, wires[:w], wires[w:])
+	b.Terminate(wires[:w])
 	g, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("dtree: width %d arity %d: %w", w, arity, err)
@@ -82,14 +86,16 @@ func Depth(w int) int {
 
 // subtree wires the subtree of `width` leaves fed by in. Tokens taking
 // output port p at this node extend their leaf index by p*stride; base is
-// the index accumulated so far.
-func subtree(b *topo.Builder, in topo.Out, arity, width, base, stride int, leaves []topo.Out) {
+// the index accumulated so far. The node's outputs go to the first arity
+// wires of levels, and deeper levels use the rest.
+func subtree(b *topo.Builder, in topo.Out, arity, width, base, stride int, leaves, levels []topo.Out) {
 	if width == 1 {
 		leaves[base] = in
 		return
 	}
-	outs := b.BalancerN([]topo.Out{in}, arity)
+	outs := levels[:arity]
+	b.BalancerN([]topo.Out{in}, outs)
 	for p, o := range outs {
-		subtree(b, o, arity, width/arity, base+p*stride, stride*arity, leaves)
+		subtree(b, o, arity, width/arity, base+p*stride, stride*arity, leaves, levels[arity:])
 	}
 }

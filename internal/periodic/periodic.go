@@ -17,11 +17,13 @@ func New(w int) (*topo.Graph, error) {
 		return nil, fmt.Errorf("periodic: width %d is not a power of two >= 2", w)
 	}
 	b := topo.NewBuilder()
-	cur := b.Inputs(w)
+	nb := w / 2 * Depth(w) // 2-input 2-output balancers
+	b.Reserve(nb+w, 2*nb+w, 2*nb)
+	wires := b.Inputs(w)
 	for s := 0; s < log2(w); s++ {
-		cur = block(b, cur)
+		block(b, wires)
 	}
-	b.Terminate(cur)
+	b.Terminate(wires)
 	g, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("periodic: width %d: %w", w, err)
@@ -35,25 +37,20 @@ func Depth(w int) int {
 	return lg * lg
 }
 
-// block wires one Block[len(in)] network, the balancer analogue of the
-// Dowd-Perl-Rudolph-Saks balanced merging block: a first layer of mirror
-// balancers pairing wire i with wire n-1-i, followed by two parallel
-// Block[n/2] networks on the halves.
-func block(b *topo.Builder, in []topo.Out) []topo.Out {
+// block wires one Block[len(in)] network onto the wires in, in place, the
+// balancer analogue of the Dowd-Perl-Rudolph-Saks balanced merging block: a
+// first layer of mirror balancers pairing wire i with wire n-1-i, followed
+// by two parallel Block[n/2] networks on the halves.
+func block(b *topo.Builder, in []topo.Out) {
 	n := len(in)
-	if n == 2 {
-		o0, o1 := b.Balancer2(in[0], in[1])
-		return []topo.Out{o0, o1}
+	if n == 1 {
+		return
 	}
-	k := n / 2
-	mid := make([]topo.Out, n)
-	for i := 0; i < k; i++ {
-		o0, o1 := b.Balancer2(in[i], in[n-1-i])
-		mid[i], mid[n-1-i] = o0, o1
+	for i := 0; i < n/2; i++ {
+		in[i], in[n-1-i] = b.Balancer2(in[i], in[n-1-i])
 	}
-	top := block(b, mid[:k])
-	bot := block(b, mid[k:])
-	return append(top, bot...)
+	block(b, in[:n/2])
+	block(b, in[n/2:])
 }
 
 func log2(w int) int {

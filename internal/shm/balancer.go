@@ -95,6 +95,13 @@ func (b *mutexBalancer) Traverse() int {
 	return out
 }
 
+// mcsSlab is how many MCS balancers Compile allocates at once: 512 bytes,
+// the largest pointer-holding object Go allocates without a malloc header.
+// Such an object starts on a 64-byte boundary, so each balancer of a slab
+// owns one cache line (TestMCSBalancerLayout); a larger slab would start 8
+// bytes past a line boundary.
+const mcsSlab = 8
+
 // nodes is the one pool of MCS queue nodes. Only a token that queues
 // draws one.
 var nodes mcs.Pool

@@ -92,7 +92,9 @@ func TestMCSToggleMixedPaths(t *testing.T) {
 	for _, fanOut := range []int{2, 3, 4} {
 		t.Run(fmt.Sprintf("fanOut%d", fanOut), func(t *testing.T) {
 			bld := topo.NewBuilder()
-			bld.Terminate(bld.BalancerN(bld.Inputs(1), fanOut))
+			outs := make([]topo.Out, fanOut)
+			bld.BalancerN(bld.Inputs(1), outs)
+			bld.Terminate(outs)
 			g, err := bld.Build()
 			if err != nil {
 				t.Fatal(err)

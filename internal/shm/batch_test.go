@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"countnet/internal/bitonic"
+	"countnet/internal/dtree"
 	"countnet/internal/obs"
 	"countnet/internal/topo"
 )
@@ -207,34 +208,51 @@ func TestWalkAllocs(t *testing.T) {
 }
 
 // TestMCSBalancerLayout pins the layout every MCS toggle's cost depends
-// on: a balancer fills one cache line, so the lock words of a compiled
-// network's balancers, which different tokens swap concurrently, never
-// share a line, and its toggle sits on its lock's line, so the idle fast
-// path reads the lock and swaps the toggle on one line.
+// on: a balancer fills one cache line and starts it, so the lock words of
+// a compiled network's balancers, which different tokens swap
+// concurrently, never share a line, and its toggle sits on its lock's
+// line, so the idle fast path reads the lock and swaps the toggle on one
+// line. Compile carves the balancers from shared slabs, so this holds
+// only while the allocator starts every slab on a line boundary; the
+// networks cover a partial slab, several slabs, and ten.
 func TestMCSBalancerLayout(t *testing.T) {
 	const cacheLine = 64
 	if sz := unsafe.Sizeof(mcsBalancer{}); sz != cacheLine {
 		t.Errorf("mcsBalancer is %d bytes, want %d", sz, cacheLine)
 	}
-	g, err := bitonic.New(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := compile(t, g, Options{Kind: KindMCS})
-	owner := map[uintptr]topo.NodeID{}
-	for _, id := range g.Balancers() {
-		b, ok := n.balancers[id].(*mcsBalancer)
-		if !ok {
-			t.Fatalf("balancer %d is %T, want *mcsBalancer", id, n.balancers[id])
+	for _, tc := range []struct {
+		name  string
+		build func(int) (*topo.Graph, error)
+		w     int
+	}{
+		{"bitonic[8]", bitonic.New, 8},
+		{"tree[32]", dtree.New, 32},
+		{"bitonic[16]", bitonic.New, 16},
+	} {
+		g, err := tc.build(tc.w)
+		if err != nil {
+			t.Fatal(err)
 		}
-		line := uintptr(unsafe.Pointer(&b.lock)) / cacheLine
-		if tl := uintptr(unsafe.Pointer(&b.toggle)) / cacheLine; tl != line {
-			t.Errorf("balancer %d: toggle on line %d, lock on line %d", id, tl, line)
+		n := compile(t, g, Options{Kind: KindMCS})
+		owner := map[uintptr]topo.NodeID{}
+		for _, id := range g.Balancers() {
+			b, ok := n.balancers[id].(*mcsBalancer)
+			if !ok {
+				t.Fatalf("%s: balancer %d is %T, want *mcsBalancer", tc.name, id, n.balancers[id])
+			}
+			lock := uintptr(unsafe.Pointer(&b.lock))
+			if off := lock % cacheLine; off != 0 {
+				t.Errorf("%s: balancer %d lock word at offset %d of its line, want 0", tc.name, id, off)
+			}
+			line := lock / cacheLine
+			if tl := uintptr(unsafe.Pointer(&b.toggle)) / cacheLine; tl != line {
+				t.Errorf("%s: balancer %d: toggle on line %d, lock on line %d", tc.name, id, tl, line)
+			}
+			if prev, ok := owner[line]; ok {
+				t.Errorf("%s: balancers %d and %d lock words share a cache line", tc.name, prev, id)
+			}
+			owner[line] = id
 		}
-		if prev, ok := owner[line]; ok {
-			t.Errorf("balancers %d and %d lock words share a cache line", prev, id)
-		}
-		owner[line] = id
 	}
 }
 

@@ -41,7 +41,9 @@ func TestHomeSpread(t *testing.T) {
 	for _, w := range []int{3, 5, 6} {
 		t.Run(fmt.Sprintf("inputs%d", w), func(t *testing.T) {
 			b := topo.NewBuilder()
-			b.Terminate(b.BalancerN(b.Inputs(w), w))
+			outs := make([]topo.Out, w)
+			b.BalancerN(b.Inputs(w), outs)
+			b.Terminate(outs)
 			g, err := b.Build()
 			if err != nil {
 				t.Fatal(err)

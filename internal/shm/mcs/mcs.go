@@ -64,12 +64,6 @@ func (l *Lock) Idle() bool {
 	return l.tail.Load() == nil
 }
 
-// TryAcquire enters the critical section only if the lock is free,
-// returning whether it succeeded. n must be clean, as for Acquire.
-func (l *Lock) TryAcquire(n *Node) bool {
-	return l.tail.CompareAndSwap(nil, n)
-}
-
 // Release leaves the critical section entered with n and leaves n clean.
 func (l *Lock) Release(n *Node) {
 	next := n.next.Load()

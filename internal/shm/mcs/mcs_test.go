@@ -33,22 +33,6 @@ func TestMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	var l Lock
-	a, b := new(Node), new(Node)
-	if !l.TryAcquire(a) {
-		t.Fatal("TryAcquire on a free lock failed")
-	}
-	if l.TryAcquire(b) {
-		t.Fatal("TryAcquire succeeded while held")
-	}
-	l.Release(a)
-	if !l.TryAcquire(b) {
-		t.Fatal("TryAcquire after Release failed")
-	}
-	l.Release(b)
-}
-
 // TestIdle checks that Idle reports a lock idle exactly when no one holds
 // it and no one waits: not while it is held, not while a waiter is
 // queued, and not after a hand-off, only after the last release.
@@ -85,11 +69,9 @@ func TestIdle(t *testing.T) {
 	for !l.Idle() {
 		runtime.Gosched()
 	}
-	if !l.TryAcquire(a) {
-		t.Fatal("TryAcquire on an idle lock failed")
-	}
+	l.Acquire(a)
 	if l.Idle() {
-		t.Fatal("lock idle after TryAcquire")
+		t.Fatal("lock idle after Acquire")
 	}
 	l.Release(a)
 	if !l.Idle() {

@@ -60,9 +60,22 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 		counters:  make([]paddedCounter, g.OutWidth()),
 		w:         int64(g.OutWidth()),
 	}
-	for _, id := range g.Balancers() {
-		b, err := NewBalancer(opts.Kind, g.FanOut(id))
-		if err != nil {
+	var slab []mcsBalancer
+	left := g.NumBalancers()
+	for id := range topo.NodeID(g.NumNodes()) {
+		if g.KindOf(id) != topo.KindBalancer {
+			continue
+		}
+		var b Balancer
+		var err error
+		if opts.Kind == KindMCS {
+			if len(slab) == 0 {
+				slab = make([]mcsBalancer, min(left, mcsSlab))
+				left -= len(slab)
+			}
+			slab[0].fanOut = int64(g.FanOut(id))
+			b, slab = &slab[0], slab[1:]
+		} else if b, err = NewBalancer(opts.Kind, g.FanOut(id)); err != nil {
 			return nil, err
 		}
 		if opts.Diffract && g.FanOut(id) == 2 {

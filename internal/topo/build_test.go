@@ -3,57 +3,56 @@ package topo_test
 import (
 	"testing"
 
+	"countnet"
 	"countnet/internal/bitonic"
 	"countnet/internal/dtree"
+	"countnet/internal/periodic"
 	"countnet/internal/topo"
 )
 
-// TestBuildAllocs pins the allocation count of building the two networks
-// the benchmark workloads use. The Builder carves every node's ports from
-// shared arrays and keeps no side tables, so a build allocates once per
-// growth of those arrays rather than once per node. The bounds are the
-// measured counts (50 and 49 allocations, most of them the []Out slices
-// the constructors build or get back from BalancerN) plus 25% headroom,
-// so an accidental per-node allocation in the Builder fails here.
+// TestBuildAllocs pins the allocation count of building the networks the
+// benchmark workloads use, as a graph and as a whole NewCounter build. The
+// constructors reserve every node and port up front and wire their
+// networks in place, and Compile carves its MCS balancers from 512-byte
+// slabs, so a build allocates a fixed handful of objects, not one or more
+// per node. The bounds are the measured counts (11, 11 and 10 per graph;
+// 19 and 20 per counter) plus headroom of one or two, so an accidental
+// per-node allocation fails here.
 func TestBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations to every build")
+	}
+	counter := func(tp func(int) (countnet.Topology, error)) func(int) error {
+		return func(w int) error {
+			top, err := tp(w)
+			if err == nil {
+				_, err = countnet.NewCounter(top)
+			}
+			return err
+		}
+	}
+	graph := func(g func(int) (*topo.Graph, error)) func(int) error {
+		return func(w int) error { _, err := g(w); return err }
+	}
 	for _, tc := range []struct {
 		name  string
-		build func(int) (*topo.Graph, error)
+		build func(int) error
 		w     int
 		max   float64
 	}{
-		{"bitonic[8]", bitonic.New, 8, 62},
-		{"tree[32]", dtree.New, 32, 61},
+		{"bitonic[8]", graph(bitonic.New), 8, 12},
+		{"tree[32]", graph(dtree.New), 32, 12},
+		{"periodic[8]", graph(periodic.New), 8, 12},
+		{"bitonic[8] counter", counter(countnet.BitonicTopology), 8, 21},
+		{"tree[32] counter", counter(countnet.TreeTopology), 32, 22},
 	} {
 		got := testing.AllocsPerRun(100, func() {
-			if _, err := tc.build(tc.w); err != nil {
+			if err := tc.build(tc.w); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if got > tc.max {
 			t.Errorf("%s: %.0f allocations per build, want <= %.0f", tc.name, got, tc.max)
-		}
-	}
-}
-
-// BenchmarkBuildBitonic8 times graph construction alone for bitonic[8],
-// the network of the net-hot, adaptive-direct and linear workloads.
-func BenchmarkBuildBitonic8(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bitonic.New(8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBuildTree32 times graph construction alone for tree[32], the
-// network of the anomaly workload.
-func BenchmarkBuildTree32(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := dtree.New(32); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

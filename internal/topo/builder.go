@@ -28,20 +28,26 @@ type Out struct {
 // A node is appended only after the Outs it consumes exist, so every node's
 // id exceeds its sources' ids: id order is topological, with no sort.
 type Builder struct {
-	nodes    []node
-	inputs   []PortRef
-	counters []NodeID
-	srcs     []Src     // unused tail of the backing array for nodes' in ports
-	dsts     []PortRef // unused tail of the backing array for nodes' out ports
-	err      error
+	g   Graph // the network under construction; Build publishes it
+	err error
 }
 
-// errBuilt latches a Builder once Build has handed its nodes to a Graph.
+// errBuilt latches a Builder once Build has published its Graph.
 var errBuilt = errors.New("topo: Builder already built")
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
 	return &Builder{}
+}
+
+// Reserve makes room for nodes more nodes, counters included, with
+// inPorts input ports and outPorts output ports between them. A
+// constructor that knows its network's size reserves it up front, so the
+// Builder's arrays never regrow.
+func (b *Builder) Reserve(nodes, inPorts, outPorts int) {
+	b.g.nodes = slices.Grow(b.g.nodes, nodes)
+	b.g.srcs = slices.Grow(b.g.srcs, inPorts)
+	b.g.dsts = slices.Grow(b.g.dsts, outPorts)
 }
 
 func (b *Builder) fail(format string, args ...any) {
@@ -53,14 +59,14 @@ func (b *Builder) fail(format string, args ...any) {
 // Inputs declares v ordered network inputs and returns their wire ends.
 // It may be called multiple times; indices continue from previous calls.
 func (b *Builder) Inputs(v int) []Out {
-	if b.err != nil {
-		return make([]Out, v)
-	}
 	outs := make([]Out, v)
-	b.inputs = slices.Grow(b.inputs, v)
+	if b.err != nil {
+		return outs
+	}
+	b.g.inputs = slices.Grow(b.g.inputs, v)
 	for i := range outs {
-		outs[i] = Out{node: InvalidNode, port: len(b.inputs), b: b}
-		b.inputs = append(b.inputs, PortRef{Node: InvalidNode}) // patched on consumption
+		outs[i] = Out{node: InvalidNode, port: len(b.g.inputs), b: b}
+		b.g.inputs = append(b.g.inputs, PortRef{Node: InvalidNode}) // patched on consumption
 	}
 	return outs
 }
@@ -81,9 +87,9 @@ func (b *Builder) consume(o Out, dst PortRef) Src {
 		return Src{Node: InvalidNode}
 	}
 	s := Src{Node: o.node, Port: o.port}
-	dsts := b.inputs
+	dsts := b.g.inputs
 	if !s.IsInput() {
-		dsts = b.nodes[s.Node].out
+		dsts = b.g.outs(&b.g.nodes[s.Node])
 	}
 	if dsts[s.Port].Node != InvalidNode {
 		b.fail("topo: wire %+v consumed twice", s)
@@ -93,15 +99,26 @@ func (b *Builder) consume(o Out, dst PortRef) Src {
 	return s
 }
 
-// carve cuts k ports from the backing array *buf, starting a fresh one when
-// it is full. The cap of k keeps a node from growing into its neighbour's.
-func carve[T any](buf *[]T, k int) []T {
-	if cap(*buf)-len(*buf) < k {
-		*buf = make([]T, 0, max(2*cap(*buf), k, 64))
+// add appends a node fed by ins, with fanOut unwired output ports, and
+// returns its id.
+func (b *Builder) add(kind Kind, ins []Out, fanOut, index int) NodeID {
+	g := &b.g
+	id := NodeID(len(g.nodes))
+	g.nodes = append(g.nodes, node{
+		kind:   kind,
+		fanIn:  int32(len(ins)),
+		fanOut: int32(fanOut),
+		in:     int32(len(g.srcs)),
+		out:    int32(len(g.dsts)),
+		index:  int32(index),
+	})
+	for range fanOut {
+		g.dsts = append(g.dsts, PortRef{Node: InvalidNode})
 	}
-	i := len(*buf)
-	*buf = (*buf)[:i+k]
-	return (*buf)[i : i+k : i+k]
+	for p, o := range ins {
+		g.srcs = append(g.srcs, b.consume(o, PortRef{Node: id, Port: p}))
+	}
+	return id
 }
 
 // balancer appends a balancing node and returns its id, or InvalidNode when
@@ -118,22 +135,7 @@ func (b *Builder) balancer(ins []Out, fanOut int) NodeID {
 		b.fail("topo: balancer with fanOut %d", fanOut)
 		return InvalidNode
 	}
-	id := NodeID(len(b.nodes))
-	in, out := carve(&b.srcs, len(ins)), carve(&b.dsts, fanOut)
-	for p := range out {
-		out[p] = PortRef{Node: InvalidNode}
-	}
-	b.nodes = append(b.nodes, node{
-		kind:   KindBalancer,
-		fanIn:  len(ins),
-		fanOut: fanOut,
-		in:     in,
-		out:    out,
-	})
-	for p, o := range ins {
-		in[p] = b.consume(o, PortRef{Node: id, Port: p})
-	}
-	return id
+	return b.add(KindBalancer, ins, fanOut, 0)
 }
 
 // out returns output port p of balancer id, or the zero Out for InvalidNode.
@@ -145,21 +147,13 @@ func (b *Builder) out(id NodeID, p int) Out {
 }
 
 // BalancerN creates a balancing node consuming the given wire ends as its
-// ordered inputs, with fanOut ordered outputs, and returns the new open
-// output wires.
-func (b *Builder) BalancerN(ins []Out, fanOut int) []Out {
-	if b.err != nil {
-		return make([]Out, max(fanOut, 0))
-	}
-	id := b.balancer(ins, fanOut)
-	if id == InvalidNode {
-		return nil
-	}
-	outs := make([]Out, fanOut)
+// ordered inputs, with len(outs) ordered outputs, and stores the new open
+// output wires in outs.
+func (b *Builder) BalancerN(ins, outs []Out) {
+	id := b.balancer(ins, len(outs))
 	for p := range outs {
 		outs[p] = b.out(id, p)
 	}
-	return outs
 }
 
 // Balancer2 creates the ubiquitous 2-input 2-output balancer.
@@ -186,7 +180,7 @@ func (b *Builder) Terminate(outs []Out) {
 	if b.err != nil {
 		return
 	}
-	if len(b.counters) != 0 {
+	if len(b.g.counters) != 0 {
 		b.fail("topo: Terminate called twice")
 		return
 	}
@@ -194,18 +188,9 @@ func (b *Builder) Terminate(outs []Out) {
 		b.fail("topo: Terminate with no outputs")
 		return
 	}
-	b.counters = make([]NodeID, len(outs))
-	for i, o := range outs {
-		id := NodeID(len(b.nodes))
-		in := carve(&b.srcs, 1)
-		b.nodes = append(b.nodes, node{
-			kind:  KindCounter,
-			fanIn: 1,
-			in:    in,
-			index: i,
-		})
-		in[0] = b.consume(o, PortRef{Node: id, Port: 0})
-		b.counters[i] = id
+	b.g.counters = make([]NodeID, len(outs))
+	for i := range outs {
+		b.g.counters[i] = b.add(KindCounter, outs[i:i+1], 0, i)
 	}
 }
 
@@ -214,36 +199,27 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if len(b.inputs) == 0 {
+	g := &b.g
+	if len(g.inputs) == 0 {
 		return nil, errors.New("topo: network has no inputs")
 	}
-	if len(b.counters) == 0 {
+	if len(g.counters) == 0 {
 		return nil, errors.New("topo: network has no output counters (missing Terminate)")
 	}
-	for i, p := range b.inputs {
+	for i, p := range g.inputs {
 		if p.Node == InvalidNode {
 			return nil, fmt.Errorf("topo: network input %d is not consumed by any node", i)
 		}
 	}
-	for id := range b.nodes {
-		n := &b.nodes[id]
-		if n.kind != KindBalancer {
-			continue
-		}
-		for p, dst := range n.out {
+	for id := range g.nodes {
+		for p, dst := range g.outs(&g.nodes[id]) {
 			if dst.Node == InvalidNode {
 				return nil, fmt.Errorf("topo: balancer %d output %d is dangling", id, p)
 			}
 		}
 	}
-	g := &Graph{
-		nodes:    b.nodes,
-		inputs:   b.inputs,
-		counters: b.counters,
-	}
 	g.computeLayers()
-	// The Graph now owns the node slices; latch the Builder so further use
-	// cannot mutate the published network.
+	// Latch the Builder so further use cannot mutate the published network.
 	b.err = errBuilt
 	return g, nil
 }

@@ -177,8 +177,8 @@ func TestBuilderSingleUse(t *testing.T) {
 
 func TestBuilderBadBalancerShape(t *testing.T) {
 	for name, build := range map[string]func(b *Builder, in []Out){
-		"no inputs":   func(b *Builder, in []Out) { b.BalancerN(nil, 2) },
-		"zero fanout": func(b *Builder, in []Out) { b.BalancerN(in, 0) },
+		"no inputs":   func(b *Builder, in []Out) { b.BalancerN(nil, make([]Out, 2)) },
+		"zero fanout": func(b *Builder, in []Out) { b.BalancerN(in, nil) },
 	} {
 		b := NewBuilder()
 		in := b.Inputs(1)

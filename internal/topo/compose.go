@@ -20,16 +20,16 @@ func cloneBalancers(b *Builder, g *Graph, feeds []Out) ([]Out, error) {
 	for _, id := range g.breadthOrder() {
 		n := &g.nodes[id]
 		ins = ins[:0]
-		for _, s := range n.in {
+		for _, s := range g.ins(n) {
 			ins = append(ins, wire(s))
 		}
-		if clone[id] = b.balancer(ins, n.fanOut); clone[id] == InvalidNode {
+		if clone[id] = b.balancer(ins, int(n.fanOut)); clone[id] == InvalidNode {
 			return nil, b.err
 		}
 	}
 	term := make([]Out, g.OutWidth())
 	for i, c := range g.counters {
-		term[i] = wire(g.nodes[c].in[0])
+		term[i] = wire(g.InSrc(c, 0))
 	}
 	return term, nil
 }

@@ -28,7 +28,7 @@ func Dot(g *Graph, name string) string {
 	}
 	for id := range g.nodes {
 		n := &g.nodes[id]
-		for p, dst := range n.out {
+		for p, dst := range g.outs(n) {
 			fmt.Fprintf(&sb, "  n%d -> n%d [label=\"y%d>p%d\"];\n", id, dst.Node, p, dst.Port)
 		}
 	}

@@ -47,15 +47,15 @@ func Encode(g *Graph) ([]byte, error) {
 	for i, id := range order {
 		n := &g.nodes[id]
 		pos[id] = int32(i) // sources come earlier in order, so theirs are set
-		bj := balancerJSON{FanOut: n.fanOut, In: make([]wireJSON, n.fanIn)}
-		for p, s := range n.in {
+		bj := balancerJSON{FanOut: int(n.fanOut), In: make([]wireJSON, n.fanIn)}
+		for p, s := range g.ins(n) {
 			bj.In[p] = src(s)
 		}
 		out.Balancers[i] = bj
 	}
 	out.Counters = make([]wireJSON, g.OutWidth())
 	for i, c := range g.counters {
-		out.Counters[i] = src(g.nodes[c].in[0])
+		out.Counters[i] = src(g.InSrc(c, 0))
 	}
 	return json.MarshalIndent(out, "", " ")
 }
@@ -67,7 +67,9 @@ func Decode(data []byte) (*Graph, error) {
 	if err := json.Unmarshal(data, &gj); err != nil {
 		return nil, fmt.Errorf("topo: decode: %w", err)
 	}
-	if gj.Inputs < 1 {
+	// Every input and every output port must be consumed by a wire listed
+	// in data, so no count can exceed its length.
+	if gj.Inputs < 1 || gj.Inputs > len(data) {
 		return nil, fmt.Errorf("topo: decode: %d inputs", gj.Inputs)
 	}
 	b := NewBuilder()
@@ -97,7 +99,11 @@ func Decode(data []byte) (*Graph, error) {
 			}
 			insB[p] = o
 		}
-		outs[i] = b.BalancerN(insB, bj.FanOut)
+		if bj.FanOut > len(data) {
+			return nil, fmt.Errorf("topo: decode: balancer %d has fanOut %d", i, bj.FanOut)
+		}
+		outs[i] = make([]Out, max(bj.FanOut, 0))
+		b.BalancerN(insB, outs[i])
 	}
 	term := make([]Out, len(gj.Counters))
 	for i, wj := range gj.Counters {

@@ -63,6 +63,8 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		"bad port":        `{"inputs":1,"balancers":[{"in":[{"input":0}],"fanOut":1}],"counters":[{"input":-1,"node":0,"port":7}]}`,
 		"double consume":  `{"inputs":1,"balancers":[{"in":[{"input":0},{"input":0}],"fanOut":2}],"counters":[{"input":-1,"node":0,"port":0},{"input":-1,"node":0,"port":1}]}`,
 		"dangling output": `{"inputs":2,"balancers":[{"in":[{"input":0},{"input":1}],"fanOut":2}],"counters":[{"input":-1,"node":0,"port":0}]}`,
+		"huge inputs":     `{"inputs":1000000000000000,"balancers":[],"counters":[{"input":0}]}`,
+		"huge fanOut":     `{"inputs":1,"balancers":[{"in":[{"input":0}],"fanOut":1000000000000000}],"counters":[{"input":-1,"node":0,"port":0}]}`,
 	}
 	for name, data := range cases {
 		if _, err := Decode([]byte(data)); err == nil {

@@ -99,8 +99,8 @@ func (s xstate) step(g *Graph, pos PortRef) xstate {
 	switch node.kind {
 	case KindBalancer:
 		t := n.toggles[id]
-		n.toggles[id] = (t + 1) % int32(node.fanOut)
-		n.tokens[node.out[t]]++
+		n.toggles[id] = (t + 1) % node.fanOut
+		n.tokens[g.dsts[node.out+t]]++
 	case KindCounter:
 		n.counts[node.index]++
 	}

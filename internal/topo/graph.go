@@ -71,14 +71,16 @@ type Src struct {
 func (s Src) IsInput() bool { return s.Node == InvalidNode }
 
 // node is the internal representation shared by balancers and counters.
+// Its ports live in the Graph's flat srcs and dsts arrays, so a node holds
+// no pointers and the node array is never scanned by the garbage collector.
 type node struct {
 	kind   Kind
-	fanIn  int
-	fanOut int
-	in     []Src     // in[p] = source feeding input port p
-	out    []PortRef // out[p] = destination of output port p (balancers only)
-	layer  int       // 1-based balancer layer; counters sit at depth+1
-	index  int       // counters only: output port index Y_index
+	fanIn  int32
+	fanOut int32
+	in     int32 // srcs[in+p] = source feeding input port p
+	out    int32 // dsts[out+p] = destination of output port p (balancers only)
+	layer  int32 // 1-based balancer layer; counters sit at depth+1
+	index  int32 // counters only: output port index Y_index
 }
 
 // Graph is an immutable balancing network.
@@ -87,12 +89,20 @@ type node struct {
 // network constructors (bitonic, periodic, dtree packages).
 type Graph struct {
 	nodes    []node
+	srcs     []Src     // every node's input sources, in node order
+	dsts     []PortRef // every balancer's output destinations, in node order
 	inputs   []PortRef // inputs[i] = entry port of network input i
 	counters []NodeID  // counters[i] = counter node for output Y_i
 	depth    int       // number of links from an input node to a counter
 	uniform  bool      // all input->output paths have equal length
 	layers   [][]NodeID
 }
+
+// ins returns the sources feeding n's input ports.
+func (g *Graph) ins(n *node) []Src { return g.srcs[n.in : n.in+n.fanIn] }
+
+// outs returns the destinations of n's output ports.
+func (g *Graph) outs(n *node) []PortRef { return g.dsts[n.out : n.out+n.fanOut] }
 
 // NumNodes returns the total number of nodes (balancers plus counters).
 func (g *Graph) NumNodes() int { return len(g.nodes) }
@@ -125,15 +135,15 @@ func (g *Graph) CounterNode(i int) NodeID { return g.counters[i] }
 func (g *Graph) KindOf(id NodeID) Kind { return g.nodes[id].kind }
 
 // FanIn returns the number of input ports of node id.
-func (g *Graph) FanIn(id NodeID) int { return g.nodes[id].fanIn }
+func (g *Graph) FanIn(id NodeID) int { return int(g.nodes[id].fanIn) }
 
 // FanOut returns the number of output ports of node id.
-func (g *Graph) FanOut(id NodeID) int { return g.nodes[id].fanOut }
+func (g *Graph) FanOut(id NodeID) int { return int(g.nodes[id].fanOut) }
 
 // Layer returns the 1-based layer of node id. Balancers occupy layers
 // 1..Depth(); counters report Depth()+1. For non-uniform graphs the layer is
 // the length of the longest path from the inputs.
-func (g *Graph) Layer(id NodeID) int { return g.nodes[id].layer }
+func (g *Graph) Layer(id NodeID) int { return int(g.nodes[id].layer) }
 
 // CounterIndex returns the output index Y_i served by counter id, or -1 if
 // id is not a counter.
@@ -142,14 +152,15 @@ func (g *Graph) CounterIndex(id NodeID) int {
 	if n.kind != KindCounter {
 		return -1
 	}
-	return n.index
+	return int(n.index)
 }
 
-// OutDest returns the destination input port of output port p of node id.
-func (g *Graph) OutDest(id NodeID, p int) PortRef { return g.nodes[id].out[p] }
+// OutDest returns the destination input port of output port p of node id,
+// which must be a balancer with p < FanOut(id).
+func (g *Graph) OutDest(id NodeID, p int) PortRef { return g.dsts[int(g.nodes[id].out)+p] }
 
-// InSrc returns the source feeding input port p of node id.
-func (g *Graph) InSrc(id NodeID, p int) Src { return g.nodes[id].in[p] }
+// InSrc returns the source feeding input port p < FanIn(id) of node id.
+func (g *Graph) InSrc(id NodeID, p int) Src { return g.srcs[int(g.nodes[id].in)+p] }
 
 // LayerNodes returns the node ids at 1-based layer l, in creation order.
 // Layer Depth()+1 holds the counters.

@@ -1,0 +1,6 @@
+//go:build race
+
+package topo_test
+
+// raceEnabled is true in test builds with the race detector.
+const raceEnabled = true

@@ -2,11 +2,6 @@ package topo
 
 import "fmt"
 
-// EventFunc observes one instantaneous transition event <T, D>: token tok
-// passed through node id. Counters fire it too, with the assigned value
-// (value is -1 for balancer transitions).
-type EventFunc func(tok int, id NodeID, value int64)
-
 // Stepper executes a balancing network one instantaneous node transition at
 // a time, in any interleaving the caller chooses. It is the execution-model
 // core shared by the sequential executor, the timed schedule engine, and the
@@ -27,7 +22,6 @@ type Stepper struct {
 	val     []int64   // per token: assigned value, -1 while in flight
 	visited [][]NodeID
 	track   bool
-	onEvent EventFunc
 }
 
 // NewStepper returns a Stepper for g with all balancer toggles in their
@@ -42,9 +36,6 @@ func NewStepper(g *Graph) *Stepper {
 
 // Graph returns the network being executed.
 func (s *Stepper) Graph() *Graph { return s.g }
-
-// SetObserver installs fn to be called on every transition event.
-func (s *Stepper) SetObserver(fn EventFunc) { s.onEvent = fn }
 
 // TrackPaths records, for every token, the sequence of nodes it transits.
 // Must be called before the first Inject.
@@ -121,21 +112,14 @@ func (s *Stepper) Step(tok int) (done bool, err error) {
 	switch n.kind {
 	case KindBalancer:
 		t := s.toggle[id]
-		s.toggle[id] = (t + 1) % int32(n.fanOut)
+		s.toggle[id] = (t + 1) % n.fanOut
 		s.counts[id]++
-		s.pos[tok] = n.out[t]
-		if s.onEvent != nil {
-			s.onEvent(tok, id, -1)
-		}
+		s.pos[tok] = s.g.dsts[n.out+t]
 		return false, nil
 	case KindCounter:
 		a := s.counts[id]
 		s.counts[id] = a + 1
-		v := int64(n.index) + int64(s.g.OutWidth())*a
-		s.val[tok] = v
-		if s.onEvent != nil {
-			s.onEvent(tok, id, v)
-		}
+		s.val[tok] = int64(n.index) + int64(s.g.OutWidth())*a
 		return true, nil
 	default:
 		return false, fmt.Errorf("topo: token %d at node %d of unknown kind %d", tok, id, n.kind)

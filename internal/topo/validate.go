@@ -11,9 +11,9 @@ func (g *Graph) computeLayers() {
 	uniform := true
 	for id := range g.nodes {
 		n := &g.nodes[id]
-		lo, hi := -1, -1
-		for _, s := range n.in {
-			var l int
+		lo, hi := int32(-1), int32(-1)
+		for _, s := range g.ins(n) {
+			var l int32
 			if s.IsInput() {
 				l = 0
 			} else {
@@ -33,7 +33,7 @@ func (g *Graph) computeLayers() {
 	}
 	counterLayer := -1
 	for _, c := range g.counters {
-		l := g.nodes[c].layer
+		l := int(g.nodes[c].layer)
 		if counterLayer == -1 {
 			counterLayer = l
 		} else if l != counterLayer {
@@ -74,7 +74,7 @@ func (g *Graph) breadthOrder() []NodeID {
 	waiting := make([]int, len(g.nodes)) // source balancers not yet listed
 	order := make([]NodeID, 0, g.NumBalancers())
 	for id := range g.nodes {
-		for _, s := range g.nodes[id].in {
+		for _, s := range g.ins(&g.nodes[id]) {
 			if !s.IsInput() {
 				waiting[id]++
 			}
@@ -84,7 +84,7 @@ func (g *Graph) breadthOrder() []NodeID {
 		}
 	}
 	for i := 0; i < len(order); i++ {
-		for _, dst := range g.nodes[order[i]].out {
+		for _, dst := range g.outs(&g.nodes[order[i]]) {
 			if waiting[dst.Node]--; waiting[dst.Node] == 0 && g.nodes[dst.Node].kind == KindBalancer {
 				order = append(order, dst.Node)
 			}
