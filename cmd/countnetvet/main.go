@@ -1,5 +1,5 @@
 // Command countnetvet is the repo's multichecker: it runs stock go vet
-// and the six countnet domain analyzers over the requested packages
+// and the seven countnet domain analyzers over the requested packages
 // and exits nonzero on any finding.
 //
 // Usage:
@@ -15,10 +15,13 @@
 //	lockvet   lock copies, leaked critical sections, undeclared nesting
 //	hotvet    //countnet:hotpath call trees free of blocking and allocation
 //	escvet    compiler escape/inline decisions pinned to escapes.golden
+//	apivet    exported functions under internal/ that only tests reference
 //
 // The suite runs over the whole loaded program at once, so hotvet's
 // interprocedural walk crosses package boundaries wherever source was
-// loaded. Findings are suppressed by `//countnet:allow <analyzer> --
+// loaded; apivet alone also loads the whole module, and every module
+// nested in it, for references, so a subset is judged against callers
+// anywhere. Findings are suppressed by `//countnet:allow <analyzer> --
 // <reason>` on the offending line or the line above (resolved against
 // the package owning the finding); an empty reason or an unknown
 // directive verb is itself a finding (analyzer name "directive") so CI
@@ -39,6 +42,7 @@ import (
 	"os/exec"
 
 	"countnet/internal/analysis"
+	"countnet/internal/analysis/apivet"
 	"countnet/internal/analysis/atomicvet"
 	"countnet/internal/analysis/detvet"
 	"countnet/internal/analysis/escvet"
@@ -55,6 +59,7 @@ var analyzers = []*analysis.Analyzer{
 	lockvet.Analyzer,
 	hotvet.Analyzer,
 	escvet.Analyzer,
+	apivet.Analyzer,
 }
 
 func main() {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"countnet/internal/analysis"
+	"countnet/internal/analysis/apivet"
 	"countnet/internal/analysis/escvet"
 )
 
@@ -31,6 +32,28 @@ func TestRepoClean(t *testing.T) {
 	if errors.Is(err, escvet.ErrToolchain) {
 		t.Skipf("escvet toolchain probe failed, self-hosting without it: %v", err)
 	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s", d)
+	}
+}
+
+// TestSubsetApivetClean runs apivet on one subtree: it must judge the
+// subtree's declarations against callers in the whole module, so a
+// symbol whose only callers sit outside ./internal/shm/... is not a
+// finding.
+func TestSubsetApivetClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short")
+	}
+	_, file, _, _ := runtime.Caller(0)
+	modRoot, err := analysis.FindModuleRoot(filepath.Dir(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := runAnalyzers(modRoot, []string{"./internal/shm/..."}, []*analysis.Analyzer{apivet.Analyzer})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@
 // meant to invoke.
 //
 // The concrete analyzers live in the subpackages detvet, atomicvet,
-// obsvet, lockvet, hotvet, and escvet; cmd/countnetvet runs
+// obsvet, lockvet, hotvet, escvet, and apivet; cmd/countnetvet runs
 // them all (alongside the stock `go vet` suite) over any package
 // pattern.
 package analysis
@@ -253,19 +253,8 @@ func (d *Directives) MarkedFunc(verb string, fset *token.FileSet, decl *ast.Func
 			lo = p.Line
 		}
 	}
-	return d.markedIn(verb, declPos.Filename, lo, declPos.Line)
-}
-
-// MarkedField reports whether the struct field (or value spec) carries
-// the verb directive on its own line or the line directly above.
-func (d *Directives) MarkedField(verb string, fset *token.FileSet, n ast.Node) bool {
-	p := fset.Position(n.Pos())
-	return d.markedIn(verb, p.Filename, p.Line-1, p.Line)
-}
-
-func (d *Directives) markedIn(verb, file string, lo, hi int) bool {
 	for _, m := range d.Marks {
-		if m.Verb == verb && m.File == file && m.Line >= lo && m.Line <= hi {
+		if m.Verb == verb && m.File == declPos.Filename && m.Line >= lo && m.Line <= declPos.Line {
 			return true
 		}
 	}
@@ -303,13 +292,6 @@ func (d *Directives) HasLockOrder(before, after string) bool {
 // directives (an allow with an empty reason) are reported. It cannot be
 // suppressed.
 const DirectiveCheckName = "directive"
-
-// RunPackage runs the analyzers over one loaded package and returns the
-// surviving findings. It is RunProgram over a single-package program —
-// interprocedural analyzers see exactly that package.
-func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunProgram(NewProgram([]*Package{pkg}), analyzers)
-}
 
 // RunProgram runs the analyzers over every package of the program and
 // returns the surviving findings: suppressed diagnostics are dropped

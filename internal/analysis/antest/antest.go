@@ -17,13 +17,20 @@
 //
 // Run fails the test on any unmatched expectation or unexpected
 // diagnostic, printing both sides.
+//
+// A testdata directory holding a go.mod is a module of its own, for
+// analyzers that judge a package against the rest of its module: every
+// package under it, testdata directories included and nested modules
+// excluded, is loaded and analyzed as one program.
 package antest
 
 import (
 	"bufio"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"countnet/internal/analysis"
@@ -41,34 +48,33 @@ type expectation struct {
 }
 
 // Run loads the testdata package rooted at dir (relative to the calling
-// test, e.g. "../testdata/src/detvet"), applies the analyzers through
-// the same RunPackage pipeline countnetvet uses (so suppression
-// directives are honored), and diffs the findings against the want
-// annotations.
+// test, e.g. "../testdata/src/detvet"), or every package of the module
+// rooted there, applies the analyzers through the same RunProgram
+// pipeline countnetvet uses (so suppression directives are honored), and
+// diffs the findings against the want annotations.
+//
+//countnet:allow apivet -- the golden harness of every analyzer's tests, shared by eight packages
 func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	modRoot, err := analysis.FindModuleRoot(abs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := analysis.LoadDir(modRoot, abs)
+	pkgs, err := load(abs)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
 	var wants []*expectation
-	for _, f := range pkg.Files {
-		name := pkg.Fset.Position(f.Pos()).Filename
-		ws, err := parseWants(name)
-		if err != nil {
-			t.Fatal(err)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ws, err := parseWants(pkg.Fset.Position(f.Pos()).Filename)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wants = append(wants, ws...)
 		}
-		wants = append(wants, ws...)
 	}
-	diags, err := analysis.RunPackage(pkg, analyzers)
+	diags, err := analysis.RunProgram(analysis.NewProgram(pkgs), analyzers)
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}
@@ -90,6 +96,41 @@ func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 			t.Errorf("%s:%d: no diagnostic matched `%s`", w.file, w.line, w.re)
 		}
 	}
+}
+
+// load returns the package in dir, or every package of the module rooted
+// at dir outside its nested modules.
+func load(dir string) ([]*analysis.Package, error) {
+	if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
+		modRoot, err := analysis.FindModuleRoot(dir)
+		if err != nil {
+			return nil, err
+		}
+		pkg, err := analysis.LoadDir(modRoot, dir)
+		return []*analysis.Package{pkg}, err
+	}
+	var patterns []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != dir {
+			return filepath.SkipDir
+		}
+		files, _ := filepath.Glob(filepath.Join(path, "*.go"))
+		for _, f := range files {
+			if !strings.HasSuffix(f, "_test.go") {
+				rel, _ := filepath.Rel(dir, path)
+				patterns = append(patterns, "./"+filepath.ToSlash(rel))
+				break
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return analysis.Load(dir, patterns)
 }
 
 // parseWants extracts the want/wantbelow expectations from one source file.

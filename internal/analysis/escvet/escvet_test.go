@@ -31,7 +31,7 @@ func TestEscvetStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.RunPackage(pkg, []*analysis.Analyzer{escvet.Analyzer})
+	diags, err := analysis.RunProgram(analysis.NewProgram([]*analysis.Package{pkg}), []*analysis.Analyzer{escvet.Analyzer})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,9 +89,6 @@ func NewProgram(pkgs []*Package) *Program {
 // nil for files outside the program.
 func (p *Program) PackageFor(filename string) *Package { return p.byFile[filename] }
 
-// PackageAt returns the loaded package with the given import path, or nil.
-func (p *Program) PackageAt(path string) *Package { return p.byPath[path] }
-
 // FuncOf resolves any universe's *types.Func to its loaded declaration,
 // or nil when the function's source is not part of the program (stdlib,
 // export-data-only dependencies, function literals).
@@ -142,12 +139,12 @@ func FuncDisplay(fn *types.Func) string {
 	return fn.Name()
 }
 
-// sigKey renders a method signature (receiver and parameter names
+// SigKey renders a method signature (receiver and parameter names
 // excluded) with package-path-qualified type names, so signatures from
 // different importer universes compare equal exactly when the compiler
 // would consider them identical: an implementation may name its
 // parameters differently from its interface.
-func sigKey(sig *types.Signature) string {
+func SigKey(sig *types.Signature) string {
 	noRecv := types.NewSignatureType(nil, nil, nil, unnamed(sig.Params()), unnamed(sig.Results()), sig.Variadic())
 	return types.TypeString(noRecv, func(p *types.Package) string { return p.Path() })
 }
@@ -202,7 +199,7 @@ func implementation(named *types.Named, it *types.Interface, name string) (*type
 		if cm == nil {
 			return nil, false
 		}
-		if sigKey(cm.Type().(*types.Signature)) != sigKey(im.Type().(*types.Signature)) {
+		if SigKey(cm.Type().(*types.Signature)) != SigKey(im.Type().(*types.Signature)) {
 			return nil, false
 		}
 		if im.Name() == name {

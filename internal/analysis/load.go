@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -69,6 +70,40 @@ func Load(modRoot string, patterns []string) ([]*Package, error) {
 		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out, nil
+}
+
+// LoadModule type-checks every package of the module rooted at modRoot
+// and of each module nested under it (a directory with its own go.mod,
+// like a benchmark module that replaces its parent), so a check that
+// needs every non-test reference sees them whatever patterns the run
+// was given. testdata, vendor, and dot or underscore directories are
+// skipped, as `./...` skips them.
+func LoadModule(modRoot string) ([]*Package, error) {
+	roots := []string{modRoot}
+	err := filepath.WalkDir(modRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == modRoot {
+			return err
+		}
+		if name := d.Name(); name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			roots = append(roots, path)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var out []*Package
+	for _, root := range roots {
+		pkgs, err := Load(root, []string{"./..."})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pkgs...)
+	}
 	return out, nil
 }
 

@@ -24,8 +24,9 @@
 // Engine disagreement is a test failure, which makes the harness the
 // automated form of DESIGN.md's ablation 1 ("violation ratios from both
 // engines agree in shape") and the correctness foundation for scaling work:
-// any engine bug shows up as an invariant breach with a serializable
-// reproducer (a workload.Spec JSON or a shrunk schedule.Concrete JSONL).
+// any engine bug shows up as an invariant breach with a way back to it
+// (the failing cell's workload.Spec, which the same flags regenerate, or
+// a shrunk schedule.Concrete JSONL).
 package conformance
 
 import (
@@ -406,11 +407,13 @@ func CrossCheck(spec workload.Spec) error {
 	return nil
 }
 
-// replayable wraps an engine failure with the spec's JSON reproducer.
+// replayable wraps an engine failure with the failing cell's spec as
+// JSON. No command reads the line back: rerunning conformance with the
+// same flags regenerates the cell.
 func replayable(spec workload.Spec, err error) error {
 	data, encErr := workload.EncodeSpec(spec)
 	if encErr != nil {
 		return fmt.Errorf("%s: %w", spec, err)
 	}
-	return fmt.Errorf("%w\nreplay spec: %s", err, data)
+	return fmt.Errorf("%w\nspec: %s", err, data)
 }

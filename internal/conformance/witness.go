@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"fmt"
-	"io"
 
 	"countnet/internal/lincheck"
 	"countnet/internal/obs"
@@ -71,11 +70,6 @@ func (wt *WitnessTrace) DumpFlight(path string) (string, error) {
 	}
 	f.SetAutoDump(path)
 	return f.Trip("lincheck-violation")
-}
-
-// WriteChrome writes the windowed slice in Chrome trace_event format.
-func (wt *WitnessTrace) WriteChrome(w io.Writer) error {
-	return obs.WriteChromeTrace(w, wt.Meta, wt.Events)
 }
 
 // WriteFile writes the slice to path, picking JSONL or Chrome format from

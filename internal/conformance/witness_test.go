@@ -81,7 +81,7 @@ func TestTraceWitness(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := wt.WriteChrome(&buf); err != nil {
+	if err := obs.WriteChromeTrace(&buf, wt.Meta, wt.Events); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -103,7 +103,7 @@ func TestTraceWitness(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, buf.Bytes()) {
-		t.Fatal("WriteFile and WriteChrome disagree for a .json path")
+		t.Fatal("WriteFile and obs.WriteChromeTrace disagree for a .json path")
 	}
 }
 

@@ -79,21 +79,6 @@ func PaddingLength(h, k int) int {
 // PaddedDepth returns the depth of the padded network: h*(k-1) for k > 2.
 func PaddedDepth(h, k int) int { return h + PaddingLength(h, k) }
 
-// TreeViolationThreshold returns the c2 bound from Theorem 4.1: counting
-// (diffracting) trees are not linearizable once c2 exceeds 2*c1.
-func TreeViolationThreshold(c1 int64) int64 { return 2 * c1 }
-
-// BitonicViolationThreshold returns the c2 bound from Theorem 4.3: bitonic
-// networks are not linearizable once c2 exceeds 2*c1.
-func BitonicViolationThreshold(c1 int64) int64 { return 2 * c1 }
-
-// BitonicMassViolationThreshold returns the Theorem 4.4 bound for
-// Bitonic[w]: above ((3+log2 w)/2)*c1 there are executions in which a large
-// constant fraction of operations is non-linearizable.
-func BitonicMassViolationThreshold(w int, c1 int64) float64 {
-	return (3 + math.Log2(float64(w))) / 2 * float64(c1)
-}
-
 // AvgRatio is the empirical measure reported in Figure 7 of the paper:
 // (Tog + W) / Tog, where Tog is the average time a token waits before
 // toggling a balancer and W the injected per-node delay. It estimates the
@@ -104,14 +89,4 @@ func AvgRatio(tog, w float64) float64 {
 		return math.Inf(1)
 	}
 	return (tog + w) / tog
-}
-
-// TogFor inverts AvgRatio: the average toggle wait that would yield the
-// given measured ratio under delay W. Useful for calibrating simulations
-// against the paper's Figure 7 table.
-func TogFor(ratio, w float64) float64 {
-	if ratio <= 1 {
-		return math.Inf(1)
-	}
-	return w / (ratio - 1)
 }

@@ -75,15 +75,6 @@ func isPower(w, arity int) bool {
 	return true
 }
 
-// Depth returns the depth of the width-w counting tree: log2(w).
-func Depth(w int) int {
-	lg := 0
-	for v := w; v > 1; v >>= 1 {
-		lg++
-	}
-	return lg
-}
-
 // subtree wires the subtree of `width` leaves fed by in. Tokens taking
 // output port p at this node extend their leaf index by p*stride; base is
 // the index accumulated so far. The node's outputs go to the first arity

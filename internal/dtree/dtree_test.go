@@ -1,6 +1,7 @@
 package dtree
 
 import (
+	"math/bits"
 	"testing"
 
 	"countnet/internal/topo"
@@ -26,7 +27,7 @@ func TestShape(t *testing.T) {
 		if g.OutWidth() != w {
 			t.Errorf("width %d: out=%d", w, g.OutWidth())
 		}
-		if got, want := g.Depth(), Depth(w); got != want {
+		if got, want := g.Depth(), bits.Len(uint(w))-1; got != want {
 			t.Errorf("width %d: depth %d, want %d", w, got, want)
 		}
 		if !g.Uniform() {

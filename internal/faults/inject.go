@@ -37,6 +37,8 @@ type Stats struct {
 }
 
 // Faults returns the total number of injected fault events.
+//
+//countnet:allow apivet -- the fault total the faults and msgnet tests both assert on
 func (s Stats) Faults() int64 {
 	return s.Drops + s.Dups + s.Delays + s.Reorders + s.PartitionDrops + s.CrashDrops + s.Stalled
 }
@@ -176,9 +178,6 @@ func (in *Injector) Next(link, attempt int) Verdict {
 	return v
 }
 
-// Links returns the number of links the injector serves.
-func (in *Injector) Links() int { return len(in.dests) }
-
 // Dest returns the destination node of link, or -1 if link is out of
 // range. Tracers use it to label retry events with the hop they stalled
 // on.
@@ -188,9 +187,6 @@ func (in *Injector) Dest(link int) int {
 	}
 	return in.dests[link]
 }
-
-// Plan returns the plan the injector executes.
-func (in *Injector) Plan() *Plan { return in.plan }
 
 // Stats snapshots the fault tallies.
 func (in *Injector) Stats() Stats {

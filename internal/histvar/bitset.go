@@ -23,6 +23,8 @@ func (b *Bitset) Add(id int) {
 }
 
 // Has reports whether id is in the set.
+//
+//countnet:allow apivet -- Lemma 3.1-3.3 checker API, run only by tests: the package has no non-test importer (E12)
 func (b *Bitset) Has(id int) bool {
 	if id < 0 || id >= b.n {
 		return false
@@ -60,6 +62,8 @@ func (b *Bitset) ForEach(fn func(id int)) {
 }
 
 // Clone returns an independent copy.
+//
+//countnet:allow apivet -- Lemma 3.1-3.3 checker API, run only by tests: the package has no non-test importer (E12)
 func (b *Bitset) Clone() *Bitset {
 	c := &Bitset{words: make([]uint64, len(b.words)), n: b.n}
 	copy(c.words, b.words)

@@ -28,6 +28,8 @@ type Tracker struct {
 }
 
 // New returns a Tracker for g able to track numTokens tokens.
+//
+//countnet:allow apivet -- Lemma 3.1-3.3 checker API, run only by tests: the package has no non-test importer (E12)
 func New(g *topo.Graph, numTokens int) *Tracker {
 	t := &Tracker{
 		g:      g,
@@ -48,6 +50,8 @@ func New(g *topo.Graph, numTokens int) *Tracker {
 // OnEvent merges knowledge for the transition event <tok, node>. Feed it
 // every event of the execution, in execution order (e.g. the Events of a
 // schedule.Run made with Options.Trace).
+//
+//countnet:allow apivet -- Lemma 3.1-3.3 checker API, run only by tests: the package has no non-test importer (E12)
 func (t *Tracker) OnEvent(tok int, node topo.NodeID) {
 	ht := t.tokens[tok]
 	hd := t.nodes[node]
@@ -59,17 +63,25 @@ func (t *Tracker) OnEvent(tok int, node topo.NodeID) {
 }
 
 // TokenKnowledge returns H_T for token tok (a live view, not a copy).
+//
+//countnet:allow apivet -- Lemma 3.1-3.3 checker API, run only by tests: the package has no non-test importer (E12)
 func (t *Tracker) TokenKnowledge(tok int) *Bitset { return t.tokens[tok] }
 
 // NodeKnowledge returns H_D for node id (a live view, not a copy).
+//
+//countnet:allow apivet -- Lemma 3.1-3.3 checker API, run only by tests: the package has no non-test importer (E12)
 func (t *Tracker) NodeKnowledge(id topo.NodeID) *Bitset { return t.nodes[id] }
 
 // ExitOrdinal returns how many tokens have exited through counter node id.
+//
+//countnet:allow apivet -- Lemma 3.1-3.3 checker API, run only by tests: the package has no non-test importer (E12)
 func (t *Tracker) ExitOrdinal(id topo.NodeID) int64 { return t.exits[id] }
 
 // CheckLemma31 verifies the Lemma 3.1 lower bound for a token that just
 // exited: it was the a-th token to exit on Y_i, so its knowledge must
 // contain at least w*(a-1) + i + 1 tokens.
+//
+//countnet:allow apivet -- Lemma 3.1-3.3 checker API, run only by tests: the package has no non-test importer (E12)
 func (t *Tracker) CheckLemma31(tok int, counter topo.NodeID) error {
 	i := t.g.CounterIndex(counter)
 	if i < 0 {
@@ -89,6 +101,8 @@ func (t *Tracker) CheckLemma31(tok int, counter topo.NodeID) error {
 // CheckLemma33 verifies the combined Lemma 3.3 bound at an exit event: if
 // token tok was the a-th to exit counter node at time t, then at least
 // w*(a-1)+i+1 tokens entered the network no later than t - h*c1.
+//
+//countnet:allow apivet -- Lemma 3.1-3.3 checker API, run only by tests: the package has no non-test importer (E12)
 func (t *Tracker) CheckLemma33(counter topo.NodeID, now int64, c1 int64, entry []int64) error {
 	i := t.g.CounterIndex(counter)
 	if i < 0 {
@@ -114,6 +128,8 @@ func (t *Tracker) CheckLemma33(counter topo.NodeID, now int64, c1 int64, entry [
 // CheckLemma32 verifies the Lemma 3.2 bound after an event at time `now` at
 // `node`: every token in H_node entered the network no later than
 // now - (layer(node)-1)*c1, where entry[k] is token k's entry time.
+//
+//countnet:allow apivet -- Lemma 3.1-3.3 checker API, run only by tests: the package has no non-test importer (E12)
 func (t *Tracker) CheckLemma32(node topo.NodeID, now int64, c1 int64, entry []int64) error {
 	g := int64(t.g.Layer(node) - 1)
 	limit := now - g*c1

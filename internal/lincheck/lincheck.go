@@ -50,6 +50,8 @@ func (r Report) Ratio() float64 {
 }
 
 // Linearizable reports whether no violations were observed.
+//
+//countnet:allow apivet -- the verdict predicate the tests of eight packages assert on
 func (r Report) Linearizable() bool { return r.NonLinearizable == 0 }
 
 // String renders the report in one line.

@@ -35,9 +35,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores the level.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add moves the level by d (use negative d to decrement).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

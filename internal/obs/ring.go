@@ -55,19 +55,6 @@ func (r *Ring) Record(ev Event) {
 	s.buf[n%int64(len(s.buf))] = ev
 }
 
-// Len returns the number of events currently retained across all shards.
-func (r *Ring) Len() int {
-	total := 0
-	for i := range r.shards {
-		n := r.shards[i].n.Load()
-		if c := int64(len(r.shards[i].buf)); n > c {
-			n = c
-		}
-		total += int(n)
-	}
-	return total
-}
-
 // Overwritten returns how many events were lost to ring wraparound.
 func (r *Ring) Overwritten() int64 {
 	var total int64

@@ -25,20 +25,14 @@ func TestRingOverwrittenUnderContention(t *testing.T) {
 			}
 		}(p)
 	}
-	// Concurrent observer: Len and Overwritten must never regress while
-	// the writers run (each shard's count is monotone and published
+	// Concurrent observer: Overwritten must never regress while the
+	// writers run (each shard's count is monotone and published
 	// atomically).
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		lastLen, lastOver := 0, int64(0)
+		lastOver := int64(0)
 		for !writersDone.Load() {
-			if l := r.Len(); l < lastLen {
-				t.Errorf("Len regressed mid-run: %d after %d", l, lastLen)
-				return
-			} else {
-				lastLen = l
-			}
 			if o := r.Overwritten(); o < lastOver {
 				t.Errorf("Overwritten regressed mid-run: %d after %d", o, lastOver)
 				return
@@ -51,9 +45,6 @@ func TestRingOverwrittenUnderContention(t *testing.T) {
 	writersDone.Store(true)
 	<-readerDone
 
-	if got, want := r.Len(), procs*perProc; got != want {
-		t.Fatalf("Len after wraparound = %d, want %d", got, want)
-	}
 	if got, want := r.Overwritten(), int64(procs*(events-perProc)); got != want {
 		t.Fatalf("Overwritten = %d, want %d", got, want)
 	}
@@ -77,15 +68,15 @@ func TestRingOverwrittenUnderContention(t *testing.T) {
 
 // TestRingFoldedShardsAccounting pins the out-of-range-P folding: tokens
 // recorded with negative or oversized processor ids land on a shard by
-// modulus and are still counted by Len/Overwritten.
+// modulus and are still counted by Events/Overwritten.
 func TestRingFoldedShardsAccounting(t *testing.T) {
 	r := NewRing(2, 4)
 	for i := 0; i < 6; i++ {
 		r.Record(Event{T: int64(i), P: -7}) // folds onto shard 1
 	}
 	r.Record(Event{T: 100, P: 4}) // folds onto shard 0
-	if got := r.Len(); got != 5 {
-		t.Fatalf("Len = %d, want 5 (4 retained on shard 1, 1 on shard 0)", got)
+	if got := len(r.Events()); got != 5 {
+		t.Fatalf("retained %d events, want 5 (4 on shard 1, 1 on shard 0)", got)
 	}
 	if got := r.Overwritten(); got != 2 {
 		t.Fatalf("Overwritten = %d, want 2", got)

@@ -41,9 +41,6 @@ func (c *Clock) Witness(remote uint64) {
 	}
 }
 
-// Now returns the current clock value without advancing it.
-func (c *Clock) Now() uint64 { return c.v.Load() }
-
 // CausalClosure filters events down to the causally closed subset: an
 // event is kept when its whole ancestor chain is present (span ids
 // increase along causal edges, so one pass in span order suffices).

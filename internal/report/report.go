@@ -28,9 +28,6 @@ type Table struct {
 // Add appends a cell.
 func (t *Table) Add(c Cell) { t.cells = append(t.cells, c) }
 
-// Cells returns the accumulated cells.
-func (t *Table) Cells() []Cell { return t.cells }
-
 func (t *Table) find(net string, procs int, wait int64, frac float64) (Cell, bool) {
 	for _, c := range t.cells {
 		if c.Net == net && c.Procs == procs && c.Wait == wait && c.Frac == frac {

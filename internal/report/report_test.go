@@ -51,7 +51,7 @@ func TestWriteCSV(t *testing.T) {
 	if !strings.HasPrefix(lines[1], "bitonic,0.25,100,4,0.01,1.45,222") {
 		t.Errorf("row = %q", lines[1])
 	}
-	if len(tbl.Cells()) != 3 {
-		t.Errorf("Cells = %d", len(tbl.Cells()))
+	if len(tbl.cells) != 3 {
+		t.Errorf("cells = %d", len(tbl.cells))
 	}
 }

@@ -171,6 +171,8 @@ func (c *Concrete) Clone() *Concrete {
 }
 
 // Concrete converts a search result into a serializable concrete schedule.
+//
+//countnet:allow apivet -- turns a found schedule into a replayable one for the schedule and conformance tests
 func (r *SearchResult) Concrete(net string, width int, c1, c2 int64) *Concrete {
 	c := &Concrete{Net: net, Width: width, C1: c1, C2: c2}
 	for k, a := range r.Arrivals {

@@ -41,6 +41,8 @@ type DelayFunc func(tok, link int) int64
 func (f DelayFunc) Link(tok, link int) int64 { return f(tok, link) }
 
 // Constant returns Delays taking exactly d on every link (c1 == c2 == d).
+//
+//countnet:allow apivet -- delay fixture shared by the tests of three packages: root bench_test.go, histvar and schedule
 func Constant(d int64) Delays {
 	return DelayFunc(func(int, int) int64 { return d })
 }
@@ -54,6 +56,8 @@ func PerToken(d []int64) Delays {
 // UniformRandom returns deterministic pseudo-random Delays uniform over
 // [c1, c2], keyed by (seed, token, link) so a given token's link time is
 // stable no matter the call order.
+//
+//countnet:allow apivet -- delay fixture shared by the tests of three packages: root bench_test.go, histvar and schedule
 func UniformRandom(c1, c2, seed int64) Delays {
 	if c2 < c1 {
 		c2 = c1

@@ -107,9 +107,6 @@ func New(n *shm.Network, opts Options) (*Counter, error) {
 	return &Counter{mode: ModeDirect, direct: new(word)}, nil
 }
 
-// Mode returns the mode the counter was built in.
-func (c *Counter) Mode() Mode { return c.mode }
-
 // Next draws the next counter value: TraverseSpan with no parent span.
 func (c *Counter) Next(input int, proc, tok int32, afterNode func(id topo.NodeID)) int64 {
 	v, _ := c.TraverseSpan(input, proc, tok, 0, afterNode)

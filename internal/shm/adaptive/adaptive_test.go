@@ -102,8 +102,8 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("unknown mode %d accepted", int32(m))
 		}
 	}
-	if c.Mode() != adaptive.ModeDirect {
-		t.Errorf("fresh counter in mode %v, want direct", c.Mode())
+	if c.Stats().Mode != adaptive.ModeDirect {
+		t.Errorf("fresh counter in mode %v, want direct", c.Stats().Mode)
 	}
 }
 
@@ -150,7 +150,7 @@ func checkSwitchTo(t *testing.T, c *adaptive.Counter, built, m adaptive.Mode) {
 	if m != built && err == nil {
 		t.Errorf("SwitchTo(%v) on a %v counter returned nil", m, built)
 	}
-	if got := c.Mode(); got != built {
+	if got := c.Stats().Mode; got != built {
 		t.Errorf("mode %v after SwitchTo(%v), built in %v", got, m, built)
 	}
 }
@@ -160,8 +160,8 @@ func checkSwitchTo(t *testing.T, c *adaptive.Counter, built, m adaptive.Mode) {
 func checkTokens(t *testing.T, c *adaptive.Counter, total int64) {
 	t.Helper()
 	st := c.Stats()
-	if st.Tokens != total || st.PerMode[c.Mode()] != total {
-		t.Fatalf("Stats %+v, issued %d tokens in %v", st, total, c.Mode())
+	if st.Tokens != total || st.PerMode[st.Mode] != total {
+		t.Fatalf("Stats %+v, issued %d tokens in %v", st, total, st.Mode)
 	}
 }
 
@@ -418,7 +418,7 @@ func TestAdaptiveQuiescentLinearizable(t *testing.T) {
 	if !res.Report.Linearizable() {
 		t.Fatalf("sequential adaptive run not linearizable: %s", res.Report)
 	}
-	if m := front.Mode(); m != adaptive.ModeDirect {
+	if m := front.Stats().Mode; m != adaptive.ModeDirect {
 		t.Errorf("default counter ran in %v, want direct", m)
 	}
 }
@@ -441,7 +441,7 @@ func drawAll(t *testing.T, c *adaptive.Counter, width int, from, to int32) []int
 	case <-done:
 		return out
 	case <-time.After(30 * time.Second):
-		t.Fatalf("tokens [%d,%d) hung in mode %v", from, to, c.Mode())
+		t.Fatalf("tokens [%d,%d) hung in mode %v", from, to, c.Stats().Mode)
 		return nil
 	}
 }
@@ -452,13 +452,13 @@ func drawAll(t *testing.T, c *adaptive.Counter, width int, from, to int32) []int
 // value leaves the default ModeDirect start untouched.
 func TestLinearBelowStartsLinear(t *testing.T) {
 	c := newCounter(t, 4, adaptive.Options{LinearBelow: 64})
-	if m := c.Mode(); m != adaptive.ModeLinear {
+	if m := c.Stats().Mode; m != adaptive.ModeLinear {
 		t.Fatalf("LinearBelow counter starts in %v, want linear", m)
 	}
 	vals := drawAll(t, c, 4, 0, 32)
 	checkValues(t, vals, 4)
-	if c2 := newCounter(t, 4, adaptive.Options{}); c2.Mode() != adaptive.ModeDirect {
-		t.Errorf("default counter starts in %v, want direct", c2.Mode())
+	if c2 := newCounter(t, 4, adaptive.Options{}); c2.Stats().Mode != adaptive.ModeDirect {
+		t.Errorf("default counter starts in %v, want direct", c2.Stats().Mode)
 	}
 	n, err := shm.Compile(buildGraph(t, 4), shm.Options{Kind: shm.KindMCS})
 	if err != nil {
@@ -517,7 +517,7 @@ func TestLinearZeroViolations(t *testing.T) {
 		}
 		t.Fatalf("ModeLinear produced violations: %s", linRes.Report)
 	}
-	if m := front.Mode(); m != adaptive.ModeLinear {
+	if m := front.Stats().Mode; m != adaptive.ModeLinear {
 		t.Fatalf("pinned counter drifted to %v", m)
 	}
 

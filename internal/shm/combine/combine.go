@@ -206,9 +206,6 @@ func New(opts Options) *Funnel {
 	return f
 }
 
-// Width returns the exchanger slot count.
-func (f *Funnel) Width() int { return len(f.slots) }
-
 // Stats returns a snapshot of the funnel's counters.
 func (f *Funnel) Stats() Stats {
 	return Stats{

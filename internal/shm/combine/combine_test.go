@@ -206,11 +206,11 @@ func TestHitRate(t *testing.T) {
 }
 
 func TestWidthAndDefaults(t *testing.T) {
-	if f := New(Options{}); f.Width() != DefaultWidth || f.window != DefaultWindow {
-		t.Errorf("defaults: width %d window %v", f.Width(), f.window)
+	if f := New(Options{}); len(f.slots) != DefaultWidth || f.window != DefaultWindow {
+		t.Errorf("defaults: width %d window %v", len(f.slots), f.window)
 	}
-	if f := New(Options{Width: 3, Window: time.Millisecond}); f.Width() != 3 || f.window != time.Millisecond {
-		t.Errorf("options ignored: width %d window %v", f.Width(), f.window)
+	if f := New(Options{Width: 3, Window: time.Millisecond}); len(f.slots) != 3 || f.window != time.Millisecond {
+		t.Errorf("options ignored: width %d window %v", len(f.slots), f.window)
 	}
 }
 

@@ -63,7 +63,7 @@ func FuzzCombineExchange(f *testing.F) {
 			op, arg := int(b&3), int(b>>2)
 			switch op {
 			case 0: // a colliding token claims at a slot and represents
-				s := &fz.slots[arg%fz.Width()]
+				s := &fz.slots[arg%len(fz.slots)]
 				if w := s.Peek(); w != nil && s.Claim(w) {
 					forget(w)
 					got = append(got, fz.represent([]*waiter{w}, 1+arg%2, trav)...)
@@ -79,8 +79,8 @@ func FuzzCombineExchange(f *testing.F) {
 				}
 			case 1: // a new token camps
 				w := &waiter{V: share{demand: 1 + arg%3}}
-				if fz.slots[arg%fz.Width()].Camp(w) {
-					camps = append(camps, camped{arg % fz.Width(), w})
+				if fz.slots[arg%len(fz.slots)].Camp(w) {
+					camps = append(camps, camped{arg % len(fz.slots), w})
 				}
 			case 2: // a camped token's window expires: withdraw, traverse alone
 				if len(camps) == 0 {

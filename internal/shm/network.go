@@ -88,14 +88,8 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 	return n, nil
 }
 
-// Graph returns the compiled topology.
-func (n *Network) Graph() *topo.Graph { return n.g }
-
 // InWidth returns the number of network inputs.
 func (n *Network) InWidth() int { return n.g.InWidth() }
-
-// OutWidth returns the number of output counters.
-func (n *Network) OutWidth() int { return int(n.w) }
 
 // Traverse routes one token from the given input to a counter and returns
 // its value. Safe for concurrent use by any number of goroutines.

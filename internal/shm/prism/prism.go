@@ -48,9 +48,6 @@ func New(width int) *Prism {
 	return p
 }
 
-// Width returns the number of slots.
-func (p *Prism) Width() int { return len(p.slots) }
-
 // Retries returns how many CAS races this prism has lost (a take or camp
 // attempt that failed because a concurrent token won the slot) — the
 // contention signal the observability layer exports per balancer.

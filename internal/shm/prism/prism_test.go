@@ -100,10 +100,10 @@ func TestExchangeComplementary(t *testing.T) {
 }
 
 func TestWidthClamp(t *testing.T) {
-	if New(0).Width() != 1 {
+	if len(New(0).slots) != 1 {
 		t.Error("width 0 not clamped to 1")
 	}
-	if New(8).Width() != 8 {
+	if len(New(8).slots) != 8 {
 		t.Error("width 8 mangled")
 	}
 }

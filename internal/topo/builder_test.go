@@ -47,7 +47,7 @@ func TestBuilderWidth2(t *testing.T) {
 		t.Errorf("balancer layer = %d, want 1", g.Layer(bal[0]))
 	}
 	for i := 0; i < 2; i++ {
-		c := g.CounterNode(i)
+		c := g.counters[i]
 		if g.KindOf(c) != KindCounter {
 			t.Errorf("counter %d kind = %v", i, g.KindOf(c))
 		}

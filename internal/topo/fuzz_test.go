@@ -66,7 +66,7 @@ func FuzzDecode(f *testing.F) {
 			rename[id] = NodeID(k)
 		}
 		for i := range g.OutWidth() {
-			rename[g.CounterNode(i)] = g2.CounterNode(i)
+			rename[g.counters[i]] = g2.counters[i]
 		}
 		if g2.Depth() != g.Depth() || g2.Uniform() != g.Uniform() {
 			t.Fatalf("round trip changed shape: %s vs %s", Summary(g), Summary(g2))

@@ -18,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite testdata/graphs.golden from cur
 
 // goldenGraphs names every network the golden file pins: the bitonic,
 // periodic and counting-tree constructions at each power-of-two width up
-// to 32, two higher-arity trees, one cascade, and the Pad(g, 3) of each.
+// to 32, two higher-arity trees, and the Pad(g, 3) of each.
 func goldenGraphs(t testing.TB) []namedGraph {
 	t.Helper()
 	must := func(g *topo.Graph, err error) *topo.Graph {
@@ -37,8 +37,7 @@ func goldenGraphs(t testing.TB) []namedGraph {
 	}
 	base = append(base,
 		namedGraph{"tree[27,arity 3]", must(dtree.NewArity(27, 3))},
-		namedGraph{"tree[16,arity 4]", must(dtree.NewArity(16, 4))},
-		namedGraph{"cascade(bitonic[8],periodic[8])", must(topo.Cascade(must(bitonic.New(8)), must(periodic.New(8))))})
+		namedGraph{"tree[16,arity 4]", must(dtree.NewArity(16, 4))})
 	all := base
 	for _, ng := range base {
 		all = append(all, namedGraph{"pad3(" + ng.name + ")", must(topo.Pad(ng.g, 3))})

@@ -128,9 +128,6 @@ func (g *Graph) Uniform() bool { return g.uniform }
 // Input returns the entry port for network input i.
 func (g *Graph) Input(i int) PortRef { return g.inputs[i] }
 
-// CounterNode returns the node id of the counter on output Y_i.
-func (g *Graph) CounterNode(i int) NodeID { return g.counters[i] }
-
 // KindOf returns the kind of node id.
 func (g *Graph) KindOf(id NodeID) Kind { return g.nodes[id].kind }
 

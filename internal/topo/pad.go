@@ -30,3 +30,32 @@ func Pad(g *Graph, length int) (*Graph, error) {
 	b.Terminate(term)
 	return b.Build()
 }
+
+// cloneBalancers rebuilds g's balancers (not its counters) inside b, with
+// network input i of g fed by feeds[i]. It returns the wires that fed g's
+// counters, in output order. The clones are numbered in g's breadthOrder.
+func cloneBalancers(b *Builder, g *Graph, feeds []Out) ([]Out, error) {
+	clone := make([]NodeID, len(g.nodes)) // clone[id] = id of g's node id in b
+	wire := func(s Src) Out {
+		if s.IsInput() {
+			return feeds[s.Port]
+		}
+		return b.out(clone[s.Node], s.Port)
+	}
+	var ins []Out
+	for _, id := range g.breadthOrder() {
+		n := &g.nodes[id]
+		ins = ins[:0]
+		for _, s := range g.ins(n) {
+			ins = append(ins, wire(s))
+		}
+		if clone[id] = b.balancer(ins, int(n.fanOut)); clone[id] == InvalidNode {
+			return nil, b.err
+		}
+	}
+	term := make([]Out, g.OutWidth())
+	for i, c := range g.counters {
+		term[i] = wire(g.InSrc(c, 0))
+	}
+	return term, nil
+}

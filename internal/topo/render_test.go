@@ -16,12 +16,16 @@ func TestRenderWidth2(t *testing.T) {
 }
 
 func TestRenderChained(t *testing.T) {
-	g := width2(t)
-	c, err := Cascade(g, g)
+	b := NewBuilder()
+	in := b.Inputs(2)
+	a0, a1 := b.Balancer2(in[0], in[1])
+	c0, c1 := b.Balancer2(a0, a1)
+	b.Terminate([]Out{c0, c1})
+	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := Render(c)
+	out := Render(g)
 	if !strings.Contains(out, "layer 2:") || !strings.Contains(out, "b0.0,b0.1") {
 		t.Errorf("chained render:\n%s", out)
 	}

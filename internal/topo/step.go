@@ -34,15 +34,9 @@ func NewStepper(g *Graph) *Stepper {
 	}
 }
 
-// Graph returns the network being executed.
-func (s *Stepper) Graph() *Graph { return s.g }
-
 // TrackPaths records, for every token, the sequence of nodes it transits.
 // Must be called before the first Inject.
 func (s *Stepper) TrackPaths() { s.track = true }
-
-// NumTokens returns how many tokens have been injected.
-func (s *Stepper) NumTokens() int { return len(s.pos) }
 
 // Inject admits a new token at network input port `input` and returns the
 // token id. The token waits at the input node; it transitions on Step.
@@ -55,9 +49,6 @@ func (s *Stepper) Inject(input int) int {
 	}
 	return tok
 }
-
-// Done reports whether token tok has exited through a counter.
-func (s *Stepper) Done(tok int) bool { return s.val[tok] >= 0 }
 
 // Value returns the value assigned to token tok and whether it has exited.
 func (s *Stepper) Value(tok int) (int64, bool) {
@@ -88,9 +79,6 @@ func (s *Stepper) OutputCounts() []int64 {
 	}
 	return out
 }
-
-// BalancerOutCount returns how many tokens have left balancer id in total.
-func (s *Stepper) BalancerOutCount(id NodeID) int64 { return s.counts[id] }
 
 // Step performs the instantaneous transition of the node token tok waits at.
 // It returns done=true when the transition was through a counter, in which
@@ -167,6 +155,3 @@ func NewSequential(g *Graph) *Sequential {
 func (q *Sequential) Traverse(input int) (int64, error) {
 	return q.s.Run(q.s.Inject(input))
 }
-
-// Stepper exposes the underlying stepper for inspection.
-func (q *Sequential) Stepper() *Stepper { return q.s }

@@ -18,7 +18,7 @@ func TestStepperSequentialValues(t *testing.T) {
 			t.Errorf("token %d received %d", k, v)
 		}
 	}
-	st := q.Stepper()
+	st := q.s
 	if !st.Quiescent() {
 		t.Error("all tokens done but not quiescent")
 	}
@@ -96,8 +96,8 @@ func TestStepperTrackPaths(t *testing.T) {
 	if g.KindOf(path[0]) != KindBalancer || g.KindOf(path[1]) != KindCounter {
 		t.Errorf("path kinds wrong: %v", path)
 	}
-	if s.BalancerOutCount(path[0]) != 1 {
-		t.Errorf("BalancerOutCount = %d", s.BalancerOutCount(path[0]))
+	if s.counts[path[0]] != 1 {
+		t.Errorf("balancer out count = %d", s.counts[path[0]])
 	}
 }
 

@@ -33,24 +33,12 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// EncodeSpec renders the spec as one-line JSON, the replay token printed by
-// the conformance harness when a cross-engine run fails.
+// EncodeSpec renders the spec as one-line JSON, the line the conformance
+// harness prints when a cross-engine cell fails; the same conformance
+// flags regenerate that cell.
 func EncodeSpec(s Spec) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return json.Marshal(s)
-}
-
-// DecodeSpec parses a spec serialized by EncodeSpec and validates it, so a
-// failure reproducer survives the JSON round trip exactly.
-func DecodeSpec(data []byte) (Spec, error) {
-	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Spec{}, fmt.Errorf("workload: decode spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
 }
