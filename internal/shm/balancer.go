@@ -112,27 +112,47 @@ var nodes mcs.Pool
 // word and never writes the lock. A token that finds a holder or a waiter
 // always queues, so contended tokens are still admitted in arrival order.
 // The balancer fills a cache line that holds its lock and its toggle, so
-// no two balancers' words share one (TestMCSBalancerLayout).
+// no two balancers' words share one (TestMCSBalancerLayout). Compile
+// stores in the line's padding where the balancer's output destinations
+// start in the graph's flat Dests array, so the single-token walk (token)
+// reads the next node id with one load once the toggle has moved.
 type mcsBalancer struct {
 	lock   mcs.Lock
 	toggle atomic.Int64
 	fanOut int64
-	_      [40]byte
+	out    int32 // topo.Graph.OutOffset of this balancer; set by Compile
+	_      [36]byte
 }
 
-// Traverse implements Balancer. The fast path makes one attempt: a token
-// that saw the lock idle and lost the swap queues like any other. The
-// holder also advances the toggle by compare-and-swap, not by a plain
-// store, because a token that saw the lock idle just before the holder
-// took it may still land its swap. Each such racer tries once, so the
-// holder's retries are bounded by the number of concurrent racers.
+// Traverse implements Balancer: the idle fast path, else the queue.
 func (b *mcsBalancer) Traverse() int {
+	if t, ok := b.swap(); ok {
+		return t
+	}
+	return b.queue()
+}
+
+// swap is the idle fast path. It makes one attempt: if the lock is idle
+// it reads the toggle and swaps it one place on, and reports the position
+// it left. A token that lost the swap, or found a holder or a waiter,
+// must queue like any other. swap inlines, so the single-token walk
+// (token) makes no call for an idle toggle.
+func (b *mcsBalancer) swap() (int, bool) {
 	if b.lock.Idle() {
 		t := b.toggle.Load()
 		if b.toggle.CompareAndSwap(t, b.next(t)) {
-			return int(t)
+			return int(t), true
 		}
 	}
+	return 0, false
+}
+
+// queue is a contended token's way through: it queues on the lock and, as
+// holder, advances the toggle. The holder advances by compare-and-swap,
+// not by a plain store, because a token that saw the lock idle just before
+// the holder took it may still land its swap. Each such racer tries once,
+// so the holder's retries are bounded by the number of concurrent racers.
+func (b *mcsBalancer) queue() int {
 	n := nodes.Get()
 	b.lock.Acquire(n)
 	t := b.advance()

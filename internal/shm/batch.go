@@ -78,6 +78,6 @@ func (n *Network) TraverseBatch(input, demand int, proc, tok int32, parent uint6
 	if demand <= 0 {
 		return nil
 	}
-	t := trip{proc: proc, tok: tok, span: parent, afterNode: afterNode}
-	return n.walk(n.g.Input(input), demand, &t, make([]int64, 0, demand))
+	t := trip{o: n.obs, proc: proc, tok: tok, span: parent, afterNode: afterNode}
+	return n.walk(n.g.Input(input).Node, demand, &t, make([]int64, 0, demand))
 }

@@ -210,9 +210,9 @@ func TestWalkAllocs(t *testing.T) {
 // TestMCSBalancerLayout pins the layout every MCS toggle's cost depends
 // on: a balancer fills one cache line and starts it, so the lock words of
 // a compiled network's balancers, which different tokens swap
-// concurrently, never share a line, and its toggle sits on its lock's
-// line, so the idle fast path reads the lock and swaps the toggle on one
-// line. Compile carves the balancers from shared slabs, so this holds
+// concurrently, never share a line, and its toggle and its output offset
+// sit on its lock's line, so the idle fast path reads the lock, swaps the
+// toggle and finds the next hop on one line. Compile carves the balancers from shared slabs, so this holds
 // only while the allocator starts every slab on a line boundary; the
 // networks cover a partial slab, several slabs, and ten.
 func TestMCSBalancerLayout(t *testing.T) {
@@ -247,6 +247,9 @@ func TestMCSBalancerLayout(t *testing.T) {
 			line := lock / cacheLine
 			if tl := uintptr(unsafe.Pointer(&b.toggle)) / cacheLine; tl != line {
 				t.Errorf("%s: balancer %d: toggle on line %d, lock on line %d", tc.name, id, tl, line)
+			}
+			if ol := uintptr(unsafe.Pointer(&b.out)) / cacheLine; ol != line {
+				t.Errorf("%s: balancer %d: output offset on line %d, lock on line %d", tc.name, id, ol, line)
 			}
 			if prev, ok := owner[line]; ok {
 				t.Errorf("%s: balancers %d and %d lock words share a cache line", tc.name, prev, id)

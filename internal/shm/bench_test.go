@@ -8,10 +8,20 @@ import (
 	"countnet/internal/dtree"
 )
 
-func benchNetwork(b *testing.B, n *Network) {
+// benchNetwork runs one walk per op on n: from GOMAXPROCS goroutines
+// under name, where cross-core misses on the shared toggles and counters
+// dominate, and from one goroutine under solo/name, the walk's own cost.
+func benchNetwork(b *testing.B, name string, n *Network) {
 	b.Helper()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
+	b.Run(name, func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				n.Traverse(0)
+			}
+		})
+	})
+	b.Run("solo/"+name, func(b *testing.B) {
+		for range b.N {
 			n.Traverse(0)
 		}
 	})
@@ -27,7 +37,7 @@ func BenchmarkBitonic8(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(kind.String(), func(b *testing.B) { benchNetwork(b, n) })
+		benchNetwork(b, kind.String(), n)
 	}
 }
 
@@ -45,8 +55,27 @@ func BenchmarkDTree32(b *testing.B) {
 		if diffract {
 			name = "prism"
 		}
-		b.Run(name, func(b *testing.B) { benchNetwork(b, n) })
+		benchNetwork(b, name, n)
 	}
+}
+
+// BenchmarkHome prices Network.Home on bitonic[8], the per-P input lookup
+// Counter.Next makes before every walk: a sync.Pool Get and Put. Run it
+// at several P counts (-cpu 1,2,8); each goroutine looks up its own P's id.
+func BenchmarkHome(b *testing.B) {
+	g, err := bitonic.New(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, err := Compile(g, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			n.Home()
+		}
+	})
 }
 
 func BenchmarkBalancers(b *testing.B) {

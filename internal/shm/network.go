@@ -34,7 +34,8 @@ type paddedCounter struct {
 // step-property-consistent values.
 type Network struct {
 	g         *topo.Graph
-	balancers []Balancer // indexed by NodeID; nil for counters
+	dsts      []topo.PortRef // g.Dests(): the next hop from an MCS balancer
+	balancers []Balancer     // indexed by NodeID; nil for counters
 	counters  []paddedCounter
 	w         int64
 	obs       *netObs // nil until EnableObs; read-only afterwards
@@ -56,6 +57,7 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 	}
 	n := &Network{
 		g:         g,
+		dsts:      g.Dests(),
 		balancers: make([]Balancer, g.NumNodes()),
 		counters:  make([]paddedCounter, g.OutWidth()),
 		w:         int64(g.OutWidth()),
@@ -74,6 +76,7 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 				left -= len(slab)
 			}
 			slab[0].fanOut = int64(g.FanOut(id))
+			slab[0].out = int32(g.OutOffset(id))
 			b, slab = &slab[0], slab[1:]
 		} else if b, err = NewBalancer(opts.Kind, g.FanOut(id)); err != nil {
 			return nil, err
@@ -96,106 +99,143 @@ func (n *Network) InWidth() int { return n.g.InWidth() }
 //
 //countnet:hotpath
 func (n *Network) Traverse(input int) int64 {
-	var t trip
-	var v [1]int64
-	return n.walk(n.g.Input(input), 1, &t, v[:0])[0]
+	id := n.g.Input(input).Node
+	if n.obs == nil {
+		return n.token(id, nil)
+	}
+	t := trip{o: n.obs}
+	return n.token(id, &t)
 }
 
-// trip is what travels with a token (or a combined group of tokens)
-// through walk: the (proc, tok) identity its trace events carry, the span
-// its next event chains onto, and the caller's per-node hook.
+// trip is what travels with a hooked or observed token, and with every
+// combined group of tokens, through the walk: the network's observability
+// state, the (proc, tok) identity its trace events carry, the span its
+// next event chains onto, and the caller's per-node hook.
 type trip struct {
+	o         *netObs // nil when the network runs unobserved
 	proc, tok int32
 	span      uint64
 	afterNode func(id topo.NodeID)
 }
 
-// visited runs the trip's hook after the group left node id; the stress
-// driver uses it to inject the paper's W-cycle delays.
-func (t *trip) visited(id topo.NodeID) {
-	if t.afterNode != nil {
-		t.afterNode(id)
+// token routes one token from node id to a counter and returns its value.
+// It is the only single-token walk: Traverse, TraverseSpan and every
+// one-token branch of a batch walk go through it. t is nil for a plain
+// token, one with no hook on an unobserved network; otherwise each hop
+// also meters, traces and runs the hook.
+//
+// A default MCS toggle is taken inline: the idle fast path (swap) is one
+// compare-and-swap on the balancer's line, and only a token that finds a
+// holder or a waiter, or loses the swap, calls out to queue, so contended
+// tokens are admitted in FIFO order as before. The balancer's line also
+// holds where its output destinations start in the graph's flat Dests
+// array, so the next node id is one load. The other toggle kinds (atomic,
+// mutex, diffracting) go through Balancer.Traverse and the graph.
+//
+//countnet:hotpath
+func (n *Network) token(id topo.NodeID, t *trip) int64 {
+	for {
+		bal := n.balancers[id]
+		if bal == nil {
+			if t == nil {
+				return n.take(id, 1)
+			}
+			return n.exit(id, 1, t)
+		}
+		var t0 int64
+		if t != nil {
+			t0 = t.start()
+		}
+		var next topo.NodeID
+		if b, ok := bal.(*mcsBalancer); ok {
+			port, idle := b.swap()
+			if !idle {
+				port = b.queue()
+			}
+			next = n.dsts[int(b.out)+port].Node
+		} else {
+			next = n.g.OutDest(id, bal.Traverse()).Node
+		}
+		if t != nil {
+			t.left(id, t0)
+		}
+		id = next
 	}
 }
 
-// walk routes demand tokens entering at p to the output counters as one
-// group and appends their values to out in exit order. It is the only
-// network walk: every Traverse variant is a wrapper around it.
+// walk routes demand tokens entering at node id to the output counters as
+// one group and appends their values to out in exit order. It is the
+// batch walk: a single token, whether it entered alone or split off a
+// group, goes through token.
 //
-// At each balancer a single token takes one Traverse and the loop moves
-// on. A larger group is routed by batchRoute in one critical section,
-// which advances the toggle once per token, exactly as demand
-// back-to-back tokens would; the walk then recurses on every occupied
-// output in port order, so the group splits exactly where the toggles
-// route it. Each counter fetch-and-adds the size of the group that
-// reaches it. Quiescent counting and the step property are therefore
-// those of demand sequential tokens, for any interleaving with
-// concurrent traffic.
+// A larger group is routed by batchRoute in one critical section, which
+// advances the toggle once per token, exactly as demand back-to-back
+// tokens would; the walk then recurses on every occupied output in port
+// order, so the group splits exactly where the toggles route it. Each
+// counter fetch-and-adds the size of the group that reaches it. Quiescent
+// counting and the step property are therefore those of demand sequential
+// tokens, for any interleaving with concurrent traffic.
 //
 //countnet:hotpath
-func (n *Network) walk(p topo.PortRef, demand int, t *trip, out []int64) []int64 {
-	o := n.obs
-	for {
-		id := p.Node
-		b := n.balancers[id]
-		if b == nil {
-			break
-		}
-		var t0 int64
-		if o != nil {
-			t0 = o.clock()
-		}
-		// A single token continues on its own branch instead of sharing the
-		// group's: with the tally and split state merged into one hop, every
-		// plain traversal paid for spilling them, 2-7% in p50 latency on the
-		// walking benchmark workloads.
-		if demand == 1 {
-			port := b.Traverse()
-			if o != nil {
-				o.toggled(id, t0, t)
-			}
-			t.visited(id)
-			p = n.g.OutDest(id, port)
-			continue
-		}
-		var tally [8]int
-		var split []int
-		if fo := n.g.FanOut(id); fo <= len(tally) {
-			split = tally[:fo]
-		} else {
-			split = make([]int, fo)
-		}
-		batchRoute(b, demand, split)
-		if o != nil {
-			o.toggled(id, t0, t)
-		}
-		t.visited(id)
-		span := t.span
-		for q, d := range split {
-			if d > 0 {
-				t.span = span
-				out = n.walk(n.g.OutDest(id, q), d, t, out)
-			}
+func (n *Network) walk(id topo.NodeID, demand int, t *trip, out []int64) []int64 {
+	if demand == 1 {
+		return append(out, n.token(id, t))
+	}
+	b := n.balancers[id]
+	if b == nil {
+		first := n.exit(id, demand, t)
+		for i := 0; i < demand; i++ {
+			out = append(out, first+n.w*int64(i))
 		}
 		return out
 	}
-	id := p.Node
+	t0 := t.start()
+	var tally [8]int
+	var split []int
+	if fo := n.g.FanOut(id); fo <= len(tally) {
+		split = tally[:fo]
+	} else {
+		split = make([]int, fo)
+	}
+	batchRoute(b, demand, split)
+	t.left(id, t0)
+	span := t.span
+	for q, d := range split {
+		if d > 0 {
+			t.span = span
+			out = n.walk(n.g.OutDest(id, q).Node, d, t, out)
+		}
+	}
+	return out
+}
+
+// take gives the demand tokens that reached counter id the counter's next
+// demand values and returns the smallest.
+func (n *Network) take(id topo.NodeID, demand int) int64 {
 	idx := n.g.CounterIndex(id)
-	// A counter hop has no metric of its own, so only a trace times it.
+	return int64(idx) + n.w*(n.counters[idx].v.Add(int64(demand))-int64(demand))
+}
+
+// exit is a counter hop of a hooked or observed walk: take, timed when
+// traced, then the hook. A counter hop has no metric of its own, so only
+// a trace times it.
+func (n *Network) exit(id topo.NodeID, demand int, t *trip) int64 {
+	var o *netObs
+	if t.o != nil && t.o.tr != nil {
+		o = t.o
+	}
 	var t0 int64
-	if o != nil && o.tr != nil {
+	if o != nil {
 		t0 = o.clock()
 	}
-	first := int64(idx) + n.w*(n.counters[idx].v.Add(int64(demand))-int64(demand))
-	for i := 0; i < demand; i++ {
-		out = append(out, first+n.w*int64(i))
-	}
-	if o != nil && o.tr != nil {
-		// The hop's value is the smallest of the demand values it handed out.
+	first := n.take(id, demand)
+	if o != nil {
+		// The hop's value is the smallest of the demand values it handed
+		// out.
 		o.record(obs.KindCounter, id, t0, o.clock(), first, t)
 	}
 	t.visited(id)
-	return out
+	return first
 }
 
 // Issued returns how many values the network has handed out, the sum of

@@ -102,20 +102,43 @@ func (n *Network) TraverseObs(input int, proc, tok int32, afterNode func(id topo
 // which the caller chains its exit event — or the token's next traversal —
 // onto.
 func (n *Network) TraverseSpan(input int, proc, tok int32, parent uint64, afterNode func(id topo.NodeID)) (int64, uint64) {
-	t := trip{proc: proc, tok: tok, span: parent, afterNode: afterNode}
-	var v [1]int64
-	val := n.walk(n.g.Input(input), 1, &t, v[:0])[0]
-	return val, t.span
+	id := n.g.Input(input).Node
+	if n.obs == nil && afterNode == nil {
+		return n.token(id, nil), parent
+	}
+	t := trip{o: n.obs, proc: proc, tok: tok, span: parent, afterNode: afterNode}
+	v := n.token(id, &t)
+	return v, t.span
 }
 
-// toggled closes a balancer hop opened at t0: the toggle-wait histogram
-// and the trace event.
-func (o *netObs) toggled(id topo.NodeID, t0 int64, t *trip) {
-	t1 := o.clock()
-	if o.tog != nil {
-		o.tog.Observe(t1 - t0)
+// start opens a balancer hop: its start time when the network is metered
+// or traced.
+func (t *trip) start() int64 {
+	if t.o == nil {
+		return 0
 	}
-	o.record(obs.KindBalancer, id, t0, t1, -1, t)
+	return t.o.clock()
+}
+
+// left closes a balancer hop opened at t0: the toggle-wait histogram, the
+// trace event and the hook.
+func (t *trip) left(id topo.NodeID, t0 int64) {
+	if o := t.o; o != nil {
+		t1 := o.clock()
+		if o.tog != nil {
+			o.tog.Observe(t1 - t0)
+		}
+		o.record(obs.KindBalancer, id, t0, t1, -1, t)
+	}
+	t.visited(id)
+}
+
+// visited runs the trip's hook after the group left node id; the stress
+// driver uses it to inject the paper's W-cycle delays.
+func (t *trip) visited(id topo.NodeID) {
+	if t.afterNode != nil {
+		t.afterNode(id)
+	}
 }
 
 // record traces one hop under the trip's identity, chained onto the trip's

@@ -2,12 +2,14 @@ package shm
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"countnet/internal/bitonic"
 	"countnet/internal/dtree"
+	"countnet/internal/periodic"
 	"countnet/internal/topo"
 )
 
@@ -112,6 +114,89 @@ func compile(t *testing.T, g *topo.Graph, opts Options) *Network {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// TestWalkMatchesStepper pins the single-token walk against the graph.
+// One goroutine sends the same input sequence through a compiled network
+// and through topo.Stepper, under every toggle kind, bare and diffracted.
+// With no partner a prism always falls back to its toggle, so each
+// token's node sequence, seen by TraverseSpan's hook, and its value must
+// equal the Stepper's Path and Value, and plain Traverse on a second
+// network must hand out the same values. The networks cover fan-out 2
+// (bitonic, periodic, tree), fan-out 3 (a ternary tree, whose balancers
+// stay bare under Diffract) and fan-out 1 (a padded network's
+// pass-through balancers).
+func TestWalkMatchesStepper(t *testing.T) {
+	b8, err := bitonic.New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p8, err := periodic.New(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t32, err := dtree.New(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t27, err := dtree.NewArity(27, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded, err := topo.Pad(b8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, net := range []struct {
+		name string
+		g    *topo.Graph
+	}{
+		{"bitonic[8]", b8},
+		{"periodic[8]", p8},
+		{"tree[32]", t32},
+		{"tree[27,3]", t27},
+		{"padded bitonic[8]", padded},
+	} {
+		for _, kind := range []Kind{KindAtomic, KindMutex, KindMCS} {
+			for _, diffract := range []bool{false, true} {
+				opts := Options{Kind: kind, Diffract: diffract, PrismWindow: time.Microsecond}
+				name := net.name + "/" + kind.String()
+				if diffract {
+					name += "/diffract"
+				}
+				t.Run(name, func(t *testing.T) {
+					hooked, plain := compile(t, net.g, opts), compile(t, net.g, opts)
+					s := topo.NewStepper(net.g)
+					s.TrackPaths()
+					tokens := 3 * net.g.OutWidth()
+					var path []topo.NodeID
+					hook := func(id topo.NodeID) {
+						if path = append(path, id); len(path) > net.g.Depth()+1 {
+							t.Fatalf("walk longer than the network: %v", path)
+						}
+					}
+					for i := range tokens {
+						in := (7*i + i/3) % net.g.InWidth()
+						tok := s.Inject(in)
+						want, err := s.Run(tok)
+						if err != nil {
+							t.Fatal(err)
+						}
+						path = path[:0]
+						if v, _ := hooked.TraverseSpan(in, 0, int32(i), 0, hook); v != want {
+							t.Fatalf("token %d from input %d: TraverseSpan value %d, Stepper %d", i, in, v, want)
+						}
+						if !slices.Equal(path, s.Path(tok)) {
+							t.Fatalf("token %d from input %d: walk visited %v, Stepper %v", i, in, path, s.Path(tok))
+						}
+						if v := plain.Traverse(in); v != want {
+							t.Fatalf("token %d from input %d: Traverse value %d, Stepper %d", i, in, v, want)
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 // TestNetworkCountsPermutation checks end-to-end counting correctness for

@@ -156,6 +156,16 @@ func (g *Graph) CounterIndex(id NodeID) int {
 // which must be a balancer with p < FanOut(id).
 func (g *Graph) OutDest(id NodeID, p int) PortRef { return g.dsts[int(g.nodes[id].out)+p] }
 
+// Dests returns every balancer's output destinations as one flat array in
+// node order: output port p of balancer id is Dests()[OutOffset(id)+p].
+// The array is the graph's own, read-only like the rest of it; a runtime
+// that keeps each balancer's offset reads a next hop with one load.
+func (g *Graph) Dests() []PortRef { return g.dsts }
+
+// OutOffset returns where the output destinations of balancer id start in
+// Dests.
+func (g *Graph) OutOffset(id NodeID) int { return int(g.nodes[id].out) }
+
 // InSrc returns the source feeding input port p < FanIn(id) of node id.
 func (g *Graph) InSrc(id NodeID, p int) Src { return g.srcs[int(g.nodes[id].in)+p] }
 

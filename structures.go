@@ -119,7 +119,13 @@ func (c *LinearizableCounter) NextAt(input int) (int64, error) {
 }
 
 // buildOptions resolves CounterOptions into the runtime's shm.Options.
+// The options write through a pointer to the config, which moves it to
+// the heap, so a build with no options returns the defaults before the
+// config exists and allocates nothing here.
 func buildOptions(opts []CounterOption) (shm.Options, error) {
+	if len(opts) == 0 {
+		return shm.Options{Kind: shm.KindMCS}, nil
+	}
 	cfg := counterConfig{impl: MCS}
 	for _, o := range opts {
 		o(&cfg)
