@@ -101,6 +101,10 @@ func checkEngineFlags(fs *flag.FlagSet, engine string) error {
 	return err
 }
 
+// toggleKinds are the toggle implementations -balancer names, each by
+// its shm.Kind.String.
+var toggleKinds = []shm.Kind{shm.KindMCS, shm.KindMutex, shm.KindAtomic}
+
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("stress", flag.ContinueOnError)
 	var (
@@ -112,7 +116,7 @@ func run(args []string, w io.Writer) error {
 		delay   = fs.Duration("delay", 0, "per-node delay for delayed workers (paper's W)")
 		random  = fs.Bool("random", false, "all workers pause uniform [0,delay] per node")
 		burn    = fs.Bool("burn", false, "burn delays as busy work occupying the processor (models coherence stalls) instead of a cooperative pause")
-		kind    = fs.String("balancer", "mcs", "toggle implementation: mcs, mutex, atomic")
+		kind    = fs.String("balancer", shm.KindMCS.String(), fmt.Sprint("toggle implementation, one of ", toggleKinds))
 		compare = fs.Bool("compare", false, "compare network throughput against single-point counters")
 		grid    = fs.Bool("grid", false, "run the wall-clock analogue of the paper's Figure 5/6 grid")
 		engine  = fs.String("engine", "shm", "execution engine: shm, shm-combine, shm-adaptive, shm-adaptive-linear, or msgnet")
@@ -147,18 +151,11 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var k shm.Kind
-	switch *kind {
-	case "mcs":
-		k = shm.KindMCS
-	case "mutex":
-		k = shm.KindMutex
-	case "atomic":
-		k = shm.KindAtomic
-	default:
+	k := slices.IndexFunc(toggleKinds, func(k shm.Kind) bool { return k.String() == *kind })
+	if k < 0 {
 		return fmt.Errorf("unknown balancer %q", *kind)
 	}
-	n, err := shm.Compile(g, shm.Options{Kind: k, Diffract: *net == "dtree"})
+	n, err := shm.Compile(g, shm.Options{Kind: toggleKinds[k], Diffract: *net == "dtree"})
 	if err != nil {
 		return err
 	}

@@ -150,37 +150,37 @@ type BalancerImpl int
 const (
 	// MCS protects each toggle with a Mellor-Crummey-Scott queue lock,
 	// the implementation evaluated in the paper.
-	MCS BalancerImpl = iota + 1
+	MCS = BalancerImpl(shm.KindMCS)
 	// Mutex protects each toggle with a sync.Mutex.
-	Mutex
+	Mutex = BalancerImpl(shm.KindMutex)
 	// Atomic implements each balancer with one atomic fetch-and-add.
-	Atomic
+	Atomic = BalancerImpl(shm.KindAtomic)
 )
 
 // CounterOption configures NewCounter.
-type CounterOption func(*counterConfig)
+type CounterOption func(*shm.Options)
 
-type counterConfig struct {
-	impl     BalancerImpl
-	diffract bool
-	prismW   int
-	window   time.Duration
-}
-
-// WithBalancer selects the toggle implementation (default MCS).
+// WithBalancer selects the toggle implementation (default MCS). Any value
+// but MCS, Mutex and Atomic fails the build.
 func WithBalancer(impl BalancerImpl) CounterOption {
-	return func(c *counterConfig) { c.impl = impl }
+	return func(o *shm.Options) {
+		// A zero Kind asks Compile for its default, so an explicit zero
+		// goes in as a kind Compile rejects.
+		if o.Kind = shm.Kind(impl); impl == 0 {
+			o.Kind = -1
+		}
+	}
 }
 
-// WithDiffraction wraps every two-output balancer with a prism of the given
-// width in which concurrent tokens collide and skip the toggle; window is
-// how long a token waits for a partner. Use with TreeTopology for a
-// diffracting tree.
+// WithDiffraction puts a prism of the given width in front of every
+// two-output balancer; concurrent tokens collide in it and skip the
+// toggle, and window is how long a token waits for a partner. Use with
+// TreeTopology for a diffracting tree.
 func WithDiffraction(prismWidth int, window time.Duration) CounterOption {
-	return func(c *counterConfig) {
-		c.diffract = true
-		c.prismW = prismWidth
-		c.window = window
+	return func(o *shm.Options) {
+		o.Diffract = true
+		o.PrismWidth = prismWidth
+		o.PrismWindow = window
 	}
 }
 
@@ -195,11 +195,7 @@ func NewCounter(t Topology, opts ...CounterOption) (*Counter, error) {
 	if !t.Valid() {
 		return nil, errZeroTopology
 	}
-	shmOpts, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	net, err := shm.Compile(t.g, shmOpts)
+	net, err := shm.Compile(t.g, buildOptions(opts))
 	if err != nil {
 		return nil, err
 	}

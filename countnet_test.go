@@ -104,6 +104,33 @@ func TestCounterImplementations(t *testing.T) {
 	}
 }
 
+// TestBalancerImplOutOfRange checks that every constructor taking
+// CounterOptions rejects a toggle implementation other than MCS, Mutex
+// and Atomic, including an explicit zero, which must not fall back to
+// the default, and values that a narrower integer would wrap onto a
+// valid kind.
+func TestBalancerImplOutOfRange(t *testing.T) {
+	tp, err := BitonicTopology(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int64{0, -1, 4, 42, 259, 1 << 40} {
+		opt := WithBalancer(BalancerImpl(v))
+		for name, build := range map[string]func() error{
+			"NewCounter": func() error { _, err := NewCounter(tp, opt); return err },
+			"NewLinearizableCounter": func() error {
+				_, err := NewLinearizableCounter(tp, opt)
+				return err
+			},
+			"NewQueue": func() error { _, err := NewQueue[int](tp, 4, opt); return err },
+		} {
+			if build() == nil {
+				t.Errorf("%s accepted BalancerImpl(%d)", name, v)
+			}
+		}
+	}
+}
+
 func TestDiffractingTreeCounter(t *testing.T) {
 	tp, err := TreeTopology(8)
 	if err != nil {

@@ -20,8 +20,8 @@
 //     interfaces declared outside the program, or with no loaded
 //     implementation. Calls through program-declared interfaces are
 //     devirtualized — every loaded implementation is walked instead, so
-//     `Balancer.Traverse` is checked through each toggle kind rather
-//     than flagged.
+//     `obs.Tracer.Record` is checked through each tracer rather than
+//     flagged.
 //
 // The walk stops at functions marked //countnet:coldpath (a switch slow
 // path — the annotation is the reviewed boundary), at program boundaries (a call into a package whose source

@@ -1,13 +1,15 @@
 // Package shm is the real shared-memory runtime for balancing networks:
-// goroutine-safe balancers (atomic, mutex, and MCS-queue-lock toggles, plus
-// prism-diffracting balancers), compiled networks that goroutines traverse
-// directly, and a stress driver with delay injection and real-time
-// linearizability monitoring. It is the goroutines-as-processors
-// counterpart of the cycle-level simulator in internal/sim.
+// goroutine-safe balancers (atomic, mutex, and MCS-queue-lock toggles, each
+// optionally behind a diffracting prism), compiled networks that goroutines
+// traverse directly, and a stress driver with delay injection and
+// real-time linearizability monitoring. It is the
+// goroutines-as-processors counterpart of the cycle-level simulator in
+// internal/sim.
 package shm
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,12 +17,6 @@ import (
 	"countnet/internal/shm/mcs"
 	"countnet/internal/shm/prism"
 )
-
-// Balancer routes one token to an output port, preserving the step property
-// on the node's outputs. Implementations are safe for concurrent use.
-type Balancer interface {
-	Traverse() int
-}
 
 // Kind selects a toggle implementation.
 type Kind int
@@ -50,94 +46,179 @@ func (k Kind) String() string {
 	}
 }
 
-// NewBalancer returns a balancer of the given kind with fanOut outputs.
-func NewBalancer(k Kind, fanOut int) (Balancer, error) {
-	if fanOut < 1 {
-		return nil, fmt.Errorf("shm: balancer fanOut %d", fanOut)
-	}
-	switch k {
-	case KindAtomic:
-		return &atomicBalancer{fanOut: int64(fanOut)}, nil
-	case KindMutex:
-		return &mutexBalancer{fanOut: fanOut}, nil
-	case KindMCS:
-		return &mcsBalancer{fanOut: int64(fanOut)}, nil
-	default:
-		return nil, fmt.Errorf("shm: unknown balancer kind %d", int(k))
-	}
-}
-
-// atomicBalancer distributes tokens round-robin with one fetch-and-add.
-type atomicBalancer struct {
-	c      atomic.Int64
-	fanOut int64
-}
-
-func (b *atomicBalancer) Traverse() int {
-	return int((b.c.Add(1) - 1) % b.fanOut)
-}
-
-// mutexBalancer is the textbook toggle under a mutex.
-type mutexBalancer struct {
-	mu     sync.Mutex
-	toggle int
-	fanOut int
-}
-
-func (b *mutexBalancer) Traverse() int {
-	//countnet:allow hotvet -- KindMutex is the deliberately blocking textbook toggle, kept as the measurement baseline
-	b.mu.Lock()
-	out := b.toggle
-	if b.toggle++; b.toggle == b.fanOut {
-		b.toggle = 0
-	}
-	b.mu.Unlock()
-	return out
-}
-
-// mcsSlab is how many MCS balancers Compile allocates at once: 512 bytes,
-// the largest pointer-holding object Go allocates without a malloc header.
+// slab is how many balancers Compile allocates at once: 512 bytes, the
+// largest pointer-holding object Go allocates without a malloc header.
 // Such an object starts on a 64-byte boundary, so each balancer of a slab
-// owns one cache line (TestMCSBalancerLayout); a larger slab would start 8
+// owns one cache line (TestBalancerLayout); a larger slab would start 8
 // bytes past a line boundary.
-const mcsSlab = 8
+const slab = 8
 
 // nodes is the one pool of MCS queue nodes. Only a token that queues
 // draws one.
 var nodes mcs.Pool
 
-// mcsBalancer is the paper's balancer: a toggle behind an MCS queue lock.
-// The lock is the FIFO admission queue under contention. An idle toggle,
-// one with no holder and no waiter, is one compare-and-swap on the toggle
-// word and never writes the lock. A token that finds a holder or a waiter
-// always queues, so contended tokens are still admitted in arrival order.
-// The balancer fills a cache line that holds its lock and its toggle, so
-// no two balancers' words share one (TestMCSBalancerLayout). Compile
-// stores in the line's padding where the balancer's output destinations
-// start in the graph's flat Dests array, so the single-token walk (token)
-// reads the next node id with one load once the toggle has moved.
-type mcsBalancer struct {
-	lock   mcs.Lock
-	toggle atomic.Int64
-	fanOut int64
+// Balancer is the paper's balancer: a toggle that sends tokens
+// round-robin to its fanOut outputs, preserving the step property on
+// them. It is safe for concurrent use. Its kind says how the toggle
+// advances:
+//
+//   - KindMCS, the paper's, puts the toggle behind an MCS queue lock, the
+//     FIFO admission queue under contention. An idle toggle, one with no
+//     holder and no waiter, is one compare-and-swap on the toggle word
+//     and never writes the lock. A token that finds a holder or a waiter
+//     always queues, so contended tokens are still admitted in arrival
+//     order.
+//   - KindAtomic is one fetch-and-add on the toggle word, which counts
+//     tokens; the port is the count modulo fanOut.
+//   - KindMutex is the textbook toggle: a plain position under a
+//     sync.Mutex.
+//
+// A balancer with a prism (NewDiffracting) first offers each token to
+// the prism, where concurrent pairs collide and leave on complementary
+// outputs without touching the toggle (Shavit-Zemach diffraction).
+//
+// Every balancer fills one cache line that holds its lock, its toggle and
+// where its output destinations start in the graph's flat Dests array, so
+// no two balancers' words share a line and the single-token walk (token)
+// reads the next node id with one load once the toggle has moved
+// (TestBalancerLayout).
+type Balancer struct {
+	lock   mcs.Lock     // KindMCS's admission queue
+	toggle atomic.Int64 // KindMCS's position, KindAtomic's token count
+	fanOut int32
 	out    int32 // topo.Graph.OutOffset of this balancer; set by Compile
-	_      [36]byte
+	kind   Kind
+	mu     sync.Mutex // KindMutex's lock
+	pos    int        // KindMutex's position, guarded by mu
+	prism  *prism.Prism
+	window time.Duration // how long a token waits in the prism
 }
 
-// Traverse implements Balancer: the idle fast path, else the queue.
-func (b *mcsBalancer) Traverse() int {
+// NewBalancer returns a balancer of the given kind with fanOut outputs.
+func NewBalancer(k Kind, fanOut int) (*Balancer, error) {
+	b := new(Balancer)
+	if err := b.init(k, fanOut); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// init makes b a fresh toggle of kind k with fanOut outputs.
+func (b *Balancer) init(k Kind, fanOut int) error {
+	if fanOut < 1 || fanOut > math.MaxInt32 {
+		return fmt.Errorf("shm: balancer fanOut %d", fanOut)
+	}
+	if k < KindAtomic || k > KindMCS {
+		return fmt.Errorf("shm: unknown balancer kind %d", int(k))
+	}
+	b.kind, b.fanOut = k, int32(fanOut)
+	return nil
+}
+
+// NewDiffracting puts a prism in front of b's toggle and returns b.
+// prismWidth is the number of exchanger slots; window how long a token
+// waits for a partner before falling back to the toggle. A diffracted
+// pair leaves on ports 0 and 1, which keeps the step property only when
+// those are all the ports, so b must have two outputs. Call it before b
+// routes any token.
+func NewDiffracting(b *Balancer, prismWidth int, window time.Duration) (*Balancer, error) {
+	if b == nil {
+		return nil, fmt.Errorf("shm: nil inner balancer")
+	}
+	if b.fanOut != 2 {
+		return nil, fmt.Errorf("shm: prism on a %d-output balancer, want 2", b.fanOut)
+	}
+	if window <= 0 {
+		return nil, fmt.Errorf("shm: non-positive prism window %v", window)
+	}
+	b.prism, b.window = prism.New(prismWidth), window
+	return b, nil
+}
+
+// Traverse routes one token and returns its output port. The walk takes
+// a plain MCS toggle inline (token) and calls Traverse for every other
+// balancer.
+func (b *Balancer) Traverse() int {
+	if b.prism != nil {
+		switch b.prism.Exchange(b.window) {
+		case prism.First:
+			return 0
+		case prism.Second:
+			return 1
+		}
+	}
+	switch b.kind {
+	case KindAtomic:
+		return int((b.toggle.Add(1) - 1) % int64(b.fanOut))
+	case KindMutex:
+		return b.hold(1)
+	}
 	if t, ok := b.swap(); ok {
 		return t
 	}
 	return b.queue()
 }
 
-// swap is the idle fast path. It makes one attempt: if the lock is idle
-// it reads the toggle and swaps it one place on, and reports the position
-// it left. A token that lost the swap, or found a holder or a waiter,
-// must queue like any other. swap inlines, so the single-token walk
-// (token) makes no call for an idle toggle.
-func (b *mcsBalancer) swap() (int, bool) {
+// route routes demand tokens in one critical section, adding one to
+// counts[p] for every token routed to output p. counts must have at least
+// fanOut entries and is not cleared. The routing is exactly the routing
+// of demand back-to-back Traverse calls, so batch traversal preserves the
+// step property verbatim. A prism pairs tokens one at a time, so a
+// diffracting balancer routes its tokens one Traverse each.
+func (b *Balancer) route(demand int, counts []int) {
+	var p int
+	switch {
+	case b.prism != nil:
+		for range demand {
+			counts[b.Traverse()]++
+		}
+		return
+	case b.kind == KindAtomic:
+		p = int((b.toggle.Add(int64(demand)) - int64(demand)) % int64(b.fanOut))
+	case b.kind == KindMutex:
+		p = b.hold(demand)
+	default:
+		// An MCS batch always queues, and advances the toggle inside its
+		// critical section with the holder's compare-and-swap, once per
+		// token.
+		n := nodes.Get()
+		b.lock.Acquire(n)
+		for range demand {
+			counts[b.advance()]++
+		}
+		b.lock.Release(n)
+		nodes.Put(n)
+		return
+	}
+	for range demand {
+		counts[p]++
+		if p++; p == int(b.fanOut) {
+			p = 0
+		}
+	}
+}
+
+// hold moves KindMutex's position demand places under its mutex and
+// returns the one it left.
+func (b *Balancer) hold(demand int) int {
+	//countnet:allow hotvet -- KindMutex is the deliberately blocking textbook toggle, kept as the measurement baseline
+	b.mu.Lock()
+	t := b.pos
+	for range demand {
+		if b.pos++; b.pos == int(b.fanOut) {
+			b.pos = 0
+		}
+	}
+	b.mu.Unlock()
+	return t
+}
+
+// swap is the MCS idle fast path. It makes one attempt: if the lock is
+// idle it reads the toggle and swaps it one place on, and reports the
+// position it left. A token that lost the swap, or found a holder or a
+// waiter, must queue like any other. swap inlines, so the single-token
+// walk (token) makes no call for an idle toggle.
+func (b *Balancer) swap() (int, bool) {
 	if b.lock.Idle() {
 		t := b.toggle.Load()
 		if b.toggle.CompareAndSwap(t, b.next(t)) {
@@ -147,12 +228,13 @@ func (b *mcsBalancer) swap() (int, bool) {
 	return 0, false
 }
 
-// queue is a contended token's way through: it queues on the lock and, as
-// holder, advances the toggle. The holder advances by compare-and-swap,
-// not by a plain store, because a token that saw the lock idle just before
-// the holder took it may still land its swap. Each such racer tries once,
-// so the holder's retries are bounded by the number of concurrent racers.
-func (b *mcsBalancer) queue() int {
+// queue is a contended MCS token's way through: it queues on the lock
+// and, as holder, advances the toggle. The holder advances by
+// compare-and-swap, not by a plain store, because a token that saw the
+// lock idle just before the holder took it may still land its swap. Each
+// such racer tries once, so the holder's retries are bounded by the
+// number of concurrent racers.
+func (b *Balancer) queue() int {
 	n := nodes.Get()
 	b.lock.Acquire(n)
 	t := b.advance()
@@ -161,18 +243,18 @@ func (b *mcsBalancer) queue() int {
 	return int(t)
 }
 
-// next is the toggle position after t: a compare-and-reset, not a
+// next is the MCS toggle position after t: a compare-and-reset, not a
 // division.
-func (b *mcsBalancer) next(t int64) int64 {
-	if t++; t == b.fanOut {
+func (b *Balancer) next(t int64) int64 {
+	if t++; t == int64(b.fanOut) {
 		return 0
 	}
 	return t
 }
 
-// advance moves the toggle one position and returns the one it left. Only
-// the lock's holder calls it; it retries against fast-path racers.
-func (b *mcsBalancer) advance() int64 {
+// advance moves the MCS toggle one position and returns the one it left.
+// Only the lock's holder calls it; it retries against fast-path racers.
+func (b *Balancer) advance() int64 {
 	for {
 		t := b.toggle.Load()
 		if b.toggle.CompareAndSwap(t, b.next(t)) {
@@ -180,49 +262,3 @@ func (b *mcsBalancer) advance() int64 {
 		}
 	}
 }
-
-// Diffracting wraps a two-output toggle with a prism: concurrent pairs
-// collide in the prism and leave on complementary outputs without touching
-// the toggle (Shavit-Zemach diffraction).
-type Diffracting struct {
-	prism  *prism.Prism
-	window time.Duration
-	inner  Balancer
-}
-
-// NewDiffracting returns a diffracting balancer over the given two-output
-// toggle. prismWidth is the number of exchanger slots; window how long a
-// token waits for a partner before falling back to the toggle.
-func NewDiffracting(inner Balancer, prismWidth int, window time.Duration) (*Diffracting, error) {
-	if inner == nil {
-		return nil, fmt.Errorf("shm: nil inner balancer")
-	}
-	if window <= 0 {
-		return nil, fmt.Errorf("shm: non-positive prism window %v", window)
-	}
-	return &Diffracting{
-		prism:  prism.New(prismWidth),
-		window: window,
-		inner:  inner,
-	}, nil
-}
-
-// Traverse implements Balancer.
-func (d *Diffracting) Traverse() int {
-	switch d.prism.Exchange(d.window) {
-	case prism.First:
-		return 0
-	case prism.Second:
-		return 1
-	default:
-		return d.inner.Traverse()
-	}
-}
-
-// Interface compliance.
-var (
-	_ Balancer = (*atomicBalancer)(nil)
-	_ Balancer = (*mutexBalancer)(nil)
-	_ Balancer = (*mcsBalancer)(nil)
-	_ Balancer = (*Diffracting)(nil)
-)

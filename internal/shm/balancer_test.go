@@ -50,7 +50,10 @@ func waitQueued(t *testing.T, l *mcs.Lock, last *mcs.Node, returned *atomic.Int6
 // ports 0, 1 and 2 in arrival order: the third cannot go through before
 // both tokens ahead of it.
 func TestMCSToggleQueuedNotOvertaken(t *testing.T) {
-	b := &mcsBalancer{fanOut: 3}
+	b, err := NewBalancer(KindMCS, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	holder := new(mcs.Node)
 	b.lock.Acquire(holder)
 	var second, third atomic.Int64 // port + 1 once the token has returned
@@ -79,7 +82,7 @@ func TestMCSToggleQueuedNotOvertaken(t *testing.T) {
 
 // TestMCSToggleMixedPaths drives one MCS toggle through every path at
 // once: fast-path and queued Traverse calls, single-token and batched
-// walks of a one-balancer network, direct TraverseBatch calls, and an
+// walks of a one-balancer network, direct batch routes, and an
 // outside holder that keeps taking the lock, which forces the others onto
 // the queue and advances the toggle itself. A fast-path token that saw
 // the lock idle may swap at any later moment, so one more goroutine makes
@@ -100,7 +103,7 @@ func TestMCSToggleMixedPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := compile(t, g, Options{Kind: KindMCS})
-			b := n.balancers[g.Balancers()[0]].(*mcsBalancer)
+			b := n.balancers[g.Balancers()[0]]
 			// Counter i sits on port i, so a walk's value v left the
 			// balancer on port v mod fanOut.
 			ports := make([]atomic.Int64, fanOut)
@@ -152,7 +155,7 @@ func TestMCSToggleMixedPaths(t *testing.T) {
 							fromValues(n.Traverse(0))
 						case 2:
 							clear(local)
-							b.TraverseBatch(1+r%5, local)
+							b.route(1+r%5, local)
 							for p, c := range local {
 								ports[p].Add(int64(c))
 							}

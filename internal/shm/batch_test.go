@@ -1,6 +1,7 @@
 package shm
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -13,7 +14,7 @@ import (
 )
 
 // TestBatchBalancerMatchesSequential checks, per toggle kind, that one
-// TraverseBatch critical section routes exactly like the same number of
+// route critical section routes exactly like the same number of
 // back-to-back Traverse calls — including when the batch starts from a
 // mid-cycle toggle position.
 func TestBatchBalancerMatchesSequential(t *testing.T) {
@@ -34,11 +35,7 @@ func TestBatchBalancerMatchesSequential(t *testing.T) {
 				sequential.Traverse()
 			}
 			got := make([]int, fanOut)
-			bb, ok := batched.(interface{ TraverseBatch(int, []int) })
-			if !ok {
-				t.Fatalf("%s balancer does not support batching", kind)
-			}
-			bb.TraverseBatch(demand, got)
+			batched.route(demand, got)
 			want := make([]int, fanOut)
 			for i := 0; i < demand; i++ {
 				want[sequential.Traverse()]++
@@ -207,18 +204,19 @@ func TestWalkAllocs(t *testing.T) {
 	}
 }
 
-// TestMCSBalancerLayout pins the layout every MCS toggle's cost depends
-// on: a balancer fills one cache line and starts it, so the lock words of
-// a compiled network's balancers, which different tokens swap
-// concurrently, never share a line, and its toggle and its output offset
-// sit on its lock's line, so the idle fast path reads the lock, swaps the
-// toggle and finds the next hop on one line. Compile carves the balancers from shared slabs, so this holds
-// only while the allocator starts every slab on a line boundary; the
-// networks cover a partial slab, several slabs, and ten.
-func TestMCSBalancerLayout(t *testing.T) {
+// TestBalancerLayout pins the layout every toggle's cost depends on: a
+// balancer of any kind, bare or behind a prism, fills one cache line and
+// starts it, so the lock words of a compiled network's balancers, which
+// different tokens swap concurrently, never share a line, and its toggle
+// and its output offset sit on its lock's line, so the idle fast path
+// reads the lock, swaps the toggle and finds the next hop on one line.
+// Compile carves the balancers from shared slabs, so this holds only
+// while the allocator starts every slab on a line boundary; the networks
+// cover a partial slab, several slabs, and ten.
+func TestBalancerLayout(t *testing.T) {
 	const cacheLine = 64
-	if sz := unsafe.Sizeof(mcsBalancer{}); sz != cacheLine {
-		t.Errorf("mcsBalancer is %d bytes, want %d", sz, cacheLine)
+	if sz := unsafe.Sizeof(Balancer{}); sz != cacheLine {
+		t.Errorf("Balancer is %d bytes, want %d", sz, cacheLine)
 	}
 	for _, tc := range []struct {
 		name  string
@@ -233,28 +231,33 @@ func TestMCSBalancerLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := compile(t, g, Options{Kind: KindMCS})
-		owner := map[uintptr]topo.NodeID{}
-		for _, id := range g.Balancers() {
-			b, ok := n.balancers[id].(*mcsBalancer)
-			if !ok {
-				t.Fatalf("%s: balancer %d is %T, want *mcsBalancer", tc.name, id, n.balancers[id])
+		for _, kind := range []Kind{KindAtomic, KindMutex, KindMCS} {
+			for _, diffract := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/diffract=%t", tc.name, kind, diffract)
+				n := compile(t, g, Options{Kind: kind, Diffract: diffract})
+				owner := map[uintptr]topo.NodeID{}
+				for _, id := range g.Balancers() {
+					b := n.balancers[id]
+					if b.kind != kind || (b.prism != nil) != diffract {
+						t.Fatalf("%s: balancer %d is %s with prism %t", name, id, b.kind, b.prism != nil)
+					}
+					lock := uintptr(unsafe.Pointer(&b.lock))
+					if off := lock % cacheLine; off != 0 {
+						t.Errorf("%s: balancer %d lock word at offset %d of its line, want 0", name, id, off)
+					}
+					line := lock / cacheLine
+					if tl := uintptr(unsafe.Pointer(&b.toggle)) / cacheLine; tl != line {
+						t.Errorf("%s: balancer %d: toggle on line %d, lock on line %d", name, id, tl, line)
+					}
+					if ol := uintptr(unsafe.Pointer(&b.out)) / cacheLine; ol != line {
+						t.Errorf("%s: balancer %d: output offset on line %d, lock on line %d", name, id, ol, line)
+					}
+					if prev, ok := owner[line]; ok {
+						t.Errorf("%s: balancers %d and %d lock words share a cache line", name, prev, id)
+					}
+					owner[line] = id
+				}
 			}
-			lock := uintptr(unsafe.Pointer(&b.lock))
-			if off := lock % cacheLine; off != 0 {
-				t.Errorf("%s: balancer %d lock word at offset %d of its line, want 0", tc.name, id, off)
-			}
-			line := lock / cacheLine
-			if tl := uintptr(unsafe.Pointer(&b.toggle)) / cacheLine; tl != line {
-				t.Errorf("%s: balancer %d: toggle on line %d, lock on line %d", tc.name, id, tl, line)
-			}
-			if ol := uintptr(unsafe.Pointer(&b.out)) / cacheLine; ol != line {
-				t.Errorf("%s: balancer %d: output offset on line %d, lock on line %d", tc.name, id, ol, line)
-			}
-			if prev, ok := owner[line]; ok {
-				t.Errorf("%s: balancers %d and %d lock words share a cache line", tc.name, prev, id)
-			}
-			owner[line] = id
 		}
 	}
 }

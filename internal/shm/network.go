@@ -14,7 +14,7 @@ type Options struct {
 	// Kind selects the toggle implementation; default KindMCS (the
 	// paper's).
 	Kind Kind
-	// Diffract wraps every two-output balancer with a prism.
+	// Diffract puts a prism in front of every two-output balancer.
 	Diffract bool
 	// PrismWidth is the slot count of each prism (default 4).
 	PrismWidth int
@@ -34,14 +34,15 @@ type paddedCounter struct {
 // step-property-consistent values.
 type Network struct {
 	g         *topo.Graph
-	dsts      []topo.PortRef // g.Dests(): the next hop from an MCS balancer
-	balancers []Balancer     // indexed by NodeID; nil for counters
+	dsts      []topo.PortRef // g.Dests(): port p of balancer b leads to dsts[b.out+p]
+	balancers []*Balancer    // indexed by NodeID; nil for counters
 	counters  []paddedCounter
 	w         int64
 	obs       *netObs // nil until EnableObs; read-only afterwards
 }
 
-// Compile builds the runtime for g.
+// Compile builds the runtime for g. It carves every balancer, of any
+// kind, from 512-byte slabs, one cache line each.
 func Compile(g *topo.Graph, opts Options) (*Network, error) {
 	if g == nil {
 		return nil, fmt.Errorf("shm: nil graph")
@@ -58,31 +59,28 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 	n := &Network{
 		g:         g,
 		dsts:      g.Dests(),
-		balancers: make([]Balancer, g.NumNodes()),
+		balancers: make([]*Balancer, g.NumNodes()),
 		counters:  make([]paddedCounter, g.OutWidth()),
 		w:         int64(g.OutWidth()),
 	}
-	var slab []mcsBalancer
+	var bs []Balancer
 	left := g.NumBalancers()
 	for id := range topo.NodeID(g.NumNodes()) {
 		if g.KindOf(id) != topo.KindBalancer {
 			continue
 		}
-		var b Balancer
-		var err error
-		if opts.Kind == KindMCS {
-			if len(slab) == 0 {
-				slab = make([]mcsBalancer, min(left, mcsSlab))
-				left -= len(slab)
-			}
-			slab[0].fanOut = int64(g.FanOut(id))
-			slab[0].out = int32(g.OutOffset(id))
-			b, slab = &slab[0], slab[1:]
-		} else if b, err = NewBalancer(opts.Kind, g.FanOut(id)); err != nil {
+		if len(bs) == 0 {
+			bs = make([]Balancer, min(left, slab))
+			left -= len(bs)
+		}
+		b := &bs[0]
+		bs = bs[1:]
+		if err := b.init(opts.Kind, g.FanOut(id)); err != nil {
 			return nil, err
 		}
+		b.out = int32(g.OutOffset(id))
 		if opts.Diffract && g.FanOut(id) == 2 {
-			if b, err = NewDiffracting(b, opts.PrismWidth, opts.PrismWindow); err != nil {
+			if _, err := NewDiffracting(b, opts.PrismWidth, opts.PrismWindow); err != nil {
 				return nil, err
 			}
 		}
@@ -124,19 +122,19 @@ type trip struct {
 // token, one with no hook on an unobserved network; otherwise each hop
 // also meters, traces and runs the hook.
 //
-// A default MCS toggle is taken inline: the idle fast path (swap) is one
+// A plain MCS toggle is taken inline: the idle fast path (swap) is one
 // compare-and-swap on the balancer's line, and only a token that finds a
 // holder or a waiter, or loses the swap, calls out to queue, so contended
-// tokens are admitted in FIFO order as before. The balancer's line also
-// holds where its output destinations start in the graph's flat Dests
-// array, so the next node id is one load. The other toggle kinds (atomic,
-// mutex, diffracting) go through Balancer.Traverse and the graph.
+// tokens are admitted in FIFO order as before. Every other balancer, an
+// atomic or mutex toggle or one behind a prism, is one Traverse call.
+// Either way the balancer's line also holds where its output destinations
+// start in the graph's flat Dests array, so the next node id is one load.
 //
 //countnet:hotpath
 func (n *Network) token(id topo.NodeID, t *trip) int64 {
 	for {
-		bal := n.balancers[id]
-		if bal == nil {
+		b := n.balancers[id]
+		if b == nil {
 			if t == nil {
 				return n.take(id, 1)
 			}
@@ -146,16 +144,19 @@ func (n *Network) token(id topo.NodeID, t *trip) int64 {
 		if t != nil {
 			t0 = t.start()
 		}
-		var next topo.NodeID
-		if b, ok := bal.(*mcsBalancer); ok {
-			port, idle := b.swap()
-			if !idle {
+		var port int
+		if b.kind == KindMCS && b.prism == nil {
+			var idle bool
+			if port, idle = b.swap(); !idle {
 				port = b.queue()
 			}
-			next = n.dsts[int(b.out)+port].Node
 		} else {
-			next = n.g.OutDest(id, bal.Traverse()).Node
+			port = b.Traverse()
 		}
+		// The next hop is read before the hook runs: a hook that pauses
+		// would otherwise pull the balancer's line back after the pause,
+		// and the next token to swap the toggle would pay to take it.
+		next := n.dsts[int(b.out)+port].Node
 		if t != nil {
 			t.left(id, t0)
 		}
@@ -168,13 +169,14 @@ func (n *Network) token(id topo.NodeID, t *trip) int64 {
 // batch walk: a single token, whether it entered alone or split off a
 // group, goes through token.
 //
-// A larger group is routed by batchRoute in one critical section, which
-// advances the toggle once per token, exactly as demand back-to-back
-// tokens would; the walk then recurses on every occupied output in port
-// order, so the group splits exactly where the toggles route it. Each
-// counter fetch-and-adds the size of the group that reaches it. Quiescent
-// counting and the step property are therefore those of demand sequential
-// tokens, for any interleaving with concurrent traffic.
+// A larger group is routed by Balancer.route in one critical section,
+// which advances the toggle once per token, exactly as demand
+// back-to-back tokens would; the walk then recurses on every occupied
+// output in port order, so the group splits exactly where the toggles
+// route it. Each counter fetch-and-adds the size of the group that
+// reaches it. Quiescent counting and the step property are therefore
+// those of demand sequential tokens, for any interleaving with concurrent
+// traffic.
 //
 //countnet:hotpath
 func (n *Network) walk(id topo.NodeID, demand int, t *trip, out []int64) []int64 {
@@ -192,18 +194,18 @@ func (n *Network) walk(id topo.NodeID, demand int, t *trip, out []int64) []int64
 	t0 := t.start()
 	var tally [8]int
 	var split []int
-	if fo := n.g.FanOut(id); fo <= len(tally) {
+	if fo := int(b.fanOut); fo <= len(tally) {
 		split = tally[:fo]
 	} else {
 		split = make([]int, fo)
 	}
-	batchRoute(b, demand, split)
+	b.route(demand, split)
 	t.left(id, t0)
 	span := t.span
 	for q, d := range split {
 		if d > 0 {
 			t.span = span
-			out = n.walk(n.g.OutDest(id, q).Node, d, t, out)
+			out = n.walk(n.dsts[int(b.out)+q].Node, d, t, out)
 		}
 	}
 	return out

@@ -54,16 +54,14 @@ func (n *Network) EnableObs(tr obs.Tracer, reg *obs.Registry, clock func() int64
 		reg.GaugeFunc("shm_counter_fai_total", func() float64 { return float64(n.Issued()) })
 		prisms := false
 		for _, b := range n.balancers {
-			if _, ok := b.(*Diffracting); ok {
-				prisms = true
-			}
+			prisms = prisms || b != nil && b.prism != nil
 		}
 		if prisms {
 			reg.GaugeFunc("shm_prism_cas_retries_total", func() float64 {
 				var total int64
 				for _, b := range n.balancers {
-					if d, ok := b.(*Diffracting); ok {
-						total += d.Retries()
+					if b != nil && b.prism != nil {
+						total += b.prism.Retries()
 					}
 				}
 				return float64(total)
@@ -153,6 +151,3 @@ func (o *netObs) record(kind obs.Kind, id topo.NodeID, t0, t1, value int64, t *t
 		Span: sp, Parent: t.span})
 	t.span = sp
 }
-
-// Retries returns how many prism CAS races this balancer has lost.
-func (d *Diffracting) Retries() int64 { return d.prism.Retries() }

@@ -27,6 +27,15 @@ func TestNewBalancerValidation(t *testing.T) {
 	if _, err := NewDiffracting(b, 4, 0); err == nil {
 		t.Error("zero window accepted")
 	}
+	// A diffracted pair leaves on ports 0 and 1 only, so a prism on any
+	// other fan-out would starve the rest: four tokens could land 2/2/0
+	// where the step property requires 2/1/1.
+	for _, fanOut := range []int{1, 3, 4} {
+		b, _ := NewBalancer(KindMCS, fanOut)
+		if _, err := NewDiffracting(b, 4, time.Microsecond); err == nil {
+			t.Errorf("prism on a %d-output balancer accepted", fanOut)
+		}
+	}
 }
 
 func TestKindString(t *testing.T) {
@@ -42,7 +51,7 @@ func TestKindString(t *testing.T) {
 func TestBalancerStepProperty(t *testing.T) {
 	const goroutines = 8
 	const iters = 2000
-	mk := func(t *testing.T, kind Kind, diffract bool) Balancer {
+	mk := func(t *testing.T, kind Kind, diffract bool) *Balancer {
 		t.Helper()
 		b, err := NewBalancer(kind, 2)
 		if err != nil {
@@ -55,7 +64,7 @@ func TestBalancerStepProperty(t *testing.T) {
 		}
 		return b
 	}
-	for name, b := range map[string]Balancer{
+	for name, b := range map[string]*Balancer{
 		"atomic":      mk(t, KindAtomic, false),
 		"mutex":       mk(t, KindMutex, false),
 		"mcs":         mk(t, KindMCS, false),

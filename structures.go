@@ -27,11 +27,7 @@ func NewQueue[T any](t Topology, capacity int, opts ...CounterOption) (*Queue[T]
 	if !t.Valid() {
 		return nil, errZeroTopology
 	}
-	shmOpts, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	q, err := queue.New[T](t.g, capacity, shmOpts)
+	q, err := queue.New[T](t.g, capacity, buildOptions(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -93,11 +89,7 @@ func NewLinearizableCounter(t Topology, opts ...CounterOption) (*LinearizableCou
 	if !t.Valid() {
 		return nil, errZeroTopology
 	}
-	shmOpts, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	net, err := shm.Compile(t.g, shmOpts)
+	net, err := shm.Compile(t.g, buildOptions(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -118,33 +110,17 @@ func (c *LinearizableCounter) NextAt(input int) (int64, error) {
 	return c.f.Traverse(input), nil
 }
 
-// buildOptions resolves CounterOptions into the runtime's shm.Options.
-// The options write through a pointer to the config, which moves it to
-// the heap, so a build with no options returns the defaults before the
-// config exists and allocates nothing here.
-func buildOptions(opts []CounterOption) (shm.Options, error) {
+// buildOptions applies opts to the runtime's default shm.Options. The
+// options write through a pointer, which moves the options to the heap,
+// so a build with no options returns the defaults before they exist and
+// allocates nothing here.
+func buildOptions(opts []CounterOption) shm.Options {
 	if len(opts) == 0 {
-		return shm.Options{Kind: shm.KindMCS}, nil
+		return shm.Options{}
 	}
-	cfg := counterConfig{impl: MCS}
-	for _, o := range opts {
-		o(&cfg)
+	var o shm.Options
+	for _, opt := range opts {
+		opt(&o)
 	}
-	var kind shm.Kind
-	switch cfg.impl {
-	case MCS:
-		kind = shm.KindMCS
-	case Mutex:
-		kind = shm.KindMutex
-	case Atomic:
-		kind = shm.KindAtomic
-	default:
-		return shm.Options{}, fmt.Errorf("countnet: unknown balancer implementation %d", int(cfg.impl))
-	}
-	return shm.Options{
-		Kind:        kind,
-		Diffract:    cfg.diffract,
-		PrismWidth:  cfg.prismW,
-		PrismWindow: cfg.window,
-	}, nil
+	return o
 }
