@@ -77,21 +77,29 @@ var nodes mcs.Pool
 // the prism, where concurrent pairs collide and leave on complementary
 // outputs without touching the toggle (Shavit-Zemach diffraction).
 //
-// Every balancer fills one cache line that holds its lock, its toggle and
-// where its output destinations start in the graph's flat Dests array, so
-// no two balancers' words share a line and the single-token walk (token)
-// reads the next node id with one load once the toggle has moved
+// Every balancer fills one cache line that holds its lock, its toggle,
+// where its output destinations start in the graph's flat Dests array and
+// the fetch-and-add words of the output counters its ports 0 and 1 feed,
+// so no two balancers' words share a line, the single-token walk (token)
+// reads the next node id with one load once the toggle has moved, and a
+// token leaving for a counter takes its value on the line it just wrote
 // (TestBalancerLayout).
 type Balancer struct {
 	lock   mcs.Lock     // KindMCS's admission queue
 	toggle atomic.Int64 // KindMCS's position, KindAtomic's token count
 	fanOut int32
 	out    int32 // topo.Graph.OutOffset of this balancer; set by Compile
-	kind   Kind
-	mu     sync.Mutex // KindMutex's lock
-	pos    int        // KindMutex's position, guarded by mu
-	prism  *prism.Prism
-	window time.Duration // how long a token waits in the prism
+	// kind is a Kind that init has checked, in four bytes so that
+	// KindMutex's position fits beside it without a locked store.
+	kind  int32
+	pos   int32        // KindMutex's position, guarded by mu
+	mu    sync.Mutex   // KindMutex's lock
+	prism *prism.Prism // nil unless diffracting
+	// exits[p] is the fetch-and-add word of the counter port p feeds, if
+	// that is a counter: it holds the counter's next value, starting at
+	// its index and stepping by the network's output width. Compile sets
+	// it; the walk hands out its values.
+	exits [2]atomic.Int64
 }
 
 // NewBalancer returns a balancer of the given kind with fanOut outputs.
@@ -111,7 +119,7 @@ func (b *Balancer) init(k Kind, fanOut int) error {
 	if k < KindAtomic || k > KindMCS {
 		return fmt.Errorf("shm: unknown balancer kind %d", int(k))
 	}
-	b.kind, b.fanOut = k, int32(fanOut)
+	b.kind, b.fanOut = int32(k), int32(fanOut)
 	return nil
 }
 
@@ -131,7 +139,7 @@ func NewDiffracting(b *Balancer, prismWidth int, window time.Duration) (*Balance
 	if window <= 0 {
 		return nil, fmt.Errorf("shm: non-positive prism window %v", window)
 	}
-	b.prism, b.window = prism.New(prismWidth), window
+	b.prism = prism.New(prismWidth, window)
 	return b, nil
 }
 
@@ -140,14 +148,14 @@ func NewDiffracting(b *Balancer, prismWidth int, window time.Duration) (*Balance
 // balancer.
 func (b *Balancer) Traverse() int {
 	if b.prism != nil {
-		switch b.prism.Exchange(b.window) {
+		switch b.prism.Exchange() {
 		case prism.First:
 			return 0
 		case prism.Second:
 			return 1
 		}
 	}
-	switch b.kind {
+	switch Kind(b.kind) {
 	case KindAtomic:
 		return int((b.toggle.Add(1) - 1) % int64(b.fanOut))
 	case KindMutex:
@@ -173,9 +181,9 @@ func (b *Balancer) route(demand int, counts []int) {
 			counts[b.Traverse()]++
 		}
 		return
-	case b.kind == KindAtomic:
+	case Kind(b.kind) == KindAtomic:
 		p = int((b.toggle.Add(int64(demand)) - int64(demand)) % int64(b.fanOut))
-	case b.kind == KindMutex:
+	case Kind(b.kind) == KindMutex:
 		p = b.hold(demand)
 	default:
 		// An MCS batch always queues, and advances the toggle inside its
@@ -205,12 +213,12 @@ func (b *Balancer) hold(demand int) int {
 	b.mu.Lock()
 	t := b.pos
 	for range demand {
-		if b.pos++; b.pos == int(b.fanOut) {
+		if b.pos++; b.pos == b.fanOut {
 			b.pos = 0
 		}
 	}
 	b.mu.Unlock()
-	return t
+	return int(t)
 }
 
 // swap is the MCS idle fast path. It makes one attempt: if the lock is

@@ -210,22 +210,31 @@ func TestWalkAllocs(t *testing.T) {
 // different tokens swap concurrently, never share a line, and its toggle
 // and its output offset sit on its lock's line, so the idle fast path
 // reads the lock, swaps the toggle and finds the next hop on one line.
-// Compile carves the balancers from shared slabs, so this holds only
-// while the allocator starts every slab on a line boundary; the networks
-// cover a partial slab, several slabs, and ten.
+// Every output counter fed by port 0 or 1 of a balancer keeps its word on
+// that balancer's line, so a token's exit hop takes its value on the line
+// it just swapped; a counter fed by any other port keeps a line of its
+// own, shared with no balancer and no other counter, and a network with
+// no such counter allocates no spare lines. Compile carves the balancers
+// from shared slabs, so this holds only while the allocator starts every
+// slab on a line boundary; the networks cover a partial slab, several
+// slabs, and ten, and a ternary tree whose port-2 counters have no
+// balancer's line.
 func TestBalancerLayout(t *testing.T) {
 	const cacheLine = 64
 	if sz := unsafe.Sizeof(Balancer{}); sz != cacheLine {
 		t.Errorf("Balancer is %d bytes, want %d", sz, cacheLine)
 	}
+	ternary := func(w int) (*topo.Graph, error) { return dtree.NewArity(w, 3) }
 	for _, tc := range []struct {
-		name  string
-		build func(int) (*topo.Graph, error)
-		w     int
+		name   string
+		build  func(int) (*topo.Graph, error)
+		w      int
+		spares int // counters fed by no port 0 or 1
 	}{
-		{"bitonic[8]", bitonic.New, 8},
-		{"tree[32]", dtree.New, 32},
-		{"bitonic[16]", bitonic.New, 16},
+		{"bitonic[8]", bitonic.New, 8, 0},
+		{"tree[32]", dtree.New, 32, 0},
+		{"bitonic[16]", bitonic.New, 16, 0},
+		{"tree[27,3]", ternary, 27, 9},
 	} {
 		g, err := tc.build(tc.w)
 		if err != nil {
@@ -238,8 +247,8 @@ func TestBalancerLayout(t *testing.T) {
 				owner := map[uintptr]topo.NodeID{}
 				for _, id := range g.Balancers() {
 					b := n.balancers[id]
-					if b.kind != kind || (b.prism != nil) != diffract {
-						t.Fatalf("%s: balancer %d is %s with prism %t", name, id, b.kind, b.prism != nil)
+					if Kind(b.kind) != kind || (b.prism != nil) != (diffract && b.fanOut == 2) {
+						t.Fatalf("%s: balancer %d is %s with prism %t", name, id, Kind(b.kind), b.prism != nil)
 					}
 					lock := uintptr(unsafe.Pointer(&b.lock))
 					if off := lock % cacheLine; off != 0 {
@@ -256,6 +265,30 @@ func TestBalancerLayout(t *testing.T) {
 						t.Errorf("%s: balancers %d and %d lock words share a cache line", name, prev, id)
 					}
 					owner[line] = id
+				}
+				spares := 0
+				for id := range topo.NodeID(g.NumNodes()) {
+					if g.KindOf(id) != topo.KindCounter {
+						continue
+					}
+					line := uintptr(unsafe.Pointer(n.word(id))) / cacheLine
+					if src := g.InSrc(id, 0); onLine(src) {
+						if bl := uintptr(unsafe.Pointer(&n.balancers[src.Node].lock)) / cacheLine; bl != line {
+							t.Errorf("%s: counter %d on line %d, its feeding balancer %d on line %d", name, id, line, src.Node, bl)
+						}
+						continue
+					}
+					spares++
+					if prev, ok := owner[line]; ok {
+						t.Errorf("%s: counter %d shares a cache line with node %d", name, id, prev)
+					}
+					owner[line] = id
+				}
+				if spares != tc.spares {
+					t.Errorf("%s: %d counters off every balancer's line, want %d", name, spares, tc.spares)
+				}
+				if (n.spare == nil) != (tc.spares == 0) {
+					t.Errorf("%s: spare lines allocated %t with %d counters needing one", name, n.spare != nil, spares)
 				}
 			}
 		}

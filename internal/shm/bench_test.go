@@ -1,6 +1,8 @@
 package shm
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -8,9 +10,58 @@ import (
 	"countnet/internal/dtree"
 )
 
+// batchOps is how many ops one timed batch of a batched row makes.
+const batchOps = 256
+
+// timeBatches makes ops while more reports true, timing them in batches of
+// batchOps, and returns each full batch's mean time per op in
+// nanoseconds; when there was no full batch, the one partial batch's.
+func timeBatches(more func() bool, op func()) []float64 {
+	var ns []float64
+	for {
+		t0 := time.Now()
+		k := 0
+		for k < batchOps && more() {
+			op()
+			k++
+		}
+		if k == batchOps || k > 0 && len(ns) == 0 {
+			ns = append(ns, float64(time.Since(t0).Nanoseconds())/float64(k))
+		}
+		if k < batchOps {
+			return ns
+		}
+	}
+}
+
+// reportBatches reports the median and the minimum of the batch means ns.
+// On a shared host one preempted or disturbed batch moves the b.N mean by
+// as much as a walk edit does, and neither of these; the minimum is the
+// cost of an undisturbed batch.
+func reportBatches(b *testing.B, ns []float64) {
+	slices.Sort(ns)
+	b.ReportMetric(ns[len(ns)/2], "median-ns/op")
+	b.ReportMetric(ns[0], "min-ns/op")
+}
+
+// benchParallel makes b.N ops from GOMAXPROCS goroutines, each timing its
+// own batches.
+func benchParallel(b *testing.B, op func()) {
+	var mu sync.Mutex
+	var ns []float64
+	b.RunParallel(func(pb *testing.PB) {
+		mine := timeBatches(pb.Next, op)
+		mu.Lock()
+		ns = append(ns, mine...)
+		mu.Unlock()
+	})
+	reportBatches(b, ns)
+}
+
 // benchNetwork runs one walk per op on n: from GOMAXPROCS goroutines
-// under name, where cross-core misses on the shared toggles and counters
-// dominate, and from one goroutine under solo/name, the walk's own cost.
+// under name, all entering at input 0, where cross-core misses on the
+// first balancer dominate, and from one goroutine under solo/name, the
+// walk's own cost, reported as the median and minimum of timed batches.
 func benchNetwork(b *testing.B, name string, n *Network) {
 	b.Helper()
 	b.Run(name, func(b *testing.B) {
@@ -21,9 +72,8 @@ func benchNetwork(b *testing.B, name string, n *Network) {
 		})
 	})
 	b.Run("solo/"+name, func(b *testing.B) {
-		for range b.N {
-			n.Traverse(0)
-		}
+		i := 0
+		reportBatches(b, timeBatches(func() bool { i++; return i <= b.N }, func() { n.Traverse(0) }))
 	})
 }
 
@@ -38,6 +88,12 @@ func BenchmarkBitonic8(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchNetwork(b, kind.String(), n)
+		// The walk Counter.Next makes: each goroutine enters at its own
+		// input, so on two Ps the walks share only the last merger and
+		// the exit hop.
+		b.Run("home/"+kind.String(), func(b *testing.B) {
+			benchParallel(b, func() { n.Traverse(n.Home()) })
+		})
 	}
 }
 
@@ -61,7 +117,8 @@ func BenchmarkDTree32(b *testing.B) {
 
 // BenchmarkHome prices Network.Home on bitonic[8], the per-P input lookup
 // Counter.Next makes before every walk: a sync.Pool Get and Put. Run it
-// at several P counts (-cpu 1,2,8); each goroutine looks up its own P's id.
+// at several P counts (-cpu 1,2,8); each goroutine looks up its own P's id
+// and times its own batches.
 func BenchmarkHome(b *testing.B) {
 	g, err := bitonic.New(8)
 	if err != nil {
@@ -71,11 +128,7 @@ func BenchmarkHome(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			n.Home()
-		}
-	})
+	benchParallel(b, func() { n.Home() })
 }
 
 func BenchmarkBalancers(b *testing.B) {

@@ -22,7 +22,10 @@ type Options struct {
 	PrismWindow time.Duration
 }
 
-// paddedCounter keeps per-output counters on separate cache lines.
+// paddedCounter is the fetch-and-add word of an output counter that no
+// balancer's port 0 or 1 feeds, such as one on port 2 of a ternary tree or
+// one wired straight to an input, on a cache line of its own. Every other
+// counter's word sits on its feeding balancer's line (Balancer.exits).
 type paddedCounter struct {
 	v atomic.Int64
 	_ [56]byte
@@ -34,15 +37,17 @@ type paddedCounter struct {
 // step-property-consistent values.
 type Network struct {
 	g         *topo.Graph
-	dsts      []topo.PortRef // g.Dests(): port p of balancer b leads to dsts[b.out+p]
-	balancers []*Balancer    // indexed by NodeID; nil for counters
-	counters  []paddedCounter
+	dsts      []topo.PortRef  // g.Dests(): port p of balancer b leads to dsts[b.out+p]
+	balancers []*Balancer     // indexed by NodeID; nil for counters
+	spare     []paddedCounter // indexed by counter index; nil when every counter's word is on a balancer's line
 	w         int64
 	obs       *netObs // nil until EnableObs; read-only afterwards
 }
 
 // Compile builds the runtime for g. It carves every balancer, of any
-// kind, from 512-byte slabs, one cache line each.
+// kind, from 512-byte slabs, one cache line each, and puts each output
+// counter's word on the line of the balancer that feeds it, or on a spare
+// line when no port 0 or 1 does.
 func Compile(g *topo.Graph, opts Options) (*Network, error) {
 	if g == nil {
 		return nil, fmt.Errorf("shm: nil graph")
@@ -60,13 +65,18 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 		g:         g,
 		dsts:      g.Dests(),
 		balancers: make([]*Balancer, g.NumNodes()),
-		counters:  make([]paddedCounter, g.OutWidth()),
 		w:         int64(g.OutWidth()),
 	}
 	var bs []Balancer
 	left := g.NumBalancers()
 	for id := range topo.NodeID(g.NumNodes()) {
-		if g.KindOf(id) != topo.KindBalancer {
+		if i := g.CounterIndex(id); i >= 0 {
+			// Node ids are a topological order, so the balancer feeding
+			// this counter is already in place.
+			if !onLine(g.InSrc(id, 0)) && n.spare == nil {
+				n.spare = make([]paddedCounter, g.OutWidth())
+			}
+			n.word(id).Store(int64(i))
 			continue
 		}
 		if len(bs) == 0 {
@@ -128,24 +138,21 @@ type trip struct {
 // tokens are admitted in FIFO order as before. Every other balancer, an
 // atomic or mutex toggle or one behind a prism, is one Traverse call.
 // Either way the balancer's line also holds where its output destinations
-// start in the graph's flat Dests array, so the next node id is one load.
+// start in the graph's flat Dests array, so the next node id is one load,
+// and the words of the counters its ports 0 and 1 feed, so a plain token
+// leaving for one of them takes its value on the line whose toggle it
+// just moved.
 //
 //countnet:hotpath
 func (n *Network) token(id topo.NodeID, t *trip) int64 {
-	for {
-		b := n.balancers[id]
-		if b == nil {
-			if t == nil {
-				return n.take(id, 1)
-			}
-			return n.exit(id, 1, t)
-		}
+	b := n.balancers[id]
+	for b != nil {
 		var t0 int64
 		if t != nil {
 			t0 = t.start()
 		}
 		var port int
-		if b.kind == KindMCS && b.prism == nil {
+		if Kind(b.kind) == KindMCS && b.prism == nil {
 			var idle bool
 			if port, idle = b.swap(); !idle {
 				port = b.queue()
@@ -157,11 +164,20 @@ func (n *Network) token(id topo.NodeID, t *trip) int64 {
 		// would otherwise pull the balancer's line back after the pause,
 		// and the next token to swap the toggle would pay to take it.
 		next := n.dsts[int(b.out)+port].Node
+		nb := n.balancers[next]
 		if t != nil {
 			t.left(id, t0)
+		} else if nb == nil && uint(port) < uint(len(b.exits)) {
+			// A plain token leaving port 0 or 1 for a counter (the
+			// unsigned compare spares the index a bounds check).
+			return b.exits[port].Add(n.w) - n.w
 		}
-		id = next
+		id, b = next, nb
 	}
+	if t == nil {
+		return n.take(id, 1)
+	}
+	return n.exit(id, 1, t)
 }
 
 // walk routes demand tokens entering at node id to the output counters as
@@ -214,8 +230,24 @@ func (n *Network) walk(id topo.NodeID, demand int, t *trip, out []int64) []int64
 // take gives the demand tokens that reached counter id the counter's next
 // demand values and returns the smallest.
 func (n *Network) take(id topo.NodeID, demand int) int64 {
-	idx := n.g.CounterIndex(id)
-	return int64(idx) + n.w*(n.counters[idx].v.Add(int64(demand))-int64(demand))
+	d := n.w * int64(demand)
+	return n.word(id).Add(d) - d
+}
+
+// onLine reports whether a counter fed from src keeps its word on the
+// feeding balancer's line: whether src is port 0 or 1 of a balancer.
+func onLine(src topo.Src) bool {
+	return !src.IsInput() && src.Port < len(Balancer{}.exits)
+}
+
+// word returns counter id's fetch-and-add word, which holds the counter's
+// next value: it starts at the counter's index and steps by the output
+// width.
+func (n *Network) word(id topo.NodeID) *atomic.Int64 {
+	if src := n.g.InSrc(id, 0); onLine(src) {
+		return &n.balancers[src.Node].exits[src.Port]
+	}
+	return &n.spare[n.g.CounterIndex(id)].v
 }
 
 // exit is a counter hop of a hooked or observed walk: take, timed when
@@ -244,8 +276,8 @@ func (n *Network) exit(id topo.NodeID, demand int, t *trip) int64 {
 // its output counters; exact at quiescence.
 func (n *Network) Issued() int64 {
 	var total int64
-	for i := range n.counters {
-		total += n.counters[i].v.Load()
+	for _, c := range n.CounterCounts() {
+		total += c
 	}
 	return total
 }
@@ -253,9 +285,12 @@ func (n *Network) Issued() int64 {
 // CounterCounts returns the number of tokens that exited each output; in a
 // quiescent state they must satisfy the step property.
 func (n *Network) CounterCounts() []int64 {
-	out := make([]int64, len(n.counters))
-	for i := range n.counters {
-		out[i] = n.counters[i].v.Load()
+	out := make([]int64, n.w)
+	for id := range topo.NodeID(n.g.NumNodes()) {
+		if i := n.g.CounterIndex(id); i >= 0 {
+			// The word holds i + w*count, and i < w.
+			out[i] = n.word(id).Load() / n.w
+		}
 	}
 	return out
 }

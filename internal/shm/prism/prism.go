@@ -34,16 +34,18 @@ const (
 // payload and are pooled.
 type Prism struct {
 	slots   []Slot[struct{}]
+	window  time.Duration // how long a token waits for a partner
 	pool    sync.Pool
 	retries atomic.Int64
 }
 
-// New returns a prism with the given number of slots (at least 1).
-func New(width int) *Prism {
+// New returns a prism with the given number of slots (at least 1) whose
+// tokens wait window for a partner.
+func New(width int, window time.Duration) *Prism {
 	if width < 1 {
 		width = 1
 	}
-	p := &Prism{slots: make([]Slot[struct{}], width)}
+	p := &Prism{slots: make([]Slot[struct{}], width), window: window}
 	p.pool.New = func() any { return new(Offer[struct{}]) }
 	return p
 }
@@ -53,10 +55,10 @@ func New(width int) *Prism {
 // contention signal the observability layer exports per balancer.
 func (p *Prism) Retries() int64 { return p.retries.Load() }
 
-// Exchange attempts to diffract with a partner for at most `window`, in a
-// slot the calling thread's own generator picks. It returns First or
-// Second when a collision happened, Timeout otherwise.
-func (p *Prism) Exchange(window time.Duration) Outcome {
+// Exchange attempts to diffract with a partner for at most the prism's
+// window, in a slot the calling thread's own generator picks. It returns
+// First or Second when a collision happened, Timeout otherwise.
+func (p *Prism) Exchange() Outcome {
 	slot := &p.slots[rand.IntN(len(p.slots))]
 	// Partner already waiting? Take it.
 	if o := slot.Peek(); o != nil {
@@ -78,7 +80,7 @@ func (p *Prism) Exchange(window time.Duration) Outcome {
 		return Timeout
 	}
 	out := Timeout
-	if slot.Wait(me, time.Now().Add(window)) {
+	if slot.Wait(me, time.Now().Add(p.window)) {
 		out = First
 	}
 	p.pool.Put(me)

@@ -8,22 +8,22 @@ import (
 )
 
 func TestExchangeTimeoutWhenAlone(t *testing.T) {
-	p := New(4)
-	if out := p.Exchange(time.Millisecond); out != Timeout {
+	p := New(4, time.Millisecond)
+	if out := p.Exchange(); out != Timeout {
 		t.Fatalf("alone exchange = %v, want Timeout", out)
 	}
 }
 
-// attemptPair launches two goroutines into the prism with the given window
-// and reports how many landed on each outcome.
-func attemptPair(p *Prism, window time.Duration) (first, second, timeout int64) {
+// attemptPair launches two goroutines into the prism and reports how many
+// landed on each outcome.
+func attemptPair(p *Prism) (first, second, timeout int64) {
 	var f, s, to atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			switch p.Exchange(window) {
+			switch p.Exchange() {
 			case First:
 				f.Add(1)
 			case Second:
@@ -44,10 +44,10 @@ func attemptPair(p *Prism, window time.Duration) (first, second, timeout int64) 
 // attempts against an overall deadline instead of asserting one fixed
 // window; it fails only if no attempt ever pairs.
 func TestExchangePairs(t *testing.T) {
-	p := New(1) // single slot forces the pair to meet
+	p := New(1, 50*time.Millisecond) // single slot forces the pair to meet
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		first, second, timeout := attemptPair(p, 50*time.Millisecond)
+		first, second, timeout := attemptPair(p)
 		if first == 1 && second == 1 {
 			return // exactly one of each direction: the exchange paired
 		}
@@ -66,7 +66,7 @@ func TestExchangePairs(t *testing.T) {
 // overall budget expires), so it cannot flake on a machine where a short
 // burst happens to never collide.
 func TestExchangeComplementary(t *testing.T) {
-	p := New(4)
+	p := New(4, 100*time.Microsecond)
 	const goroutines = 8
 	var first, second atomic.Int64
 	budget := time.Now().Add(10 * time.Second)
@@ -78,7 +78,7 @@ func TestExchangeComplementary(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for time.Now().Before(stop) {
-					switch p.Exchange(100 * time.Microsecond) {
+					switch p.Exchange() {
 					case First:
 						first.Add(1)
 					case Second:
@@ -100,10 +100,10 @@ func TestExchangeComplementary(t *testing.T) {
 }
 
 func TestWidthClamp(t *testing.T) {
-	if len(New(0).slots) != 1 {
+	if len(New(0, time.Millisecond).slots) != 1 {
 		t.Error("width 0 not clamped to 1")
 	}
-	if len(New(8).slots) != 8 {
+	if len(New(8, time.Millisecond).slots) != 8 {
 		t.Error("width 8 mangled")
 	}
 }

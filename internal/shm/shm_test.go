@@ -131,10 +131,15 @@ func compile(t *testing.T, g *topo.Graph, opts Options) *Network {
 // With no partner a prism always falls back to its toggle, so each
 // token's node sequence, seen by TraverseSpan's hook, and its value must
 // equal the Stepper's Path and Value, and plain Traverse on a second
-// network must hand out the same values. The networks cover fan-out 2
-// (bitonic, periodic, tree), fan-out 3 (a ternary tree, whose balancers
-// stay bare under Diffract) and fan-out 1 (a padded network's
-// pass-through balancers).
+// network must hand out the same values. One combined group then walks
+// each network through TraverseBatch, whose exits reach a counter through
+// the graph rather than from the balancer the group left; its sorted
+// values must equal the Stepper's for as many tokens from the same input.
+// Last, both networks' CounterCounts and Issued must equal the Stepper's
+// tallies. The networks cover fan-out 2 (bitonic, periodic, tree), fan-out
+// 3 (a ternary tree, whose balancers stay bare under Diffract and whose
+// port-2 counters keep lines of their own), fan-out 1 (a padded network's
+// pass-through balancers) and an input wired straight to a counter.
 func TestWalkMatchesStepper(t *testing.T) {
 	b8, err := bitonic.New(8)
 	if err != nil {
@@ -156,6 +161,16 @@ func TestWalkMatchesStepper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Input 0 enters a two-output balancer; input 1 is wired straight to
+	// counter 2.
+	bld := topo.NewBuilder()
+	ins := bld.Inputs(2)
+	o0, o1 := bld.Balancer12(ins[0])
+	bld.Terminate([]topo.Out{o0, o1, ins[1]})
+	bypass, err := bld.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, net := range []struct {
 		name string
 		g    *topo.Graph
@@ -165,6 +180,7 @@ func TestWalkMatchesStepper(t *testing.T) {
 		{"tree[32]", t32},
 		{"tree[27,3]", t27},
 		{"padded bitonic[8]", padded},
+		{"bypass", bypass},
 	} {
 		for _, kind := range []Kind{KindAtomic, KindMutex, KindMCS} {
 			for _, diffract := range []bool{false, true} {
@@ -202,6 +218,36 @@ func TestWalkMatchesStepper(t *testing.T) {
 							t.Fatalf("token %d from input %d: Traverse value %d, Stepper %d", i, in, v, want)
 						}
 					}
+					const group = 11
+					in := 1 % net.g.InWidth()
+					want := make([]int64, group)
+					for i := range want {
+						v, err := s.Run(s.Inject(in))
+						if err != nil {
+							t.Fatal(err)
+						}
+						want[i] = v
+					}
+					slices.Sort(want)
+					for _, n := range []*Network{hooked, plain} {
+						got := n.TraverseBatch(in, group, 0, 0, 0, nil)
+						if slices.Sort(got); !slices.Equal(got, want) {
+							t.Fatalf("group of %d from input %d: TraverseBatch values %v, Stepper %v", group, in, got, want)
+						}
+					}
+					counts := s.OutputCounts()
+					var issued int64
+					for _, c := range counts {
+						issued += c
+					}
+					for _, n := range []*Network{hooked, plain} {
+						if got := n.CounterCounts(); !slices.Equal(got, counts) {
+							t.Errorf("CounterCounts %v, Stepper %v", got, counts)
+						}
+						if got := n.Issued(); got != issued {
+							t.Errorf("Issued %d, Stepper %d", got, issued)
+						}
+					}
 				})
 			}
 		}
@@ -219,12 +265,18 @@ func TestNetworkCountsPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A ternary tree's port-2 counters keep words on lines of their own.
+	g3, err := dtree.NewArity(9, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string]*Network{
 		"bitonic/atomic": compile(t, gb, Options{Kind: KindAtomic}),
 		"bitonic/mutex":  compile(t, gb, Options{Kind: KindMutex}),
 		"bitonic/mcs":    compile(t, gb, Options{Kind: KindMCS}),
 		"dtree/mcs":      compile(t, gt, Options{Kind: KindMCS}),
 		"dtree/diffract": compile(t, gt, Options{Kind: KindMCS, Diffract: true}),
+		"dtree3/mcs":     compile(t, g3, Options{Kind: KindMCS}),
 	}
 	for name, n := range cases {
 		const workers = 8
