@@ -281,7 +281,7 @@ func runFaultPlan(w io.Writer, plan *faults.Plan, tracePath string) error {
 		ring = obs.NewRing(spec.Procs, 1<<16)
 		tr = ring
 	}
-	exec, err := conformance.RunMsgnetPlan(spec, plan, tr, nil)
+	exec, err := conformance.RunMsgnetPlan(spec, plan, tr)
 	if err != nil {
 		return err
 	}

@@ -270,11 +270,10 @@ func writeWitnessTrace(w io.Writer, fail *conformance.SoakFailure, path, flightP
 			wt.From, wt.To, len(wt.Events), path)
 	}
 	if flightPath != "" {
-		dumped, err := wt.DumpFlight(flightPath)
-		if err != nil {
+		if err := wt.DumpFlight(flightPath); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "flight dump written to %s (analyze with: tracetool -in %s)\n", dumped, dumped)
+		fmt.Fprintf(w, "flight dump written to %s (analyze with: tracetool -in %s)\n", flightPath, flightPath)
 	}
 	return nil
 }

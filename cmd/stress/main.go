@@ -50,6 +50,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -213,7 +214,7 @@ type msgnetStressConfig struct {
 // optionally under a deterministic chaos plan, and reports the same
 // throughput/latency/linearizability summary as the shm path plus the
 // fault and retry tallies.
-func runMsgnetStress(w io.Writer, cfg msgnetStressConfig) error {
+func runMsgnetStress(w io.Writer, cfg msgnetStressConfig) (err error) {
 	g, err := workload.NetKind(cfg.net).Build(cfg.width)
 	if err != nil {
 		return err
@@ -226,12 +227,28 @@ func runMsgnetStress(w io.Writer, cfg msgnetStressConfig) error {
 	if cfg.trace != "" {
 		ring = obs.NewRing(cfg.workers, 1<<16)
 	}
-	var flight *obs.Flight
+	var flight *obs.Ring
 	if cfg.flight != "" {
-		flight = obs.NewFlight(meta, cfg.workers, 1<<12)
-		flight.SetAutoDump(cfg.flight)
-		// A panic anywhere below still leaves the black box on disk.
-		defer flight.RecoverDump()
+		flight = obs.NewRing(cfg.workers, 1<<12)
+		// Deferred before n.Close, so it runs after it: the recorder is
+		// dumped from a quiescent network, and a panic anywhere below
+		// still leaves the black box on disk.
+		defer func() {
+			r := recover()
+			if r != nil {
+				flight.Trip("panic")
+			}
+			if reason := flight.Tripped(); reason == "" {
+				fmt.Fprintf(w, "flight recorder armed, never tripped (no dump written)\n")
+			} else if derr := obs.Dump(cfg.flight, meta, reason, flight.Events()); derr != nil {
+				err = errors.Join(err, derr)
+			} else {
+				fmt.Fprintf(w, "flight recorder tripped (%s): dump at %s\n", reason, cfg.flight)
+			}
+			if r != nil {
+				panic(r)
+			}
+		}()
 	}
 	mopts := msgnet.Options{
 		Buffer:  1,
@@ -254,6 +271,9 @@ func runMsgnetStress(w io.Writer, cfg msgnetStressConfig) error {
 		return err
 	}
 	elapsed := time.Since(base)
+	// Duplicated tokens may still be recording after every worker has its
+	// value; no recorder is read before they stop.
+	n.Close()
 	fmt.Fprintf(w, "%s[%d] msgnet, %d workers, %d ops, faults=%.3g (seed %d), W=%v\n",
 		cfg.net, cfg.width, cfg.workers, cfg.ops, cfg.intensity, cfg.faultSeed, cfg.delay)
 	summarize(w, ops, elapsed, lincheck.Analyze(ops))
@@ -265,13 +285,6 @@ func runMsgnetStress(w io.Writer, cfg msgnetStressConfig) error {
 		fmt.Fprintf(w, "faults: %d drops, %d dups, %d reorders, %d delays, %d partition-drops, %d crash-drops, %d stalls, %d forced\n",
 			st.Drops, st.Dups, st.Reorders, st.Delays, st.PartitionDrops, st.CrashDrops, st.Stalled, st.Forced)
 		fmt.Fprintf(w, "recovery: %d retries, %d duplicates suppressed\n", n.Retries(), n.Dedups())
-	}
-	if flight != nil {
-		if reason := flight.Tripped(); reason != "" {
-			fmt.Fprintf(w, "flight recorder tripped (%s): dump at %s\n", reason, cfg.flight)
-		} else {
-			fmt.Fprintf(w, "flight recorder armed, never tripped (no dump written)\n")
-		}
 	}
 	return writeOutputs(w, ring, cfg.trace, meta, reg, cfg.metrics)
 }

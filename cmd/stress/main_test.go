@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -56,6 +60,24 @@ func TestRunMsgnetEngineFaultFree(t *testing.T) {
 	// No injector means no fault/recovery tallies to report.
 	if strings.Contains(out, "recovery:") {
 		t.Errorf("fault-free run printed recovery stats:\n%s", out)
+	}
+}
+
+// TestRunMsgnetFlightNeverTripped arms the flight recorder on a
+// fault-free run: no valve can fire, so the run says so and writes no
+// dump.
+func TestRunMsgnetFlightNeverTripped(t *testing.T) {
+	var sb strings.Builder
+	path := filepath.Join(t.TempDir(), "f.jsonl")
+	args := []string{"-engine", "msgnet", "-net", "bitonic", "-width", "4", "-workers", "4", "-ops", "400", "-flight", path}
+	if err := run(args, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if out := sb.String(); !strings.Contains(out, "flight recorder armed, never tripped") {
+		t.Errorf("missing the never-tripped line:\n%s", out)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("untripped recorder left a dump: %v", err)
 	}
 }
 

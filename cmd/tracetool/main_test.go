@@ -176,7 +176,7 @@ func TestMsgnetChaosTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := obs.NewRing(spec.Procs, 1<<14)
-	exec, err := conformance.RunMsgnetPlan(spec, plan, ring, nil)
+	exec, err := conformance.RunMsgnetPlan(spec, plan, ring)
 	if err != nil {
 		t.Fatal(err)
 	}

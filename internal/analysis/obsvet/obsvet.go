@@ -53,9 +53,8 @@ var checkedTypes = map[string]bool{
 	"Tracer": true, "Ring": true, "Counter": true, "Gauge": true,
 	"MinMax": true, "Histogram": true, "Ratio": true,
 	// The causal span layer: engines hold a nil *Clock when tracing is
-	// off and a nil *Flight when the black box is not armed, so span
-	// stamping and flight recording sit under the same zero-cost rule.
-	"Clock": true, "Flight": true,
+	// off, so span stamping sits under the same zero-cost rule.
+	"Clock": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -135,7 +134,7 @@ func registrySourced(pass *analysis.Pass) map[types.Object]bool {
 
 // isNonNilSource reports whether call provably returns a non-nil obs
 // value: a method call on *obs.Registry, or an obs package-level New*
-// constructor (NewClock, NewFlight, NewRing, ...).
+// constructor (NewClock, NewRing, ...).
 func isNonNilSource(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {

@@ -83,16 +83,18 @@ func RegistrySourced(reg *obs.Registry) {
 }
 
 // The causal span layer follows the same rule: a traced engine holds a
-// nil *Clock / *Flight when observability is off, so span stamping and
-// flight recording must be guarded too.
+// nil *Clock when observability is off and a nil *Ring when the black
+// box is not armed, so span stamping and flight recording must be
+// guarded too.
 type spanEngine struct {
 	clock  *obs.Clock
-	flight *obs.Flight
+	flight *obs.Ring
 }
 
 func (e *spanEngine) UnguardedSpans() {
 	e.clock.Tick()               // want `unguarded Tick call on \*obs\.Clock`
-	e.flight.Record(obs.Event{}) // want `unguarded Record call on \*obs\.Flight`
+	e.flight.Record(obs.Event{}) // want `unguarded Record call on \*obs\.Ring`
+	e.flight.Trip("panic")       // want `unguarded Trip call on \*obs\.Ring`
 }
 
 func (e *spanEngine) GuardedSpans(remote uint64) {
@@ -107,10 +109,11 @@ func (e *spanEngine) GuardedSpans(remote uint64) {
 
 // Constructor-sourced values are never nil: both the bound-variable and
 // the chained-call form need no guard.
-func ConstructorSourced(meta obs.Meta) {
+func ConstructorSourced() {
 	clock := obs.NewClock()
 	_ = clock.Tick()
-	f := obs.NewFlight(meta, 1, 8)
+	f := obs.NewRing(1, 8)
 	f.Record(obs.Event{})
+	f.Trip("lincheck-violation")
 	obs.NewRing(1, 8).Record(obs.Event{})
 }

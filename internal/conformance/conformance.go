@@ -273,7 +273,7 @@ func RunSHM(spec workload.Spec, front workload.FrontKind) (*Execution, error) {
 // monotonic clock. The shared harness is RunMsgnetPlan (faults.go), which
 // RunMsgnetFaulty reuses under a derived chaos plan.
 func RunMsgnet(spec workload.Spec) (*Execution, error) {
-	return RunMsgnetPlan(spec, nil, nil, nil)
+	return RunMsgnetPlan(spec, nil, nil)
 }
 
 // Runner executes a concrete schedule on a graph. The default is the

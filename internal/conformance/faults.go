@@ -48,7 +48,7 @@ func RunMsgnetFaulty(spec workload.Spec) (*Execution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunMsgnetPlan(spec, plan, nil, nil)
+	return RunMsgnetPlan(spec, plan, nil)
 }
 
 // RunMsgnetPlan executes the spec on the message-passing runtime under an
@@ -56,11 +56,10 @@ func RunMsgnetFaulty(spec workload.Spec) (*Execution, error) {
 // and CLI plan replays share. The execution is labeled "msgnet-faults"
 // when the plan injects anything and "msgnet" otherwise. When tr is
 // non-nil every hop is recorded through it with a unique per-operation
-// token identity and a causal span chain; flight, when non-nil, rides
-// along as the auto-tripping black box. spec.Procs workers issue
+// token identity and a causal span chain. spec.Procs workers issue
 // spec.Ops traversals in total on shm.Drive, which every
 // real-goroutine engine shares.
-func RunMsgnetPlan(spec workload.Spec, plan *faults.Plan, tr obs.Tracer, flight *obs.Flight) (*Execution, error) {
+func RunMsgnetPlan(spec workload.Spec, plan *faults.Plan, tr obs.Tracer) (*Execution, error) {
 	engine := "msgnet"
 	if plan != nil && plan.Active() {
 		engine = "msgnet-faults"
@@ -69,7 +68,7 @@ func RunMsgnetPlan(spec workload.Spec, plan *faults.Plan, tr obs.Tracer, flight 
 	if err != nil {
 		return nil, err
 	}
-	n, err := msgnet.StartOpts(g, msgnet.Options{Buffer: 1, Faults: plan, Tracer: tr, Flight: flight})
+	n, err := msgnet.StartOpts(g, msgnet.Options{Buffer: 1, Faults: plan, Tracer: tr})
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +113,7 @@ func (f *ChaosFailure) Error() string {
 // chaosRound runs one plan against one spec and checks the universal
 // invariants plus operation-count completeness.
 func chaosRound(spec workload.Spec, plan *faults.Plan) error {
-	exec, err := RunMsgnetPlan(spec, plan, nil, nil)
+	exec, err := RunMsgnetPlan(spec, plan, nil)
 	if err != nil {
 		return err
 	}

@@ -97,7 +97,7 @@ func FuzzFaultPlan(f *testing.F) {
 		}
 		done := make(chan outcome, 1)
 		go func() {
-			exec, err := RunMsgnetPlan(spec, plan, nil, nil)
+			exec, err := RunMsgnetPlan(spec, plan, nil)
 			done <- outcome{exec, err}
 		}()
 		select {

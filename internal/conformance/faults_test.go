@@ -80,7 +80,7 @@ func TestRunMsgnetPlanEngineNames(t *testing.T) {
 		{&faults.Plan{Seed: 1}, "msgnet"},
 		{faults.Chaos(1, 0.2, 0), "msgnet-faults"},
 	} {
-		exec, err := RunMsgnetPlan(spec, tc.plan, nil, nil)
+		exec, err := RunMsgnetPlan(spec, tc.plan, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,21 +55,12 @@ func TraceWitness(g *topo.Graph, c *schedule.Concrete) (wt *WitnessTrace, ok boo
 	}, true, nil
 }
 
-// DumpFlight writes the violation's black box: the full stamped
-// transition trace pushed through a flight recorder and tripped with
-// reason "lincheck-violation", so a shrunken fuzz failure leaves the same
-// artifact a chaos run's liveness valve would. Returns the path written.
-func (wt *WitnessTrace) DumpFlight(path string) (string, error) {
-	n := len(wt.all)
-	if n == 0 {
-		n = 1
-	}
-	f := obs.NewFlight(wt.Meta, 1, n)
-	for _, ev := range wt.all {
-		f.Record(ev)
-	}
-	f.SetAutoDump(path)
-	return f.Trip("lincheck-violation")
+// DumpFlight writes the violation's black box to path: the full stamped
+// transition trace as a flight-recorder dump with reason
+// "lincheck-violation", so a shrunken fuzz failure leaves the same
+// artifact a chaos run's liveness valve would.
+func (wt *WitnessTrace) DumpFlight(path string) error {
+	return obs.Dump(path, wt.Meta, "lincheck-violation", wt.all)
 }
 
 // WriteFile writes the slice to path, picking JSONL or Chrome format from

@@ -146,9 +146,8 @@ func TestWitnessFlightDump(t *testing.T) {
 		t.Fatal("violating schedule produced no witness")
 	}
 	path := filepath.Join(t.TempDir(), "flight.jsonl")
-	got, err := wt.DumpFlight(path)
-	if err != nil || got != path {
-		t.Fatalf("DumpFlight = (%q, %v)", got, err)
+	if err := wt.DumpFlight(path); err != nil {
+		t.Fatal(err)
 	}
 	f, err := os.Open(path)
 	if err != nil {

@@ -87,7 +87,8 @@ func (n *Network) forward(link int, dest chan token, t token) bool {
 		if v.Forced {
 			// The liveness valve overrode a loss: the network is degraded
 			// enough that a plan exhausted MaxAttempts, which is exactly
-			// the moment a black box should preserve.
+			// the moment a black box should preserve. Trip only freezes
+			// the recorder; its owner dumps it once the network is closed.
 			if f := n.flight; f != nil {
 				f.Trip("liveness-valve")
 			}

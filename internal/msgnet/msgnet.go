@@ -60,10 +60,11 @@ type Options struct {
 	// leaves the engine on its zero-overhead path.
 	Faults *faults.Plan
 	// Flight, when non-nil, receives every event the tracer would (teed
-	// with Tracer if both are set) and is tripped automatically when the
-	// fault plan's liveness valve forces a delivery through — arm it with
-	// SetAutoDump to get a black-box dump of the moments before.
-	Flight *obs.Flight
+	// with Tracer if both are set) and is tripped with reason
+	// "liveness-valve" when the fault plan's valve forces a delivery
+	// through, which freezes it on the moments before. The owner writes
+	// it out with obs.Dump after Close.
+	Flight *obs.Ring
 }
 
 // netObs is the observability state of a running network.
@@ -88,8 +89,8 @@ type Network struct {
 	// couriers are also spawned from Traverse callers, which no node
 	// goroutine's count covers.
 	stopMu sync.RWMutex
-	obs    *netObs     // nil when neither tracer nor metrics configured
-	flight *obs.Flight // nil unless Options.Flight was set
+	obs    *netObs   // nil when neither tracer nor metrics configured
+	flight *obs.Ring // nil unless Options.Flight was set
 
 	// Fault-injection state; inj is nil on fault-free networks and the
 	// rest is untouched.
@@ -116,9 +117,10 @@ func StartOpts(g *topo.Graph, opts Options) (*Network, error) {
 	}
 	buffer := opts.Buffer
 	n := &Network{
-		g:     g,
-		inbox: make([]chan token, g.NumNodes()),
-		stop:  make(chan struct{}),
+		g:      g,
+		inbox:  make([]chan token, g.NumNodes()),
+		stop:   make(chan struct{}),
+		flight: opts.Flight,
 	}
 	if p := opts.Faults; p != nil && p.Active() {
 		if err := p.Validate(); err != nil {
@@ -130,12 +132,11 @@ func StartOpts(g *topo.Graph, opts Options) (*Network, error) {
 	}
 	if opts.Tracer != nil || opts.Metrics != nil || opts.Flight != nil {
 		base := time.Now()
-		// The assignment through a local interface keeps a nil *Flight from
+		// The assignment through a local interface keeps a nil *Ring from
 		// becoming a non-nil Tracer inside Tee.
 		var ft obs.Tracer
 		if opts.Flight != nil {
 			ft = opts.Flight
-			n.flight = opts.Flight
 		}
 		o := &netObs{tr: obs.Tee(opts.Tracer, ft), clock: func() int64 { return int64(time.Since(base)) }}
 		if o.tr != nil {

@@ -268,15 +268,14 @@ func TestCausalSpansUnderFaults(t *testing.T) {
 
 // TestFlightValveTrip runs a plan whose partition window is long enough
 // to exhaust MaxAttempts and checks the teed flight recorder trips with
-// reason "liveness-valve" and leaves a causally closed dump.
+// reason "liveness-valve" and, dumped once the network is closed, leaves
+// a causally closed window of the moments before.
 func TestFlightValveTrip(t *testing.T) {
 	g, err := bitonic.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flight := obs.NewFlight(obs.Meta{Engine: "msgnet", Unit: "ns", Net: "bitonic", Width: 2}, 2, 256)
-	path := filepath.Join(t.TempDir(), "flight.jsonl")
-	flight.SetAutoDump(path)
+	flight := obs.NewRing(2, 256)
 	// Every delivery on link 0 inside a huge window is dropped; the sender
 	// must exhaust MaxAttempts and get forced through.
 	plan := &faults.Plan{Seed: 3,
@@ -291,8 +290,14 @@ func TestFlightValveTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	n.Close()
 	if flight.Tripped() != "liveness-valve" {
 		t.Fatalf("flight not tripped by valve: %q", flight.Tripped())
+	}
+	path := filepath.Join(t.TempDir(), "flight.jsonl")
+	meta := obs.Meta{Engine: "msgnet", Unit: "ns", Net: "bitonic", Width: 2}
+	if err := obs.Dump(path, meta, flight.Tripped(), flight.Events()); err != nil {
+		t.Fatal(err)
 	}
 	f, err := os.Open(path)
 	if err != nil {

@@ -4,8 +4,8 @@ import "testing"
 
 // Allocation guards for the span path (enforced, not just reported):
 // stamping must stay free when tracing is disabled and allocation-free
-// when enabled — the flight recorder and clock write into preallocated
-// shards, so a traced chaos run's hot loop never touches the heap.
+// when enabled — the rings and clock write into preallocated shards, so
+// a traced chaos run's hot loop never touches the heap.
 
 // TestDisabledSpanStampZeroAlloc pins the disabled path: the engines
 // guard stamping behind a nil check on their obs handle, so the cost of
@@ -26,12 +26,10 @@ func TestDisabledSpanStampZeroAlloc(t *testing.T) {
 }
 
 // TestSpanPathAllocs pins the enabled path: Tick plus a Tee fan-out into
-// a ring and a flight recorder is allocation-free per event.
+// a trace ring and a flight ring is allocation-free per event.
 func TestSpanPathAllocs(t *testing.T) {
 	c := NewClock()
-	r := NewRing(1, 1<<12)
-	f := NewFlight(Meta{Engine: "test", Unit: "ns"}, 1, 1<<10)
-	tr := Tee(r, f)
+	tr := Tee(NewRing(1, 1<<12), NewRing(1, 1<<10))
 	ev := Event{T: 1, Kind: KindBalancer, P: 0, Tok: 7, Node: 2, Value: -1}
 	allocs := testing.AllocsPerRun(1000, func() {
 		ev.Parent = ev.Span
@@ -66,22 +64,10 @@ func BenchmarkSpanStampRing(b *testing.B) {
 	}
 }
 
-// BenchmarkFlightRecord measures the mutex-guarded flight-recorder shard
-// write (uncontended, as on the single-writer-per-processor hot path).
-func BenchmarkFlightRecord(b *testing.B) {
-	f := NewFlight(Meta{Engine: "bench", Unit: "ns"}, 1, 1<<10)
-	ev := Event{Kind: KindBalancer, P: 0, Tok: 7, Node: 2, Value: -1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev.T = int64(i)
-		f.Record(ev)
-	}
-}
-
-// BenchmarkTeeRecord measures the ring+flight fan-out engines run with
-// both a live trace and a black box armed.
+// BenchmarkTeeRecord measures the two-ring fan-out engines run with both
+// a live trace and a black box armed.
 func BenchmarkTeeRecord(b *testing.B) {
-	tr := Tee(NewRing(1, 1<<16), NewFlight(Meta{Engine: "bench", Unit: "ns"}, 1, 1<<10))
+	tr := Tee(NewRing(1, 1<<16), NewRing(1, 1<<10))
 	ev := Event{Kind: KindBalancer, P: 0, Tok: 7, Node: 2, Value: -1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

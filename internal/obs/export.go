@@ -244,11 +244,16 @@ func ExportFile(w io.Writer, name string, meta Meta, events []Event) error {
 // WriteFile creates the file at path and writes events to it in the
 // format ExportFile picks from the name.
 func WriteFile(path string, meta Meta, events []Event) error {
+	return createFile(path, func(w io.Writer) error { return ExportFile(w, path, meta, events) })
+}
+
+// createFile creates the file at path and fills it with write.
+func createFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := ExportFile(f, path, meta, events); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -1,6 +1,7 @@
 // Package obs is the shared observability layer of the three execution
 // engines (internal/sim, internal/shm, internal/msgnet): a low-overhead
-// structured-event tracer with a lock-free per-processor ring recorder, an
+// structured-event tracer with a lock-free per-processor ring recorder
+// (tripped and dumped, the same ring is the flight recorder), an
 // online metrics registry (counters, gauges, min/max trackers, log-bucketed
 // latency histograms, and a live (Tog+W)/Tog ratio that is a read-only view
 // of an engine's toggle-wait histogram, so each wait is recorded once), and
@@ -127,7 +128,7 @@ func (Nop) Record(Event) {}
 // Tee returns a tracer forwarding every event to both a and b, dropping
 // nil branches: Tee(a, nil) is a itself, so the extra dispatch is only
 // paid when both sinks are live. It is how an engine feeds a full-trace
-// ring and a flight recorder from one Record stream.
+// ring and a tripping flight ring from one Record stream.
 func Tee(a, b Tracer) Tracer {
 	if a == nil {
 		return b

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"io"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -23,8 +25,14 @@ type ringShard struct {
 // between processors. When a shard fills, the oldest events of that shard
 // are overwritten (the newest window survives, which is the part a
 // violation witness needs).
+//
+// A Ring is also the flight recorder: the first Trip notes why the run
+// went wrong and freezes the recorder, so the retained window stays the
+// moments before the trip however long the run goes on. The owner writes
+// it out with Dump once the run has quiesced.
 type Ring struct {
 	shards []ringShard
+	reason atomic.Pointer[string] // the first Trip's reason; nil until then
 }
 
 // NewRing returns a recorder with one shard per processor id in [0, procs)
@@ -44,8 +52,11 @@ func NewRing(procs, perProc int) *Ring {
 }
 
 // Record implements Tracer. Events with out-of-range P are folded onto a
-// shard by modulus.
+// shard by modulus. A tripped recorder drops the event.
 func (r *Ring) Record(ev Event) {
+	if r.reason.Load() != nil {
+		return
+	}
 	p := int(ev.P)
 	if p < 0 {
 		p = -p
@@ -53,6 +64,23 @@ func (r *Ring) Record(ev Event) {
 	s := &r.shards[p%len(r.shards)]
 	n := s.n.Add(1) - 1
 	s.buf[n%int64(len(s.buf))] = ev
+}
+
+// Trip freezes the recorder under reason — a liveness valve forcing a
+// delivery through, a panic, a lincheck violation. The first call wins;
+// later calls are no-ops. It is safe while other goroutines record: a
+// writer already past the freeze check still lands its one event.
+func (r *Ring) Trip(reason string) {
+	r.reason.CompareAndSwap(nil, &reason)
+}
+
+// Tripped returns the reason of the first Trip, or "" if the recorder has
+// not been tripped.
+func (r *Ring) Tripped() string {
+	if p := r.reason.Load(); p != nil {
+		return *p
+	}
+	return ""
 }
 
 // Overwritten returns how many events were lost to ring wraparound.
@@ -104,4 +132,24 @@ func (r *Ring) Events() []Event {
 		out[i] = t.ev
 	}
 	return out
+}
+
+// Dump writes a flight-recorder dump to path: JSONL whatever the
+// extension (a dump is an analysis artifact, not a Perfetto view), with
+// reason in the meta header and events in span order (timestamp order
+// between unstamped events), cut to their causally closed subset so the
+// ancestor chains ring wraparound truncated are dropped and the file
+// reads as a happens-before story. events is left as it was.
+func Dump(path string, meta Meta, reason string, events []Event) error {
+	events = slices.Clone(events)
+	sort.SliceStable(events, func(i, j int) bool {
+		a, b := events[i], events[j]
+		if a.Span != 0 && b.Span != 0 {
+			return a.Span < b.Span
+		}
+		return a.T < b.T
+	})
+	events, _ = CausalClosure(events)
+	meta.Reason = reason
+	return createFile(path, func(w io.Writer) error { return WriteJSONL(w, meta, events) })
 }

@@ -330,9 +330,9 @@ func TestSwitchStorm(t *testing.T) {
 // adaptive engine: the full stress driver routes every operation through
 // the Front seam, over a width × worker × mode grid. Both modes are
 // linearizable, so a violation is a failure, and so is any break in the
-// permutation. A flight recorder rides along as the run's tracer; a
-// breach trips it, so failures produce flight-recorder dumps like the
-// other engines' harnesses.
+// permutation. A flight ring rides along as the run's tracer; a breach
+// dumps it, so failures produce flight-recorder dumps like the other
+// engines' harnesses.
 func TestAdaptiveStressMatrix(t *testing.T) {
 	for _, width := range []int{1, 2, 8} {
 		for _, procs := range []int{4, 32, 128} {
@@ -360,10 +360,7 @@ func stressOne(t *testing.T, mode adaptive.Mode, width, procs int) {
 		t.Fatal(err)
 	}
 	ops := max(4*procs, 256)
-	flight := obs.NewFlight(obs.Meta{
-		Engine: "shm-adaptive", Unit: "ns", Width: width,
-	}, procs, 64)
-	flight.SetAutoDump(filepath.Join(t.TempDir(), "adaptive.flight.jsonl"))
+	flight := obs.NewRing(procs, 64)
 	res, err := shm.Stress(shm.StressConfig{
 		Net: n, Workers: procs, Ops: ops, Seed: int64(width*1000 + procs),
 		DelayedFrac: 0.25, Delay: 20 * time.Microsecond,
@@ -378,7 +375,9 @@ func stressOne(t *testing.T, mode adaptive.Mode, width, procs int) {
 		if w, ok := lincheck.FirstWitness(res.Ops); ok {
 			t.Logf("first inversion witness: %s", w)
 		}
-		if path, _ := flight.Trip("adaptive-violation"); path != "" {
+		path := filepath.Join(t.TempDir(), "adaptive.flight.jsonl")
+		meta := obs.Meta{Engine: "shm-adaptive", Unit: "ns", Width: width}
+		if err := obs.Dump(path, meta, "adaptive-violation", flight.Events()); err == nil {
 			t.Logf("flight dump written to %s", path)
 		}
 		t.Fatalf(format, args...)
