@@ -56,6 +56,7 @@ func BenchmarkSpanStampRing(b *testing.B) {
 	r := NewRing(1, 1<<16)
 	ev := Event{Kind: KindBalancer, P: 0, Tok: 7, Node: 2, Value: -1}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev.T = int64(i)
 		ev.Parent = ev.Span

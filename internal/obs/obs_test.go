@@ -3,6 +3,7 @@ package obs
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestNopZeroAlloc locks down the disabled-tracing cost: recording through
@@ -137,5 +138,24 @@ func BenchmarkRingRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev.T = int64(i)
 		r.Record(ev)
+	}
+}
+
+// TestRingShardLayout pins the shard stride: on an 8-shard ring no two
+// shards' counts, which their writers increment on every Record, share an
+// aligned 128-byte pair of cache lines.
+func TestRingShardLayout(t *testing.T) {
+	const pair = 128
+	if sz := unsafe.Sizeof(ringShard{}); sz != pair {
+		t.Errorf("ringShard is %d bytes, want %d", sz, pair)
+	}
+	r := NewRing(8, 4)
+	owner := map[uintptr]int{}
+	for i := range r.shards {
+		p := uintptr(unsafe.Pointer(&r.shards[i].n)) / pair
+		if prev, ok := owner[p]; ok {
+			t.Errorf("shards %d and %d keep their counts in one 128-byte pair", prev, i)
+		}
+		owner[p] = i
 	}
 }

@@ -13,10 +13,14 @@ import (
 // original's processor id) gets a slot of its own; slot contents are only
 // safe to read once the run has quiesced (e.g. after the workers'
 // WaitGroup).
+//
+// A shard is 128 bytes, a pair of cache lines, which the adjacent-line
+// prefetcher moves together, so no two shards' counts share a line or a
+// pair, wherever the allocator starts the shard array (TestRingShardLayout).
 type ringShard struct {
 	buf []Event
 	n   atomic.Int64 // total events recorded (monotone; may exceed len(buf))
-	_   [40]byte     // keep shards off each other's cache lines
+	_   [96]byte
 }
 
 // Ring is a lock-free per-processor ring-buffer recorder: each processor id

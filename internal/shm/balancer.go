@@ -46,11 +46,14 @@ func (k Kind) String() string {
 	}
 }
 
-// slab is how many balancers Compile allocates at once: 512 bytes, the
-// largest pointer-holding object Go allocates without a malloc header.
-// Such an object starts on a 64-byte boundary, so each balancer of a slab
-// owns one cache line (TestBalancerLayout); a larger slab would start 8
-// bytes past a line boundary.
+// slab is how many balancers Compile allocates at once: 1024 bytes, eight
+// 128-byte line pairs. Go puts an 8-byte malloc header before a
+// pointer-holding object over 512 bytes, so a slab of six to eight starts
+// 8 bytes past a 128-byte boundary and a smaller one on it; Balancer keeps
+// its two groups of words on their own lines at either start
+// (TestBalancerLayout). A slab of five would land in the 704-byte size
+// class, whose objects alternate between 0 and 64 bytes past a 128-byte
+// boundary, so Compile allocates six instead.
 const slab = 8
 
 // nodes is the one pool of MCS queue nodes. Only a token that queues
@@ -77,29 +80,41 @@ var nodes mcs.Pool
 // the prism, where concurrent pairs collide and leave on complementary
 // outputs without touching the toggle (Shavit-Zemach diffraction).
 //
-// Every balancer fills one cache line that holds its lock, its toggle,
-// where its output destinations start in the graph's flat Dests array and
-// the fetch-and-add words of the output counters its ports 0 and 1 feed,
-// so no two balancers' words share a line, the single-token walk (token)
-// reads the next node id with one load once the toggle has moved, and a
-// token leaving for a counter takes its value on the line it just wrote
-// (TestBalancerLayout).
+// Every balancer fills an aligned 128-byte pair of cache lines, the unit
+// the adjacent-line prefetcher moves. The written line holds every word a
+// token writes: the lock, the toggle, the mutex kind's lock and position,
+// and the fetch-and-add words of the output counters its ports 0 and 1
+// feed, so a token leaving for a counter takes its value on the line it
+// just wrote. Its buddy line holds only the words Compile fixes: the
+// fan-out, the kind, the prism and where the output destinations start in
+// the graph's flat Dests array, so the single-token walk (token) reads the
+// next node id with one load of a line no token writes. No written line's
+// pair holds another balancer's written words (TestBalancerLayout).
 type Balancer struct {
+	// Eight bytes of padding at each end of both groups keep each group on
+	// its own line when the pair starts up to 8 bytes off a 128-byte
+	// boundary, as a slab after its malloc header does.
+	_ [8]byte
+
+	// The written line, bytes 8 to 56.
 	lock   mcs.Lock     // KindMCS's admission queue
 	toggle atomic.Int64 // KindMCS's position, KindAtomic's token count
-	fanOut int32
-	out    int32 // topo.Graph.OutOffset of this balancer; set by Compile
-	// kind is a Kind that init has checked, in four bytes so that
-	// KindMutex's position fits beside it without a locked store.
-	kind  int32
-	pos   int32        // KindMutex's position, guarded by mu
-	mu    sync.Mutex   // KindMutex's lock
-	prism *prism.Prism // nil unless diffracting
 	// exits[p] is the fetch-and-add word of the counter port p feeds, if
 	// that is a counter: it holds the counter's next value, starting at
 	// its index and stepping by the network's output width. Compile sets
 	// it; the walk hands out its values.
 	exits [2]atomic.Int64
+	mu    sync.Mutex // KindMutex's lock
+	pos   int32      // KindMutex's position, guarded by mu
+	_     [20]byte
+
+	// The buddy line, bytes 72 to 96: set by init and Compile, then only
+	// read.
+	fanOut int32
+	out    int32        // topo.Graph.OutOffset of this balancer; set by Compile
+	kind   int32        // a Kind that init has checked
+	prism  *prism.Prism // nil unless diffracting
+	_      [32]byte
 }
 
 // NewBalancer returns a balancer of the given kind with fanOut outputs.

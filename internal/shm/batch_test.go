@@ -204,25 +204,41 @@ func TestWalkAllocs(t *testing.T) {
 	}
 }
 
-// TestBalancerLayout pins the layout every toggle's cost depends on: a
-// balancer of any kind, bare or behind a prism, fills one cache line and
-// starts it, so the lock words of a compiled network's balancers, which
-// different tokens swap concurrently, never share a line, and its toggle
-// and its output offset sit on its lock's line, so the idle fast path
-// reads the lock, swaps the toggle and finds the next hop on one line.
-// Every output counter fed by port 0 or 1 of a balancer keeps its word on
-// that balancer's line, so a token's exit hop takes its value on the line
-// it just swapped; a counter fed by any other port keeps a line of its
-// own, shared with no balancer and no other counter, and a network with
-// no such counter allocates no spare lines. Compile carves the balancers
-// from shared slabs, so this holds only while the allocator starts every
-// slab on a line boundary; the networks cover a partial slab, several
-// slabs, and ten, and a ternary tree whose port-2 counters have no
-// balancer's line.
+// TestBalancerLayout pins the layout every toggle's cost depends on. The
+// unit is an aligned 128-byte pair of cache lines, which the adjacent-line
+// prefetcher moves together. A balancer of any kind, bare or behind a
+// prism, keeps every word a token writes (lock, toggle, mutex, position
+// and counter words) on one line of a pair, and the words Compile fixes
+// (fan-out, output offset, kind, prism) on the other line of the same
+// pair, so the idle fast path reads the lock, swaps the toggle and takes
+// an exit value on one line and finds the next hop on its buddy. No other
+// balancer's or counter's word is in that pair. Every output counter fed
+// by port 0 or 1 of a balancer keeps its word on that balancer's written
+// line, so a token's exit hop takes its value on the line it just swapped;
+// a counter fed by any other port keeps a pair of its own, shared with no
+// balancer and no other counter, and a network with no such counter
+// allocates no spare pairs. Compile carves the balancers from shared
+// slabs, so this holds only while the allocator starts every slab on a
+// 128-byte boundary or 8 bytes past one; the networks cover a partial slab
+// of seven, one of five, several slabs, and ten, and a ternary tree whose
+// port-2 counters have no balancer's line.
 func TestBalancerLayout(t *testing.T) {
-	const cacheLine = 64
-	if sz := unsafe.Sizeof(Balancer{}); sz != cacheLine {
-		t.Errorf("Balancer is %d bytes, want %d", sz, cacheLine)
+	const line, pair = 64, 128
+	if sz := unsafe.Sizeof(Balancer{}); sz != pair {
+		t.Errorf("Balancer is %d bytes, want %d", sz, pair)
+	}
+	type word struct {
+		name string
+		p    unsafe.Pointer
+		size uintptr
+	}
+	// lineOf returns the line holding w, failing if w straddles two.
+	lineOf := func(name string, w word) uintptr {
+		first := uintptr(w.p) / line
+		if last := (uintptr(w.p) + w.size - 1) / line; last != first {
+			t.Errorf("%s: %s straddles lines %d and %d", name, w.name, first, last)
+		}
+		return first
 	}
 	ternary := func(w int) (*topo.Graph, error) { return dtree.NewArity(w, 3) }
 	for _, tc := range []struct {
@@ -244,51 +260,66 @@ func TestBalancerLayout(t *testing.T) {
 			for _, diffract := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/diffract=%t", tc.name, kind, diffract)
 				n := compile(t, g, Options{Kind: kind, Diffract: diffract})
-				owner := map[uintptr]topo.NodeID{}
+				owner := map[uintptr]topo.NodeID{} // pair -> the one node with words in it
+				own := func(id topo.NodeID, l uintptr) {
+					if prev, ok := owner[l*line/pair]; ok && prev != id {
+						t.Errorf("%s: nodes %d and %d share a 128-byte pair", name, prev, id)
+					}
+					owner[l*line/pair] = id
+				}
 				for _, id := range g.Balancers() {
 					b := n.balancers[id]
 					if Kind(b.kind) != kind || (b.prism != nil) != (diffract && b.fanOut == 2) {
 						t.Fatalf("%s: balancer %d is %s with prism %t", name, id, Kind(b.kind), b.prism != nil)
 					}
-					lock := uintptr(unsafe.Pointer(&b.lock))
-					if off := lock % cacheLine; off != 0 {
-						t.Errorf("%s: balancer %d lock word at offset %d of its line, want 0", name, id, off)
+					written := []word{
+						{"lock", unsafe.Pointer(&b.lock), unsafe.Sizeof(b.lock)},
+						{"toggle", unsafe.Pointer(&b.toggle), unsafe.Sizeof(b.toggle)},
+						{"exits[0]", unsafe.Pointer(&b.exits[0]), unsafe.Sizeof(b.exits[0])},
+						{"exits[1]", unsafe.Pointer(&b.exits[1]), unsafe.Sizeof(b.exits[1])},
+						{"mu", unsafe.Pointer(&b.mu), unsafe.Sizeof(b.mu)},
+						{"pos", unsafe.Pointer(&b.pos), unsafe.Sizeof(b.pos)},
 					}
-					line := lock / cacheLine
-					if tl := uintptr(unsafe.Pointer(&b.toggle)) / cacheLine; tl != line {
-						t.Errorf("%s: balancer %d: toggle on line %d, lock on line %d", name, id, tl, line)
+					fixed := []word{
+						{"fanOut", unsafe.Pointer(&b.fanOut), unsafe.Sizeof(b.fanOut)},
+						{"out", unsafe.Pointer(&b.out), unsafe.Sizeof(b.out)},
+						{"kind", unsafe.Pointer(&b.kind), unsafe.Sizeof(b.kind)},
+						{"prism", unsafe.Pointer(&b.prism), unsafe.Sizeof(b.prism)},
 					}
-					if ol := uintptr(unsafe.Pointer(&b.out)) / cacheLine; ol != line {
-						t.Errorf("%s: balancer %d: output offset on line %d, lock on line %d", name, id, ol, line)
+					wl := lineOf(name, written[0])
+					for _, w := range written {
+						if l := lineOf(name, w); l != wl {
+							t.Errorf("%s: balancer %d: %s on line %d, lock on line %d", name, id, w.name, l, wl)
+						}
 					}
-					if prev, ok := owner[line]; ok {
-						t.Errorf("%s: balancers %d and %d lock words share a cache line", name, prev, id)
+					for _, w := range fixed {
+						if l := lineOf(name, w); l != wl^1 {
+							t.Errorf("%s: balancer %d: %s on line %d, want %d, the written line %d's buddy", name, id, w.name, l, wl^1, wl)
+						}
 					}
-					owner[line] = id
+					own(id, wl)
 				}
 				spares := 0
 				for id := range topo.NodeID(g.NumNodes()) {
 					if g.KindOf(id) != topo.KindCounter {
 						continue
 					}
-					line := uintptr(unsafe.Pointer(n.word(id))) / cacheLine
+					w := n.word(id)
+					l := lineOf(name, word{"counter word", unsafe.Pointer(w), unsafe.Sizeof(*w)})
 					if src := g.InSrc(id, 0); onLine(src) {
-						if bl := uintptr(unsafe.Pointer(&n.balancers[src.Node].lock)) / cacheLine; bl != line {
-							t.Errorf("%s: counter %d on line %d, its feeding balancer %d on line %d", name, id, line, src.Node, bl)
+						if bl := uintptr(unsafe.Pointer(&n.balancers[src.Node].lock)) / line; bl != l {
+							t.Errorf("%s: counter %d on line %d, its feeding balancer %d's written line is %d", name, id, l, src.Node, bl)
 						}
 						continue
 					}
 					spares++
-					if prev, ok := owner[line]; ok {
-						t.Errorf("%s: counter %d shares a cache line with node %d", name, id, prev)
-					}
-					owner[line] = id
+					own(id, l)
 				}
 				if spares != tc.spares {
 					t.Errorf("%s: %d counters off every balancer's line, want %d", name, spares, tc.spares)
 				}
 				if (n.spare == nil) != (tc.spares == 0) {
-					t.Errorf("%s: spare lines allocated %t with %d counters needing one", name, n.spare != nil, spares)
+					t.Errorf("%s: spare pairs allocated %t with %d counters needing one", name, n.spare != nil, spares)
 				}
 			}
 		}

@@ -3,11 +3,14 @@ package shm
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"countnet/internal/bitonic"
 	"countnet/internal/dtree"
+	"countnet/internal/shm/backoff"
+	"countnet/internal/topo"
 )
 
 // batchOps is how many ops one timed batch of a batched row makes.
@@ -112,7 +115,60 @@ func BenchmarkDTree32(b *testing.B) {
 			name = "prism"
 		}
 		benchNetwork(b, name, n)
+		if !diffract {
+			b.Run("paused/mcs", func(b *testing.B) { benchPaused(b, n) })
+		}
 	}
+}
+
+// benchPaused is the anomaly workload's tail as a go-test row; run it at
+// -cpu 2. One goroutine walks n from input 0 through TraverseSpan and
+// pauses 1µs after every node, as the paper's Section 5 delayed process
+// does, while the benchmark goroutine makes b.N free walks from input 0.
+// It reports the free walker's median and p90 ns per walk, each walk timed
+// with two monotonic clock reads, as the benchmark driver times a call.
+// The free walks start once the paused walker has made one walk, so even a
+// 100-walk run overlaps it.
+func benchPaused(b *testing.B, n *Network) {
+	base := time.Now()
+	clock := func() int64 { return int64(time.Since(base)) }
+	pause := func(topo.NodeID) { backoff.Pause(time.Microsecond) }
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	started := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		n.TraverseSpan(0, 0, 0, 0, pause)
+		close(started)
+		for !stop.Load() {
+			n.TraverseSpan(0, 0, 0, 0, pause)
+		}
+	}()
+	<-started
+	// hist[d] counts the walks that took d ns, the last bucket every
+	// slower one, so memory stays flat at any b.N.
+	var hist [4096]int
+	b.ResetTimer()
+	for range b.N {
+		t0 := clock()
+		n.Traverse(0)
+		hist[min(clock()-t0, int64(len(hist)-1))]++
+	}
+	b.StopTimer()
+	stop.Store(true)
+	wg.Wait()
+	quantile := func(q float64) float64 {
+		k := int(q * float64(b.N))
+		for d, c := range hist {
+			if k -= c; k < 0 {
+				return float64(d)
+			}
+		}
+		return float64(len(hist) - 1)
+	}
+	b.ReportMetric(quantile(0.5), "median-ns/walk")
+	b.ReportMetric(quantile(0.9), "p90-ns/walk")
 }
 
 // BenchmarkHome prices Network.Home on bitonic[8], the per-P input lookup

@@ -24,11 +24,12 @@ type Options struct {
 
 // paddedCounter is the fetch-and-add word of an output counter that no
 // balancer's port 0 or 1 feeds, such as one on port 2 of a ternary tree or
-// one wired straight to an input, on a cache line of its own. Every other
-// counter's word sits on its feeding balancer's line (Balancer.exits).
+// one wired straight to an input, alone in a 128-byte line pair of its own,
+// as a balancer's written words are. Every other counter's word sits on its
+// feeding balancer's written line (Balancer.exits).
 type paddedCounter struct {
 	v atomic.Int64
-	_ [56]byte
+	_ [120]byte
 }
 
 // Network is a balancing network compiled for direct traversal by
@@ -45,9 +46,9 @@ type Network struct {
 }
 
 // Compile builds the runtime for g. It carves every balancer, of any
-// kind, from 512-byte slabs, one cache line each, and puts each output
-// counter's word on the line of the balancer that feeds it, or on a spare
-// line when no port 0 or 1 does.
+// kind, from slabs of eight 128-byte line pairs, and puts each output
+// counter's word on the written line of the balancer that feeds it, or in
+// a spare line pair when no port 0 or 1 does.
 func Compile(g *topo.Graph, opts Options) (*Network, error) {
 	if g == nil {
 		return nil, fmt.Errorf("shm: nil graph")
@@ -80,7 +81,11 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 			continue
 		}
 		if len(bs) == 0 {
-			bs = make([]Balancer, min(left, slab))
+			k := min(left, slab)
+			if k == 5 {
+				k = 6 // see slab
+			}
+			bs = make([]Balancer, k)
 			left -= len(bs)
 		}
 		b := &bs[0]
