@@ -86,10 +86,11 @@ var nodes mcs.Pool
 // and the fetch-and-add words of the output counters its ports 0 and 1
 // feed, so a token leaving for a counter takes its value on the line it
 // just wrote. Its buddy line holds only the words Compile fixes: the
-// fan-out, the kind, the prism and where the output destinations start in
-// the graph's flat Dests array, so the single-token walk (token) reads the
-// next node id with one load of a line no token writes. No written line's
-// pair holds another balancer's written words (TestBalancerLayout).
+// fan-out, the kind, the prism, where the output destinations start in the
+// graph's flat Dests array, and the balancers ports 0 and 1 lead to, so a
+// plain token's walk (token) takes its next hop with one load of a line no
+// token writes. No written line's pair holds another balancer's written
+// words (TestBalancerLayout).
 type Balancer struct {
 	// Eight bytes of padding at each end of both groups keep each group on
 	// its own line when the pair starts up to 8 bytes off a 128-byte
@@ -108,13 +109,16 @@ type Balancer struct {
 	pos   int32      // KindMutex's position, guarded by mu
 	_     [20]byte
 
-	// The buddy line, bytes 72 to 96: set by init and Compile, then only
+	// The buddy line, bytes 72 to 112: set by init and Compile, then only
 	// read.
 	fanOut int32
 	out    int32        // topo.Graph.OutOffset of this balancer; set by Compile
 	kind   int32        // a Kind that init has checked
 	prism  *prism.Prism // nil unless diffracting
-	_      [32]byte
+	// succ[p] is the balancer port p leads to, nil where it feeds a
+	// counter; set by Compile.
+	succ [2]*Balancer
+	_    [16]byte
 }
 
 // NewBalancer returns a balancer of the given kind with fanOut outputs.
@@ -172,7 +176,7 @@ func (b *Balancer) Traverse() int {
 	}
 	switch Kind(b.kind) {
 	case KindAtomic:
-		return int((b.toggle.Add(1) - 1) % int64(b.fanOut))
+		return b.port(b.toggle.Add(1) - 1)
 	case KindMutex:
 		return b.hold(1)
 	}
@@ -197,7 +201,7 @@ func (b *Balancer) route(demand int, counts []int) {
 		}
 		return
 	case Kind(b.kind) == KindAtomic:
-		p = int((b.toggle.Add(int64(demand)) - int64(demand)) % int64(b.fanOut))
+		p = b.port(b.toggle.Add(int64(demand)) - int64(demand))
 	case Kind(b.kind) == KindMutex:
 		p = b.hold(demand)
 	default:
@@ -219,6 +223,16 @@ func (b *Balancer) route(demand int, counts []int) {
 			p = 0
 		}
 	}
+}
+
+// port is KindAtomic's output for the token that found count c: c modulo
+// the fan-out, a mask when the fan-out is two, as it is in every balancer
+// of bitonic, periodic and binary-tree networks.
+func (b *Balancer) port(c int64) int {
+	if b.fanOut == 2 {
+		return int(c & 1)
+	}
+	return int(c % int64(b.fanOut))
 }
 
 // hold moves KindMutex's position demand places under its mutex and

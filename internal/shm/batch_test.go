@@ -209,19 +209,22 @@ func TestWalkAllocs(t *testing.T) {
 // prefetcher moves together. A balancer of any kind, bare or behind a
 // prism, keeps every word a token writes (lock, toggle, mutex, position
 // and counter words) on one line of a pair, and the words Compile fixes
-// (fan-out, output offset, kind, prism) on the other line of the same
-// pair, so the idle fast path reads the lock, swaps the toggle and takes
-// an exit value on one line and finds the next hop on its buddy. No other
-// balancer's or counter's word is in that pair. Every output counter fed
+// (fan-out, output offset, kind, prism, successors) on the other line of
+// the same pair, so the idle fast path reads the lock, swaps the toggle
+// and takes an exit value on one line and finds the next hop on its
+// buddy. No other balancer's or counter's word is in that pair. Every output counter fed
 // by port 0 or 1 of a balancer keeps its word on that balancer's written
 // line, so a token's exit hop takes its value on the line it just swapped;
 // a counter fed by any other port keeps a pair of its own, shared with no
 // balancer and no other counter, and a network with no such counter
 // allocates no spare pairs. Compile carves the balancers from shared
 // slabs, so this holds only while the allocator starts every slab on a
-// 128-byte boundary or 8 bytes past one; the networks cover a partial slab
-// of seven, one of five, several slabs, and ten, and a ternary tree whose
-// port-2 counters have no balancer's line.
+// 128-byte boundary or 8 bytes past one. The test checks both starts
+// from the field offsets, then the balancers Compile lays out; the
+// networks cover a partial slab of seven, one of five, several slabs, and
+// ten, all 8 bytes past a boundary, a slab of three, which has no malloc
+// header and starts on one, and a ternary tree whose port-2 counters have
+// no balancer's line.
 func TestBalancerLayout(t *testing.T) {
 	const line, pair = 64, 128
 	if sz := unsafe.Sizeof(Balancer{}); sz != pair {
@@ -240,6 +243,38 @@ func TestBalancerLayout(t *testing.T) {
 		}
 		return first
 	}
+	// groups returns b's written words and its Compile-time words.
+	groups := func(b *Balancer) (written, fixed []word) {
+		return []word{
+				{"lock", unsafe.Pointer(&b.lock), unsafe.Sizeof(b.lock)},
+				{"toggle", unsafe.Pointer(&b.toggle), unsafe.Sizeof(b.toggle)},
+				{"exits[0]", unsafe.Pointer(&b.exits[0]), unsafe.Sizeof(b.exits[0])},
+				{"exits[1]", unsafe.Pointer(&b.exits[1]), unsafe.Sizeof(b.exits[1])},
+				{"mu", unsafe.Pointer(&b.mu), unsafe.Sizeof(b.mu)},
+				{"pos", unsafe.Pointer(&b.pos), unsafe.Sizeof(b.pos)},
+			}, []word{
+				{"fanOut", unsafe.Pointer(&b.fanOut), unsafe.Sizeof(b.fanOut)},
+				{"out", unsafe.Pointer(&b.out), unsafe.Sizeof(b.out)},
+				{"kind", unsafe.Pointer(&b.kind), unsafe.Sizeof(b.kind)},
+				{"prism", unsafe.Pointer(&b.prism), unsafe.Sizeof(b.prism)},
+				{"succ", unsafe.Pointer(&b.succ), unsafe.Sizeof(b.succ)},
+			}
+	}
+	// Whatever the allocator does, a balancer starting on a 128-byte
+	// boundary or 8 bytes past one keeps its written words on the first
+	// line of its pair and its Compile-time words on the second.
+	var b0 Balancer
+	written, fixed := groups(&b0)
+	for _, start := range []uintptr{0, 8} {
+		for want, ws := range [][]word{written, fixed} {
+			for _, w := range ws {
+				off := start + uintptr(w.p) - uintptr(unsafe.Pointer(&b0))
+				if first, last := off/line, (off+w.size-1)/line; first != uintptr(want) || last != uintptr(want) {
+					t.Errorf("start %d: %s on lines %d to %d of the pair, want line %d", start, w.name, first, last, want)
+				}
+			}
+		}
+	}
 	ternary := func(w int) (*topo.Graph, error) { return dtree.NewArity(w, 3) }
 	for _, tc := range []struct {
 		name   string
@@ -251,6 +286,7 @@ func TestBalancerLayout(t *testing.T) {
 		{"tree[32]", dtree.New, 32, 0},
 		{"bitonic[16]", bitonic.New, 16, 0},
 		{"tree[27,3]", ternary, 27, 9},
+		{"tree[4]", dtree.New, 4, 0},
 	} {
 		g, err := tc.build(tc.w)
 		if err != nil {
@@ -272,20 +308,7 @@ func TestBalancerLayout(t *testing.T) {
 					if Kind(b.kind) != kind || (b.prism != nil) != (diffract && b.fanOut == 2) {
 						t.Fatalf("%s: balancer %d is %s with prism %t", name, id, Kind(b.kind), b.prism != nil)
 					}
-					written := []word{
-						{"lock", unsafe.Pointer(&b.lock), unsafe.Sizeof(b.lock)},
-						{"toggle", unsafe.Pointer(&b.toggle), unsafe.Sizeof(b.toggle)},
-						{"exits[0]", unsafe.Pointer(&b.exits[0]), unsafe.Sizeof(b.exits[0])},
-						{"exits[1]", unsafe.Pointer(&b.exits[1]), unsafe.Sizeof(b.exits[1])},
-						{"mu", unsafe.Pointer(&b.mu), unsafe.Sizeof(b.mu)},
-						{"pos", unsafe.Pointer(&b.pos), unsafe.Sizeof(b.pos)},
-					}
-					fixed := []word{
-						{"fanOut", unsafe.Pointer(&b.fanOut), unsafe.Sizeof(b.fanOut)},
-						{"out", unsafe.Pointer(&b.out), unsafe.Sizeof(b.out)},
-						{"kind", unsafe.Pointer(&b.kind), unsafe.Sizeof(b.kind)},
-						{"prism", unsafe.Pointer(&b.prism), unsafe.Sizeof(b.prism)},
-					}
+					written, fixed := groups(b)
 					wl := lineOf(name, written[0])
 					for _, w := range written {
 						if l := lineOf(name, w); l != wl {

@@ -46,9 +46,10 @@ type Network struct {
 }
 
 // Compile builds the runtime for g. It carves every balancer, of any
-// kind, from slabs of eight 128-byte line pairs, and puts each output
+// kind, from slabs of eight 128-byte line pairs, puts each output
 // counter's word on the written line of the balancer that feeds it, or in
-// a spare line pair when no port 0 or 1 does.
+// a spare line pair when no port 0 or 1 does, and links each balancer to
+// the balancers its ports 0 and 1 lead to.
 func Compile(g *topo.Graph, opts Options) (*Network, error) {
 	if g == nil {
 		return nil, fmt.Errorf("shm: nil graph")
@@ -101,6 +102,16 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 		}
 		n.balancers[id] = b
 	}
+	// Node ids are a topological order, so a balancer's successors are
+	// carved after it: link them once every balancer is in place.
+	for _, b := range n.balancers {
+		if b == nil {
+			continue
+		}
+		for p := range min(int(b.fanOut), len(b.succ)) {
+			b.succ[p] = n.balancers[n.dsts[int(b.out)+p].Node]
+		}
+	}
 	return n, nil
 }
 
@@ -142,11 +153,15 @@ type trip struct {
 // holder or a waiter, or loses the swap, calls out to queue, so contended
 // tokens are admitted in FIFO order as before. Every other balancer, an
 // atomic or mutex toggle or one behind a prism, is one Traverse call.
-// Either way the balancer's line also holds where its output destinations
-// start in the graph's flat Dests array, so the next node id is one load,
-// and the words of the counters its ports 0 and 1 feed, so a plain token
-// leaving for one of them takes its value on the line whose toggle it
-// just moved.
+// Either way a plain token leaving port 0 or 1 takes its next balancer
+// with one load of the line it read the kind from (Balancer.succ), and
+// one leaving for a counter takes its value on the line whose toggle it
+// just moved (Balancer.exits). A hooked or observed token needs the next
+// node id, and so does a token leaving port 2: the balancer's line holds
+// where its output destinations start in the graph's flat Dests array, so
+// that id is one load too. A plain token sets id only on that path, the
+// only one that can end the loop at a counter, so its final take reads the
+// right id.
 //
 //countnet:hotpath
 func (n *Network) token(id topo.NodeID, t *trip) int64 {
@@ -165,6 +180,16 @@ func (n *Network) token(id topo.NodeID, t *trip) int64 {
 		} else {
 			port = b.Traverse()
 		}
+		if t == nil && uint(port) < uint(len(b.succ)) {
+			// A plain token leaving port 0 or 1 (the unsigned compare
+			// spares both indexes a bounds check).
+			nb := b.succ[port]
+			if nb == nil {
+				return b.exits[port].Add(n.w) - n.w
+			}
+			b = nb
+			continue
+		}
 		// The next hop is read before the hook runs: a hook that pauses
 		// would otherwise pull the balancer's line back after the pause,
 		// and the next token to swap the toggle would pay to take it.
@@ -172,10 +197,6 @@ func (n *Network) token(id topo.NodeID, t *trip) int64 {
 		nb := n.balancers[next]
 		if t != nil {
 			t.left(id, t0)
-		} else if nb == nil && uint(port) < uint(len(b.exits)) {
-			// A plain token leaving port 0 or 1 for a counter (the
-			// unsigned compare spares the index a bounds check).
-			return b.exits[port].Add(n.w) - n.w
 		}
 		id, b = next, nb
 	}

@@ -125,22 +125,19 @@ func compile(t *testing.T, g *topo.Graph, opts Options) *Network {
 	return n
 }
 
-// TestWalkMatchesStepper pins the single-token walk against the graph.
-// One goroutine sends the same input sequence through a compiled network
-// and through topo.Stepper, under every toggle kind, bare and diffracted.
-// With no partner a prism always falls back to its toggle, so each
-// token's node sequence, seen by TraverseSpan's hook, and its value must
-// equal the Stepper's Path and Value, and plain Traverse on a second
-// network must hand out the same values. One combined group then walks
-// each network through TraverseBatch, whose exits reach a counter through
-// the graph rather than from the balancer the group left; its sorted
-// values must equal the Stepper's for as many tokens from the same input.
-// Last, both networks' CounterCounts and Issued must equal the Stepper's
-// tallies. The networks cover fan-out 2 (bitonic, periodic, tree), fan-out
-// 3 (a ternary tree, whose balancers stay bare under Diffract and whose
-// port-2 counters keep lines of their own), fan-out 1 (a padded network's
-// pass-through balancers) and an input wired straight to a counter.
-func TestWalkMatchesStepper(t *testing.T) {
+// namedGraph is a network under test and the name its subtests carry.
+type namedGraph struct {
+	name string
+	g    *topo.Graph
+}
+
+// walkGraphs builds the networks the walk tests cover: fan-out 2
+// (bitonic, periodic, tree), fan-out 3 (a ternary tree, whose balancers
+// stay bare under Diffract and whose port-2 counters keep lines of their
+// own), fan-out 1 (a padded network's pass-through balancers) and an input
+// wired straight to a counter.
+func walkGraphs(t *testing.T) []namedGraph {
+	t.Helper()
 	b8, err := bitonic.New(8)
 	if err != nil {
 		t.Fatal(err)
@@ -171,17 +168,30 @@ func TestWalkMatchesStepper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, net := range []struct {
-		name string
-		g    *topo.Graph
-	}{
+	return []namedGraph{
 		{"bitonic[8]", b8},
 		{"periodic[8]", p8},
 		{"tree[32]", t32},
 		{"tree[27,3]", t27},
 		{"padded bitonic[8]", padded},
 		{"bypass", bypass},
-	} {
+	}
+}
+
+// TestWalkMatchesStepper pins the single-token walk against the graph.
+// One goroutine sends the same input sequence through a compiled network
+// and through topo.Stepper, under every toggle kind, bare and diffracted.
+// With no partner a prism always falls back to its toggle, so each
+// token's node sequence, seen by TraverseSpan's hook, and its value must
+// equal the Stepper's Path and Value, and plain Traverse on a second
+// network must hand out the same values. One combined group then walks
+// each network through TraverseBatch, whose exits reach a counter through
+// the graph rather than from the balancer the group left; its sorted
+// values must equal the Stepper's for as many tokens from the same input.
+// Last, both networks' CounterCounts and Issued must equal the Stepper's
+// tallies. The networks are walkGraphs'.
+func TestWalkMatchesStepper(t *testing.T) {
+	for _, net := range walkGraphs(t) {
 		for _, kind := range []Kind{KindAtomic, KindMutex, KindMCS} {
 			for _, diffract := range []bool{false, true} {
 				opts := Options{Kind: kind, Diffract: diffract, PrismWindow: time.Microsecond}
@@ -249,6 +259,38 @@ func TestWalkMatchesStepper(t *testing.T) {
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestBalancerSuccessors pins the links a plain token follows
+// (Balancer.succ) against the graph: on the networks the walk and layout
+// tests build, under every kind, bare and diffracted, port p of each
+// balancer, for p below both its fan-out and two, must lead to the
+// balancer the graph wires it to, or to nil where it feeds a counter, and
+// no other link may be set.
+func TestBalancerSuccessors(t *testing.T) {
+	b16, err := bitonic.New(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, net := range append(walkGraphs(t), namedGraph{"bitonic[16]", b16}) {
+		for _, kind := range []Kind{KindAtomic, KindMutex, KindMCS} {
+			for _, diffract := range []bool{false, true} {
+				n := compile(t, net.g, Options{Kind: kind, Diffract: diffract})
+				for _, id := range net.g.Balancers() {
+					b := n.balancers[id]
+					for p := range b.succ {
+						var want *Balancer
+						if p < net.g.FanOut(id) {
+							want = n.balancers[net.g.OutDest(id, p).Node]
+						}
+						if b.succ[p] != want {
+							t.Errorf("%s/%s/diffract=%t: balancer %d port %d leads to %p, want %p", net.name, kind, diffract, id, p, b.succ[p], want)
+						}
+					}
+				}
 			}
 		}
 	}
