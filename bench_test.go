@@ -22,7 +22,7 @@ package countnet
 //	BenchmarkLincheckAlgorithms sweep vs quadratic oracle
 //	BenchmarkScheduleEngine     timed executor event throughput
 //	BenchmarkConstruct          network construction cost
-//	BenchmarkBuildCounter       bitonic[8], tree[32] counter build: graph vs Compile
+//	BenchmarkBuildCounter       bitonic[8], tree[32], periodic[8] counter build: graph vs Compile
 
 import (
 	"fmt"
@@ -358,9 +358,10 @@ func BenchmarkConstruct(b *testing.B) {
 
 // BenchmarkBuildCounter times the whole build the bench workloads' setup_s
 // times, a topology then NewCounter, and its two halves, on the bitonic[8]
-// and tree[32] networks the workloads use: "graph" is the topology alone
-// and "compile" is NewCounter over a prebuilt topology, so the split
-// between graph construction and Compile reads directly.
+// and tree[32] networks the workloads use and on periodic[8], the third
+// constructor: "graph" is the topology alone and "compile" is NewCounter
+// over a prebuilt topology, so the split between graph construction and
+// Compile reads directly.
 func BenchmarkBuildCounter(b *testing.B) {
 	for _, net := range []struct {
 		name  string
@@ -368,6 +369,7 @@ func BenchmarkBuildCounter(b *testing.B) {
 	}{
 		{"bitonic8", func() (Topology, error) { return BitonicTopology(8) }},
 		{"tree32", func() (Topology, error) { return TreeTopology(32) }},
+		{"periodic8", func() (Topology, error) { return PeriodicTopology(8) }},
 	} {
 		b.Run(net.name+"/full", func(b *testing.B) {
 			b.ReportAllocs()

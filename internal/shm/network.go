@@ -263,7 +263,7 @@ func (n *Network) take(id topo.NodeID, demand int) int64 {
 // onLine reports whether a counter fed from src keeps its word on the
 // feeding balancer's line: whether src is port 0 or 1 of a balancer.
 func onLine(src topo.Src) bool {
-	return !src.IsInput() && src.Port < len(Balancer{}.exits)
+	return !src.IsInput() && int(src.Port) < len(Balancer{}.exits)
 }
 
 // word returns counter id's fetch-and-add word, which holds the counter's

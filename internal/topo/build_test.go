@@ -1,6 +1,7 @@
 package topo_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,20 +12,22 @@ import (
 	"countnet/internal/topo"
 )
 
-// TestBuildAllocs pins the allocation count of building the networks the
-// benchmark workloads use, as a graph and as a whole NewCounter build. The
-// constructors reserve every node and port up front and wire their
-// networks in place, and Compile carves its balancers, of every toggle
-// kind, from 512-byte slabs, so a build allocates a fixed handful of
-// objects, not one or more per node. The graph bounds are the measured
-// counts (11, 11 and 10) plus headroom of one or two, so an accidental
-// per-node allocation fails here. The counter bounds are the measured
-// counts themselves, and one more allocation per counter fails here: 17
-// and 18 with no options, which allocate no options; 18 for an atomic or
-// a mutex bitonic[8], whose options are the one extra object; and 81 for
-// a diffracting tree[32], whose 31 prisms take two objects each. Every
+// TestBuildAllocs pins the allocations and the bytes of building the
+// networks the benchmark workloads use, as a graph and as a whole
+// NewCounter build. The constructors reserve every node and port up front
+// and wire their networks in place, the Builder sets each node's layer as
+// it adds the node, and Compile carves its balancers, of every toggle
+// kind, from 1024-byte slabs of eight line pairs, so a build allocates a
+// fixed handful of objects, not one or more per node. The allocation
+// bounds are the measured counts themselves, so one more allocation per
+// build fails here: 8, 8 and 7 per graph; 14 and 15 per counter with no
+// options, which allocate no options; 15 for an atomic or a mutex
+// bitonic[8], whose options are the one extra object; and 78 for a
+// diffracting tree[32], whose 31 prisms take two objects each. Every
 // output counter of these networks keeps its word on its feeding
-// balancer's line, so Compile allocates no counter array.
+// balancer's line, so Compile allocates no counter array. The byte bounds
+// are the measured bytes plus 5%: a port or a source back at 16 bytes, or
+// a wire end at 24, adds more than that to each graph.
 func TestBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations to every build")
@@ -42,27 +45,82 @@ func TestBuildAllocs(t *testing.T) {
 		return func(w int) error { _, err := g(w); return err }
 	}
 	for _, tc := range []struct {
-		name  string
-		build func(int) error
-		w     int
-		max   float64
+		name          string
+		build         func(int) error
+		w             int
+		allocs, bytes uint64
 	}{
-		{"bitonic[8]", graph(bitonic.New), 8, 12},
-		{"tree[32]", graph(dtree.New), 32, 12},
-		{"periodic[8]", graph(periodic.New), 8, 12},
-		{"bitonic[8] counter", counter(countnet.BitonicTopology), 8, 17},
-		{"tree[32] counter", counter(countnet.TreeTopology), 32, 18},
-		{"bitonic[8] atomic counter", counter(countnet.BitonicTopology, countnet.WithBalancer(countnet.Atomic)), 8, 18},
-		{"bitonic[8] mutex counter", counter(countnet.BitonicTopology, countnet.WithBalancer(countnet.Mutex)), 8, 18},
-		{"tree[32] diffracting counter", counter(countnet.TreeTopology, countnet.WithDiffraction(4, 5*time.Microsecond)), 32, 81},
+		{"bitonic[8]", graph(bitonic.New), 8, 8, 2240},
+		{"tree[32]", graph(dtree.New), 32, 8, 4152},
+		{"periodic[8]", graph(periodic.New), 8, 7, 2880},
+		{"bitonic[8] counter", counter(countnet.BitonicTopology), 8, 14, 6056},
+		{"tree[32] counter", counter(countnet.TreeTopology), 32, 15, 9248},
+		{"bitonic[8] atomic counter", counter(countnet.BitonicTopology, countnet.WithBalancer(countnet.Atomic)), 8, 15, 6088},
+		{"bitonic[8] mutex counter", counter(countnet.BitonicTopology, countnet.WithBalancer(countnet.Mutex)), 8, 15, 6096},
+		{"tree[32] diffracting counter", counter(countnet.TreeTopology, countnet.WithDiffraction(4, 5*time.Microsecond)), 32, 78, 12752},
 	} {
-		got := testing.AllocsPerRun(100, func() {
+		allocs, bytes := perBuild(100, func() {
 			if err := tc.build(tc.w); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if got > tc.max {
-			t.Errorf("%s: %.0f allocations per build, want <= %.0f", tc.name, got, tc.max)
+		if allocs > tc.allocs {
+			t.Errorf("%s: %d allocations per build, want <= %d", tc.name, allocs, tc.allocs)
+		}
+		if limit := tc.bytes + tc.bytes/20; bytes > limit {
+			t.Errorf("%s: %d bytes per build, want <= %d", tc.name, bytes, limit)
 		}
 	}
+}
+
+// TestLayersConstructions checks the layers the Builder sets as it adds
+// each node against topo's reference recomputation from the node sources,
+// on every constructor at each width from 2 to 32 and on padded copies.
+func TestLayersConstructions(t *testing.T) {
+	type ctor struct {
+		name   string
+		new    func(int) (*topo.Graph, error)
+		widths []int
+	}
+	pow2 := []int{2, 4, 8, 16, 32}
+	for _, c := range []ctor{
+		{"bitonic", bitonic.New, pow2},
+		{"periodic", periodic.New, pow2},
+		{"tree", dtree.New, pow2},
+		{"tree arity 3", func(w int) (*topo.Graph, error) { return dtree.NewArity(w, 3) }, []int{3, 9, 27}},
+	} {
+		for _, w := range c.widths {
+			g, err := c.new(w)
+			if err != nil {
+				t.Fatalf("%s[%d]: %v", c.name, w, err)
+			}
+			for _, pad := range []int{0, 1, 3} {
+				pg, err := topo.Pad(g, pad)
+				if err != nil {
+					t.Fatalf("%s[%d] pad %d: %v", c.name, w, pad, err)
+				}
+				if err := topo.CheckLayers(pg); err != nil {
+					t.Errorf("%s[%d] pad %d: %v", c.name, w, pad, err)
+				}
+			}
+			if err := topo.CheckLayers(g); err != nil {
+				t.Errorf("%s[%d]: %v", c.name, w, err)
+			}
+		}
+	}
+}
+
+// perBuild returns the average number of heap allocations and of bytes
+// allocated by one call of f, as testing.AllocsPerRun counts them: on one
+// processor, after one warm-up call.
+func perBuild(runs int, f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -3,16 +3,20 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // Out is an open wire end produced by the Builder: either a network input
 // that no balancer consumes yet, or an unconsumed balancer output port.
 // Every Out must be consumed exactly once, by a balancer or by Terminate.
+// It names its Builder by serial, not by pointer, so slices of Outs hold
+// no pointers.
 type Out struct {
-	node NodeID // InvalidNode for a network input
-	port int    // output port, or network input index
-	b    *Builder
+	node    NodeID // InvalidNode for a network input
+	port    int32  // output port, or network input index
+	builder uint64 // serial of the Builder that made it; 0 in the zero Out
 }
 
 // Builder incrementally constructs a Graph. Usage:
@@ -28,16 +32,21 @@ type Out struct {
 // A node is appended only after the Outs it consumes exist, so every node's
 // id exceeds its sources' ids: id order is topological, with no sort.
 type Builder struct {
-	g   Graph // the network under construction; Build publishes it
-	err error
+	g      Graph  // the network under construction; Build publishes it
+	serial uint64 // nonzero, unique to this Builder; stamped on its Outs
+	err    error
 }
+
+// serials hands each Builder its serial.
+var serials atomic.Uint64
 
 // errBuilt latches a Builder once Build has published its Graph.
 var errBuilt = errors.New("topo: Builder already built")
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{}
+	// g.uniform stays true until a node's sources sit on different layers.
+	return &Builder{g: Graph{uniform: true}, serial: serials.Add(1)}
 }
 
 // Reserve makes room for nodes more nodes, counters included, with
@@ -65,7 +74,7 @@ func (b *Builder) Inputs(v int) []Out {
 	}
 	b.g.inputs = slices.Grow(b.g.inputs, v)
 	for i := range outs {
-		outs[i] = Out{node: InvalidNode, port: len(b.g.inputs), b: b}
+		outs[i] = Out{node: InvalidNode, port: int32(len(b.g.inputs)), builder: b.serial}
 		b.g.inputs = append(b.g.inputs, PortRef{Node: InvalidNode}) // patched on consumption
 	}
 	return outs
@@ -78,11 +87,11 @@ func (b *Builder) consume(o Out, dst PortRef) Src {
 	if b.err != nil {
 		return Src{Node: InvalidNode}
 	}
-	if o.b == nil {
+	if o.builder == 0 {
 		b.fail("topo: zero Out consumed at node %d port %d", dst.Node, dst.Port)
 		return Src{Node: InvalidNode}
 	}
-	if o.b != b {
+	if o.builder != b.serial {
 		b.fail("topo: Out from a different Builder consumed at node %d", dst.Node)
 		return Src{Node: InvalidNode}
 	}
@@ -100,7 +109,8 @@ func (b *Builder) consume(o Out, dst PortRef) Src {
 }
 
 // add appends a node fed by ins, with fanOut unwired output ports, and
-// returns its id.
+// returns its id. Its sources are already in place, so its layer, one past
+// the deepest of theirs, is final when it is appended.
 func (b *Builder) add(kind Kind, ins []Out, fanOut, index int) NodeID {
 	g := &b.g
 	id := NodeID(len(g.nodes))
@@ -115,9 +125,18 @@ func (b *Builder) add(kind Kind, ins []Out, fanOut, index int) NodeID {
 	for range fanOut {
 		g.dsts = append(g.dsts, PortRef{Node: InvalidNode})
 	}
+	lo, hi := int32(math.MaxInt32), int32(0)
 	for p, o := range ins {
-		g.srcs = append(g.srcs, b.consume(o, PortRef{Node: id, Port: p}))
+		s := b.consume(o, PortRef{Node: id, Port: int32(p)})
+		g.srcs = append(g.srcs, s)
+		var l int32 // a network input sits at layer 0
+		if !s.IsInput() {
+			l = g.nodes[s.Node].layer
+		}
+		lo, hi = min(lo, l), max(hi, l)
 	}
+	g.uniform = g.uniform && lo == hi
+	g.nodes[id].layer = hi + 1
 	return id
 }
 
@@ -143,7 +162,7 @@ func (b *Builder) out(id NodeID, p int) Out {
 	if id == InvalidNode {
 		return Out{}
 	}
-	return Out{node: id, port: p, b: b}
+	return Out{node: id, port: int32(p), builder: b.serial}
 }
 
 // BalancerN creates a balancing node consuming the given wire ends as its
@@ -194,7 +213,12 @@ func (b *Builder) Terminate(outs []Out) {
 	}
 }
 
-// Build validates the network and returns the immutable Graph.
+// Build validates the network and returns the immutable Graph. The network
+// is uniform in the sense of Definition 2.1 (every node lies on an
+// input-to-output path, which the Builder guarantees, and all such paths
+// have equal length) exactly when every node's sources share one layer and
+// all counters land on the same layer; its depth is one less than the
+// deepest counter's layer.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -218,7 +242,13 @@ func (b *Builder) Build() (*Graph, error) {
 			}
 		}
 	}
-	g.computeLayers()
+	lo, hi := int32(math.MaxInt32), int32(0)
+	for _, c := range g.counters {
+		l := g.nodes[c].layer
+		lo, hi = min(lo, l), max(hi, l)
+	}
+	g.depth = int(hi) - 1
+	g.uniform = g.uniform && lo == hi
 	// Latch the Builder so further use cannot mutate the published network.
 	b.err = errBuilt
 	return g, nil

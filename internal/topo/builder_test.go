@@ -6,7 +6,7 @@ import (
 )
 
 // width2 builds the Section 1 network: one balancer B and two counters.
-func width2(t *testing.T) *Graph {
+func width2(t testing.TB) *Graph {
 	t.Helper()
 	b := NewBuilder()
 	in := b.Inputs(2)
@@ -189,9 +189,10 @@ func TestBuilderBadBalancerShape(t *testing.T) {
 	}
 }
 
-func TestNonUniformDetected(t *testing.T) {
-	// in0 passes one balancer, in1 passes two, then they merge: paths of
-	// unequal length reach the merging balancer.
+// nonUniform builds a network whose in0 passes one balancer and in1 two
+// before they merge: paths of unequal length reach the merging balancer.
+func nonUniform(t testing.TB) *Graph {
+	t.Helper()
 	b := NewBuilder()
 	in := b.Inputs(2)
 	a := b.Balancer11(in[0])
@@ -202,6 +203,24 @@ func TestNonUniformDetected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
+	return g
+}
+
+// inputToCounter builds a one-input network wired straight to its counter.
+func inputToCounter(t testing.TB) *Graph {
+	t.Helper()
+	b := NewBuilder()
+	in := b.Inputs(1)
+	b.Terminate([]Out{in[0]})
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return g
+}
+
+func TestNonUniformDetected(t *testing.T) {
+	g := nonUniform(t)
 	if g.Uniform() {
 		t.Error("network with unequal-length paths reported uniform")
 	}
@@ -211,13 +230,7 @@ func TestNonUniformDetected(t *testing.T) {
 }
 
 func TestDirectInputToCounter(t *testing.T) {
-	b := NewBuilder()
-	in := b.Inputs(1)
-	b.Terminate([]Out{in[0]})
-	g, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
+	g := inputToCounter(t)
 	if g.Depth() != 0 {
 		t.Errorf("Depth = %d, want 0", g.Depth())
 	}

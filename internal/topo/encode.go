@@ -39,9 +39,9 @@ func Encode(g *Graph) ([]byte, error) {
 	pos := make([]int32, len(g.nodes)) // pos[id] = balancer id's index in order
 	src := func(s Src) wireJSON {
 		if s.IsInput() {
-			return wireJSON{Input: s.Port}
+			return wireJSON{Input: int(s.Port)}
 		}
-		return wireJSON{Input: -1, Node: pos[s.Node], Port: s.Port}
+		return wireJSON{Input: -1, Node: pos[s.Node], Port: int(s.Port)}
 	}
 	out := graphJSON{Inputs: g.InWidth(), Balancers: make([]balancerJSON, len(order))}
 	for i, id := range order {

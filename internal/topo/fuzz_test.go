@@ -10,23 +10,17 @@ import (
 // panic, and anything it accepts must be a well-formed graph whose encoding
 // is a fixed point: re-encoding its decoding gives the same bytes, and the
 // decoding has the same layer lists once each node is renamed to its place
-// in the encoding.
+// in the encoding. The layers, depth and uniformity set during the build
+// must match checkLayers' recomputation from the node sources.
 func FuzzDecode(f *testing.F) {
-	g, err := func() (*Graph, error) {
-		b := NewBuilder()
-		in := b.Inputs(2)
-		o0, o1 := b.Balancer2(in[0], in[1])
-		b.Terminate([]Out{o0, o1})
-		return b.Build()
-	}()
-	if err != nil {
-		f.Fatal(err)
+	// The non-uniform network's seed has sources on different layers.
+	for _, g := range []*Graph{width2(f), nonUniform(f)} {
+		data, err := Encode(g)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	valid, err := Encode(g)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
 	f.Add([]byte(`{"inputs":1,"balancers":[],"counters":[{"input":0}]}`))
 	f.Add([]byte(`{"inputs":-1}`))
 	f.Add([]byte(`{`))
@@ -43,6 +37,9 @@ func FuzzDecode(f *testing.F) {
 		}
 		if g.InWidth() < 1 || g.OutWidth() < 1 {
 			t.Fatalf("decoded degenerate graph: %s", Summary(g))
+		}
+		if err := checkLayers(g); err != nil {
+			t.Fatalf("decoded graph: %v", err)
 		}
 		re, err := Encode(g)
 		if err != nil {

@@ -57,14 +57,14 @@ func (k Kind) String() string {
 // about to transition through that node.
 type PortRef struct {
 	Node NodeID
-	Port int
+	Port int32
 }
 
 // Src names the source feeding a wire: either a network input (Node ==
 // InvalidNode, Port == input index) or an output port of a balancer.
 type Src struct {
 	Node NodeID // InvalidNode when the wire starts at a network input
-	Port int    // output port index, or the network input index
+	Port int32  // output port index, or the network input index
 }
 
 // IsInput reports whether the source is a network input.
@@ -79,7 +79,7 @@ type node struct {
 	fanOut int32
 	in     int32 // srcs[in+p] = source feeding input port p
 	out    int32 // dsts[out+p] = destination of output port p (balancers only)
-	layer  int32 // 1-based balancer layer; counters sit at depth+1
+	layer  int32 // 1-based longest-path layer, set as the node is added
 	index  int32 // counters only: output port index Y_index
 }
 
@@ -95,7 +95,6 @@ type Graph struct {
 	counters []NodeID  // counters[i] = counter node for output Y_i
 	depth    int       // number of links from an input node to a counter
 	uniform  bool      // all input->output paths have equal length
-	layers   [][]NodeID
 }
 
 // ins returns the sources feeding n's input ports.
@@ -170,12 +169,15 @@ func (g *Graph) OutOffset(id NodeID) int { return int(g.nodes[id].out) }
 func (g *Graph) InSrc(id NodeID, p int) Src { return g.srcs[int(g.nodes[id].in)+p] }
 
 // LayerNodes returns the node ids at 1-based layer l, in creation order.
-// Layer Depth()+1 holds the counters.
+// Layer Depth()+1 holds the counters. The list is built on each call.
 func (g *Graph) LayerNodes(l int) []NodeID {
-	if l < 1 || l > len(g.layers) {
-		return nil
+	var ids []NodeID
+	for id := range g.nodes {
+		if int(g.nodes[id].layer) == l {
+			ids = append(ids, NodeID(id))
+		}
 	}
-	return g.layers[l-1]
+	return ids
 }
 
 // Balancers returns the ids of all balancing nodes in creation order.

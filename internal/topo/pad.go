@@ -40,7 +40,7 @@ func cloneBalancers(b *Builder, g *Graph, feeds []Out) ([]Out, error) {
 		if s.IsInput() {
 			return feeds[s.Port]
 		}
-		return b.out(clone[s.Node], s.Port)
+		return b.out(clone[s.Node], int(s.Port))
 	}
 	var ins []Out
 	for _, id := range g.breadthOrder() {
