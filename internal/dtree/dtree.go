@@ -42,16 +42,16 @@ func NewArity(w, arity int) (*topo.Graph, error) {
 	if arity < 2 {
 		return nil, fmt.Errorf("dtree: arity %d < 2", arity)
 	}
-	if !isPower(w, arity) {
+	depth := levels(w, arity)
+	if depth == 0 {
 		return nil, fmt.Errorf("dtree: width %d is not a positive power of arity %d", w, arity)
 	}
 	nb := (w - 1) / (arity - 1) // 1-input arity-output balancers
 	b := topo.NewBuilder()
 	b.Reserve(nb+w, nb+w, nb*arity)
 	in := b.Inputs(1)
-	// The leaves, then arity wires per level of the tree: the depth
-	// log_arity(w) levels need at most w.
-	wires := make([]topo.Out, 2*w)
+	// The leaves, then arity wires for each of the depth levels.
+	wires := make([]topo.Out, w+arity*depth)
 	subtree(b, in[0], arity, w, 0, 1, wires[:w], wires[w:])
 	b.Terminate(wires[:w])
 	g, err := b.Build()
@@ -61,18 +61,16 @@ func NewArity(w, arity int) (*topo.Graph, error) {
 	return g, nil
 }
 
-// isPower reports whether w = arity^k for some k >= 1.
-func isPower(w, arity int) bool {
-	if w < arity {
-		return false
+// levels returns k when w = arity^k for some k >= 1, and 0 otherwise.
+func levels(w, arity int) int {
+	k := 0
+	for ; w > 1 && w%arity == 0; w /= arity {
+		k++
 	}
-	for w > 1 {
-		if w%arity != 0 {
-			return false
-		}
-		w /= arity
+	if w != 1 {
+		return 0
 	}
-	return true
+	return k
 }
 
 // subtree wires the subtree of `width` leaves fed by in. Tokens taking

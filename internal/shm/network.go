@@ -69,25 +69,16 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 		balancers: make([]*Balancer, g.NumNodes()),
 		w:         int64(g.OutWidth()),
 	}
+	// Ids [0, nb) are the balancers and the last w ids the counters.
+	nb := g.NumBalancers()
 	var bs []Balancer
-	left := g.NumBalancers()
-	for id := range topo.NodeID(g.NumNodes()) {
-		if i := g.CounterIndex(id); i >= 0 {
-			// Node ids are a topological order, so the balancer feeding
-			// this counter is already in place.
-			if !onLine(g.InSrc(id, 0)) && n.spare == nil {
-				n.spare = make([]paddedCounter, g.OutWidth())
-			}
-			n.word(id).Store(int64(i))
-			continue
-		}
+	for id := range topo.NodeID(nb) {
 		if len(bs) == 0 {
-			k := min(left, slab)
+			k := min(nb-int(id), slab)
 			if k == 5 {
 				k = 6 // see slab
 			}
 			bs = make([]Balancer, k)
-			left -= len(bs)
 		}
 		b := &bs[0]
 		bs = bs[1:]
@@ -104,13 +95,19 @@ func Compile(g *topo.Graph, opts Options) (*Network, error) {
 	}
 	// Node ids are a topological order, so a balancer's successors are
 	// carved after it: link them once every balancer is in place.
-	for _, b := range n.balancers {
-		if b == nil {
-			continue
-		}
+	for _, b := range n.balancers[:nb] {
 		for p := range min(int(b.fanOut), len(b.succ)) {
 			b.succ[p] = n.balancers[n.dsts[int(b.out)+p].Node]
 		}
+	}
+	// With every balancer in place, every counter's word is too: it starts
+	// at the counter's index.
+	for i := range g.OutWidth() {
+		id := topo.NodeID(nb + i)
+		if !onLine(g.InSrc(id, 0)) && n.spare == nil {
+			n.spare = make([]paddedCounter, g.OutWidth())
+		}
+		n.word(id).Store(int64(i))
 	}
 	return n, nil
 }

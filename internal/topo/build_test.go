@@ -20,14 +20,14 @@ import (
 // kind, from 1024-byte slabs of eight line pairs, so a build allocates a
 // fixed handful of objects, not one or more per node. The allocation
 // bounds are the measured counts themselves, so one more allocation per
-// build fails here: 8, 8 and 7 per graph; 14 and 15 per counter with no
-// options, which allocate no options; 15 for an atomic or a mutex
-// bitonic[8], whose options are the one extra object; and 78 for a
+// build fails here: 7, 7 and 6 per graph; 13 and 14 per counter with no
+// options, which allocate no options; 14 for an atomic or a mutex
+// bitonic[8], whose options are the one extra object; and 77 for a
 // diffracting tree[32], whose 31 prisms take two objects each. Every
 // output counter of these networks keeps its word on its feeding
 // balancer's line, so Compile allocates no counter array. The byte bounds
-// are the measured bytes plus 5%: a port or a source back at 16 bytes, or
-// a wire end at 24, adds more than that to each graph.
+// are the measured bytes plus 5%: a port or a source back at 16 bytes, a
+// wire end at 24, or a node back at 28, adds more than that to each graph.
 func TestBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations to every build")
@@ -50,14 +50,14 @@ func TestBuildAllocs(t *testing.T) {
 		w             int
 		allocs, bytes uint64
 	}{
-		{"bitonic[8]", graph(bitonic.New), 8, 8, 2240},
-		{"tree[32]", graph(dtree.New), 32, 8, 4152},
-		{"periodic[8]", graph(periodic.New), 8, 7, 2880},
-		{"bitonic[8] counter", counter(countnet.BitonicTopology), 8, 14, 6056},
-		{"tree[32] counter", counter(countnet.TreeTopology), 32, 15, 9248},
-		{"bitonic[8] atomic counter", counter(countnet.BitonicTopology, countnet.WithBalancer(countnet.Atomic)), 8, 15, 6088},
-		{"bitonic[8] mutex counter", counter(countnet.BitonicTopology, countnet.WithBalancer(countnet.Mutex)), 8, 15, 6096},
-		{"tree[32] diffracting counter", counter(countnet.TreeTopology, countnet.WithDiffraction(4, 5*time.Microsecond)), 32, 78, 12752},
+		{"bitonic[8]", graph(bitonic.New), 8, 7, 1936},
+		{"tree[32]", graph(dtree.New), 32, 7, 3176},
+		{"periodic[8]", graph(periodic.New), 8, 6, 2448},
+		{"bitonic[8] counter", counter(countnet.BitonicTopology), 8, 13, 5752},
+		{"tree[32] counter", counter(countnet.TreeTopology), 32, 14, 8272},
+		{"bitonic[8] atomic counter", counter(countnet.BitonicTopology, countnet.WithBalancer(countnet.Atomic)), 8, 14, 5784},
+		{"bitonic[8] mutex counter", counter(countnet.BitonicTopology, countnet.WithBalancer(countnet.Mutex)), 8, 14, 5784},
+		{"tree[32] diffracting counter", counter(countnet.TreeTopology, countnet.WithDiffraction(4, 5*time.Microsecond)), 32, 77, 11776},
 	} {
 		allocs, bytes := perBuild(100, func() {
 			if err := tc.build(tc.w); err != nil {
@@ -74,9 +74,17 @@ func TestBuildAllocs(t *testing.T) {
 }
 
 // TestLayersConstructions checks the layers the Builder sets as it adds
-// each node against topo's reference recomputation from the node sources,
-// on every constructor at each width from 2 to 32 and on padded copies.
-func TestLayersConstructions(t *testing.T) {
+// each node against topo's reference recomputation from the node sources.
+func TestLayersConstructions(t *testing.T) { checkConstructions(t, topo.CheckLayers) }
+
+// TestCountersConstructions checks that every construction's counters are
+// its last nodes, in output order, against topo's reference recomputation
+// from the node fan-outs and the encoding.
+func TestCountersConstructions(t *testing.T) { checkConstructions(t, topo.CheckCounters) }
+
+// checkConstructions runs check on every constructor at each width from 2
+// to 32, an arity-3 tree at 3, 9 and 27, and padded copies of each.
+func checkConstructions(t *testing.T, check func(*topo.Graph) error) {
 	type ctor struct {
 		name   string
 		new    func(int) (*topo.Graph, error)
@@ -99,11 +107,11 @@ func TestLayersConstructions(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s[%d] pad %d: %v", c.name, w, pad, err)
 				}
-				if err := topo.CheckLayers(pg); err != nil {
+				if err := check(pg); err != nil {
 					t.Errorf("%s[%d] pad %d: %v", c.name, w, pad, err)
 				}
 			}
-			if err := topo.CheckLayers(g); err != nil {
+			if err := check(g); err != nil {
 				t.Errorf("%s[%d]: %v", c.name, w, err)
 			}
 		}

@@ -111,17 +111,13 @@ func (b *Builder) consume(o Out, dst PortRef) Src {
 // add appends a node fed by ins, with fanOut unwired output ports, and
 // returns its id. Its sources are already in place, so its layer, one past
 // the deepest of theirs, is final when it is appended.
-func (b *Builder) add(kind Kind, ins []Out, fanOut, index int) NodeID {
+func (b *Builder) add(ins []Out, fanOut int) NodeID {
 	g := &b.g
 	id := NodeID(len(g.nodes))
-	g.nodes = append(g.nodes, node{
-		kind:   kind,
-		fanIn:  int32(len(ins)),
-		fanOut: int32(fanOut),
-		in:     int32(len(g.srcs)),
-		out:    int32(len(g.dsts)),
-		index:  int32(index),
-	})
+	g.nodes = append(g.nodes, node{})
+	n := &g.nodes[id]
+	n.fanIn, n.fanOut = int32(len(ins)), int32(fanOut)
+	n.in, n.out = int32(len(g.srcs)), int32(len(g.dsts))
 	for range fanOut {
 		g.dsts = append(g.dsts, PortRef{Node: InvalidNode})
 	}
@@ -136,7 +132,7 @@ func (b *Builder) add(kind Kind, ins []Out, fanOut, index int) NodeID {
 		lo, hi = min(lo, l), max(hi, l)
 	}
 	g.uniform = g.uniform && lo == hi
-	g.nodes[id].layer = hi + 1
+	n.layer = hi + 1
 	return id
 }
 
@@ -154,7 +150,7 @@ func (b *Builder) balancer(ins []Out, fanOut int) NodeID {
 		b.fail("topo: balancer with fanOut %d", fanOut)
 		return InvalidNode
 	}
-	return b.add(KindBalancer, ins, fanOut, 0)
+	return b.add(ins, fanOut)
 }
 
 // out returns output port p of balancer id, or the zero Out for InvalidNode.
@@ -194,12 +190,14 @@ func (b *Builder) Balancer11(in Out) Out {
 }
 
 // Terminate attaches an atomic counter to each wire end, in order: outs[i]
-// becomes network output Y_i. It may be called once.
+// becomes network output Y_i. It may be called once. A balancer added
+// after it leaves outputs nothing can consume, which Build rejects, so the
+// counters are a built Graph's last nodes.
 func (b *Builder) Terminate(outs []Out) {
 	if b.err != nil {
 		return
 	}
-	if len(b.g.counters) != 0 {
+	if b.g.w != 0 {
 		b.fail("topo: Terminate called twice")
 		return
 	}
@@ -207,10 +205,10 @@ func (b *Builder) Terminate(outs []Out) {
 		b.fail("topo: Terminate with no outputs")
 		return
 	}
-	b.g.counters = make([]NodeID, len(outs))
 	for i := range outs {
-		b.g.counters[i] = b.add(KindCounter, outs[i:i+1], 0, i)
+		b.add(outs[i:i+1], 0)
 	}
+	b.g.w = len(outs)
 }
 
 // Build validates the network and returns the immutable Graph. The network
@@ -227,7 +225,7 @@ func (b *Builder) Build() (*Graph, error) {
 	if len(g.inputs) == 0 {
 		return nil, errors.New("topo: network has no inputs")
 	}
-	if len(g.counters) == 0 {
+	if g.w == 0 {
 		return nil, errors.New("topo: network has no output counters (missing Terminate)")
 	}
 	for i, p := range g.inputs {
@@ -243,9 +241,8 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 	}
 	lo, hi := int32(math.MaxInt32), int32(0)
-	for _, c := range g.counters {
-		l := g.nodes[c].layer
-		lo, hi = min(lo, l), max(hi, l)
+	for _, c := range g.nodes[g.NumBalancers():] {
+		lo, hi = min(lo, c.layer), max(hi, c.layer)
 	}
 	g.depth = int(hi) - 1
 	g.uniform = g.uniform && lo == hi

@@ -47,7 +47,7 @@ func TestBuilderWidth2(t *testing.T) {
 		t.Errorf("balancer layer = %d, want 1", g.Layer(bal[0]))
 	}
 	for i := 0; i < 2; i++ {
-		c := g.counters[i]
+		c := g.counter(i)
 		if g.KindOf(c) != KindCounter {
 			t.Errorf("counter %d kind = %v", i, g.KindOf(c))
 		}
@@ -148,6 +148,31 @@ func TestBuilderForeignOut(t *testing.T) {
 	}
 }
 
+// TestBuilderBalancerAfterTerminate pins what makes the counters a built
+// Graph's last nodes: a balancer added after Terminate, whether fed by a
+// wire Terminate left or by a network input, leaves outputs that nothing
+// can consume, so Build fails.
+func TestBuilderBalancerAfterTerminate(t *testing.T) {
+	for name, build := range map[string]func(b *Builder, in []Out){
+		"balancer output": func(b *Builder, in []Out) {
+			o0, o1 := b.Balancer2(in[0], in[1])
+			b.Terminate([]Out{o0})
+			b.Balancer11(o1)
+		},
+		"network input": func(b *Builder, in []Out) {
+			b.Terminate([]Out{b.Balancer11(in[0])})
+			b.Balancer11(b.Balancer11(in[1]))
+		},
+	} {
+		b := NewBuilder()
+		build(b, b.Inputs(2))
+		_, err := b.Build()
+		if err == nil || !strings.Contains(err.Error(), "dangling") {
+			t.Errorf("%s: Build error = %v, want a dangling-output error", name, err)
+		}
+	}
+}
+
 func TestBuilderTerminateTwice(t *testing.T) {
 	b := NewBuilder()
 	in := b.Inputs(2)
@@ -217,6 +242,31 @@ func inputToCounter(t testing.TB) *Graph {
 		t.Fatalf("Build: %v", err)
 	}
 	return g
+}
+
+// builderShapes returns the hand-wired shapes above and the Section 1
+// network: unequal paths merging, an input wired straight to a counter,
+// and counters on different layers whose every node has its sources on
+// one layer.
+func builderShapes() map[string]func(testing.TB) *Graph {
+	unevenCounters := func(t testing.TB) *Graph {
+		t.Helper()
+		b := NewBuilder()
+		in := b.Inputs(2)
+		o0, o1 := b.Balancer2(in[0], in[1])
+		b.Terminate([]Out{o0, b.Balancer11(o1)})
+		g, err := b.Build()
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		return g
+	}
+	return map[string]func(testing.TB) *Graph{
+		"non-uniform":      nonUniform,
+		"input to counter": inputToCounter,
+		"uneven counters":  unevenCounters,
+		"width 2":          width2,
+	}
 }
 
 func TestNonUniformDetected(t *testing.T) {

@@ -15,13 +15,12 @@ func Dot(g *Graph, name string) string {
 	}
 	for id := range g.nodes {
 		n := &g.nodes[id]
-		switch n.kind {
-		case KindBalancer:
-			label := fmt.Sprintf("b%d\\n%dx%d L%d", id, n.fanIn, n.fanOut, n.layer)
-			fmt.Fprintf(&sb, "  n%d [label=\"%s\"];\n", id, label)
-		case KindCounter:
-			fmt.Fprintf(&sb, "  n%d [shape=ellipse, label=\"Y%d\"];\n", id, n.index)
+		if i := g.CounterIndex(NodeID(id)); i >= 0 {
+			fmt.Fprintf(&sb, "  n%d [shape=ellipse, label=\"Y%d\"];\n", id, i)
+			continue
 		}
+		label := fmt.Sprintf("b%d\\n%dx%d L%d", id, n.fanIn, n.fanOut, n.layer)
+		fmt.Fprintf(&sb, "  n%d [label=\"%s\"];\n", id, label)
 	}
 	for i, p := range g.inputs {
 		fmt.Fprintf(&sb, "  x%d -> n%d [label=\"p%d\"];\n", i, p.Node, p.Port)

@@ -54,8 +54,8 @@ func Encode(g *Graph) ([]byte, error) {
 		out.Balancers[i] = bj
 	}
 	out.Counters = make([]wireJSON, g.OutWidth())
-	for i, c := range g.counters {
-		out.Counters[i] = src(g.InSrc(c, 0))
+	for i := range out.Counters {
+		out.Counters[i] = src(g.InSrc(g.counter(i), 0))
 	}
 	return json.MarshalIndent(out, "", " ")
 }

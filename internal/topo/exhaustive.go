@@ -95,15 +95,14 @@ func (s xstate) step(g *Graph, pos PortRef) xstate {
 		n.tokens[pos]--
 	}
 	id := pos.Node
-	node := &g.nodes[id]
-	switch node.kind {
-	case KindBalancer:
-		t := n.toggles[id]
-		n.toggles[id] = (t + 1) % node.fanOut
-		n.tokens[g.dsts[node.out+t]]++
-	case KindCounter:
-		n.counts[node.index]++
+	if i := g.CounterIndex(id); i >= 0 {
+		n.counts[i]++
+		return n
 	}
+	node := &g.nodes[id]
+	t := n.toggles[id]
+	n.toggles[id] = (t + 1) % node.fanOut
+	n.tokens[g.dsts[node.out+t]]++
 	return n
 }
 

@@ -1,5 +1,6 @@
 package topo
 
-// CheckLayers exports checkLayers to the topo_test package, whose tests
-// run it on the bitonic, periodic and tree constructions.
-var CheckLayers = checkLayers
+// CheckLayers and CheckCounters export checkLayers and checkCounters to the
+// topo_test package, whose tests run them on the bitonic, periodic and tree
+// constructions.
+var CheckLayers, CheckCounters = checkLayers, checkCounters

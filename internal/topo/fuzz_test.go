@@ -11,7 +11,9 @@ import (
 // is a fixed point: re-encoding its decoding gives the same bytes, and the
 // decoding has the same layer lists once each node is renamed to its place
 // in the encoding. The layers, depth and uniformity set during the build
-// must match checkLayers' recomputation from the node sources.
+// must match checkLayers' recomputation from the node sources, and the
+// counters must be the last nodes, in the order the encoding lists them
+// (checkCounters).
 func FuzzDecode(f *testing.F) {
 	// The non-uniform network's seed has sources on different layers.
 	for _, g := range []*Graph{width2(f), nonUniform(f)} {
@@ -41,6 +43,9 @@ func FuzzDecode(f *testing.F) {
 		if err := checkLayers(g); err != nil {
 			t.Fatalf("decoded graph: %v", err)
 		}
+		if err := checkCounters(g); err != nil {
+			t.Fatalf("decoded graph: %v", err)
+		}
 		re, err := Encode(g)
 		if err != nil {
 			t.Fatalf("re-encode of accepted graph failed: %v", err)
@@ -63,7 +68,7 @@ func FuzzDecode(f *testing.F) {
 			rename[id] = NodeID(k)
 		}
 		for i := range g.OutWidth() {
-			rename[g.counters[i]] = g2.counters[i]
+			rename[g.counter(i)] = g2.counter(i)
 		}
 		if g2.Depth() != g.Depth() || g2.Uniform() != g.Uniform() {
 			t.Fatalf("round trip changed shape: %s vs %s", Summary(g), Summary(g2))

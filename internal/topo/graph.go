@@ -6,10 +6,11 @@
 // Practically Linearizable", PODC 1996).
 //
 // A Graph has v ordered network inputs, a set of balancing nodes, and w
-// ordered output counters. Tokens enter at an input, are routed through
-// balancers (each of which preserves the step property on its ordered
-// outputs), and finally reach an atomic counter: the a-th token to exit on
-// output Y_i is assigned the value i + w*a.
+// ordered output counters, which are its last w nodes: ids [0, nb) are the
+// balancers and id nb+i is the counter on output Y_i. Tokens enter at an
+// input, are routed through balancers (each of which preserves the step
+// property on its ordered outputs), and finally reach an atomic counter:
+// the a-th token to exit on output Y_i is assigned the value i + w*a.
 //
 // Graphs are built with a Builder, which makes ill-formed networks
 // unrepresentable: a balancer's inputs are fixed at creation from existing
@@ -19,8 +20,6 @@
 //
 //countnet:deterministic
 package topo
-
-import "fmt"
 
 // NodeID identifies a node (balancer or counter) within a Graph.
 type NodeID int32
@@ -41,18 +40,6 @@ const (
 	KindCounter
 )
 
-// String returns the lowercase name of the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindBalancer:
-		return "balancer"
-	case KindCounter:
-		return "counter"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
-
 // PortRef names one input port of a node: tokens "waiting at" a PortRef are
 // about to transition through that node.
 type PortRef struct {
@@ -70,17 +57,16 @@ type Src struct {
 // IsInput reports whether the source is a network input.
 func (s Src) IsInput() bool { return s.Node == InvalidNode }
 
-// node is the internal representation shared by balancers and counters.
-// Its ports live in the Graph's flat srcs and dsts arrays, so a node holds
-// no pointers and the node array is never scanned by the garbage collector.
+// node is the internal representation shared by balancers and counters; a
+// node's kind and counter index follow from its id. Its ports live in the
+// Graph's flat srcs and dsts arrays, so a node holds no pointers and the
+// node array is never scanned by the garbage collector.
 type node struct {
-	kind   Kind
 	fanIn  int32
-	fanOut int32
+	fanOut int32 // 0 for a counter, and only for one
 	in     int32 // srcs[in+p] = source feeding input port p
 	out    int32 // dsts[out+p] = destination of output port p (balancers only)
 	layer  int32 // 1-based longest-path layer, set as the node is added
-	index  int32 // counters only: output port index Y_index
 }
 
 // Graph is an immutable balancing network.
@@ -88,13 +74,13 @@ type node struct {
 // The zero Graph is not useful; construct one with a Builder or one of the
 // network constructors (bitonic, periodic, dtree packages).
 type Graph struct {
-	nodes    []node
-	srcs     []Src     // every node's input sources, in node order
-	dsts     []PortRef // every balancer's output destinations, in node order
-	inputs   []PortRef // inputs[i] = entry port of network input i
-	counters []NodeID  // counters[i] = counter node for output Y_i
-	depth    int       // number of links from an input node to a counter
-	uniform  bool      // all input->output paths have equal length
+	nodes   []node    // balancers, then the w counters in output order
+	srcs    []Src     // every node's input sources, in node order
+	dsts    []PortRef // every balancer's output destinations, in node order
+	inputs  []PortRef // inputs[i] = entry port of network input i
+	w       int       // output width: the number of counters
+	depth   int       // number of links from an input node to a counter
+	uniform bool      // all input->output paths have equal length
 }
 
 // ins returns the sources feeding n's input ports.
@@ -106,14 +92,15 @@ func (g *Graph) outs(n *node) []PortRef { return g.dsts[n.out : n.out+n.fanOut] 
 // NumNodes returns the total number of nodes (balancers plus counters).
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
-// NumBalancers returns the number of balancing nodes.
-func (g *Graph) NumBalancers() int { return len(g.nodes) - len(g.counters) }
+// NumBalancers returns the number of balancing nodes, nb, whose ids are
+// [0, nb).
+func (g *Graph) NumBalancers() int { return len(g.nodes) - g.w }
 
 // InWidth returns v, the number of network input ports.
 func (g *Graph) InWidth() int { return len(g.inputs) }
 
 // OutWidth returns w, the number of output counters.
-func (g *Graph) OutWidth() int { return len(g.counters) }
+func (g *Graph) OutWidth() int { return g.w }
 
 // Depth returns the number of links between an input node and an output
 // counter (Definition 2.1 of the paper). For a non-uniform network it is the
@@ -128,7 +115,12 @@ func (g *Graph) Uniform() bool { return g.uniform }
 func (g *Graph) Input(i int) PortRef { return g.inputs[i] }
 
 // KindOf returns the kind of node id.
-func (g *Graph) KindOf(id NodeID) Kind { return g.nodes[id].kind }
+func (g *Graph) KindOf(id NodeID) Kind {
+	if g.CounterIndex(id) < 0 {
+		return KindBalancer
+	}
+	return KindCounter
+}
 
 // FanIn returns the number of input ports of node id.
 func (g *Graph) FanIn(id NodeID) int { return int(g.nodes[id].fanIn) }
@@ -143,13 +135,10 @@ func (g *Graph) Layer(id NodeID) int { return int(g.nodes[id].layer) }
 
 // CounterIndex returns the output index Y_i served by counter id, or -1 if
 // id is not a counter.
-func (g *Graph) CounterIndex(id NodeID) int {
-	n := &g.nodes[id]
-	if n.kind != KindCounter {
-		return -1
-	}
-	return int(n.index)
-}
+func (g *Graph) CounterIndex(id NodeID) int { return max(int(id)-g.NumBalancers(), -1) }
+
+// counter returns the id of the counter on output Y_i.
+func (g *Graph) counter(i int) NodeID { return NodeID(g.NumBalancers() + i) }
 
 // OutDest returns the destination input port of output port p of node id,
 // which must be a balancer with p < FanOut(id).
@@ -182,11 +171,9 @@ func (g *Graph) LayerNodes(l int) []NodeID {
 
 // Balancers returns the ids of all balancing nodes in creation order.
 func (g *Graph) Balancers() []NodeID {
-	ids := make([]NodeID, 0, g.NumBalancers())
-	for i := range g.nodes {
-		if g.nodes[i].kind == KindBalancer {
-			ids = append(ids, NodeID(i))
-		}
+	ids := make([]NodeID, g.NumBalancers())
+	for i := range ids {
+		ids[i] = NodeID(i)
 	}
 	return ids
 }

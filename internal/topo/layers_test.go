@@ -68,28 +68,9 @@ func checkLayers(g *Graph) error {
 }
 
 // TestLayersBuilderShapes checks the layers set during the build on the
-// Builder tests' hand-wired shapes: unequal paths merging, an input wired
-// straight to a counter, and counters on different layers whose every
-// node has its sources on one layer.
+// Builder tests' hand-wired shapes.
 func TestLayersBuilderShapes(t *testing.T) {
-	unevenCounters := func(t testing.TB) *Graph {
-		t.Helper()
-		b := NewBuilder()
-		in := b.Inputs(2)
-		o0, o1 := b.Balancer2(in[0], in[1])
-		b.Terminate([]Out{o0, b.Balancer11(o1)})
-		g, err := b.Build()
-		if err != nil {
-			t.Fatalf("Build: %v", err)
-		}
-		return g
-	}
-	for name, build := range map[string]func(testing.TB) *Graph{
-		"non-uniform":      nonUniform,
-		"input to counter": inputToCounter,
-		"uneven counters":  unevenCounters,
-		"width 2":          width2,
-	} {
+	for name, build := range builderShapes() {
 		if err := checkLayers(build(t)); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}

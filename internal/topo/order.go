@@ -7,21 +7,22 @@ package topo
 // periodic networks of width 4 and more, for instance). Builder ids are
 // topological, so it needs no cycle check.
 func (g *Graph) breadthOrder() []NodeID {
+	nb := NodeID(g.NumBalancers())
 	waiting := make([]int, len(g.nodes)) // source balancers not yet listed
-	order := make([]NodeID, 0, g.NumBalancers())
-	for id := range g.nodes {
+	order := make([]NodeID, 0, nb)
+	for id := range nb {
 		for _, s := range g.ins(&g.nodes[id]) {
 			if !s.IsInput() {
 				waiting[id]++
 			}
 		}
-		if waiting[id] == 0 && g.nodes[id].kind == KindBalancer {
-			order = append(order, NodeID(id))
+		if waiting[id] == 0 {
+			order = append(order, id)
 		}
 	}
 	for i := 0; i < len(order); i++ {
 		for _, dst := range g.outs(&g.nodes[order[i]]) {
-			if waiting[dst.Node]--; waiting[dst.Node] == 0 && g.nodes[dst.Node].kind == KindBalancer {
+			if waiting[dst.Node]--; waiting[dst.Node] == 0 && dst.Node < nb {
 				order = append(order, dst.Node)
 			}
 		}

@@ -54,8 +54,8 @@ func cloneBalancers(b *Builder, g *Graph, feeds []Out) ([]Out, error) {
 		}
 	}
 	term := make([]Out, g.OutWidth())
-	for i, c := range g.counters {
-		term[i] = wire(g.InSrc(c, 0))
+	for i := range term {
+		term[i] = wire(g.InSrc(g.counter(i), 0))
 	}
 	return term, nil
 }

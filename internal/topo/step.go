@@ -69,7 +69,7 @@ func (s *Stepper) Path(tok int) []NodeID {
 }
 
 // CounterCount returns the number of tokens that have exited output Y_i.
-func (s *Stepper) CounterCount(i int) int64 { return s.counts[s.g.counters[i]] }
+func (s *Stepper) CounterCount(i int) int64 { return s.counts[s.g.counter(i)] }
 
 // OutputCounts returns the per-output exit tallies Y_0..Y_{w-1}.
 func (s *Stepper) OutputCounts() []int64 {
@@ -91,27 +91,22 @@ func (s *Stepper) Step(tok int) (done bool, err error) {
 	if s.val[tok] >= 0 {
 		return false, fmt.Errorf("topo: step of finished token %d", tok)
 	}
-	p := s.pos[tok]
-	id := p.Node
-	n := &s.g.nodes[id]
+	id := s.pos[tok].Node
 	if s.track {
 		s.visited[tok] = append(s.visited[tok], id)
 	}
-	switch n.kind {
-	case KindBalancer:
-		t := s.toggle[id]
-		s.toggle[id] = (t + 1) % n.fanOut
-		s.counts[id]++
-		s.pos[tok] = s.g.dsts[n.out+t]
-		return false, nil
-	case KindCounter:
+	if i := s.g.CounterIndex(id); i >= 0 {
 		a := s.counts[id]
 		s.counts[id] = a + 1
-		s.val[tok] = int64(n.index) + int64(s.g.OutWidth())*a
+		s.val[tok] = int64(i) + int64(s.g.w)*a
 		return true, nil
-	default:
-		return false, fmt.Errorf("topo: token %d at node %d of unknown kind %d", tok, id, n.kind)
 	}
+	n := &s.g.nodes[id]
+	t := s.toggle[id]
+	s.toggle[id] = (t + 1) % n.fanOut
+	s.counts[id]++
+	s.pos[tok] = s.g.dsts[n.out+t]
+	return false, nil
 }
 
 // Run steps token tok to completion and returns its value. It models a
