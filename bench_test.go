@@ -27,6 +27,7 @@ package countnet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -361,7 +362,10 @@ func BenchmarkConstruct(b *testing.B) {
 // and tree[32] networks the workloads use and on periodic[8], the third
 // constructor: "graph" is the topology alone and "compile" is NewCounter
 // over a prebuilt topology, so the split between graph construction and
-// Compile reads directly.
+// Compile reads directly. Each row also reports the median and the minimum
+// of its batches' mean times (timeBuilds): on a shared host one disturbed
+// stretch moves the b.N mean of a few-microsecond build by as much as a
+// build change does.
 func BenchmarkBuildCounter(b *testing.B) {
 	for _, net := range []struct {
 		name  string
@@ -373,23 +377,21 @@ func BenchmarkBuildCounter(b *testing.B) {
 	} {
 		b.Run(net.name+"/full", func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+			timeBuilds(b, func() error {
 				tp, err := net.build()
 				if err != nil {
-					b.Fatal(err)
+					return err
 				}
-				if _, err := NewCounter(tp); err != nil {
-					b.Fatal(err)
-				}
-			}
+				_, err = NewCounter(tp)
+				return err
+			})
 		})
 		b.Run(net.name+"/graph", func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := net.build(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			timeBuilds(b, func() error {
+				_, err := net.build()
+				return err
+			})
 		})
 		b.Run(net.name+"/compile", func(b *testing.B) {
 			tp, err := net.build()
@@ -398,13 +400,40 @@ func BenchmarkBuildCounter(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := NewCounter(tp); err != nil {
-					b.Fatal(err)
-				}
-			}
+			timeBuilds(b, func() error {
+				_, err := NewCounter(tp)
+				return err
+			})
 		})
 	}
+}
+
+// buildBatch is how many builds one timed batch of BenchmarkBuildCounter
+// makes: a few tens of microseconds, so a 100-build run has ten batches.
+const buildBatch = 10
+
+// timeBuilds makes b.N builds in batches of buildBatch and reports the
+// median and the minimum of the full batches' mean times per build, or the
+// one partial batch's when there is no full one; the minimum is the cost
+// of an undisturbed batch.
+func timeBuilds(b *testing.B, build func() error) {
+	var ns []float64
+	for done := 0; done < b.N; {
+		k := min(buildBatch, b.N-done)
+		t0 := time.Now()
+		for range k {
+			if err := build(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if k == buildBatch || len(ns) == 0 {
+			ns = append(ns, float64(time.Since(t0).Nanoseconds())/float64(k))
+		}
+		done += k
+	}
+	slices.Sort(ns)
+	b.ReportMetric(ns[len(ns)/2], "median-ns/op")
+	b.ReportMetric(ns[0], "min-ns/op")
 }
 
 // BenchmarkLinearizableFilter quantifies the price of guaranteed

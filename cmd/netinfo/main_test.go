@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -33,8 +34,44 @@ func TestRunRender(t *testing.T) {
 	if !strings.Contains(out, "layer 1:") || !strings.Contains(out, "counters:") {
 		t.Errorf("render output missing:\n%s", out)
 	}
-	if !strings.Contains(out, "exhaustive") {
-		t.Errorf("small tree should certify exhaustively:\n%s", out)
+	if !strings.Contains(out, "counting-property check: ok (every input vector of up to 99999 tokens (100000 vectors)") {
+		t.Errorf("one-input tree should check every token count up to 99999:\n%s", out)
+	}
+}
+
+// TestRunVerifyEveryConstructor certifies every constructor at widths 2-32:
+// each verify line names how many input vectors it checked, and up to what
+// total, which is at least w+2 tokens.
+func TestRunVerifyEveryConstructor(t *testing.T) {
+	for _, c := range []struct {
+		net   string
+		width int
+		line  string
+	}{
+		{"bitonic", 2, "every input vector of up to 445 tokens (99681 vectors)"},
+		{"bitonic", 4, "every input vector of up to 36 tokens (91390 vectors)"},
+		{"bitonic", 8, "every input vector of up to 11 tokens (75582 vectors)"},
+		{"bitonic", 16, "every input vector of up to 6 tokens (74613 vectors)"},
+		{"bitonic", 32, "every input vector of up to 4 tokens (58905 vectors)"},
+		{"periodic", 2, "every input vector of up to 445 tokens (99681 vectors)"},
+		{"periodic", 4, "every input vector of up to 36 tokens (91390 vectors)"},
+		{"periodic", 8, "every input vector of up to 11 tokens (75582 vectors)"},
+		{"periodic", 16, "every input vector of up to 6 tokens (74613 vectors)"},
+		{"periodic", 32, "every input vector of up to 4 tokens (58905 vectors)"},
+		{"dtree", 2, "every input vector of up to 99999 tokens (100000 vectors)"},
+		{"dtree", 4, "every input vector of up to 99999 tokens (100000 vectors)"},
+		{"dtree", 8, "every input vector of up to 99999 tokens (100000 vectors)"},
+		{"dtree", 16, "every input vector of up to 99999 tokens (100000 vectors)"},
+		{"dtree", 32, "every input vector of up to 99999 tokens (100000 vectors)"},
+	} {
+		var sb strings.Builder
+		if err := run([]string{"-net", c.net, "-width", strconv.Itoa(c.width), "-verify"}, &sb); err != nil {
+			t.Fatalf("%s[%d]: %v", c.net, c.width, err)
+		}
+		want := "counting-property check: ok (" + c.line + " + 25 randomized trials)\n"
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("%s[%d]: no line %q:\n%s", c.net, c.width, want, sb.String())
+		}
 	}
 }
 

@@ -83,17 +83,15 @@ func TestLeafOrdering(t *testing.T) {
 	}
 }
 
-// TestExhaustiveWidth4 model-checks the width-4 tree over every
-// interleaving of up to 7 tokens.
+// TestExhaustiveWidth4 checks the width-4 tree on every token count up to
+// 7.
 func TestExhaustiveWidth4(t *testing.T) {
 	g, err := New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for m := int64(1); m <= 7; m++ {
-		if err := topo.ExhaustiveCheck(g, []int64{m}, 5_000_000); err != nil {
-			t.Errorf("m=%d: %v", m, err)
-		}
+	if _, err := topo.CheckInputs(g, 7); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -125,15 +123,14 @@ func TestArityTrees(t *testing.T) {
 	}
 }
 
-// TestArityExhaustive model-checks the 9-leaf ternary tree.
+// TestArityExhaustive checks the 9-leaf ternary tree on every token count
+// up to 6.
 func TestArityExhaustive(t *testing.T) {
 	g, err := NewArity(9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for m := int64(1); m <= 6; m++ {
-		if err := topo.ExhaustiveCheck(g, []int64{m}, 5_000_000); err != nil {
-			t.Errorf("m=%d: %v", m, err)
-		}
+	if _, err := topo.CheckInputs(g, 6); err != nil {
+		t.Error(err)
 	}
 }

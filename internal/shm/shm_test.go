@@ -245,10 +245,13 @@ func TestWalkMatchesStepper(t *testing.T) {
 							t.Fatalf("group of %d from input %d: TraverseBatch values %v, Stepper %v", group, in, got, want)
 						}
 					}
-					counts := s.OutputCounts()
-					var issued int64
-					for _, c := range counts {
-						issued += c
+					// The Stepper's counter on Y_i hands out i + w*a, so its
+					// tallies follow from the values of its tokens.
+					counts := make([]int64, net.g.OutWidth())
+					issued := int64(tokens + group)
+					for tok := range tokens + group {
+						v, _ := s.Value(tok)
+						counts[v%int64(len(counts))]++
 					}
 					for _, n := range []*Network{hooked, plain} {
 						if got := n.CounterCounts(); !slices.Equal(got, counts) {

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -13,7 +14,10 @@ import (
 // in the encoding. The layers, depth and uniformity set during the build
 // must match checkLayers' recomputation from the node sources, and the
 // counters must be the last nodes, in the order the encoding lists them
-// (checkCounters).
+// (checkCounters). And it must be confluent: a seeded interleaving of 1-3
+// tokens at each input leaves its counters with the tallies Tallies
+// computes from the input counts alone, also on the fan-outs above 2 and
+// the balancers with more inputs than outputs that no constructor makes.
 func FuzzDecode(f *testing.F) {
 	// The non-uniform network's seed has sources on different layers.
 	for _, g := range []*Graph{width2(f), nonUniform(f)} {
@@ -45,6 +49,17 @@ func FuzzDecode(f *testing.F) {
 		}
 		if err := checkCounters(g); err != nil {
 			t.Fatalf("decoded graph: %v", err)
+		}
+		per := make([]int64, g.InWidth())
+		for i := range per {
+			per[i] = int64(1 + (i+g.NumNodes())%3)
+		}
+		want, err := Tallies(g, per)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := interleavedTallies(t, g, per, rand.New(rand.NewSource(int64(len(raw))))); !slices.Equal(got, want) {
+			t.Fatalf("inputs %v: an interleaving reaches outputs %v, Tallies gives %v", per, got, want)
 		}
 		re, err := Encode(g)
 		if err != nil {

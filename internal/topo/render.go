@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 )
@@ -44,33 +43,26 @@ func Render(g *Graph) string {
 	return sb.String()
 }
 
-// Certify runs the strongest verification that fits the budget: the
-// exhaustive all-interleavings model check when the state space allows it,
-// otherwise the randomized counting check, always preceded by the
-// deterministic sequential check. It returns a description of what was
-// proven along with any failure.
-func Certify(g *Graph, stateBudget int, trials int, seed int64) (string, error) {
-	// Small networks: exhaustive over a couple of token loads.
-	if g.NumBalancers() <= 16 {
-		per := make([]int64, g.InWidth())
-		total := int64(g.OutWidth() + 2)
-		for i := int64(0); i < total; i++ {
-			per[int(i)%g.InWidth()]++
-		}
-		err := ExhaustiveCheck(g, per, stateBudget)
-		switch {
-		case err == nil:
-			if rErr := VerifyCounting(g, 4*g.OutWidth(), trials, seed); rErr != nil {
-				return "", rErr
-			}
-			return fmt.Sprintf("exhaustive over %d tokens (all interleavings) + %d randomized trials", total, trials), nil
-		case !errors.Is(err, ErrStateSpace):
-			return "", err
-		}
-		// Fall through to randomized when the budget was exceeded.
+// maxVectors caps how many input vectors Certify checks one by one.
+const maxVectors = 100_000
+
+// Certify checks every input vector of up to m tokens, for the largest m
+// whose C(m+v, v) vectors over v inputs number at most maxVectors, then
+// runs VerifyCounting: the sequential check and `trials` random vectors of
+// up to 4w tokens. It returns a description of what was checked along with
+// any failure.
+func Certify(g *Graph, trials int, seed int64) (string, error) {
+	v := int64(g.InWidth())
+	var m int64
+	for n := v + 1; n <= maxVectors; n = n * (m + 1 + v) / (m + 1) { // n = C(m+1+v, v)
+		m++
+	}
+	checked, err := CheckInputs(g, m)
+	if err != nil {
+		return "", err
 	}
 	if err := VerifyCounting(g, 4*g.OutWidth(), trials, seed); err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("randomized (%d trials); too large for the exhaustive check", trials), nil
+	return fmt.Sprintf("every input vector of up to %d tokens (%d vectors) + %d randomized trials", m, checked, trials), nil
 }

@@ -33,23 +33,13 @@ func TestRenderChained(t *testing.T) {
 
 func TestCertifySmall(t *testing.T) {
 	g := width2(t)
-	how, err := Certify(g, 1_000_000, 10, 1)
+	how, err := Certify(g, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(how, "exhaustive") {
-		t.Errorf("small network not certified exhaustively: %q", how)
-	}
-}
-
-func TestCertifyFallsBackOnBudget(t *testing.T) {
-	g := width2(t)
-	how, err := Certify(g, 2, 10, 1) // budget too small for exhaustive
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(how, "randomized") {
-		t.Errorf("budget exhaustion did not fall back: %q", how)
+	// C(445+2, 2) = 100128 is the most vectors under 100 000.
+	if want := "every input vector of up to 445 tokens (99681 vectors)"; !strings.Contains(how, want) {
+		t.Errorf("Certify = %q, want %q", how, want)
 	}
 }
 
@@ -63,7 +53,7 @@ func TestCertifyRejectsNonCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Certify(g, 1_000_000, 10, 1); err == nil {
-		t.Error("non-counting network certified")
+	if _, err := Certify(g, 10, 1); err == nil || !strings.Contains(err.Error(), "inputs [0 0 0 1]") {
+		t.Errorf("err = %v, want the failure of inputs [0 0 0 1]", err)
 	}
 }

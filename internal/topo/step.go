@@ -68,18 +68,6 @@ func (s *Stepper) Path(tok int) []NodeID {
 	return s.visited[tok]
 }
 
-// CounterCount returns the number of tokens that have exited output Y_i.
-func (s *Stepper) CounterCount(i int) int64 { return s.counts[s.g.counter(i)] }
-
-// OutputCounts returns the per-output exit tallies Y_0..Y_{w-1}.
-func (s *Stepper) OutputCounts() []int64 {
-	out := make([]int64, s.g.OutWidth())
-	for i := range out {
-		out[i] = s.CounterCount(i)
-	}
-	return out
-}
-
 // Step performs the instantaneous transition of the node token tok waits at.
 // It returns done=true when the transition was through a counter, in which
 // case the token has received its value. Stepping a finished token is an

@@ -22,11 +22,8 @@ func TestStepperSequentialValues(t *testing.T) {
 	if !st.Quiescent() {
 		t.Error("all tokens done but not quiescent")
 	}
-	if got := st.CounterCount(0); got != 5 {
-		t.Errorf("counter 0 count = %d, want 5", got)
-	}
-	if got := st.OutputCounts(); got[0] != 5 || got[1] != 5 {
-		t.Errorf("OutputCounts = %v", got)
+	if got := outputCounts(st); got[0] != 5 || got[1] != 5 {
+		t.Errorf("output counts = %v", got)
 	}
 }
 

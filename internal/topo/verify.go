@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // StepPropertyHolds reports whether the tallies satisfy the step property:
@@ -31,54 +32,94 @@ func StepCounts(m int64, w int) []int64 {
 	return out
 }
 
-// CheckQuiescentStep runs an execution injecting perInput[i] tokens at each
-// network input, interleaved one transition at a time under rng's control,
-// runs it to quiescence, and verifies the step property on the outputs.
-// A counting network must pass for every interleaving (Section 2).
-func CheckQuiescentStep(g *Graph, perInput []int64, rng *rand.Rand) error {
+// Tallies returns the output tallies Y_0..Y_{w-1} of g at quiescence after
+// perInput[i] tokens entered network input i. A balancer sends its k-th
+// token out of output k mod fan-out, so of the n tokens that enter a
+// balancer with f outputs, each output gets n/f and the first n mod f one
+// more, in whatever order the tokens arrived (Aspnes, Herlihy and Shavit).
+// A balancing network's quiescent tallies thus depend on the per-input
+// token counts alone, and one pass over the balancers in id order, which
+// is topological, pushes those counts through to the counters.
+func Tallies(g *Graph, perInput []int64) ([]int64, error) {
 	if len(perInput) != g.InWidth() {
-		return fmt.Errorf("topo: %d token counts for %d inputs", len(perInput), g.InWidth())
+		return nil, fmt.Errorf("topo: %d token counts for %d inputs", len(perInput), g.InWidth())
 	}
-	s := NewStepper(g)
-	var total int64
-	for in, c := range perInput {
-		for k := int64(0); k < c; k++ {
-			s.Inject(in)
-			total++
+	for _, c := range perInput {
+		if c < 0 {
+			return nil, fmt.Errorf("topo: negative token count %d", c)
 		}
 	}
-	live := make([]int, 0, total)
-	for tok := 0; tok < int(total); tok++ {
-		live = append(live, tok)
+	return g.push(perInput, make([]int64, g.NumNodes())), nil
+}
+
+// push returns the output tallies for perInput, using entered, one word per
+// node, to hold how many tokens enter each node.
+func (g *Graph) push(perInput, entered []int64) []int64 {
+	clear(entered)
+	for i, c := range perInput {
+		entered[g.inputs[i].Node] += c
 	}
-	for len(live) > 0 {
-		i := rng.Intn(len(live))
-		done, err := s.Step(live[i])
-		if err != nil {
-			return err
-		}
-		if done {
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
+	for id := range g.NumBalancers() {
+		n := &g.nodes[id]
+		q, r := entered[id]/int64(n.fanOut), entered[id]%int64(n.fanOut)
+		for p, d := range g.outs(n) {
+			entered[d.Node] += q
+			if int64(p) < r {
+				entered[d.Node]++
+			}
 		}
 	}
-	counts := s.OutputCounts()
-	if !StepPropertyHolds(counts) {
-		return fmt.Errorf("topo: quiescent step property violated: outputs %v for %d tokens", counts, total)
-	}
-	want := StepCounts(total, g.OutWidth())
-	for i := range counts {
-		if counts[i] != want[i] {
-			return fmt.Errorf("topo: output %d saw %d tokens, want %d (of %d total)", i, counts[i], want[i], total)
+	return entered[g.NumBalancers():]
+}
+
+// CheckInputs checks the quiescent step property of g for every input
+// vector of at most maxTotal tokens, smallest totals first: the Tallies of
+// each must be the StepCounts of its total. It returns how many vectors it
+// checked, C(maxTotal+v, v) for v inputs when all pass, and an error naming
+// the first vector that fails.
+func CheckInputs(g *Graph, maxTotal int64) (int64, error) {
+	per := make([]int64, g.InWidth())
+	entered := make([]int64, g.NumNodes())
+	var checked int64
+	var want []int64
+	// fill spreads rest tokens over inputs i..v-1 in every way, in
+	// lexicographic order, and checks each vector.
+	var fill func(i int, rest int64) error
+	fill = func(i int, rest int64) error {
+		if i == len(per)-1 {
+			per[i] = rest
+			checked++
+			return checkStep(per, g.push(per, entered), want)
 		}
+		for c := int64(0); c <= rest; c++ {
+			per[i] = c
+			if err := fill(i+1, rest-c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for total := int64(0); total <= maxTotal; total++ {
+		want = StepCounts(total, g.w)
+		if err := fill(0, total); err != nil {
+			return checked, err
+		}
+	}
+	return checked, nil
+}
+
+// checkStep checks that the tokens of perInput reached the outputs in the
+// step counts want of their total.
+func checkStep(perInput, outputs, want []int64) error {
+	if !slices.Equal(outputs, want) {
+		return fmt.Errorf("topo: inputs %v reach outputs %v, want %v", perInput, outputs, want)
 	}
 	return nil
 }
 
-// VerifyCounting performs `trials` randomized quiescent step-property checks
-// with random input distributions of up to maxTokens tokens each, plus one
-// deterministic sequential check. It returns the first violation found.
-// Passing is strong randomized evidence that g is a counting network.
+// VerifyCounting performs `trials` quiescent step-property checks of random
+// input vectors of up to maxTokens tokens each, plus one deterministic
+// sequential check. It returns the first violation found.
 func VerifyCounting(g *Graph, maxTokens int, trials int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	if err := verifySequential(g, min(maxTokens, 4*g.OutWidth())); err != nil {
@@ -90,7 +131,11 @@ func VerifyCounting(g *Graph, maxTokens int, trials int, seed int64) error {
 		for k := 0; k < n; k++ {
 			per[rng.Intn(len(per))]++
 		}
-		if err := CheckQuiescentStep(g, per, rng); err != nil {
+		got, err := Tallies(g, per)
+		if err != nil {
+			return err
+		}
+		if err := checkStep(per, got, StepCounts(int64(n), g.w)); err != nil {
 			return fmt.Errorf("trial %d: %w", t, err)
 		}
 	}
